@@ -28,6 +28,14 @@ from .pages import ORDER_SEARCH_LIMIT, outerplanar_cr
 from .solver import _Deadline, cr_certificates, cr_exact, cr_lower
 
 
+class ApexRoutingError(RuntimeError):
+    """The apex found no route into this particular drawing of G.
+
+    This is a property of the drawing, not a fault: ``cone_cr`` skips the
+    drawing and tries the next one.
+    """
+
+
 def lift_to_cone(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate:
     """Re-express a certificate of G in the instance ids of cone(G)."""
     cg = cone(g)
@@ -100,7 +108,9 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
 
     G must be connected.  The apex face is chosen to minimize the total
     crossings of the apex edges; along the way each apex edge avoids
-    edges at its own endpoint and never crosses one host twice.
+    edges at its own endpoint and never crosses one host twice.  Raises
+    ``ApexRoutingError`` when no apex face admits such routes, or none of
+    the routes found assembles into a realizable certificate.
     """
     if len(g.components()) != 1:
         raise ValueError("apex insertion needs a connected base graph")
@@ -175,7 +185,7 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
         if found is not None:
             ranked.append((sum(len(p) for p in found), fid, found))
     if not ranked:
-        raise RuntimeError("no admissible apex face")
+        raise ApexRoutingError("no admissible apex face")
     ranked.sort(key=lambda t: (t[0], t[1]))
 
     cg = cone(g)
@@ -189,7 +199,7 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
         cert_try = _assemble_cone_cert(g, cert, segments, found, lift, apex_edge)
         if cert_try is not None:
             return cert_try
-    raise RuntimeError("apex routing produced no realizable certificate")
+    raise ApexRoutingError("apex routing produced no realizable certificate")
 
 
 def _assemble_cone_cert(
@@ -383,7 +393,7 @@ def cone_cr(
                     break
                 try:
                     coned = insert_apex(g, cert)
-                except RuntimeError:
+                except ApexRoutingError:
                     continue
                 count, ok = verify_certificate(cg, coned)
                 if ok and (best is None or count < best[0]):

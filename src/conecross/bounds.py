@@ -84,7 +84,8 @@ def harary_hill(n: int) -> int:
         num = (n - 1) ** 2 * (n - 3) ** 2
     if n <= 4:
         return 0
-    assert num % 64 == 0
+    if num % 64:
+        raise RuntimeError(f"Z({n}) numerator {num} is not divisible by 64")
     return num // 64
 
 

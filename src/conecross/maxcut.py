@@ -121,7 +121,8 @@ def _exact_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
             walk(i + 1, cut + gain)
 
     walk(0, 0)
-    assert best_side is not None
+    if best_side is None:
+        raise RuntimeError("max-cut search recorded no cut")
     return Cut(tuple(best_side), best)
 
 

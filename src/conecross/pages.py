@@ -28,6 +28,7 @@ from .books import (
 from .certificates import SolveResult, SolveStats, certificate_from_book, verify_certificate
 from .graphs import Multigraph
 from .maxcut import EXACT_LIMIT, Cut, maxcut_edwards, maxcut_exact
+from .parallel import worker_count
 
 ORDER_SEARCH_LIMIT = 11
 
@@ -229,7 +230,7 @@ def _parallel_prefix_search(
     best_seq: tuple[int, ...] | None = None
     complete = True
     nodes = 0
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=worker_count(threads, len(args))) as pool:
         for value, seq, done, n_nodes in pool.map(_prefix_worker, args):
             nodes += n_nodes
             complete = complete and done
@@ -339,7 +340,7 @@ def _parallel_two_page(
     best_order: CyclicOrder | None = None
     complete = True
     orders_run = 0
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=worker_count(threads, len(args))) as pool:
         for value, seq, done, count in pool.map(_two_page_worker, args):
             orders_run += count
             complete = complete and done

@@ -6,49 +6,32 @@ cheap screens run first: a graph with at most 8 distinct edges is always
 planar (the smallest non-planar subdivisions need 9), and a simple graph
 with m > 3n - 6 never is.
 
-The LR test itself is the standard two-pass DFS: an orientation pass
-computing lowpoints and nesting depths, then a testing pass maintaining a
-stack of conflict pairs of return-edge intervals.  Only the decision is
-produced; no embedding is constructed.
+The LR test itself is the two-pass DFS of Brandes, "The left-right
+planarity test" (2009): an orientation pass computing lowpoints and
+nesting depths, then a testing pass maintaining a stack of conflict pairs
+of return-edge intervals.  Only the decision is produced; no embedding is
+constructed.
+
+Both passes run on integer edge ids.  An edge gets its id when the
+orientation pass orients it away from an endpoint (the parent for a tree
+edge, the descendant for a back edge), and every per-edge quantity lives
+in a flat list indexed by that id.  A conflict pair is a 4-slot list
+``[L.low, L.high, R.low, R.high]`` of edge ids, with -1 for an empty slot.
+Both DFS passes are iterative, keeping one list iterator per open vertex,
+so deep graphs (long subdivided chains) cannot overflow the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graphs import Multigraph
 
 
-class _Interval:
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-
-class _ConflictPair:
-    __slots__ = ("L", "R")
-
-    def __init__(self, left: Optional[_Interval] = None, right: Optional[_Interval] = None):
-        self.L = left if left is not None else _Interval()
-        self.R = right if right is not None else _Interval()
-
-    def swap(self) -> None:
-        self.L, self.R = self.R, self.L
-
-
 def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """Planarity of the simple graph underlying ``edges`` on vertices 0..n-1."""
-    seen = set()
-    for u, v in edges:
-        if u > v:
-            u, v = v, u
-        if u != v:
-            seen.add((u, v))
+    seen = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
     m = len(seen)
     if m <= 8:
         return True
@@ -60,190 +43,201 @@ def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
         adj[u].append(v)
         adj[v].append(u)
 
-    height: list[Optional[int]] = [None] * n
-    parent_edge: list[Optional[tuple[int, int]]] = [None] * n
-    lowpt: dict = {}
-    lowpt2: dict = {}
-    nesting_depth: dict = {}
-    oriented: set = set()
-    out: list[list[int]] = [[] for _ in range(n)]
-
     # --- orientation pass ---------------------------------------------
+    # At v, neighbour w is a new tree edge if unvisited, a back edge if it
+    # is a proper ancestor other than v's parent, and already oriented
+    # otherwise (the parent, or a descendant that walked the edge first).
+    height = [-1] * n
+    parent_edge = [-1] * n
+    src = [0] * m
+    dst = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    out: list[list[int]] = [[] for _ in range(n)]
+    k = 0
     roots = []
     for s in range(n):
-        if height[s] is not None or not adj[s]:
+        if height[s] >= 0 or not adj[s]:
             continue
         height[s] = 0
         roots.append(s)
-        dfs_stack = [s]
-        ind = {s: 0}
-        skip_init: set = set()
-        while dfs_stack:
-            v = dfs_stack.pop()
+        stack = [(s, iter(adj[s]))]
+        while stack:
+            v, it = stack[-1]
+            hv = height[v]
             e = parent_edge[v]
-            descended = False
-            neighbors = adj[v]
-            i = ind[v]
-            while i < len(neighbors):
-                w = neighbors[i]
-                vw = (v, w)
-                if vw not in skip_init:
-                    if vw in oriented or (w, v) in oriented:
-                        i += 1
-                        continue
-                    oriented.add(vw)
-                    out[v].append(w)
-                    lowpt[vw] = height[v]
-                    lowpt2[vw] = height[v]
-                    if height[w] is None:
-                        parent_edge[w] = vw
-                        height[w] = height[v] + 1
-                        ind[v] = i
-                        ind[w] = 0
-                        dfs_stack.append(v)
-                        dfs_stack.append(w)
-                        skip_init.add(vw)
-                        descended = True
-                        break
-                    lowpt[vw] = height[w]
+            parent = src[e] if e >= 0 else -1
+            for w in it:
+                hw = height[w]
+                if hw < 0:
+                    src[k] = v
+                    dst[k] = w
+                    lowpt[k] = lowpt2[k] = hv
+                    out[v].append(k)
+                    parent_edge[w] = k
+                    height[w] = hv + 1
+                    k += 1
+                    stack.append((w, iter(adj[w])))
+                    break
+                if hw >= hv or w == parent:
+                    continue
+                # Back edge v -> w: lowpt = hw, lowpt2 = hv; fold into e.
+                src[k] = v
+                dst[k] = w
+                lowpt[k] = hw
+                lowpt2[k] = hv
+                nesting[k] = 2 * hw
+                out[v].append(k)
+                k += 1
+                le = lowpt[e]
+                if hw < le:
+                    lowpt2[e] = le if le < hv else hv
+                    lowpt[e] = hw
+                elif hw > le:
+                    if hw < lowpt2[e]:
+                        lowpt2[e] = hw
+                elif hv < lowpt2[e]:
+                    lowpt2[e] = hv
+            else:
+                # v is finished: settle its tree edge e = parent -> v at the
+                # parent, whose height is hv - 1.
+                stack.pop()
+                if e < 0:
+                    continue
+                le, le2 = lowpt[e], lowpt2[e]
+                nesting[e] = 2 * le + (le2 < hv - 1)
+                f = parent_edge[parent]
+                if f < 0:
+                    continue
+                lf = lowpt[f]
+                if le < lf:
+                    lowpt2[f] = lf if lf < le2 else le2
+                    lowpt[f] = le
+                elif le > lf:
+                    if le < lowpt2[f]:
+                        lowpt2[f] = le
+                elif le2 < lowpt2[f]:
+                    lowpt2[f] = le2
 
-                nesting_depth[vw] = 2 * lowpt[vw]
-                if lowpt2[vw] < height[v]:
-                    nesting_depth[vw] += 1
-
-                if e is not None:
-                    if lowpt[vw] < lowpt[e]:
-                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
-                        lowpt[e] = lowpt[vw]
-                    elif lowpt[vw] > lowpt[e]:
-                        lowpt2[e] = min(lowpt2[e], lowpt[vw])
-                    else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
-                i += 1
-            if not descended:
-                ind[v] = i
-
-    ordered: list[list[int]] = [
-        sorted(out[v], key=lambda w: nesting_depth[(v, w)]) for v in range(n)
+    ordered = [
+        sorted(o, key=nesting.__getitem__) if len(o) > 1 else o for o in out
     ]
 
     # --- testing pass --------------------------------------------------
-    S: list[_ConflictPair] = []
-    stack_bottom: dict = {}
-    lowpt_edge: dict = {}
-    ref: dict = {}
-
-    def top() -> Optional[_ConflictPair]:
-        return S[-1] if S else None
-
-    def conflicting(interval: _Interval, b) -> bool:
-        return not interval.empty() and lowpt[interval.high] > lowpt[b]
-
-    def lowest(pair: _ConflictPair) -> int:
-        if pair.L.empty():
-            return lowpt[pair.R.low]
-        if pair.R.empty():
-            return lowpt[pair.L.low]
-        return min(lowpt[pair.L.low], lowpt[pair.R.low])
-
-    def add_constraints(ei, e) -> bool:
-        pair = _ConflictPair()
-        # merge return edges of ei into pair.R
-        while True:
-            q = S.pop()
-            if not q.L.empty():
-                q.swap()
-            if not q.L.empty():
-                return False
-            if lowpt[q.R.low] > lowpt[e]:
-                if pair.R.empty():
-                    pair.R.high = q.R.high
-                else:
-                    ref[pair.R.low] = q.R.high
-                pair.R.low = q.R.low
-            else:
-                ref[q.R.low] = lowpt_edge[e]
-            if top() is stack_bottom[ei]:
-                break
-        # merge return edges conflicting with ei into pair.L
-        while conflicting(top().L, ei) or conflicting(top().R, ei):
-            q = S.pop()
-            if conflicting(q.R, ei):
-                q.swap()
-            if conflicting(q.R, ei):
-                return False
-            ref[pair.R.low] = q.R.high
-            if q.R.low is not None:
-                pair.R.low = q.R.low
-            if pair.L.empty():
-                pair.L.high = q.L.high
-            else:
-                ref[pair.L.low] = q.L.high
-            pair.L.low = q.L.low
-        if not (pair.L.empty() and pair.R.empty()):
-            S.append(pair)
-        return True
-
-    def remove_back_edges(e) -> None:
-        u = e[0]
-        while S and lowest(S[-1]) == height[u]:
-            pair = S.pop()
-        if S:
-            pair = S.pop()
-            while pair.L.high is not None and pair.L.high[1] == u:
-                pair.L.high = ref.get(pair.L.high)
-            if pair.L.high is None and pair.L.low is not None:
-                ref[pair.L.low] = pair.R.low
-                pair.L.low = None
-            while pair.R.high is not None and pair.R.high[1] == u:
-                pair.R.high = ref.get(pair.R.high)
-            if pair.R.high is None and pair.R.low is not None:
-                ref[pair.R.low] = pair.L.low
-                pair.R.low = None
-            S.append(pair)
-        if lowpt[e] < height[u]:
-            hl = S[-1].L.high
-            hr = S[-1].R.high
-            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
-                ref[e] = hl
-            else:
-                ref[e] = hr
-
+    S: list[list[int]] = []
+    stack_bottom: list = [None] * m
+    lowpt_edge = [-1] * m
+    # One slot past the last edge: the algorithm may write ref[] of an empty
+    # (-1) interval end, which lands here instead of clobbering a real edge.
+    # Nothing ever reads it.
+    ref = [-1] * (m + 1)
     for s in roots:
-        dfs_stack = [s]
-        ind = {s: 0}
-        skip_init = set()
-        while dfs_stack:
-            v = dfs_stack.pop()
+        stack = [(s, iter(ordered[s]))]
+        ei = -1  # edge out of the top vertex still to be settled there
+        while stack:
+            v, it = stack[-1]
+            hv = height[v]
             e = parent_edge[v]
-            order_v = ordered[v]
-            descended = False
-            i = ind[v]
-            while i < len(order_v):
-                w = order_v[i]
-                ei = (v, w)
-                if ei not in skip_init:
-                    stack_bottom[ei] = top()
-                    if ei == parent_edge[w]:
-                        ind[v] = i
-                        ind[w] = 0
-                        dfs_stack.append(v)
-                        dfs_stack.append(w)
-                        skip_init.add(ei)
-                        descended = True
-                        break
-                    lowpt_edge[ei] = ei
-                    S.append(_ConflictPair(right=_Interval(ei, ei)))
-                if lowpt[ei] < height[v]:
-                    if w == order_v[0]:
+            while True:
+                if ei >= 0 and lowpt[ei] < hv:
+                    if ei == ordered[v][0]:
                         lowpt_edge[e] = lowpt_edge[ei]
-                    elif not add_constraints(ei, e):
-                        return False
-                i += 1
-            if not descended:
-                ind[v] = i
-                if e is not None:
-                    remove_back_edges(e)
+                    else:
+                        # add_constraints(ei, e): merge the return edges of
+                        # ei into P.R ...
+                        P = [-1, -1, -1, -1]
+                        le = lowpt[e]
+                        bottom = stack_bottom[ei]
+                        while True:
+                            q = S.pop()
+                            if q[0] != -1 or q[1] != -1:
+                                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                                if q[0] != -1 or q[1] != -1:
+                                    return False
+                            if lowpt[q[2]] > le:
+                                if P[2] == -1 and P[3] == -1:
+                                    P[3] = q[3]
+                                else:
+                                    ref[P[2]] = q[3]
+                                P[2] = q[2]
+                            else:
+                                ref[q[2]] = lowpt_edge[e]
+                            if (S[-1] if S else None) is bottom:
+                                break
+                        # ... then those conflicting with ei into P.L.
+                        li = lowpt[ei]
+                        while S:
+                            q = S[-1]
+                            r_conf = q[3] != -1 and lowpt[q[3]] > li
+                            if not (r_conf or (q[1] != -1 and lowpt[q[1]] > li)):
+                                break
+                            S.pop()
+                            if r_conf:
+                                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                                if q[3] != -1 and lowpt[q[3]] > li:
+                                    return False
+                            ref[P[2]] = q[3]
+                            if q[2] != -1:
+                                P[2] = q[2]
+                            if P[0] == -1 and P[1] == -1:
+                                P[1] = q[1]
+                            else:
+                                ref[P[0]] = q[1]
+                            P[0] = q[0]
+                        if P[0] != -1 or P[1] != -1 or P[2] != -1 or P[3] != -1:
+                            S.append(P)
+                ei = next(it, -1)
+                if ei < 0:
+                    break
+                stack_bottom[ei] = S[-1] if S else None
+                w = dst[ei]
+                if ei == parent_edge[w]:
+                    break
+                lowpt_edge[ei] = ei
+                S.append([-1, -1, ei, ei])
+            if ei >= 0:
+                w = dst[ei]
+                stack.append((w, iter(ordered[w])))
+                ei = -1
+                continue
+            # v is finished: remove_back_edges(e) at its parent u, after
+            # which e is settled at u like any other outgoing edge.
+            stack.pop()
+            if e < 0:
+                continue
+            u = src[e]
+            hu = hv - 1
+            while S:
+                q = S[-1]
+                if q[0] == -1 and q[1] == -1:
+                    low = lowpt[q[2]]
+                elif q[2] == -1 and q[3] == -1:
+                    low = lowpt[q[0]]
+                else:
+                    low = min(lowpt[q[0]], lowpt[q[2]])
+                if low != hu:
+                    break
+                S.pop()
+            if S:
+                q = S[-1]
+                h = q[1]
+                while h != -1 and dst[h] == u:
+                    h = ref[h]
+                q[1] = h
+                if h == -1 and q[0] != -1:
+                    ref[q[0]] = q[2]
+                    q[0] = -1
+                h = q[3]
+                while h != -1 and dst[h] == u:
+                    h = ref[h]
+                q[3] = h
+                if h == -1 and q[2] != -1:
+                    ref[q[2]] = q[0]
+                    q[2] = -1
+            # Brandes also sets ref[e] here, but only the embedding phase
+            # reads ref of a tree edge; interval ends are all back edges.
+            ei = e
     return True
 
 

@@ -36,6 +36,7 @@ from .certificates import (
 )
 from .books import one_page_drawing
 from .graphs import Multigraph
+from .parallel import worker_count
 from .planarity import lr_planar
 
 
@@ -283,14 +284,15 @@ def _find_certificate(
 
     text = g.to_json()
     remaining = deadline.remaining_ms()
+    workers = worker_count(threads, len(cands))
     jobs = [
-        (text, r, cands, list(range(w, len(cands), threads)), remaining)
-        for w in range(min(threads, len(cands)))
+        (text, r, cands, list(range(w, len(cands), workers)), remaining)
+        for w in range(workers)
     ]
     best_index: int | None = None
     best_cert: str | None = None
     complete = True
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for index, cert_json, nodes, planarity, done in pool.map(_branch_worker, jobs):
             stats.nodes += nodes
             stats.planarity += planarity
@@ -350,7 +352,10 @@ def _solve_component(
         else:
             upper, cert = _fallback_upper(g)
         # Exhausted levels never pass a valid upper bound.
-        assert lower <= upper
+        if lower > upper:
+            raise RuntimeError(
+                f"lower bound {lower} exceeds the upper bound {upper}"
+            )
         return SolveResult(lower, upper, "bounds-only", cert, SolveStats())
 
     while True:
@@ -384,7 +389,8 @@ def _lift_component_certificate(
     orders: dict[int, list[int]] = {}
     offset = 0
     for (sub, vertices), cert in zip(comp_graphs, certs):
-        assert cert is not None
+        if cert is None:
+            raise RuntimeError("component certificate vanished while lifting")
         mapping: dict[int, int] = {}
         for eid, (u, v, copy) in enumerate(sub.instances()):
             gu, gv = vertices[u], vertices[v]

@@ -2,7 +2,9 @@
 
 import pytest
 
+import conecross.apex
 from conecross import (
+    ApexRoutingError,
     CrossingCertificate,
     certificate_from_book,
     complete_graph,
@@ -100,3 +102,23 @@ def test_cone_budget_gives_a_bracket():
     assert res.lower <= res.upper
     if res.status == "exact":
         assert res.value == 5
+
+
+def test_cone_skips_a_drawing_the_apex_cannot_enter(monkeypatch):
+    # cone(K5) = K6: the 1-page seed (5) is above the cone's floor (3), so
+    # cone_cr tries apex insertion into optimal drawings of K5.
+    def no_route(g, cert):
+        raise ApexRoutingError("no admissible apex face")
+
+    monkeypatch.setattr(conecross.apex, "insert_apex", no_route)
+    res = cone_cr(complete_graph(5))
+    assert res.status == "exact" and res.value == 3
+
+
+def test_cone_does_not_hide_internal_faults_of_apex_insertion(monkeypatch):
+    def broken(g, cert):
+        raise RuntimeError("inconsistent embedding")
+
+    monkeypatch.setattr(conecross.apex, "insert_apex", broken)
+    with pytest.raises(RuntimeError, match="inconsistent embedding"):
+        cone_cr(complete_graph(5))

@@ -109,3 +109,106 @@ def test_sparse_graphs_near_the_edge_bound():
             m = rng.randint(2 * n, 3 * n - 6)
             edges = pool[:m]
             assert lr_planar(n, edges) == nx_planar(n, edges)
+
+
+# Differential sweep on inputs shaped like the solver's calls: the solver
+# tests planarizations (crossings replaced by degree-4 vertices) of graphs
+# that are mostly non-planar, and deletes one Kuratowski host at a time.
+
+
+def _oracle(n, edges):
+    return nx_planar(n, [(u, v) for u, v in edges if u != v])
+
+
+def _cross(edges, n, rng, count):
+    """Replace ``count`` random pairs of disjoint edges by a crossing vertex."""
+    for _ in range(count):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        if len({a, b, c, d}) < 4:
+            continue
+        edges = [e for k, e in enumerate(edges) if k not in (i, j)]
+        edges += [(a, n), (n, b), (c, n), (n, d)]
+        n += 1
+    return n, edges
+
+
+def _scramble(n, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in edges]
+    rng.shuffle(out)
+    return out
+
+
+def _planarization(rng):
+    n = rng.randint(5, 9)
+    pool = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pool)
+    edges = pool[: rng.randint(n, min(len(pool), 3 * n))]
+    n, edges = _cross(edges, n, rng, rng.randint(1, 4))
+    return n, _scramble(n, edges, rng), None
+
+
+def _kuratowski_minus_chain(rng):
+    if rng.random() < 0.5:
+        base = list(itertools.combinations(range(5), 2))
+        n = 5
+    else:
+        base = [(a, b) for a in range(3) for b in range(3, 6)]
+        n = 6
+    dropped = rng.randrange(len(base))
+    edges = []
+    for i, (u, v) in enumerate(base):
+        chain = [u] + list(range(n, n + rng.randint(0, 3))) + [v]
+        n += len(chain) - 2
+        if i != dropped:
+            edges += list(zip(chain, chain[1:]))
+    # Without its chain the subdivision is planar; a chord may undo that.
+    known = True
+    if rng.random() < 0.5:
+        edges.append(tuple(rng.sample(range(n), 2)))
+        known = None
+    return n, _scramble(n, edges, rng), known
+
+
+def _messy(rng):
+    """Parallel edges, self-loops, isolated vertices, several components."""
+    n = 0
+    edges = []
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(1, 7)
+        pool = [(n + a, n + b) for a, b in itertools.combinations(range(size), 2)]
+        rng.shuffle(pool)
+        edges += pool[: rng.randint(0, len(pool))]
+        n += size
+    edges += [rng.choice(edges) for _ in range(rng.randint(0, 6))] if edges else []
+    edges += [(v, v) for v in rng.sample(range(n), rng.randint(0, 3))]
+    n += rng.randint(0, 3)
+    return n, _scramble(n, edges, rng), None
+
+
+@pytest.mark.parametrize("shape", [_planarization, _kuratowski_minus_chain, _messy])
+def test_solver_shaped_inputs_match_networkx(shape):
+    rng = random.Random(f"lr-{shape.__name__}")
+    answers = set()
+    for _ in range(300):
+        n, edges, known = shape(rng)
+        expected = _oracle(n, edges)
+        assert lr_planar(n, edges) == expected, (n, edges)
+        if known is not None:
+            assert expected == known
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_large_sparse_graph_needs_no_recursion():
+    # The DFS tree of this grid is well over a thousand levels deep, past
+    # the interpreter's default recursion limit.
+    grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(60, 60))
+    n = grid.number_of_nodes()
+    edges = list(grid.edges())
+    k5 = [(n + a, n + b) for a, b in itertools.combinations(range(5), 2)]
+    assert lr_planar(n, edges)
+    assert not lr_planar(n + 5, edges + k5)
+    assert not lr_planar(n + 5, edges + k5 + [(n - 1, n)])

@@ -5,6 +5,8 @@ cr(Petersen) = 2, and crossing numbers are invariant under relabeling
 and edge subdivision and additive over disjoint unions.
 """
 
+import os
+
 import pytest
 
 from conecross import (
@@ -24,6 +26,7 @@ from conecross import (
     subdivide_edge,
     verify_certificate,
 )
+from conecross.parallel import worker_count
 
 
 def petersen():
@@ -157,3 +160,20 @@ def test_thread_count_does_not_change_the_bracket():
         a = cr_exact(g, threads=1)
         b = cr_exact(g, threads=4)
         assert (a.lower, a.upper, a.status) == (b.lower, b.upper, b.status)
+
+
+def test_bracket_that_crosses_over_raises_instead_of_returning():
+    # A start level above the fallback drawing's count breaks the premise
+    # that every level below the current one is exhausted; the solver must
+    # say so even under ``python -O``, not return lower > upper.
+    with pytest.raises(RuntimeError, match="exceeds the upper bound"):
+        cr_exact(complete_graph(5), max_k=0, lower_start=6)
+
+
+def test_pool_size_is_clamped_to_cpus_and_jobs():
+    cpus = os.cpu_count() or 1
+    assert worker_count(10**9, 10**9) == cpus
+    assert worker_count(10**9, 3) == min(cpus, 3)
+    assert worker_count(2, 10**9) == min(cpus, 2)
+    assert worker_count(0, 5) == 1
+    assert worker_count(8, 0) == 1
