@@ -17,15 +17,25 @@ bracket from below.
 
 from __future__ import annotations
 
+import time
 from collections import deque
+from dataclasses import replace
 from itertools import permutations, product
 
 import networkx as nx
 
-from .certificates import CrossingCertificate, SolveResult, verify_certificate
+from .certificates import (
+    CrossingCertificate,
+    SolveResult,
+    combine_brackets,
+    lift_certificate,
+    rolled_up,
+    verify_certificate,
+)
 from .graphs import Multigraph, cone
 from .pages import ORDER_SEARCH_LIMIT, outerplanar_cr
-from .solver import _Deadline, cr_certificates, cr_exact, cr_lower
+from .parallel import Deadline
+from .solver import cr_certificates, cr_exact, cr_lower
 
 
 class ApexRoutingError(RuntimeError):
@@ -38,14 +48,7 @@ class ApexRoutingError(RuntimeError):
 
 def lift_to_cone(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate:
     """Re-express a certificate of G in the instance ids of cone(G)."""
-    cg = cone(g)
-    mapping = {
-        eid: cg.instance_id(u, v, copy)
-        for eid, (u, v, copy) in enumerate(g.instances())
-    }
-    pairs = [(mapping[e], mapping[f]) for e, f in cert.crossings]
-    orders = {mapping[eid]: list(seq) for eid, seq in cert.edge_orders}
-    return CrossingCertificate.build(pairs, orders)
+    return lift_certificate(cone(g), [(g, range(g.n), cert)])
 
 
 def _segments(
@@ -56,15 +59,10 @@ def _segments(
     Slot j of a host is the gap between its j-th and (j+1)-th crossings in
     traversal order; a host crossed c times has slots 0..c.
     """
-    hits: dict[int, list[int]] = {}
-    for idx, (e, f) in enumerate(cert.crossings):
-        hits.setdefault(e, []).append(idx)
-        hits.setdefault(f, []).append(idx)
-    order = dict(cert.edge_orders)
+    seqs = cert.sequences()
     segments: list[tuple[int, int, int, int]] = []
     for eid, (u, v, _) in enumerate(g.instances()):
-        along = order.get(eid, hits.get(eid, []))
-        chain = [u] + [g.n + idx for idx in along] + [v]
+        chain = [u] + [g.n + idx for idx in seqs.get(eid, [])] + [v]
         for j, (a, b) in enumerate(zip(chain, chain[1:])):
             segments.append((a, b, eid, j))
     return segments, g.n + cert.count
@@ -189,26 +187,24 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
     ranked.sort(key=lambda t: (t[0], t[1]))
 
     cg = cone(g)
-    lift = {
-        eid: cg.instance_id(u, v, copy)
-        for eid, (u, v, copy) in enumerate(insts)
-    }
-    apex_edge = {v: cg.instance_id(v, g.n, 0) for v in range(g.n)}
+    index = cg.instance_index()
+    lift = [index[inst] for inst in insts]
+    apex_edge = [index[(v, g.n, 0)] for v in range(g.n)]
 
     for _, _, found in ranked[:8]:
-        cert_try = _assemble_cone_cert(g, cert, segments, found, lift, apex_edge)
+        cert_try = _assemble_cone_cert(cg, cert, segments, found, lift, apex_edge)
         if cert_try is not None:
             return cert_try
     raise ApexRoutingError("apex routing produced no realizable certificate")
 
 
 def _assemble_cone_cert(
-    g: Multigraph,
+    cg: Multigraph,
     cert: CrossingCertificate,
     segments: list[tuple[int, int, int, int]],
     paths: list[list[int]],
-    lift: dict[int, int],
-    apex_edge: dict[int, int],
+    lift: list[int],
+    apex_edge: list[int],
 ) -> CrossingCertificate | None:
     """Combine base crossings with routed apex crossings; verify-or-None.
 
@@ -218,17 +214,14 @@ def _assemble_cone_cert(
     cg_pairs: list[tuple[int, int]] = [
         (lift[e], lift[f]) for e, f in cert.crossings
     ]
-    base_count = len(cg_pairs)
-    # (host, slot) -> list of (crossing index, target vertex)
+    # (host, slot) -> crossing indices landing there
     slot_groups: dict[tuple[int, int], list[int]] = {}
     apex_orders: dict[int, list[int]] = {}
     for v, path in enumerate(paths):
         step_indices = []
         for seg_i in path:
             _, _, host, slot = segments[seg_i]
-            idx = base_count + len(
-                [i for grp in slot_groups.values() for i in grp]
-            )
+            idx = len(cg_pairs)
             cg_pairs.append((apex_edge[v], lift[host]))
             slot_groups.setdefault((host, slot), []).append(idx)
             step_indices.append(idx)
@@ -237,16 +230,11 @@ def _assemble_cone_cert(
             # apex -> v, so reverse it.
             apex_orders[apex_edge[v]] = list(reversed(step_indices))
 
-    hits: dict[int, list[int]] = {}
-    for idx, (e, f) in enumerate(cert.crossings):
-        hits.setdefault(e, []).append(idx)
-        hits.setdefault(f, []).append(idx)
-    base_order = dict(cert.edge_orders)
+    base_seqs = cert.sequences()
 
     ambiguous = [grp for grp in slot_groups.values() if len(grp) > 1]
     choice_sets = [list(permutations(grp)) for grp in ambiguous]
 
-    cg = cone(g)
     attempts = 0
     for combo in product(*choice_sets) if choice_sets else [()]:
         attempts += 1
@@ -258,8 +246,8 @@ def _assemble_cone_cert(
             resolved[key] = list(next(combo_iter)) if len(grp) > 1 else grp
 
         host_orders: dict[int, list[int]] = {}
-        for eid in range(g.m):
-            base_seq = base_order.get(eid, hits.get(eid, []))
+        for eid in range(len(lift)):
+            base_seq = base_seqs.get(eid, [])
             seq: list[int] = []
             for slot in range(len(base_seq) + 1):
                 seq.extend(resolved.get((eid, slot), []))
@@ -276,20 +264,12 @@ def _assemble_cone_cert(
     return None
 
 
-def _component_subgraph(g: Multigraph, comp: list[int]) -> Multigraph:
-    index = {v: i for i, v in enumerate(comp)}
-    pairs = [
-        (index[u], index[v], mult) for u, v, mult in g.edges if u in index
-    ]
-    return Multigraph.build(len(comp), pairs)
-
-
 def _cone_cr_split(
     g: Multigraph,
-    comps: list[list[int]],
     max_k: int | None,
-    deadline: _Deadline,
+    deadline: Deadline,
     threads: int,
+    started: float,
 ) -> SolveResult:
     """Sum per-component cone solutions for a disconnected base graph.
 
@@ -299,46 +279,13 @@ def _cone_cr_split(
     drawing of cone(G) restricts to edge-disjoint drawings of all the
     component cones, so the sum is a lower bound too.
     """
-    cg = cone(g)
-    lower = 0
-    upper = 0
-    exact = True
-    have_all_certs = True
-    pairs: list[tuple[int, int]] = []
-    orders: dict[int, list[int]] = {}
-    offset = 0
-    for comp in comps:
-        sub = _component_subgraph(g, comp)
+    parts = []
+    for sub, vertices in g.component_subgraphs():
         res = cone_cr(
             sub, max_k=max_k, budget_ms=deadline.remaining_ms(), threads=threads
         )
-        lower += res.lower
-        upper += res.upper
-        if res.status != "exact":
-            exact = False
-        cert = res.certificate
-        if cert is None:
-            have_all_certs = False
-            continue
-        mapping = []
-        for u, v, copy in cone(sub).instances():
-            gu = comp[u] if u < sub.n else g.n
-            gv = comp[v] if v < sub.n else g.n
-            mapping.append(cg.instance_id(min(gu, gv), max(gu, gv), copy))
-        for e, f in cert.crossings:
-            pairs.append((mapping[e], mapping[f]))
-        for eid, seq in cert.edge_orders:
-            orders[mapping[eid]] = [i + offset for i in seq]
-        offset += cert.count
-    merged = None
-    if have_all_certs:
-        merged = CrossingCertificate.build(pairs, orders)
-        count, ok = verify_certificate(cg, merged)
-        if not ok or count != upper:
-            raise RuntimeError("component cone certificates do not merge")
-    if exact:
-        return SolveResult(upper, upper, "exact", merged)
-    return SolveResult(lower, upper, "bounds-only", merged)
+        parts.append((cone(sub), vertices + [g.n], res))
+    return combine_brackets(cone(g), parts, started)
 
 
 def cone_cr(
@@ -358,14 +305,15 @@ def cone_cr(
     so the search walks them until one meets the cone's own lower bound
     or the spread runs out.  The best verified seed caps the deepening.
     """
-    deadline = _Deadline(budget_ms)
-    comps = g.components()
-    if len(comps) > 1:
-        return _cone_cr_split(g, comps, max_k, deadline, threads)
+    started = time.monotonic()
+    deadline = Deadline(budget_ms)
+    if len(g.components()) > 1:
+        return _cone_cr_split(g, max_k, deadline, threads, started)
 
     cg = cone(g)
     floor = cr_lower(cg)
     best: tuple[int, CrossingCertificate] | None = None
+    inner = None
 
     if g.n <= ORDER_SEARCH_LIMIT:
         ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms(), threads=threads)
@@ -379,16 +327,12 @@ def cone_cr(
         inner = cr_exact(
             g, max_k=max_k, budget_ms=deadline.remaining_ms(), threads=threads
         )
-        if inner.status == "exact" and inner.certificate is not None:
-            drawings = [inner.certificate]
-            drawings += cr_certificates(
+        if inner.status == "exact":
+            # The first of these is the drawing cr_exact just returned.
+            drawings = cr_certificates(
                 g, inner.value, limit=64, budget_ms=deadline.remaining_ms()
             )
-            seen: set[tuple] = set()
             for cert in drawings:
-                if cert.crossings in seen:
-                    continue
-                seen.add(cert.crossings)
                 if deadline.expired():
                     break
                 try:
@@ -401,10 +345,13 @@ def cone_cr(
                 if best is not None and best[0] <= floor:
                     break
 
-    return cr_exact(
+    res = cr_exact(
         cg,
         max_k=max_k,
         budget_ms=deadline.remaining_ms(),
         threads=threads,
         upper_seed=best,
     )
+    # The solve of G that fed the seeds is part of this answer's work.
+    solves = [res.stats] if inner is None else [inner.stats, res.stats]
+    return replace(res, stats=rolled_up(solves, started))

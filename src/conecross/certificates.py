@@ -16,6 +16,7 @@ certificates loses nothing.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -48,16 +49,18 @@ class CrossingCertificate:
     ) -> "CrossingCertificate":
         """Normalize (sort pairs, sort lists) and construct."""
         raw = [(min(e, f), max(e, f)) for e, f in crossings]
-        ordered = sorted(raw)
+        argsort = sorted(range(len(raw)), key=raw.__getitem__)
         if edge_orders is None:
             edge_orders = {}
         # Order lists refer to positions in the original sequence; remap.
-        remap = {old: ordered.index(pair) for old, pair in enumerate(raw)}
+        remap = [0] * len(raw)
+        for new, old in enumerate(argsort):
+            remap[old] = new
         fixed = {
             eid: tuple(remap[i] for i in order) for eid, order in edge_orders.items()
         }
         return CrossingCertificate(
-            tuple(ordered), tuple(sorted(fixed.items()))
+            tuple(raw[i] for i in argsort), tuple(sorted(fixed.items()))
         )
 
     @property
@@ -66,6 +69,15 @@ class CrossingCertificate:
 
     def orders(self) -> dict[int, tuple[int, ...]]:
         return dict(self.edge_orders)
+
+    def sequences(self) -> dict[int, list[int]]:
+        """Each crossed edge's crossing indices in traversal order."""
+        seqs: dict[int, list[int]] = {}
+        for idx, (e, f) in enumerate(self.crossings):
+            seqs.setdefault(e, []).append(idx)
+            seqs.setdefault(f, []).append(idx)
+        seqs.update((eid, list(seq)) for eid, seq in self.edge_orders)
+        return seqs
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,25 +151,46 @@ def planarize(g: Multigraph, cert: CrossingCertificate) -> Multigraph:
     reason = certificate_error(g, cert)
     if reason is not None:
         raise ValueError(reason)
-    hits: dict[int, list[int]] = {}
-    for idx, (e, f) in enumerate(cert.crossings):
-        hits.setdefault(e, []).append(idx)
-        hits.setdefault(f, []).append(idx)
-    order = dict(cert.edge_orders)
+    seqs = cert.sequences()
     pairs: list[tuple[int, int]] = []
     for eid, (u, v, _) in enumerate(g.instances()):
-        along = order.get(eid, hits.get(eid, []))
-        chain = [u] + [g.n + idx for idx in along] + [v]
+        chain = [u] + [g.n + idx for idx in seqs.get(eid, [])] + [v]
         pairs.extend(zip(chain, chain[1:]))
     return Multigraph.build(g.n + cert.count, pairs)
 
 
 def verify_certificate(g: Multigraph, cert: CrossingCertificate) -> tuple[int, bool]:
     """(crossing count, realizable?).  Malformed certificates are just invalid."""
-    if certificate_error(g, cert) is not None:
-        return len(cert.crossings), False
-    h = planarize(g, cert)
+    try:
+        h = planarize(g, cert)
+    except ValueError:
+        return cert.count, False
     return cert.count, lr_planar(h.n, list(h.simple_pairs()))
+
+
+def lift_certificate(
+    whole: Multigraph,
+    parts: Iterable[tuple[Multigraph, Sequence[int], CrossingCertificate]],
+) -> CrossingCertificate:
+    """One certificate of ``whole`` from certificates of edge-disjoint subgraphs.
+
+    Each part is (sub, vertices, cert) with vertex i of ``sub`` being
+    ``vertices[i]`` of ``whole``; copy j of a pair stays copy j.  Crossing
+    indices are shifted past those of the parts before.
+    """
+    index = whole.instance_index()
+    pairs: list[tuple[int, int]] = []
+    orders: dict[int, list[int]] = {}
+    for sub, vertices, cert in parts:
+        ids = []
+        for u, v, copy in sub.instances():
+            a, b = vertices[u], vertices[v]
+            ids.append(index[(min(a, b), max(a, b), copy)])
+        offset = len(pairs)
+        pairs.extend((ids[e], ids[f]) for e, f in cert.crossings)
+        for eid, seq in cert.edge_orders:
+            orders[ids[eid]] = [i + offset for i in seq]
+    return CrossingCertificate.build(pairs, orders)
 
 
 @dataclass(frozen=True)
@@ -165,6 +198,16 @@ class SolveStats:
     nodes: int = 0
     planarity_calls: int = 0
     elapsed_ms: float = 0.0
+
+
+def rolled_up(solves: list[SolveStats], started: float) -> SolveStats:
+    """Counters of nested solves added up, timed from ``started``
+    (``time.monotonic()``) to now."""
+    return SolveStats(
+        sum(st.nodes for st in solves),
+        sum(st.planarity_calls for st in solves),
+        (time.monotonic() - started) * 1000,
+    )
 
 
 @dataclass(frozen=True)
@@ -205,6 +248,34 @@ class SolveResult:
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json_dict()
         return out
+
+
+def combine_brackets(
+    whole: Multigraph,
+    parts: Sequence[tuple[Multigraph, Sequence[int], SolveResult]],
+    started: float,
+) -> SolveResult:
+    """The bracket of ``whole`` from those of edge-disjoint parts whose
+    crossing numbers add up to its own (components, component cones).
+
+    Parts are (sub, vertices, result) as in :func:`lift_certificate`; the
+    lifted certificate is verified.  ``started`` is the caller's
+    ``time.monotonic()`` at entry."""
+    lower = sum(res.lower for _, _, res in parts)
+    upper = sum(res.upper for _, _, res in parts)
+    exact = all(res.status == "exact" for _, _, res in parts)
+    cert = None
+    if all(res.certificate is not None for _, _, res in parts):
+        cert = lift_certificate(
+            whole, [(sub, vertices, res.certificate) for sub, vertices, res in parts]
+        )
+        count, ok = verify_certificate(whole, cert)
+        if not ok or count != upper:
+            raise RuntimeError("part certificates do not combine into a drawing")
+    elif exact:
+        raise RuntimeError("exact result without certificate")
+    stats = rolled_up([res.stats for _, _, res in parts], started)
+    return SolveResult(lower, upper, "exact" if exact else "bounds-only", cert, stats)
 
 
 def _slot_abscissas(d: BookDrawing) -> dict[tuple[int, int], Fraction]:
@@ -351,11 +422,12 @@ def scale_certificate(
         raise ValueError("target is missing pairs of the base graph")
 
     insts = base.instances()
+    index = target.instance_index()
 
     def group(eid: int) -> list[int]:
         u, v, copy = insts[eid]
         r = ratio[(u, v)]
-        return [target.instance_id(u, v, copy * r + i) for i in range(r)]
+        return [index[(u, v, copy * r + i)] for i in range(r)]
 
     new_pairs: list[tuple[int, int]] = []
     grid_of: list[list[list[int]]] = []
@@ -371,14 +443,8 @@ def scale_certificate(
     # Along a copy of e, partner copies are met in ascending index; a base
     # edge crossed several times keeps its base order, each crossing
     # expanded into its row or column of the grid.
-    hits: dict[int, list[int]] = {}
-    for idx, (e, f) in enumerate(cert.crossings):
-        hits.setdefault(e, []).append(idx)
-        hits.setdefault(f, []).append(idx)
-    base_order = dict(cert.edge_orders)
     new_orders: dict[int, list[int]] = {}
-    for eid, indices in hits.items():
-        along = list(base_order.get(eid, indices))
+    for eid, along in cert.sequences().items():
         for slot, teid in enumerate(group(eid)):
             seq: list[int] = []
             for idx in along:

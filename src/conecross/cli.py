@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .books import BookDrawing, CyclicOrder, count_crossings, one_page_drawing
@@ -43,14 +42,6 @@ from .solver import cr_exact
 
 class UsageError(Exception):
     pass
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("CONECROSS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_graph(path: str) -> Multigraph:
@@ -333,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--max-k", type=int, dest="max_k")
     p_cr.add_argument("--budget-ms", type=int, dest="budget_ms")
     p_cr.add_argument("--cone", action="store_true", help="solve the cone instead")
-    p_cr.add_argument("--threads", type=int, default=_default_threads())
+    p_cr.add_argument("--threads", type=int, default=1)
     p_cr.add_argument("--out")
     p_cr.set_defaults(func=cmd_cr)
 
@@ -347,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
     )
     p_book.add_argument("--budget-ms", type=int, dest="budget_ms")
-    p_book.add_argument("--threads", type=int, default=_default_threads())
+    p_book.add_argument("--threads", type=int, default=1)
     p_book.add_argument("--out", help="write the book drawing here")
     p_book.add_argument("--dot", help="write annotated DOT here")
     p_book.set_defaults(func=cmd_book)
@@ -386,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--count", type=int, default=1000)
     p_exp.add_argument("--verify-upto", type=int, default=0, dest="verify_upto")
     p_exp.add_argument("--budget-ms", type=int, dest="budget_ms")
-    p_exp.add_argument("--threads", type=int, default=_default_threads())
+    p_exp.add_argument("--threads", type=int, default=1)
     p_exp.add_argument("--out")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -83,6 +83,14 @@ class Multigraph:
                 out.append((u, v, copy))
         return out
 
+    def instance_index(self) -> dict[tuple[int, int, int], int]:
+        """Instance id of every (u, v, copy), for lookups in a loop."""
+        index: dict[tuple[int, int, int], int] = {}
+        for u, v, mult in self.edges:
+            for copy in range(mult):
+                index[(u, v, copy)] = len(index)
+        return index
+
     def instance_endpoints(self, eid: int) -> tuple[int, int]:
         u, v, _ = self.instances()[eid]
         return u, v
@@ -150,6 +158,17 @@ class Multigraph:
                         stack.append(y)
             comps.append(sorted(comp))
         return comps
+
+    def component_subgraphs(self) -> list[tuple["Multigraph", list[int]]]:
+        """Each component as (subgraph, vertices); vertex i of the subgraph
+        is ``vertices[i]`` here.  Labels keep their relative order, so
+        copy j of a pair stays copy j."""
+        out = []
+        for comp in self.components():
+            index = {v: i for i, v in enumerate(comp)}
+            pairs = [(index[u], index[v], mult) for u, v, mult in self.edges if u in index]
+            out.append((Multigraph.build(len(comp), pairs), comp))
+        return out
 
     def relabel(self, perm: Sequence[int]) -> "Multigraph":
         """Apply the bijection v -> perm[v] to the vertex set."""

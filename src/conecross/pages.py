@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .books import (
     BookDrawing,
@@ -28,7 +29,7 @@ from .books import (
 from .certificates import SolveResult, SolveStats, certificate_from_book, verify_certificate
 from .graphs import Multigraph
 from .maxcut import EXACT_LIMIT, Cut, maxcut_edwards, maxcut_exact
-from .parallel import worker_count
+from .parallel import Deadline, fan_out
 
 ORDER_SEARCH_LIMIT = 11
 
@@ -86,11 +87,11 @@ def one_to_two(g: Multigraph, order: CyclicOrder) -> BookDrawing:
     return split_report(g, order).drawing
 
 
-def _prefix_search(
-    g: Multigraph,
-    second: int | None,
-    deadline: float | None,
-) -> tuple[int | None, tuple[int, ...] | None, bool, int]:
+# An order search's result: (best, best spine order, completed, work count).
+OrderScan = tuple[int | None, tuple[int, ...] | None, bool, int]
+
+
+def _prefix_search(g: Multigraph, second: int | None, deadline: Deadline) -> OrderScan:
     """Best 1-page crossing count over canonical orders, pruned by prefix.
 
     Crossings between chords with all endpoints placed never change when
@@ -101,10 +102,8 @@ def _prefix_search(
     n = g.n
     if n <= 2:
         return 0, tuple(range(n)), True, 1
-    mult: dict[tuple[int, int], int] = {}
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, m in g.edges:
-        mult[(u, v)] = m
         adj[u].append((v, m))
         adj[v].append((u, m))
 
@@ -123,7 +122,7 @@ def _prefix_search(
         if not complete:
             return
         nodes += 1
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+        if nodes % 1024 == 0 and deadline.expired():
             complete = False
             return
         if best is not None and cnt >= best:
@@ -173,23 +172,20 @@ def outerplanar_search(
     the best drawing witnesses the upper bound.
     """
     start = time.monotonic()
-    deadline = start + budget_ms / 1000 if budget_ms is not None else None
+    deadline = Deadline(budget_ms)
 
     if g.n > limit:
-        drawing = one_page_drawing(g)
-        upper = count_crossings(drawing)
-        cert = certificate_from_book(drawing)
-        stats = SolveStats(1, 1, (time.monotonic() - start) * 1000)
-        return SolveResult(0, upper, "bounds-only", cert, stats), drawing
-
-    if threads > 1 and g.n > 3:
-        value, seq, complete, nodes = _parallel_prefix_search(g, deadline, threads)
+        value, seq, complete, nodes = None, None, False, 1
+    elif threads > 1 and g.n > 3:
+        value, seq, complete, nodes = _best_over_second_vertex(
+            _prefix_search, g, deadline, threads
+        )
     else:
         value, seq, complete, nodes = _prefix_search(g, None, deadline)
 
     if value is None or seq is None:
-        # Budget ran out before any order completed; fall back to the
-        # natural order for an honest upper bound.
+        # Past the size limit, or the budget ran out before any order
+        # completed: the natural order still gives an honest upper bound.
         drawing = one_page_drawing(g)
         upper = count_crossings(drawing)
         cert = certificate_from_book(drawing)
@@ -217,37 +213,28 @@ def outerplanar_cr(
     return outerplanar_search(g, budget_ms, limit, threads)[0]
 
 
-def _parallel_prefix_search(
-    g: Multigraph, deadline: float | None, threads: int
-) -> tuple[int | None, tuple[int, ...] | None, bool, int]:
-    from concurrent.futures import ProcessPoolExecutor
+def _best_over_second_vertex(
+    search: Callable[[Multigraph, int, Deadline], OrderScan],
+    g: Multigraph,
+    deadline: Deadline,
+    threads: int,
+) -> OrderScan:
+    """An order search split by the vertex at spine position 1.
 
-    remaining = None
-    if deadline is not None:
-        remaining = max(0, int((deadline - time.monotonic()) * 1000))
-    args = [(g.to_json(), w, remaining) for w in range(1, g.n)]
+    ``search(g, second, deadline)`` runs once per choice of that vertex, in
+    worker processes, and the best result wins (ties: the lowest vertex).
+    """
     best: int | None = None
     best_seq: tuple[int, ...] | None = None
     complete = True
-    nodes = 0
-    with ProcessPoolExecutor(max_workers=worker_count(threads, len(args))) as pool:
-        for value, seq, done, n_nodes in pool.map(_prefix_worker, args):
-            nodes += n_nodes
-            complete = complete and done
-            if value is not None and (best is None or value < best):
-                best = value
-                best_seq = tuple(seq)
-    return best, best_seq, complete, nodes
-
-
-def _prefix_worker(
-    packed: tuple[str, int, int | None]
-) -> tuple[int | None, list[int] | None, bool, int]:
-    text, second, remaining_ms = packed
-    g = Multigraph.from_json(text)
-    deadline = time.monotonic() + remaining_ms / 1000 if remaining_ms is not None else None
-    value, seq, complete, nodes = _prefix_search(g, second, deadline)
-    return value, list(seq) if seq is not None else None, complete, nodes
+    work = 0
+    for value, seq, done, count in fan_out(search, g, range(1, g.n), threads, deadline):
+        work += count
+        complete = complete and done
+        if value is not None and (best is None or value < best):
+            best = value
+            best_seq = seq
+    return best, best_seq, complete, work
 
 
 def two_page_cr_fixed_order(g: Multigraph, order: CyclicOrder) -> int:
@@ -262,6 +249,31 @@ def two_page_cr_fixed_order(g: Multigraph, order: CyclicOrder) -> int:
     return cg.m - maxcut_exact(cg.n_vertices, cg.edges).size
 
 
+def _two_page_scan(g: Multigraph, second: int | None, deadline: Deadline) -> OrderScan:
+    """Fewest 2-page crossings over canonical orders, each split by an
+    exact max cut; stops early at 0.
+
+    ``second`` pins the vertex at position 1 (the unit of parallel
+    splitting).  Returns (best, best order, completed, orders run).
+    """
+    best: int | None = None
+    best_seq: tuple[int, ...] | None = None
+    orders_run = 0
+    for order in canonical_orders(g.n):
+        if second is not None and order.seq[1] != second:
+            continue
+        if deadline.expired():
+            return best, best_seq, False, orders_run
+        orders_run += 1
+        value = two_page_cr_fixed_order(g, order)
+        if best is None or value < best:
+            best = value
+            best_seq = order.seq
+            if best == 0:
+                break
+    return best, best_seq, True, orders_run
+
+
 def two_page_search(
     g: Multigraph,
     budget_ms: int | None = None,
@@ -270,51 +282,34 @@ def two_page_search(
 ) -> tuple[SolveResult, BookDrawing | None]:
     """Minimum crossings over all 2-page drawings, with the drawing."""
     start = time.monotonic()
-    deadline = start + budget_ms / 1000 if budget_ms is not None else None
-
-    def finish(
-        value: int | None, order: CyclicOrder | None, complete: bool, orders_run: int
-    ) -> tuple[SolveResult, BookDrawing | None]:
-        planarity = 0
-        cert = None
-        drawing = None
-        if order is not None and value is not None:
-            report = split_report(g, order)
-            drawing = report.drawing
-            cert = certificate_from_book(drawing)
-            count, ok = verify_certificate(g, cert)
-            planarity = 1
-            if not ok or count != value:
-                raise RuntimeError("page assignment does not match its drawing")
-        stats = SolveStats(orders_run, planarity, (time.monotonic() - start) * 1000)
-        if complete and value is not None:
-            return SolveResult(value, value, "exact", cert, stats), drawing
-        if value is None:
-            # Nothing finished in time; a 1-page count still bounds it.
-            value = count_crossings(one_page_drawing(g))
-        return SolveResult(0, value, "bounds-only", cert, stats), drawing
+    deadline = Deadline(budget_ms)
 
     if g.n > limit:
-        order = CyclicOrder.natural(g.n)
-        return finish(two_page_cr_fixed_order(g, order), order, False, 1)
+        natural = CyclicOrder.natural(g.n)
+        value, seq = two_page_cr_fixed_order(g, natural), natural.seq
+        complete, orders_run = False, 1
+    elif threads > 1 and g.n > 3:
+        value, seq, complete, orders_run = _best_over_second_vertex(
+            _two_page_scan, g, deadline, threads
+        )
+    else:
+        value, seq, complete, orders_run = _two_page_scan(g, None, deadline)
 
-    if threads > 1 and g.n > 3:
-        return finish(*_parallel_two_page(g, deadline, threads))
-
-    best: int | None = None
-    best_order: CyclicOrder | None = None
-    orders_run = 0
-    for order in canonical_orders(g.n):
-        if deadline is not None and time.monotonic() > deadline:
-            return finish(best, best_order, False, orders_run)
-        orders_run += 1
-        value = two_page_cr_fixed_order(g, order)
-        if best is None or value < best:
-            best = value
-            best_order = order
-            if best == 0:
-                return finish(best, best_order, True, orders_run)
-    return finish(best, best_order, True, orders_run)
+    cert = None
+    drawing = None
+    if seq is not None and value is not None:
+        drawing = split_report(g, CyclicOrder(seq)).drawing
+        cert = certificate_from_book(drawing)
+        count, ok = verify_certificate(g, cert)
+        if not ok or count != value:
+            raise RuntimeError("page assignment does not match its drawing")
+    stats = SolveStats(orders_run, int(cert is not None), (time.monotonic() - start) * 1000)
+    if complete and value is not None:
+        return SolveResult(value, value, "exact", cert, stats), drawing
+    if value is None:
+        # Nothing finished in time; a 1-page count still bounds it.
+        value = count_crossings(one_page_drawing(g))
+    return SolveResult(0, value, "bounds-only", cert, stats), drawing
 
 
 def two_page_cr(
@@ -325,48 +320,3 @@ def two_page_cr(
 ) -> SolveResult:
     """Minimum crossings over all 2-page drawings (free spine order)."""
     return two_page_search(g, budget_ms, limit, threads)[0]
-
-
-def _parallel_two_page(
-    g: Multigraph, deadline: float | None, threads: int
-) -> tuple[int | None, CyclicOrder | None, bool, int]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    remaining = None
-    if deadline is not None:
-        remaining = max(0, int((deadline - time.monotonic()) * 1000))
-    args = [(g.to_json(), w, remaining) for w in range(1, g.n)]
-    best: int | None = None
-    best_order: CyclicOrder | None = None
-    complete = True
-    orders_run = 0
-    with ProcessPoolExecutor(max_workers=worker_count(threads, len(args))) as pool:
-        for value, seq, done, count in pool.map(_two_page_worker, args):
-            orders_run += count
-            complete = complete and done
-            if value is not None and (best is None or value < best):
-                best = value
-                best_order = CyclicOrder(tuple(seq))
-    return best, best_order, complete, orders_run
-
-
-def _two_page_worker(
-    packed: tuple[str, int, int | None]
-) -> tuple[int | None, list[int] | None, bool, int]:
-    text, second, remaining_ms = packed
-    g = Multigraph.from_json(text)
-    deadline = time.monotonic() + remaining_ms / 1000 if remaining_ms is not None else None
-    best: int | None = None
-    best_seq: list[int] | None = None
-    orders_run = 0
-    for order in canonical_orders(g.n):
-        if order.seq[1] != second:
-            continue
-        if deadline is not None and time.monotonic() > deadline:
-            return best, best_seq, False, orders_run
-        orders_run += 1
-        value = two_page_cr_fixed_order(g, order)
-        if best is None or value < best:
-            best = value
-            best_seq = list(order.seq)
-    return best, best_seq, True, orders_run

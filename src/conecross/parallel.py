@@ -1,8 +1,30 @@
-"""Sizing of the process pools that fan search work out to workers."""
+"""Deadlines and the one process fan-out that the searches share."""
 
 from __future__ import annotations
 
 import os
+import time
+from itertools import repeat
+from typing import Any, Callable, Sequence
+
+from .graphs import Multigraph
+
+
+class Deadline:
+    """Monotonic deadline; None means unlimited."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, budget_ms: int | None) -> None:
+        self.at = time.monotonic() + budget_ms / 1000 if budget_ms is not None else None
+
+    def expired(self) -> bool:
+        return self.at is not None and time.monotonic() > self.at
+
+    def remaining_ms(self) -> int | None:
+        if self.at is None:
+            return None
+        return max(0, int((self.at - time.monotonic()) * 1000))
 
 
 def worker_count(threads: int, jobs: int) -> int:
@@ -12,3 +34,29 @@ def worker_count(threads: int, jobs: int) -> int:
     one, so an extreme ``threads`` setting cannot start an unbounded pool.
     """
     return max(1, min(threads, os.cpu_count() or 1, jobs))
+
+
+def fan_out(
+    task: Callable[[Multigraph, Any, Deadline], Any],
+    g: Multigraph,
+    jobs: Sequence[Any],
+    threads: int,
+    deadline: Deadline,
+) -> list[Any]:
+    """``[task(g, job, deadline) for job in jobs]``, run in worker processes.
+
+    ``task`` must be a module-level function so that it pickles by name.
+    Each worker rebuilds the deadline from the time left when the pool
+    starts, since monotonic clocks need not agree across processes.
+    Results come back in job order whatever order the workers finish in.
+    """
+    # Imported here: the serial searches never pay for multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    left = deadline.remaining_ms()
+    with ProcessPoolExecutor(max_workers=worker_count(threads, len(jobs))) as pool:
+        return list(pool.map(_run, repeat(task), repeat(g), jobs, repeat(left)))
+
+
+def _run(task: Callable, g: Multigraph, job: Any, remaining_ms: int | None) -> Any:
+    return task(g, job, Deadline(remaining_ms))

@@ -6,6 +6,7 @@ import conecross.apex
 from conecross import (
     ApexRoutingError,
     CrossingCertificate,
+    Multigraph,
     certificate_from_book,
     complete_graph,
     cone,
@@ -20,6 +21,7 @@ from conecross import (
     one_page_drawing,
     verify_certificate,
 )
+from oracle import assert_drawing
 
 
 def test_lift_of_a_book_certificate_verifies_in_the_cone():
@@ -95,6 +97,20 @@ def test_cone_of_a_disconnected_graph():
     assert res.status == "exact" and res.value == 6
     count, ok = verify_certificate(cone(g), res.certificate)
     assert ok and count == 6
+
+
+def test_cone_of_interleaved_components_and_an_isolated_vertex():
+    # Two K5s on interleaved labels (one relabelled) and an isolated vertex:
+    # the split, the per-component lift and the merge into cone(G) all run.
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    perm = [3, 0, 4, 1, 2]
+    pairs = [(2 * u, 2 * v) for u, v in k5]
+    pairs += [(2 * perm[u] + 1, 2 * perm[v] + 1) for u, v in k5]
+    g = Multigraph.build(11, pairs)
+    res = cone_cr(g)
+    assert res.status == "exact" and res.value == 3 + 3 + 0
+    assert_drawing(cone(g), res.certificate, res.value)
+    assert res.stats.nodes > 0
 
 
 def test_cone_budget_gives_a_bracket():

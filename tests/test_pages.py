@@ -129,6 +129,11 @@ def test_thread_count_does_not_change_the_answer():
         assert outerplanar_cr(g, threads=1).value == outerplanar_cr(g, threads=4).value
 
 
+def test_parallel_two_page_search_on_a_planar_graph_is_exact_zero():
+    res = two_page_cr(cycle_graph(7), threads=2)
+    assert res.status == "exact" and res.value == 0
+
+
 def test_fixed_order_rejects_huge_circle_graphs():
     layers = Multigraph.build(
         12, [(u, v) for u in range(12) for v in range(u + 1, 12)]

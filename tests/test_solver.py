@@ -27,6 +27,7 @@ from conecross import (
     verify_certificate,
 )
 from conecross.parallel import worker_count
+from oracle import assert_drawing
 
 
 def petersen():
@@ -163,11 +164,48 @@ def test_thread_count_does_not_change_the_bracket():
 
 
 def test_bracket_that_crosses_over_raises_instead_of_returning():
-    # A start level above the fallback drawing's count breaks the premise
-    # that every level below the current one is exhausted; the solver must
-    # say so even under ``python -O``, not return lower > upper.
-    with pytest.raises(RuntimeError, match="exceeds the upper bound"):
+    # A start level above the fallback drawing's count would break the
+    # premise that every level below the current one is exhausted; it is
+    # rejected up front, and the solver's own lower <= upper check stays
+    # behind that as an explicit raise that survives ``python -O``.
+    with pytest.raises(ValueError, match="lower_start"):
         cr_exact(complete_graph(5), max_k=0, lower_start=6)
+
+
+def test_lower_start_above_the_euler_bound_is_rejected():
+    # cr(fig1) = 3 but its Euler bound is 0: a start at 4 would treat the
+    # unsearched levels 0..3 as exhausted and call a 4-crossing drawing exact.
+    with pytest.raises(ValueError, match="lower_start=4"):
+        cr_exact(fig1_graph(), lower_start=4)
+    with pytest.raises(ValueError, match="lower_start=-1"):
+        cr_exact(fig1_graph(), lower_start=-1)
+
+
+def test_lower_start_zero_re_derives_the_euler_bound_by_search():
+    assert solved(complete_graph(6), lower_start=0) == 3
+    assert solved(fig1_graph(), lower_start=0) == 3
+
+
+def test_disconnected_multigraph_with_interleaved_labels():
+    # A K5 on 0, 2, .., 8 with one doubled edge, a 4-cycle on 1, 3, 5, 7
+    # with a tripled edge, a K5 on 9, 11, .., 17, and isolated 10, .., 16.
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    pairs = [(2 * u, 2 * v) for u, v in k5] + [(0, 2)]
+    pairs += [(1, 3), (3, 5), (5, 7), (7, 1), (1, 3), (1, 3)]
+    pairs += [(9 + 2 * u, 9 + 2 * v) for u, v in k5]
+    g = Multigraph.build(18, pairs)
+    res = cr_exact(g)
+    # A doubled edge of K5 can stay uncrossed, so the parts give 1 + 0 + 1.
+    assert res.status == "exact" and res.value == 2
+    assert_drawing(g, res.certificate, res.value)
+    assert res.stats.nodes > 0
+
+
+def test_first_enumerated_certificate_is_the_solvers_certificate():
+    for g in (complete_graph(6), fig3_graph()):
+        res = cr_exact(g)
+        first = cr_certificates(g, res.value, limit=1)
+        assert first == [res.certificate]
 
 
 def test_pool_size_is_clamped_to_cpus_and_jobs():
