@@ -37,6 +37,10 @@ from .pages import ORDER_SEARCH_LIMIT, outerplanar_cr
 from .parallel import Deadline
 from .solver import cr_certificates, cr_exact, cr_lower
 
+# Orderings of crossings that share a slot, tried per apex face before the
+# face is given up; their number grows factorially with the slot sizes.
+SLOT_ORDERINGS_CAP = 5000
+
 
 class ApexRoutingError(RuntimeError):
     """The apex found no route into this particular drawing of G.
@@ -191,11 +195,18 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
     lift = [index[inst] for inst in insts]
     apex_edge = [index[(v, g.n, 0)] for v in range(g.n)]
 
-    for _, _, found in ranked[:8]:
-        cert_try = _assemble_cone_cert(cg, cert, segments, found, lift, apex_edge)
+    tried = ranked[:8]
+    capped = 0
+    for _, _, found in tried:
+        cert_try, hit_cap = _assemble_cone_cert(cg, cert, segments, found, lift, apex_edge)
         if cert_try is not None:
             return cert_try
-    raise ApexRoutingError("apex routing produced no realizable certificate")
+        capped += hit_cap
+    raise ApexRoutingError(
+        "apex routing produced no realizable certificate; "
+        f"{capped} of the {len(tried)} apex faces tried stopped at the cap of "
+        f"{SLOT_ORDERINGS_CAP} slot orderings"
+    )
 
 
 def _assemble_cone_cert(
@@ -205,11 +216,13 @@ def _assemble_cone_cert(
     paths: list[list[int]],
     lift: list[int],
     apex_edge: list[int],
-) -> CrossingCertificate | None:
-    """Combine base crossings with routed apex crossings; verify-or-None.
+) -> tuple[CrossingCertificate | None, bool]:
+    """Combine base crossings with routed apex crossings and verify.
 
     Crossings landing in the same slot of the same host have no forced
-    relative order, so their orderings are tried until one verifies.
+    relative order, so their orderings are tried until one verifies, at
+    most ``SLOT_ORDERINGS_CAP`` of them.  Returns the certificate (None
+    if no ordering verified) and whether the cap cut the search short.
     """
     cg_pairs: list[tuple[int, int]] = [
         (lift[e], lift[f]) for e, f in cert.crossings
@@ -235,11 +248,9 @@ def _assemble_cone_cert(
     ambiguous = [grp for grp in slot_groups.values() if len(grp) > 1]
     choice_sets = [list(permutations(grp)) for grp in ambiguous]
 
-    attempts = 0
-    for combo in product(*choice_sets) if choice_sets else [()]:
-        attempts += 1
-        if attempts > 5000:
-            break
+    for attempt, combo in enumerate(product(*choice_sets)):
+        if attempt >= SLOT_ORDERINGS_CAP:
+            return None, True
         resolved: dict[tuple[int, int], list[int]] = {}
         combo_iter = iter(combo)
         for key, grp in slot_groups.items():
@@ -260,8 +271,8 @@ def _assemble_cone_cert(
         cand = CrossingCertificate.build(cg_pairs, orders)
         _, ok = verify_certificate(cg, cand)
         if ok:
-            return cand
-    return None
+            return cand, False
+    return None, False
 
 
 def _cone_cr_split(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .graphs import Multigraph, clone_vertex
+from .maxcut import cut_value
 
 BOOK_FORMAT = "conecross-book-v1"
 
@@ -192,7 +193,7 @@ def circle_graph(g: Multigraph, order: CyclicOrder) -> CircleGraph:
 
 
 def cut_size(cg: CircleGraph, side: Sequence[int]) -> int:
-    return sum(1 for i, j in cg.edges if side[i] != side[j])
+    return cut_value(cg.edges, side)
 
 
 def clone_vertex_book(d: BookDrawing, v: int, with_edge: bool = False) -> BookDrawing:

@@ -97,6 +97,13 @@ def _book_dot(d: BookDrawing) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _thread_count(raw: str) -> int:
+    """argparse type for --threads: an integer of at least 1."""
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {raw!r}")
+    return int(raw)
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
     if family == "kn":
@@ -182,10 +189,9 @@ def cmd_book(args: argparse.Namespace) -> int:
     else:
         if args.order is not None:
             raise UsageError("--optimize both searches orders; drop --order")
-        res, found = two_page_search(g, budget_ms=args.budget_ms, threads=args.threads)
+        res, drawing = two_page_search(g, budget_ms=args.budget_ms, threads=args.threads)
         crossings = res.upper
         status = res.status
-        drawing = found if found is not None else one_page_drawing(g)
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--max-k", type=int, dest="max_k")
     p_cr.add_argument("--budget-ms", type=int, dest="budget_ms")
     p_cr.add_argument("--cone", action="store_true", help="solve the cone instead")
-    p_cr.add_argument("--threads", type=int, default=1)
+    p_cr.add_argument("--threads", type=_thread_count, default=1)
     p_cr.add_argument("--out")
     p_cr.set_defaults(func=cmd_cr)
 
@@ -338,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
     )
     p_book.add_argument("--budget-ms", type=int, dest="budget_ms")
-    p_book.add_argument("--threads", type=int, default=1)
+    p_book.add_argument("--threads", type=_thread_count, default=1)
     p_book.add_argument("--out", help="write the book drawing here")
     p_book.add_argument("--dot", help="write annotated DOT here")
     p_book.set_defaults(func=cmd_book)
@@ -377,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--count", type=int, default=1000)
     p_exp.add_argument("--verify-upto", type=int, default=0, dest="verify_upto")
     p_exp.add_argument("--budget-ms", type=int, dest="budget_ms")
-    p_exp.add_argument("--threads", type=int, default=1)
+    p_exp.add_argument("--threads", type=_thread_count, default=1)
     p_exp.add_argument("--out")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, sqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -126,36 +126,25 @@ def _exact_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
     return Cut(tuple(best_side), best)
 
 
-def maxcut_exact(n: int, edges: Iterable[tuple[int, int]]) -> Cut:
-    """Maximum cut, exact, for up to 32 vertices.
+def _edwards_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
+    """A cut of a connected graph meeting the Edwards bound, 0 on side 0.
 
-    Solves each connected component separately; the lexicographic
-    tie-break then anchors every component's smallest vertex on side A.
+    Greedy placement along a BFS order from vertex 0 plus single-flip
+    local search gets there on its own in practice; the bound is still
+    checked, with exact search as the fallback so the guarantee is
+    unconditional for graphs of at most 32 vertices.
     """
-    edge_list = [tuple(e) for e in edges]
-    if n > EXACT_LIMIT:
-        raise ValueError(f"exact max-cut is limited to {EXACT_LIMIT} vertices, got {n}")
-    for u, v in edge_list:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"bad edge ({u}, {v})")
-    side = [0] * n
-    total = 0
-    for comp in _components(n, edge_list):
-        index = {v: i for i, v in enumerate(comp)}
-        local = [(index[u], index[v]) for u, v in edge_list if u in index and v in index]
-        cut = _exact_connected(len(comp), local)
-        for v, i in index.items():
-            side[v] = cut.side[i]
-        total += cut.size
-    return Cut(tuple(side), total)
-
-
-def _greedy_local(n: int, edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[int]:
-    """Place vertices greedily in the given order, then flip to local optimum."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    order = [0]
+    seen = {0}
+    for v in order:
+        for u in sorted(adj[v]):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
     side = [-1] * n
     for v in order:
         placed0 = sum(1 for u in adj[v] if side[u] == 0)
@@ -166,65 +155,71 @@ def _greedy_local(n: int, edges: Sequence[tuple[int, int]], order: Sequence[int]
         improved = False
         for v in range(n):
             same = sum(1 for u in adj[v] if side[u] == side[v])
-            other = len(adj[v]) - same
-            if same > other:
+            if same > len(adj[v]) - same:
                 side[v] = 1 - side[v]
                 improved = True
-    return side
+    size = cut_value(edges, side)
+    if not edwards_bound(len(edges)).met_by(size):
+        if n > EXACT_LIMIT:
+            raise RuntimeError(
+                "heuristic missed the Edwards bound on a component too large "
+                f"for exact fallback ({n} vertices)"
+            )
+        return _exact_connected(n, edges)
+    if side[0] == 1:
+        side = [1 - s for s in side]
+    return Cut(tuple(side), size)
 
 
-def _bfs_order(n: int, edges: Sequence[tuple[int, int]], comp: Sequence[int]) -> list[int]:
-    adj: dict[int, list[int]] = {v: [] for v in comp}
-    for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {comp[0]}
-    queue = [comp[0]]
-    for v in queue:
-        for u in sorted(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return queue
+def _per_component(
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    solve: Callable[[int, list[tuple[int, int]]], Cut],
+) -> Cut:
+    """Cut each connected component with ``solve`` and add the results.
 
-
-def maxcut_edwards(n: int, edges: Iterable[tuple[int, int]]) -> Cut:
-    """A cut meeting the Edwards bound on every connected component.
-
-    Greedy placement along a BFS order plus single-flip local search gets
-    there on its own in practice; the postcondition is still checked per
-    component, with exact search as the fallback so the guarantee is
-    unconditional for components of at most 32 vertices.
+    ``solve(k, local_edges)`` sees one component relabelled 0..k-1 in
+    vertex order, so its vertex 0 is the component's smallest vertex.
     """
     edge_list = [tuple(e) for e in edges]
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
+    comps = _components(n, edge_list)
+    comp_of = [0] * n
+    local_id = [0] * n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            comp_of[v] = c
+            local_id[v] = i
+    local_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in edge_list:
+        local_edges[comp_of[u]].append((local_id[u], local_id[v]))
     side = [0] * n
     total = 0
-    for comp in _components(n, edge_list):
-        comp_edges = [(u, v) for u, v in edge_list if u in set(comp)]
-        bound = edwards_bound(len(comp_edges))
-        order = _bfs_order(n, comp_edges, comp)
-        local_side = _greedy_local(n, comp_edges, order)
-        size = cut_value(comp_edges, local_side)
-        if not bound.met_by(size):
-            if len(comp) > EXACT_LIMIT:
-                raise RuntimeError(
-                    "heuristic missed the Edwards bound on a component too large "
-                    f"for exact fallback ({len(comp)} vertices)"
-                )
-            index = {v: i for i, v in enumerate(comp)}
-            local = [(index[u], index[v]) for u, v in comp_edges]
-            cut = _exact_connected(len(comp), local)
-            for v, i in index.items():
-                local_side[v] = cut.side[i]
-            size = cut.size
-        if local_side[comp[0]] == 1:
-            for v in comp:
-                local_side[v] = 1 - local_side[v]
-        for v in comp:
-            side[v] = local_side[v]
-        total += size
+    for comp, comp_edges in zip(comps, local_edges):
+        cut = solve(len(comp), comp_edges)
+        for v, s in zip(comp, cut.side):
+            side[v] = s
+        total += cut.size
     return Cut(tuple(side), total)
+
+
+def maxcut_exact(n: int, edges: Iterable[tuple[int, int]]) -> Cut:
+    """Maximum cut, exact, for up to 32 vertices.
+
+    Solves each connected component separately; the lexicographic
+    tie-break then anchors every component's smallest vertex on side A.
+    """
+    if n > EXACT_LIMIT:
+        raise ValueError(f"exact max-cut is limited to {EXACT_LIMIT} vertices, got {n}")
+    return _per_component(n, edges, _exact_connected)
+
+
+def maxcut_edwards(n: int, edges: Iterable[tuple[int, int]]) -> Cut:
+    """A cut meeting the Edwards bound on every connected component.
+
+    Every component's smallest vertex is on side A, and the cut sizes of
+    the components add up to the size reported.
+    """
+    return _per_component(n, edges, _edwards_connected)

@@ -9,7 +9,11 @@ k/2 - (sqrt(8k+1)-1)/8.
 
 Order search (outerplanar and free 2-page) enumerates canonical spine
 orders, one vertex at a time for the 1-page case so that partial crossing
-counts prune the (n-1)!/2 space.
+counts prune the (n-1)!/2 space.  Both searches run through one driver,
+``_order_search``: it runs a scan (``_prefix_search`` or
+``_two_page_scan``) serially or split over processes, draws the best
+order (or the natural order when no order finished), and certifies and
+verifies that drawing before it answers.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .books import (
 )
 from .certificates import SolveResult, SolveStats, certificate_from_book, verify_certificate
 from .graphs import Multigraph
-from .maxcut import EXACT_LIMIT, Cut, maxcut_edwards, maxcut_exact
+from .maxcut import EXACT_LIMIT, Cut, EdwardsBound, maxcut_edwards, maxcut_exact
 from .parallel import Deadline, fan_out
 
 ORDER_SEARCH_LIMIT = 11
@@ -37,11 +41,10 @@ ORDER_SEARCH_LIMIT = 11
 def cor22_bound_ok(k: int, crossings: int) -> bool:
     """Exact check of crossings <= k/2 - (sqrt(8k+1)-1)/8.
 
-    Equivalent integer form: s = 4k + 1 - 8*crossings must satisfy s >= 0
-    and s^2 >= 8k + 1.
+    That is the Edwards bound met by the cut k - crossings of a circle
+    graph with k edges.
     """
-    s = 4 * k + 1 - 8 * crossings
-    return s >= 0 and s * s >= 8 * k + 1
+    return EdwardsBound(k).met_by(k - crossings)
 
 
 @dataclass(frozen=True)
@@ -159,84 +162,6 @@ def _prefix_search(g: Multigraph, second: int | None, deadline: Deadline) -> Ord
     return best, best_seq, complete, nodes
 
 
-def outerplanar_search(
-    g: Multigraph,
-    budget_ms: int | None = None,
-    limit: int = ORDER_SEARCH_LIMIT,
-    threads: int = 1,
-) -> tuple[SolveResult, BookDrawing]:
-    """Minimum crossings over 1-page (convex) drawings, with the drawing.
-
-    Exhaustive over canonical spine orders for n <= limit; larger graphs
-    get a bounds-only bracket from the natural order.  The certificate of
-    the best drawing witnesses the upper bound.
-    """
-    start = time.monotonic()
-    deadline = Deadline(budget_ms)
-
-    if g.n > limit:
-        value, seq, complete, nodes = None, None, False, 1
-    elif threads > 1 and g.n > 3:
-        value, seq, complete, nodes = _best_over_second_vertex(
-            _prefix_search, g, deadline, threads
-        )
-    else:
-        value, seq, complete, nodes = _prefix_search(g, None, deadline)
-
-    if value is None or seq is None:
-        # Past the size limit, or the budget ran out before any order
-        # completed: the natural order still gives an honest upper bound.
-        drawing = one_page_drawing(g)
-        upper = count_crossings(drawing)
-        cert = certificate_from_book(drawing)
-        stats = SolveStats(nodes, 1, (time.monotonic() - start) * 1000)
-        return SolveResult(0, upper, "bounds-only", cert, stats), drawing
-
-    drawing = one_page_drawing(g, CyclicOrder(seq))
-    cert = certificate_from_book(drawing)
-    count, ok = verify_certificate(g, cert)
-    if not ok or count != value:
-        raise RuntimeError("order search produced an unrealizable drawing")
-    stats = SolveStats(nodes, 1, (time.monotonic() - start) * 1000)
-    if complete:
-        return SolveResult(value, value, "exact", cert, stats), drawing
-    return SolveResult(0, value, "bounds-only", cert, stats), drawing
-
-
-def outerplanar_cr(
-    g: Multigraph,
-    budget_ms: int | None = None,
-    limit: int = ORDER_SEARCH_LIMIT,
-    threads: int = 1,
-) -> SolveResult:
-    """Minimum crossings over 1-page (convex) drawings."""
-    return outerplanar_search(g, budget_ms, limit, threads)[0]
-
-
-def _best_over_second_vertex(
-    search: Callable[[Multigraph, int, Deadline], OrderScan],
-    g: Multigraph,
-    deadline: Deadline,
-    threads: int,
-) -> OrderScan:
-    """An order search split by the vertex at spine position 1.
-
-    ``search(g, second, deadline)`` runs once per choice of that vertex, in
-    worker processes, and the best result wins (ties: the lowest vertex).
-    """
-    best: int | None = None
-    best_seq: tuple[int, ...] | None = None
-    complete = True
-    work = 0
-    for value, seq, done, count in fan_out(search, g, range(1, g.n), threads, deadline):
-        work += count
-        complete = complete and done
-        if value is not None and (best is None or value < best):
-            best = value
-            best_seq = seq
-    return best, best_seq, complete, work
-
-
 def two_page_cr_fixed_order(g: Multigraph, order: CyclicOrder) -> int:
     """Fewest crossings on 2 pages with this spine order: k - maxcut(C)."""
     cg = circle_graph(g, order)
@@ -274,49 +199,67 @@ def _two_page_scan(g: Multigraph, second: int | None, deadline: Deadline) -> Ord
     return best, best_seq, True, orders_run
 
 
-def two_page_search(
+def _order_search(
     g: Multigraph,
-    budget_ms: int | None = None,
-    limit: int = ORDER_SEARCH_LIMIT,
-    threads: int = 1,
-) -> tuple[SolveResult, BookDrawing | None]:
-    """Minimum crossings over all 2-page drawings, with the drawing."""
+    scan: Callable[[Multigraph, int | None, Deadline], OrderScan],
+    drawing_of: Callable[[Multigraph, CyclicOrder], BookDrawing],
+    budget_ms: int | None,
+    threads: int,
+) -> tuple[SolveResult, BookDrawing]:
+    """Run an order scan and certify the drawing of its best order.
+
+    The scan is exhaustive for n <= ORDER_SEARCH_LIMIT.  With ``threads``
+    above 1 it runs once per vertex at spine position 1, in worker
+    processes, and the best result wins (ties: the lowest vertex).  When
+    no order finished, past the limit or out of budget, the natural
+    order's drawing gives a bounds-only bracket.  Every drawing returned
+    has a verified certificate witnessing the upper bound.
+    """
     start = time.monotonic()
     deadline = Deadline(budget_ms)
-
-    if g.n > limit:
-        natural = CyclicOrder.natural(g.n)
-        value, seq = two_page_cr_fixed_order(g, natural), natural.seq
-        complete, orders_run = False, 1
+    if g.n > ORDER_SEARCH_LIMIT:
+        value, seq, complete, work = None, None, False, 1
     elif threads > 1 and g.n > 3:
-        value, seq, complete, orders_run = _best_over_second_vertex(
-            _two_page_scan, g, deadline, threads
-        )
+        value, seq, complete, work = None, None, True, 0
+        for part, part_seq, done, count in fan_out(scan, g, range(1, g.n), threads, deadline):
+            work += count
+            complete = complete and done
+            if part is not None and (value is None or part < value):
+                value, seq = part, part_seq
     else:
-        value, seq, complete, orders_run = _two_page_scan(g, None, deadline)
+        value, seq, complete, work = scan(g, None, deadline)
 
-    cert = None
-    drawing = None
-    if seq is not None and value is not None:
-        drawing = split_report(g, CyclicOrder(seq)).drawing
-        cert = certificate_from_book(drawing)
-        count, ok = verify_certificate(g, cert)
-        if not ok or count != value:
-            raise RuntimeError("page assignment does not match its drawing")
-    stats = SolveStats(orders_run, int(cert is not None), (time.monotonic() - start) * 1000)
+    order = CyclicOrder.natural(g.n) if seq is None else CyclicOrder(seq)
+    drawing = drawing_of(g, order)
+    cert = certificate_from_book(drawing)
+    count, ok = verify_certificate(g, cert)
+    if not ok or (value is not None and count != value):
+        raise RuntimeError("order search produced an unrealizable drawing")
+    stats = SolveStats(work, 1, (time.monotonic() - start) * 1000)
     if complete and value is not None:
-        return SolveResult(value, value, "exact", cert, stats), drawing
-    if value is None:
-        # Nothing finished in time; a 1-page count still bounds it.
-        value = count_crossings(one_page_drawing(g))
-    return SolveResult(0, value, "bounds-only", cert, stats), drawing
+        return SolveResult(count, count, "exact", cert, stats), drawing
+    return SolveResult(0, count, "bounds-only", cert, stats), drawing
 
 
-def two_page_cr(
-    g: Multigraph,
-    budget_ms: int | None = None,
-    limit: int = ORDER_SEARCH_LIMIT,
-    threads: int = 1,
-) -> SolveResult:
+def outerplanar_search(
+    g: Multigraph, budget_ms: int | None = None, threads: int = 1
+) -> tuple[SolveResult, BookDrawing]:
+    """Minimum crossings over 1-page (convex) drawings, with the drawing."""
+    return _order_search(g, _prefix_search, one_page_drawing, budget_ms, threads)
+
+
+def outerplanar_cr(g: Multigraph, budget_ms: int | None = None, threads: int = 1) -> SolveResult:
+    """Minimum crossings over 1-page (convex) drawings."""
+    return outerplanar_search(g, budget_ms, threads)[0]
+
+
+def two_page_search(
+    g: Multigraph, budget_ms: int | None = None, threads: int = 1
+) -> tuple[SolveResult, BookDrawing]:
+    """Minimum crossings over all 2-page drawings, with the drawing."""
+    return _order_search(g, _two_page_scan, one_to_two, budget_ms, threads)
+
+
+def two_page_cr(g: Multigraph, budget_ms: int | None = None, threads: int = 1) -> SolveResult:
     """Minimum crossings over all 2-page drawings (free spine order)."""
-    return two_page_search(g, budget_ms, limit, threads)[0]
+    return two_page_search(g, budget_ms, threads)[0]

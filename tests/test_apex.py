@@ -15,6 +15,8 @@ from conecross import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    fig1_certificate,
+    fig1_graph,
     fig3_graph,
     insert_apex,
     lift_to_cone,
@@ -138,3 +140,9 @@ def test_cone_does_not_hide_internal_faults_of_apex_insertion(monkeypatch):
     monkeypatch.setattr(conecross.apex, "insert_apex", broken)
     with pytest.raises(RuntimeError, match="inconsistent embedding"):
         cone_cr(complete_graph(5))
+
+
+def test_insert_apex_names_the_slot_ordering_cap(monkeypatch):
+    monkeypatch.setattr(conecross.apex, "SLOT_ORDERINGS_CAP", 0)
+    with pytest.raises(ApexRoutingError, match=r"stopped at the cap of 0 slot orderings"):
+        insert_apex(fig1_graph(), fig1_certificate())

@@ -98,6 +98,16 @@ def test_cr_accepts_graph_files(capsys, tmp_path):
     assert data["lower"] == data["upper"] == 1
 
 
+@pytest.mark.parametrize("command", ["cr", "book", "experiment"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(capsys, command, threads):
+    target = "hh-table" if command == "experiment" else "fig1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cr_rejects_missing_files(capsys):
     code, _, err = run(capsys, "cr", "no-such-file.json")
     assert code == 2

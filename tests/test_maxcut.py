@@ -117,3 +117,18 @@ def test_heuristic_works_past_the_exact_limit():
 
 def test_heuristic_handles_the_empty_graph():
     assert maxcut_edwards(empty_graph(4).n, []).size == 0
+
+
+def test_heuristic_cuts_each_component_on_its_own():
+    # Two components and an isolated vertex, interleaved in label order.
+    comp_a = [1, 4, 6, 7, 9]
+    comp_b = [0, 2, 3, 5, 8, 11]
+    edges_a = [(1, 4), (4, 6), (6, 1), (6, 7), (7, 9), (9, 1), (4, 9)]
+    edges_b = [(0, 2), (2, 3), (3, 0), (3, 5), (5, 8), (8, 11), (11, 0), (2, 8)]
+    cut = maxcut_edwards(12, edges_a + edges_b)
+    assert len(cut.side) == 12
+    for comp, edges in ((comp_a, edges_a), (comp_b, edges_b), ([10], [])):
+        assert cut.side[min(comp)] == 0
+        assert EdwardsBound(len(edges)).met_by(cut_value(edges, cut.side))
+    assert cut.size == cut_value(edges_a, cut.side) + cut_value(edges_b, cut.side)
+    assert cut.size == cut_value(edges_a + edges_b, cut.side)

@@ -100,6 +100,15 @@ def test_wheel_two_page_is_planar():
     assert res.value == 0
 
 
+def assert_certified_bounds_only(g, res, drawing, pages):
+    assert res.status == "bounds-only"
+    assert res.lower <= res.upper
+    count, ok = verify_certificate(g, res.certificate)
+    assert ok and count == res.upper
+    assert drawing.page_count <= pages
+    assert count_crossings(drawing) == res.upper
+
+
 def test_order_search_degrades_to_bounds_past_the_size_limit():
     g = cycle_graph(ORDER_SEARCH_LIMIT + 1)
     res = outerplanar_cr(g)
@@ -110,6 +119,9 @@ def test_order_search_degrades_to_bounds_past_the_size_limit():
     two = two_page_cr(g)
     assert two.status == "bounds-only"
     assert two.upper >= two.lower
+    for g in (cycle_graph(ORDER_SEARCH_LIMIT + 1), complete_graph(ORDER_SEARCH_LIMIT + 1)):
+        assert_certified_bounds_only(g, *outerplanar_search(g), pages=1)
+        assert_certified_bounds_only(g, *two_page_search(g), pages=2)
 
 
 def test_budget_zero_still_returns_an_honest_bracket():
@@ -119,6 +131,7 @@ def test_budget_zero_still_returns_an_honest_bracket():
     assert res.lower <= res.upper
     count, ok = verify_certificate(g, res.certificate)
     assert ok and count == res.upper
+    assert_certified_bounds_only(g, *two_page_search(g, budget_ms=0), pages=2)
 
 
 def test_thread_count_does_not_change_the_answer():
