@@ -19,7 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .books import BookDrawing
@@ -27,6 +27,9 @@ from .graphs import Multigraph
 from .planarity import lr_planar
 
 CERT_FORMAT = "conecross-cert-v1"
+
+# Orders of concurrent crossings tried by ``certificate_from_book`` (7!).
+TIED_ORDERINGS_CAP = 5040
 
 
 @dataclass(frozen=True)
@@ -366,8 +369,8 @@ def certificate_from_book(d: BookDrawing) -> CrossingCertificate:
     The crossing pairs are the interleaving same-page chords.  Crossing
     orders along each edge come from an exact rational drawing (parabola
     model, one half-plane per page).  In the measure-zero event of
-    concurrent crossings the tied crossings are nudged apart in every
-    order until the certificate verifies.
+    concurrent crossings the tied crossings are nudged apart in up to
+    TIED_ORDERINGS_CAP relative orders until the certificate verifies.
     """
     g = d.graph
     crossings = d.crossing_pairs()
@@ -385,8 +388,8 @@ def certificate_from_book(d: BookDrawing) -> CrossingCertificate:
         return cert
     if verify_certificate(g, cert)[1]:
         return cert
-    # Concurrent crossings: try every relative nudge of the tied ones.
-    for perm in permutations(sorted(tied)):
+    # Concurrent crossings: try relative nudges of the tied ones, up to the cap.
+    for perm in islice(permutations(sorted(tied)), TIED_ORDERINGS_CAP):
         rank = {idx: r for r, idx in enumerate(perm)}
         retry, still_tied = _sorted_orders(g, xs, crossings, rank)
         if still_tied:
@@ -394,7 +397,10 @@ def certificate_from_book(d: BookDrawing) -> CrossingCertificate:
         cand = assemble(retry)
         if verify_certificate(g, cand)[1]:
             return cand
-    raise RuntimeError("could not resolve concurrent crossings into a drawing")
+    raise RuntimeError(
+        f"could not resolve {len(tied)} concurrent crossings into a drawing "
+        f"within the cap of {TIED_ORDERINGS_CAP} orderings"
+    )
 
 
 def scale_certificate(

@@ -18,6 +18,32 @@ from typing import Iterable, Iterator, Sequence
 GRAPH_FORMAT = "conecross-graph-v1"
 
 
+def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Components of vertices 0..n-1 joined by ``pairs``: sorted vertex
+    lists, isolated ones included, in order of their smallest vertex."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        comp = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
 @dataclass(frozen=True)
 class Multigraph:
     """Immutable loopless multigraph.
@@ -137,27 +163,7 @@ class Multigraph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists (isolated included)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            comp = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
+        return components(self.n, self.simple_pairs())
 
     def component_subgraphs(self) -> list[tuple["Multigraph", list[int]]]:
         """Each component as (subgraph, vertices); vertex i of the subgraph

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from math import isqrt, sqrt
 from typing import Callable, Iterable, Sequence
 
+from .graphs import components
+
 
 @dataclass(frozen=True)
 class Cut:
@@ -62,25 +64,6 @@ def edwards_bound(m: int) -> EdwardsBound:
 
 
 EXACT_LIMIT = 32
-
-
-def _components(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
 
 
 def _exact_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
@@ -185,7 +168,7 @@ def _per_component(
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
-    comps = _components(n, edge_list)
+    comps = components(n, edge_list)
     comp_of = [0] * n
     local_id = [0] * n
     for c, comp in enumerate(comps):

@@ -10,10 +10,10 @@ k/2 - (sqrt(8k+1)-1)/8.
 Order search (outerplanar and free 2-page) enumerates canonical spine
 orders, one vertex at a time for the 1-page case so that partial crossing
 counts prune the (n-1)!/2 space.  Both searches run through one driver,
-``_order_search``: it runs a scan (``_prefix_search`` or
-``_two_page_scan``) serially or split over processes, draws the best
-order (or the natural order when no order finished), and certifies and
-verifies that drawing before it answers.
+``_order_search``: it fans a scan (``_prefix_search`` or
+``_two_page_scan``) out, whole or split by the second spine vertex,
+draws the best order (or the natural order when no order finished), and
+certifies and verifies that drawing before it answers.
 """
 
 from __future__ import annotations
@@ -179,8 +179,11 @@ def _two_page_scan(g: Multigraph, second: int | None, deadline: Deadline) -> Ord
     exact max cut; stops early at 0.
 
     ``second`` pins the vertex at position 1 (the unit of parallel
-    splitting).  Returns (best, best order, completed, orders run).
+    splitting).  Returns (best, best order, completed, orders run); no
+    order runs with more than EXACT_LIMIT edges, too many for an exact cut.
     """
+    if g.m > EXACT_LIMIT:
+        return None, None, False, 0
     best: int | None = None
     best_seq: tuple[int, ...] | None = None
     orders_run = 0
@@ -208,26 +211,27 @@ def _order_search(
 ) -> tuple[SolveResult, BookDrawing]:
     """Run an order scan and certify the drawing of its best order.
 
-    The scan is exhaustive for n <= ORDER_SEARCH_LIMIT.  With ``threads``
-    above 1 it runs once per vertex at spine position 1, in worker
-    processes, and the best result wins (ties: the lowest vertex).  When
-    no order finished, past the limit or out of budget, the natural
-    order's drawing gives a bounds-only bracket.  Every drawing returned
-    has a verified certificate witnessing the upper bound.
+    The scan is exhaustive for n <= ORDER_SEARCH_LIMIT.  It goes through
+    ``fan_out`` as one job, or with ``threads`` above 1 as one job per
+    vertex at spine position 1, and the best result wins (ties: the lowest
+    vertex).  When no order finished (past the limit, out of budget, or
+    too many edges for an exact 2-page split) the natural order's drawing
+    gives a bounds-only bracket.  Every drawing returned has a verified
+    certificate witnessing the upper bound.
     """
     start = time.monotonic()
     deadline = Deadline(budget_ms)
     if g.n > ORDER_SEARCH_LIMIT:
         value, seq, complete, work = None, None, False, 1
-    elif threads > 1 and g.n > 3:
+    else:
+        # One job shares its incumbent over all orders; split only for workers.
+        jobs = range(1, g.n) if threads > 1 and g.n > 3 else [None]
         value, seq, complete, work = None, None, True, 0
-        for part, part_seq, done, count in fan_out(scan, g, range(1, g.n), threads, deadline):
+        for part, part_seq, done, count in fan_out(scan, g, jobs, threads, deadline):
             work += count
             complete = complete and done
             if part is not None and (value is None or part < value):
                 value, seq = part, part_seq
-    else:
-        value, seq, complete, work = scan(g, None, deadline)
 
     order = CyclicOrder.natural(g.n) if seq is None else CyclicOrder(seq)
     drawing = drawing_of(g, order)

@@ -43,18 +43,22 @@ def fan_out(
     threads: int,
     deadline: Deadline,
 ) -> list[Any]:
-    """``[task(g, job, deadline) for job in jobs]``, run in worker processes.
+    """``[task(g, job, deadline) for job in jobs]``, in job order.
 
-    ``task`` must be a module-level function so that it pickles by name.
-    Each worker rebuilds the deadline from the time left when the pool
-    starts, since monotonic clocks need not agree across processes.
-    Results come back in job order whatever order the workers finish in.
+    One worker (``worker_count``) runs the jobs here against ``deadline``;
+    more run them in worker processes.  ``task`` must then be a
+    module-level function so that it pickles by name, and each worker
+    rebuilds the deadline from the time left when the pool starts, since
+    monotonic clocks need not agree across processes.
     """
-    # Imported here: the serial searches never pay for multiprocessing.
+    workers = worker_count(threads, len(jobs))
+    if workers == 1:
+        return [task(g, job, deadline) for job in jobs]
+    # Imported here: one-worker runs never pay for multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     left = deadline.remaining_ms()
-    with ProcessPoolExecutor(max_workers=worker_count(threads, len(jobs))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run, repeat(task), repeat(g), jobs, repeat(left)))
 
 

@@ -19,10 +19,10 @@ Prunes, all sound:
     repeated pairs), which some optimal drawing always satisfies.
 
 The search at a level is a generator of realizable certificates in a
-fixed order: ``cr_exact`` takes the first one, ``cr_certificates`` takes
-the first few with distinct crossing sets.  With ``threads > 1`` the
-root's branches are spread over worker processes and the lowest-index
-hit wins, so the answer does not depend on the thread count.
+fixed order: ``cr_certificates`` takes the first few with distinct
+crossing sets, and ``cr_exact`` fans each level's root branches out as
+strided jobs, one per worker (``parallel.fan_out``; one job runs in this
+process).  The lowest-index hit wins, so the thread count never matters.
 
 Levels below the first success are exhausted, so the found level is the
 crossing number; the certificate is re-verified before it is returned.
@@ -57,27 +57,21 @@ def cr_lower(g: Multigraph) -> int:
     )
 
 
-class _Stats:
-    __slots__ = ("nodes", "planarity")
-
-    def __init__(self) -> None:
-        self.nodes = 0
-        self.planarity = 0
-
-
 class _LevelSearch:
     """Depth-first search for certificates with exactly ``r`` crossings.
 
     The exclusion discipline makes the certificates it yields free of
-    rediscoveries across sibling branches.
+    rediscoveries across sibling branches.  ``nodes`` and ``planarity``
+    count the nodes entered and the planarity tests made.
     """
 
-    def __init__(self, g: Multigraph, r: int, deadline: Deadline, stats: _Stats):
+    def __init__(self, g: Multigraph, r: int, deadline: Deadline):
         self.g = g
         self.ends = [(u, v) for u, v, _ in g.instances()]
         self.r = r
         self.deadline = deadline
-        self.stats = stats
+        self.nodes = 0
+        self.planarity = 0
         self.out_of_time = False
 
     # -- planarization plumbing ------------------------------------------
@@ -104,7 +98,7 @@ class _LevelSearch:
         return pairs
 
     def _planar(self, n_extra: int, pairs: list[tuple[int, int]]) -> bool:
-        self.stats.planarity += 1
+        self.planarity += 1
         return lr_planar(self.g.n + n_extra, pairs)
 
     # -- search -----------------------------------------------------------
@@ -167,7 +161,7 @@ class _LevelSearch:
         crossings: list[tuple[int, int]],
         forbidden: frozenset[tuple[int, int]],
     ) -> Iterator[CrossingCertificate]:
-        self.stats.nodes += 1
+        self.nodes += 1
         if self.deadline.expired():
             self.out_of_time = True
             return
@@ -224,33 +218,30 @@ def _find_certificate(
     r: int,
     deadline: Deadline,
     threads: int,
-    stats: _Stats,
-) -> tuple[CrossingCertificate | None, bool]:
-    """(certificate, level fully exhausted).  Parallel over root branches."""
-    search = _LevelSearch(g, r, deadline, stats)
-    if threads <= 1:
-        cert = next(search.certificates(), None)
-        return cert, not search.out_of_time
-
-    stats.nodes += 1
-    cert, cands = search.expand({}, [], frozenset())
+) -> tuple[CrossingCertificate | None, bool, int, int]:
+    """(certificate, level fully exhausted, nodes, planarity tests), with
+    the root's branches fanned out to workers."""
+    root = _LevelSearch(g, r, deadline)
+    cert, cands = root.expand({}, [], frozenset())
+    nodes, planarity = 1, root.planarity
     if cert is not None or not cands:
-        return cert, True
+        return cert, True, nodes, planarity
     # A worker takes every ``workers``-th root branch; branch i forbids the
-    # pairs of branches 0..i-1, as in the serial search.
+    # pairs of branches 0..i-1, as the root of ``_LevelSearch._node`` does.
     workers = worker_count(threads, len(cands))
     jobs = [(r, cands, range(w, len(cands), workers)) for w in range(workers)]
-    best: tuple[int, CrossingCertificate] | None = None
+    hits: list[tuple[int, CrossingCertificate]] = []
     complete = True
-    for hit, nodes, planarity, done in fan_out(_branch_worker, g, jobs, threads, deadline):
-        stats.nodes += nodes
-        stats.planarity += planarity
+    for hit, n_nodes, n_tests, done in fan_out(_branch_worker, g, jobs, threads, deadline):
+        nodes += n_nodes
+        planarity += n_tests
         complete = complete and done
-        if hit is not None and (best is None or hit[0] < best[0]):
-            best = hit
-    if best is not None:
-        return best[1], True
-    return None, complete
+        if hit is not None:
+            hits.append(hit)
+    if hits:
+        # Branch indices are distinct: the lowest-index hit wins.
+        return min(hits)[1], True, nodes, planarity
+    return None, complete, nodes, planarity
 
 
 def _branch_worker(
@@ -261,15 +252,14 @@ def _branch_worker(
     """First hit among the assigned root branches, as (branch index,
     certificate), with the worker's node and planarity counts."""
     r, cands, assigned = job
-    stats = _Stats()
-    search = _LevelSearch(g, r, deadline, stats)
+    search = _LevelSearch(g, r, deadline)
     for index in assigned:
         cert = next(search.branch({}, [], frozenset(cands[:index]), cands[index]), None)
         if cert is not None:
-            return (index, cert), stats.nodes, stats.planarity, True
+            return (index, cert), search.nodes, search.planarity, True
         if search.out_of_time:
             break
-    return None, stats.nodes, stats.planarity, not search.out_of_time
+    return None, search.nodes, search.planarity, not search.out_of_time
 
 
 def _solve_component(
@@ -281,13 +271,13 @@ def _solve_component(
     upper_seed: tuple[int, CrossingCertificate] | None,
 ) -> SolveResult:
     """Deepen from ``level``, which must not exceed cr(g)."""
-    stats = _Stats()
+    nodes = planarity = 0
     seed_val, seed_cert = upper_seed if upper_seed is not None else (None, None)
 
     def result(
         lower: int, upper: int, status: str, cert: CrossingCertificate | None
     ) -> SolveResult:
-        return SolveResult(lower, upper, status, cert, SolveStats(stats.nodes, stats.planarity))
+        return SolveResult(lower, upper, status, cert, SolveStats(nodes, planarity))
 
     def bounds_only(lower: int) -> SolveResult:
         if seed_val is not None:
@@ -311,7 +301,9 @@ def _solve_component(
             return bounds_only(level)
         if deadline.expired():
             return bounds_only(level)
-        cert, complete = _find_certificate(g, level, deadline, threads, stats)
+        cert, complete, n_nodes, n_tests = _find_certificate(g, level, deadline, threads)
+        nodes += n_nodes
+        planarity += n_tests
         if cert is not None:
             if cert.count != level:
                 raise RuntimeError(
@@ -382,5 +374,5 @@ def cr_certificates(
     friendlier face structure, for instance one that admits a cheap apex
     insertion.
     """
-    search = _LevelSearch(g, k, Deadline(budget_ms), _Stats())
+    search = _LevelSearch(g, k, Deadline(budget_ms))
     return list(islice(search.certificates(), limit))

@@ -27,6 +27,7 @@ from conecross import (
     scale_certificate,
     verify_certificate,
 )
+from conecross import certificates
 from conecross.certificates import certificate_error
 
 
@@ -213,3 +214,31 @@ def test_solve_result_validation():
     blob = done.to_json_dict()
     assert blob["status"] == "exact"
     assert blob["stats"]["planarity_calls"] == 20
+
+
+def tied_one_page_drawing():
+    # Chords of this convex drawing meet three at a point: crossings 35,
+    # 43 and 59 of its 83 are concurrent in the exact rational model.
+    g = random_graph(10, 30, seed=278859136)
+    return g, one_page_drawing(g, CyclicOrder((8, 4, 5, 9, 0, 7, 1, 6, 3, 2)))
+
+
+def test_concurrent_crossings_are_nudged_apart_until_they_verify(monkeypatch):
+    g, d = tied_one_page_drawing()
+    xs = certificates._slot_abscissas(d)
+    orders, tied = certificates._sorted_orders(g, xs, d.crossing_pairs())
+    assert tied == {35, 43, 59}
+    untied = CrossingCertificate.build(
+        d.crossing_pairs(), {e: seq for e, seq in orders.items() if len(seq) >= 2}
+    )
+    assert verify_certificate(g, untied) == (83, False)
+    # The first relative order fails and the second one verifies.
+    monkeypatch.setattr(certificates, "TIED_ORDERINGS_CAP", 2)
+    assert verify_certificate(g, certificate_from_book(d)) == (83, True)
+
+
+def test_tied_crossing_retry_stops_at_its_cap(monkeypatch):
+    _, d = tied_one_page_drawing()
+    monkeypatch.setattr(certificates, "TIED_ORDERINGS_CAP", 1)
+    with pytest.raises(RuntimeError, match="cap of 1 orderings"):
+        certificate_from_book(d)

@@ -11,13 +11,16 @@ from conecross import (
     count_crossings,
     cycle_graph,
     fig3_graph,
+    multiply_edges,
     one_to_two,
     outerplanar_cr,
+    random_graph,
     split_report,
     two_page_cr,
     two_page_cr_fixed_order,
     verify_certificate,
 )
+from conecross.maxcut import EXACT_LIMIT
 from conecross.pages import ORDER_SEARCH_LIMIT, outerplanar_search, two_page_search
 
 
@@ -122,6 +125,15 @@ def test_order_search_degrades_to_bounds_past_the_size_limit():
     for g in (cycle_graph(ORDER_SEARCH_LIMIT + 1), complete_graph(ORDER_SEARCH_LIMIT + 1)):
         assert_certified_bounds_only(g, *outerplanar_search(g), pages=1)
         assert_certified_bounds_only(g, *two_page_search(g), pages=2)
+    # Few enough vertices to scan, but every circle graph has more than
+    # EXACT_LIMIT vertices: the natural order's Edwards split answers.
+    k9 = complete_graph(9)
+    res, drawing = two_page_search(k9)
+    assert_certified_bounds_only(k9, res, drawing, pages=2)
+    assert res.upper == 42
+    doubled = multiply_edges(random_graph(8, 21, 5), 2)
+    assert doubled.m > EXACT_LIMIT
+    assert_certified_bounds_only(doubled, *two_page_search(doubled), pages=2)
 
 
 def test_budget_zero_still_returns_an_honest_bracket():
@@ -140,6 +152,13 @@ def test_thread_count_does_not_change_the_answer():
         multi = two_page_cr(g, threads=4)
         assert single.value == multi.value
         assert outerplanar_cr(g, threads=1).value == outerplanar_cr(g, threads=4).value
+        # Ties go to the lowest second vertex, as in the single scan, so
+        # the certified drawings agree as well.
+        for search in (outerplanar_search, two_page_search):
+            res, drawing = search(g, threads=1)
+            multi_res, multi_drawing = search(g, threads=4)
+            assert multi_res.certificate == res.certificate
+            assert multi_drawing == drawing
 
 
 def test_parallel_two_page_search_on_a_planar_graph_is_exact_zero():

@@ -5,6 +5,8 @@ cr(Petersen) = 2, and crossing numbers are invariant under relabeling
 and edge subdivision and additive over disjoint unions.
 """
 
+import concurrent.futures
+import itertools
 import os
 
 import pytest
@@ -26,7 +28,9 @@ from conecross import (
     subdivide_edge,
     verify_certificate,
 )
-from conecross.parallel import worker_count
+from conecross import parallel
+from conecross.pages import two_page_search
+from conecross.parallel import Deadline, worker_count
 from oracle import assert_drawing
 
 
@@ -161,6 +165,42 @@ def test_thread_count_does_not_change_the_bracket():
         a = cr_exact(g, threads=1)
         b = cr_exact(g, threads=4)
         assert (a.lower, a.upper, a.status) == (b.lower, b.upper, b.status)
+        # The lowest-index hit wins, so the drawing is the same one too.
+        assert a.certificate == b.certificate
+
+
+def answer(res):
+    return (res.lower, res.upper, res.status, res.certificate,
+            res.stats.nodes, res.stats.planarity_calls)
+
+
+def test_one_cpu_runs_threaded_searches_in_process(monkeypatch):
+    # With one CPU, threads=4 is the one-worker case of the fan-out: the
+    # same split runs here and no process pool is started.
+    solve = answer(cr_exact(fig3_graph()))
+    book, drawing = two_page_search(complete_graph(6))
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert answer(cr_exact(fig3_graph(), threads=4)) == solve
+    threaded_book, threaded_drawing = two_page_search(complete_graph(6), threads=4)
+    assert answer(threaded_book) == answer(book)
+    assert threaded_drawing == drawing
+
+
+def test_a_level_cut_short_mid_search_gives_a_certified_bracket(monkeypatch):
+    # The deadline passes inside level 3 of fig1 (cr = 3, Euler bound 0):
+    # levels 0..2 are exhausted, and the natural 1-page drawing gives the
+    # upper bound.
+    checks = itertools.count()
+    monkeypatch.setattr(Deadline, "expired", lambda self: next(checks) >= 60)
+    g = fig1_graph()
+    res = cr_exact(g, budget_ms=10**7)
+    assert (res.lower, res.upper, res.status) == (3, 39, "bounds-only")
+    assert_drawing(g, res.certificate, res.upper)
 
 
 def test_bracket_that_crosses_over_raises_instead_of_returning():
