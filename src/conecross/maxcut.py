@@ -1,9 +1,16 @@
 """Maximum cuts of simple graphs, exact and Edwards-guaranteed heuristic.
 
 Functions here work on a plain ``(n, edges)`` view: n vertices labelled
-0..n-1 and an iterable of endpoint pairs, no parallel edges.  Callers pass
+0..n-1 and an iterable of endpoint pairs, no parallel edges (a pair given
+twice, in either orientation, is a ValueError).  Callers pass
 ``g.n, g.simple_pairs()`` for a Multigraph or ``cg.n_vertices, cg.edges``
 for a circle graph.
+
+The exact solver is a branch and bound in vertex order that holds the
+assignment as one bitmask and prunes with a per-vertex bound: each unplaced
+vertex can add at most the larger of its placed neighbours on either side,
+plus the edges among unplaced vertices.  Cuts come out the same as from a
+plain enumeration that keeps the first maximum in lexicographic order.
 
 The Edwards bound says every connected graph with m edges has a cut of
 size at least m/2 + (sqrt(8m+1)-1)/8.  Comparisons against it are done in
@@ -70,43 +77,73 @@ def _exact_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
     """Branch and bound over side assignments in vertex order.
 
     Vertex 0 is pinned to side 0 and branches try side 0 before side 1, so
-    the first optimum reached is the lexicographically smallest indicator
-    vector among all maximum cuts with 0 on side A.  Pruning with
-    bound <= best is safe for that tie-break: any equal-value cut in a
-    pruned subtree is lexicographically later than the incumbent.
+    the search meets complete assignments in lexicographic order of their
+    indicator vectors.  A subtree is pruned when an upper bound on every
+    cut inside it is <= best.  Any valid upper bound keeps the first
+    optimum: until it is reached the incumbent is below the optimum, so
+    no node on its path is pruned, and afterwards nothing beats it.  The
+    result is therefore the lexicographically smallest indicator vector
+    among all maximum cuts with 0 on side A, whatever bound is used.
+
+    The bound at depth i (vertices 0..i-1 placed) is the cut so far, plus
+    for each unplaced vertex j the larger of its placed neighbours on side
+    0 and on side 1, plus every edge between unplaced vertices.  It is
+    kept up to date as vertices are placed: ``on0[j]`` and ``on1[j]``
+    count j's placed neighbours per side, so placing i on side 0 cuts
+    ``on1[i]`` edges and on side 1 cuts ``on0[i]``.  The assignment so far
+    is one ``ones`` bitmask of the vertices on side 1.
     """
     if n == 0:
         return Cut((), 0)
-    adj_below: list[list[int]] = [[] for _ in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        adj_below[max(u, v)].append(min(u, v))
-    # suffix[i] = edges whose larger endpoint is >= i: still winnable after
+        above[min(u, v)].append(max(u, v))
+    # inner[i] = edges with both endpoints >= i: all still winnable once
     # vertices 0..i-1 have been fixed.
-    suffix = [0] * (n + 1)
+    inner = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + len(adj_below[i])
-
-    side = [0] * n
-    best_side: list[int] | None = None
+        inner[i] = inner[i + 1] + len(above[i])
+    on0 = [0] * n
+    on1 = [0] * n
     best = -1
+    best_ones = 0
 
-    def walk(i: int, cut: int) -> None:
-        nonlocal best, best_side
-        if cut + suffix[i] <= best:
-            return
+    def walk(i: int, cut: int, ones: int, reach: int) -> None:
+        # reach = sum of max(on0[j], on1[j]) over the unplaced j >= i.
+        nonlocal best, best_ones
         if i == n:
             best = cut
-            best_side = side[:]
+            best_ones = ones
             return
-        for s in (0, 1) if i > 0 else (0,):
-            side[i] = s
-            gain = sum(1 for u in adj_below[i] if side[u] != s)
-            walk(i + 1, cut + gain)
+        gain0, gain1 = on1[i], on0[i]
+        rest = reach - max(gain0, gain1)
+        later = inner[i + 1]
+        up = above[i]
+        reach0 = rest
+        for j in up:
+            if on0[j] >= on1[j]:
+                reach0 += 1
+            on0[j] += 1
+        if cut + gain0 + reach0 + later > best:
+            walk(i + 1, cut + gain0, ones, reach0)
+        for j in up:
+            on0[j] -= 1
+        if i == 0:
+            return
+        reach1 = rest
+        for j in up:
+            if on1[j] >= on0[j]:
+                reach1 += 1
+            on1[j] += 1
+        if cut + gain1 + reach1 + later > best:
+            walk(i + 1, cut + gain1, ones | 1 << i, reach1)
+        for j in up:
+            on1[j] -= 1
 
-    walk(0, 0)
-    if best_side is None:
+    walk(0, 0, 0, 0)
+    if best < 0:
         raise RuntimeError("max-cut search recorded no cut")
-    return Cut(tuple(best_side), best)
+    return Cut(tuple(best_ones >> v & 1 for v in range(n)), best)
 
 
 def _edwards_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
@@ -165,9 +202,14 @@ def _per_component(
     vertex order, so its vertex 0 is the component's smallest vertex.
     """
     edge_list = [tuple(e) for e in edges]
+    seen: set[tuple[int, int]] = set()
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen:
+            raise ValueError(f"repeated edge {pair}: max cut takes simple graphs")
+        seen.add(pair)
     comps = components(n, edge_list)
     comp_of = [0] * n
     local_id = [0] * n

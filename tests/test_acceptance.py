@@ -131,19 +131,19 @@ def test_criterion_02_triangle_hexagon_and_its_cone(solved):
     assert ok and count == 6
     assert time.monotonic() - t0 < 60.0
 
-    # lower bound: the search closes the bracket (the full from-zero
-    # exhaustion is the longrun variant below); the theorem-backed row
+    # lower bound: the search closes the bracket (the from-zero search
+    # is the next test); the theorem-backed row
     # 3 + 3 = 6 must agree either way
     assert entry.cone_res.status == "exact" and entry.cone_res.value == 6
     assert thm41_lower(entry.base.value) == 6
 
 
-@longrun
-def test_criterion_02_longrun_cone_exhaustion():
-    t0 = time.monotonic()
-    result = longrun_cone_exhaustion(budget_ms=60 * 60 * 1000)
+def test_criterion_02_cone_lower_bound_from_level_zero():
+    # Levels 0..5 are each closed by the Euler cut at their root node, so
+    # the search re-derives the bound of 6 in one node per level.
+    result = longrun_cone_exhaustion(budget_ms=60 * 1000)
     assert result["status"] == "exact" and result["value"] == 6
-    assert time.monotonic() - t0 < 3600.0
+    assert result["nodes"] == 6
 
 
 def test_criterion_03_wheel_with_chords_pair(solved):
@@ -218,8 +218,7 @@ def test_criterion_08_harary_hill_formula(solved):
     assert harary_hill(6) == solved["K6"].base.value
 
 
-@longrun
-def test_criterion_08_longrun_z7_against_the_two_page_solver():
+def test_criterion_08_z7_against_the_two_page_solver():
     result = longrun_z7()
     assert result["value"] == result["expected"] == 9
 

@@ -10,7 +10,6 @@ from conecross.experiments import (
     fs_small,
     hh_table,
     longrun_enabled,
-    longrun_z7,
 )
 
 
@@ -82,8 +81,3 @@ def test_longrun_gate_reads_the_environment():
             os.environ.pop("CONECROSS_LONGRUN", None)
         else:
             os.environ["CONECROSS_LONGRUN"] = old
-
-
-def test_z7_two_page_value():
-    result = longrun_z7()
-    assert result["value"] == result["expected"] == 9

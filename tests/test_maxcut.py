@@ -1,17 +1,20 @@
 """Max-cut solver and the Edwards guarantee.
 
-The exact solver is checked against a direct enumeration of all
-2^(n-1) vertex splits, which is slow but independent of the pruning
-logic under test.
+The exact solver is checked against a direct enumeration of every vertex
+split in lexicographic order, which is slow but independent of the
+pruning logic under test.
 """
 
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from conecross import (
+    CyclicOrder,
     EdwardsBound,
+    circle_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -21,14 +24,23 @@ from conecross import (
     maxcut_exact,
     random_graph,
 )
-from conecross.maxcut import EXACT_LIMIT, cut_value
+from conecross.maxcut import EXACT_LIMIT, Cut, cut_value
 
 
-def brute_force_maxcut(n, edges):
-    best = 0
-    for bits in itertools.product((0, 1), repeat=max(n - 1, 0)):
-        side = (0,) + bits
-        best = max(best, cut_value(edges, side))
+def first_maximum_cut(n, edges):
+    """The first maximum cut in lexicographic order of side vectors, among
+    those with every component's smallest vertex on side 0."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    pinned = [min(comp) for comp in nx.connected_components(g)]
+    best = None
+    for side in itertools.product((0, 1), repeat=n):
+        if any(side[v] for v in pinned):
+            continue
+        size = cut_value(edges, side)
+        if best is None or size > best.size:
+            best = Cut(side, size)
     return best
 
 
@@ -39,8 +51,38 @@ def test_exact_matches_brute_force_on_random_graphs():
         g = random_graph(n, rng.randint(0, n * (n - 1) // 2), seed=trial)
         edges = g.simple_pairs()
         cut = maxcut_exact(n, edges)
-        assert cut.size == brute_force_maxcut(n, edges)
+        assert cut.size == first_maximum_cut(n, edges).size
         assert cut_value(edges, cut.side) == cut.size
+
+
+def test_exact_returns_the_first_maximum_cut():
+    """The whole side vector matches, not only the size."""
+    rng = random.Random(11)
+    for trial in range(40):
+        n = rng.randint(0, 14)
+        # Sparse draws leave many graphs disconnected.
+        m = rng.randint(0, min(n * (n - 1) // 2, 2 * n))
+        g = random_graph(n, m, seed=900 + trial) if n else empty_graph(0)
+        edges = g.simple_pairs()
+        assert maxcut_exact(n, edges) == first_maximum_cut(n, edges), trial
+    for trial in range(30):
+        # One circle-graph vertex per edge of g, so at most 14.
+        n = rng.randint(5, 9)
+        g = random_graph(n, rng.randint(6, 14), seed=1900 + trial)
+        seq = list(range(n))
+        rng.shuffle(seq)
+        cg = circle_graph(g, CyclicOrder(tuple(seq)))
+        assert cg.n_vertices <= 14
+        assert maxcut_exact(cg.n_vertices, cg.edges) == first_maximum_cut(
+            cg.n_vertices, cg.edges
+        ), trial
+
+
+@pytest.mark.parametrize("solve", [maxcut_exact, maxcut_edwards])
+def test_repeated_edges_are_rejected(solve):
+    for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 2), (1, 0)]):
+        with pytest.raises(ValueError, match=r"repeated edge \(0, 1\)"):
+            solve(3, edges)
 
 
 def test_known_small_values():
