@@ -14,7 +14,13 @@ Prunes, all sound:
   - Euler bound of the partial planarization exceeding the remaining
     crossing budget (a completion would draw H with that few crossings);
   - with one crossing left, both of its hosts must individually restore
-    planarity when deleted, so candidates shrink to those hosts;
+    planarity when deleted, so candidates shrink to the set U of hosts h
+    with H - h planar (h's whole chain deleted).  U is found by group
+    testing: one test deletes a block of HOST_BLOCK hosts at once, and
+    only a planar result is split in halves, since H - h contains H - S
+    for every h in S.  U lies inside any greedy host set K (a host
+    outside K leaves the non-planar K intact), so U is K filtered by
+    single deletions, found here with about a third of the tests;
   - certificates inherit the good-drawing restrictions (no adjacent or
     repeated pairs), which some optimal drawing always satisfies.
 
@@ -46,6 +52,9 @@ from .books import one_page_drawing
 from .graphs import Multigraph
 from .parallel import Deadline, fan_out, worker_count
 from .planarity import lr_planar
+
+# Hosts deleted together by the first group test at a one-crossing-left node.
+HOST_BLOCK = 4
 
 
 def cr_lower(g: Multigraph) -> int:
@@ -133,11 +142,10 @@ class _LevelSearch:
         if simple_m - 3 * (self.g.n + s) + 6 > remaining:
             return None, []
 
-        hosts = self._minimal_hosts(chains, s)
         if remaining == 1:
-            usable = [h for h in hosts if self._planar(s, self._pairs(chains, frozenset((h,))))]
+            usable = self._deletable_hosts(chains, s)
         else:
-            usable = hosts
+            usable = self._minimal_hosts(chains, s)
         used = set(crossings)
         cands: list[tuple[int, int]] = []
         for a in range(len(usable)):
@@ -198,12 +206,35 @@ class _LevelSearch:
                 if self.out_of_time:
                     return
 
+    def _deletable_hosts(self, chains: dict[int, list[int]], n_extra: int) -> list[int]:
+        """Hosts whose deletion alone makes the planarization planar, in
+        increasing order, by group tests over blocks of ``HOST_BLOCK``."""
+        found: list[int] = []
+
+        def test(block: range) -> None:
+            # A non-planar H - S rules out every h in S: H - h contains it.
+            if not self._planar(n_extra, self._pairs(chains, frozenset(block))):
+                return
+            if len(block) == 1:
+                found.append(block[0])
+                return
+            half = len(block) // 2
+            test(block[:half])
+            test(block[half:])
+
+        m = len(self.ends)
+        for start in range(0, m, HOST_BLOCK):
+            test(range(start, min(start + HOST_BLOCK, m)))
+        return found
+
     def _minimal_hosts(self, chains: dict[int, list[int]], n_extra: int) -> list[int]:
         """Hosts of an inclusion-minimal non-planar set of edge chains.
 
         Greedy single pass: drop each host whose removal keeps the rest
         non-planar.  What remains hosts a Kuratowski subdivision, and any
-        completion must cross two of these hosts with each other.
+        completion must cross two of these hosts with each other.  Used
+        only with two or more crossings left; with one left,
+        ``_deletable_hosts`` finds the usable hosts directly.
         """
         removed: set[int] = set()
         for h in range(len(self.ends)):

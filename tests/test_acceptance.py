@@ -53,7 +53,6 @@ from conecross import (
 )
 from conecross.experiments import (
     cor22_suite,
-    fs_small,
     longrun_cone_exhaustion,
     longrun_enabled,
     longrun_f5_lower,
@@ -171,8 +170,8 @@ def test_criterion_04_longrun_f5_lower_bound():
     assert result["status"] == "exact" and result["value"] == 5
 
 
-def test_criterion_05_fs_small_table():
-    rows = fs_small()
+def test_criterion_05_fs_small_table(fs_rows):
+    rows = fs_rows
     assert [(r["k"], r["value"]) for r in rows] == [
         (1, 3),
         (2, 5),

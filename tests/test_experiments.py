@@ -7,14 +7,13 @@ import pytest
 from conecross.experiments import (
     cor22_suite,
     family_points,
-    fs_small,
     hh_table,
     longrun_enabled,
 )
 
 
-def test_fs_small_table():
-    rows = fs_small()
+def test_fs_small_table(fs_rows):
+    rows = fs_rows
     assert [r["k"] for r in rows] == [1, 2, 3, 4, 5]
     assert [r["value"] for r in rows] == [3, 5, 6, 8, 10]
     assert all(r["ok"] for r in rows)
@@ -29,8 +28,8 @@ def test_fs_small_table():
     assert rows[0]["witness"] == "K5"
 
 
-def test_fs_values_sit_on_the_lower_bound():
-    for row in fs_small():
+def test_fs_values_sit_on_the_lower_bound(fs_rows):
+    for row in fs_rows:
         assert row["lower_bound"] == row["value"]
 
 

@@ -16,19 +16,23 @@ from conecross import (
     Multigraph,
     complete_graph,
     cone,
+    cone_cr,
     cr_certificates,
     cr_exact,
     cr_lower,
     cycle_graph,
     disjoint_union,
     empty_graph,
+    f_graph,
     fig1_graph,
     fig3_graph,
+    lr_planar,
     multiply_edges,
+    random_graph,
     subdivide_edge,
     verify_certificate,
 )
-from conecross import parallel
+from conecross import parallel, solver
 from conecross.pages import two_page_search
 from conecross.parallel import Deadline, worker_count
 from oracle import assert_drawing
@@ -255,3 +259,45 @@ def test_pool_size_is_clamped_to_cpus_and_jobs():
     assert worker_count(2, 10**9) == min(cpus, 2)
     assert worker_count(0, 5) == 1
     assert worker_count(8, 0) == 1
+
+
+def test_search_tree_sizes_are_pinned():
+    # Node counts fix the search tree: a change to host extraction that
+    # moves them has to say so.  Planarity calls only have a ceiling.
+    fig1 = cr_exact(fig1_graph()).stats
+    f3 = cr_exact(f_graph(3)).stats
+    assert (fig1.nodes, f3.nodes) == (201, 147)
+    assert cone_cr(fig3_graph()).stats.nodes == 4
+    assert fig1.planarity_calls < 3000
+    assert f3.planarity_calls < 2200
+
+
+def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
+    # With one crossing left the search pairs the hosts h with G - h planar.
+    # At every such node reached, the group-tested set must equal deleting
+    # each host on its own, and the greedy host set filtered the same way.
+    # Checked as each node is reached: a wrong set can blow up the search.
+    seen = []
+    group_tested = solver._LevelSearch._deletable_hosts
+
+    def checked(self, chains, n_extra):
+        found = group_tested(self, chains, n_extra)
+
+        def planar_without(h):
+            pairs = self._pairs(chains, frozenset((h,)))
+            return lr_planar(self.g.n + n_extra, pairs)
+
+        assert found == [h for h in range(len(self.ends)) if planar_without(h)]
+        greedy = self._minimal_hosts(chains, n_extra)
+        assert found == [h for h in greedy if planar_without(h)]
+        seen.append(found)
+        return found
+
+    monkeypatch.setattr(solver._LevelSearch, "_deletable_hosts", checked)
+    perm = (2, 1, 0, 4, 8, 3, 5, 6, 7)
+    graphs = [f_graph(3).relabel(perm)]
+    graphs += [random_graph(8, 18, seed) for seed in range(1, 10)]
+    for g in graphs:
+        cr_exact(g)
+    assert len(seen) > 100
+    assert any(seen) and not all(seen)
