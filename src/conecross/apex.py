@@ -40,6 +40,8 @@ from .solver import cr_certificates, cr_exact, cr_lower
 # Orderings of crossings that share a slot, tried per apex face before the
 # face is given up; their number grows factorially with the slot sizes.
 SLOT_ORDERINGS_CAP = 5000
+# Cheapest apex faces assembled per drawing before the drawing is given up.
+APEX_FACES_CAP = 8
 
 
 class ApexRoutingError(RuntimeError):
@@ -110,9 +112,11 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
 
     G must be connected.  The apex face is chosen to minimize the total
     crossings of the apex edges; along the way each apex edge avoids
-    edges at its own endpoint and never crosses one host twice.  Raises
+    edges at its own endpoint and never crosses one host twice.  The
+    returned certificate has been verified against cone(G).  Raises
     ``ApexRoutingError`` when no apex face admits such routes, or none of
-    the routes found assembles into a realizable certificate.
+    the routes through the ``APEX_FACES_CAP`` cheapest faces assembles
+    into a realizable certificate.
     """
     if len(g.components()) != 1:
         raise ValueError("apex insertion needs a connected base graph")
@@ -195,7 +199,7 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
     lift = [index[inst] for inst in insts]
     apex_edge = [index[(v, g.n, 0)] for v in range(g.n)]
 
-    tried = ranked[:8]
+    tried = ranked[:APEX_FACES_CAP]
     capped = 0
     for _, _, found in tried:
         cert_try, hit_cap = _assemble_cone_cert(cg, cert, segments, found, lift, apex_edge)
@@ -203,9 +207,9 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
             return cert_try
         capped += hit_cap
     raise ApexRoutingError(
-        "apex routing produced no realizable certificate; "
-        f"{capped} of the {len(tried)} apex faces tried stopped at the cap of "
-        f"{SLOT_ORDERINGS_CAP} slot orderings"
+        "apex routing produced no realizable certificate from the "
+        f"{len(tried)} cheapest apex faces (cap {APEX_FACES_CAP}); "
+        f"{capped} of them stopped at the cap of {SLOT_ORDERINGS_CAP} slot orderings"
     )
 
 
@@ -309,12 +313,14 @@ def cone_cr(
 
     A disconnected base splits: the cone's crossing number is the sum
     over component cones, solved independently.  For a connected base the
-    seeds tried are the best 1-page drawing of G (its apex joins from the
-    outer face for free) and, when cr(G) itself is solvable in budget,
-    apex insertion into a spread of optimal drawings of G.  Different
-    optimal drawings expose very different face structures to the apex,
-    so the search walks them until one meets the cone's own lower bound
-    or the spread runs out.  The best verified seed caps the deepening.
+    first seed is the best 1-page drawing of G (its apex joins from the
+    outer face for free).  If that does not meet the cone's own lower
+    bound and cr(G) is solvable in budget, the optimal drawings of G are
+    streamed from the level search, the first being the one cr_exact just
+    returned.  Different optimal drawings expose very different face
+    structures to the apex, so the apex is inserted into each drawing as
+    it is found, until a seed meets the cone's lower bound, the level is
+    exhausted, or the budget runs out.  The best seed caps the deepening.
     """
     started = time.monotonic()
     deadline = Deadline(budget_ms)
@@ -334,27 +340,29 @@ def cone_cr(
             if ok:
                 best = (count, lifted)
 
+    def seed_from(drawing: CrossingCertificate) -> bool:
+        """Insert the apex into one optimal drawing of G; True stops the stream."""
+        nonlocal best
+        try:
+            coned = insert_apex(g, drawing)
+        except ApexRoutingError:
+            return deadline.expired()
+        if best is None or coned.count < best[0]:
+            best = (coned.count, coned)
+        return deadline.expired() or best[0] <= floor
+
     if best is None or best[0] > floor:
         inner = cr_exact(
             g, max_k=max_k, budget_ms=deadline.remaining_ms(), threads=threads
         )
         if inner.status == "exact":
-            # The first of these is the drawing cr_exact just returned.
-            drawings = cr_certificates(
-                g, inner.value, limit=64, budget_ms=deadline.remaining_ms()
+            cr_certificates(
+                g,
+                inner.value,
+                limit=None,
+                budget_ms=deadline.remaining_ms(),
+                until=seed_from,
             )
-            for cert in drawings:
-                if deadline.expired():
-                    break
-                try:
-                    coned = insert_apex(g, cert)
-                except ApexRoutingError:
-                    continue
-                count, ok = verify_certificate(cg, coned)
-                if ok and (best is None or count < best[0]):
-                    best = (count, coned)
-                if best is not None and best[0] <= floor:
-                    break
 
     res = cr_exact(
         cg,

@@ -25,10 +25,13 @@ Prunes, all sound:
     repeated pairs), which some optimal drawing always satisfies.
 
 The search at a level is a generator of realizable certificates in a
-fixed order: ``cr_certificates`` takes the first few with distinct
-crossing sets, and ``cr_exact`` fans each level's root branches out as
-strided jobs, one per worker (``parallel.fan_out``; one job runs in this
-process).  The lowest-index hit wins, so the thread count never matters.
+fixed order.  ``cr_certificates`` collects those with distinct crossing
+sets, lazily: it stops at a count, at the end of the level, or at the
+first drawing a caller's ``until`` test accepts, so a caller can act on
+each drawing as the search finds it.  ``cr_exact`` fans each level's root
+branches out as strided jobs, one per worker (``parallel.fan_out``; one
+job runs in this process).  The lowest-index hit wins, so the thread
+count never matters.
 
 Levels below the first success are exhausted, so the found level is the
 crossing number; the certificate is re-verified before it is returned.
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import time
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .certificates import (
     CrossingCertificate,
@@ -394,16 +397,30 @@ def cr_exact(
 def cr_certificates(
     g: Multigraph,
     k: int,
-    limit: int = 16,
+    limit: int | None = 16,
     budget_ms: int | None = None,
+    until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> list[CrossingCertificate]:
-    """Up to ``limit`` drawings of ``g`` with ``k`` crossings each.
+    """Drawings of ``g`` with ``k`` crossings each, in search order.
 
     Meant for ``k = cr(g)``, where every hit has exactly ``k`` crossings;
-    the certificates are the search's first hits with pairwise distinct
-    crossing sets.  Callers use the variety to pick a drawing with
-    friendlier face structure, for instance one that admits a cheap apex
-    insertion.
+    the certificates are the search's hits with pairwise distinct
+    crossing sets, the first being the drawing ``cr_exact`` returns.  The
+    search runs lazily and stops after ``limit`` drawings (None: the
+    whole level), when ``budget_ms`` runs out, or right after the first
+    drawing for which ``until(drawing)`` returns True.  ``until`` sees
+    each drawing as soon as it is found, so a caller can stop the search
+    at the first drawing that serves it, for instance one that admits a
+    cheap apex insertion.
     """
+    if k < 0:
+        raise ValueError(f"k={k}: the crossing count must be >= 0")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit={limit}: must be None or >= 0")
     search = _LevelSearch(g, k, Deadline(budget_ms))
-    return list(islice(search.certificates(), limit))
+    found: list[CrossingCertificate] = []
+    for cert in islice(search.certificates(), limit):
+        found.append(cert)
+        if until is not None and until(cert):
+            break
+    return found

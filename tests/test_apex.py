@@ -15,6 +15,7 @@ from conecross import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    f_graph,
     fig1_certificate,
     fig1_graph,
     fig3_graph,
@@ -91,6 +92,47 @@ def test_cone_of_the_wheel_with_chords():
     assert res.status == "exact" and res.value == 5
     count, ok = verify_certificate(cone(fig3_graph()), res.certificate)
     assert ok and count == 5
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # The one optimal drawing of G that lets the apex meet the cone's
+        # floor of 6 is the 82nd and the 73rd the level search yields.
+        fig1_graph().relabel([5, 6, 7, 4, 3, 0, 8, 1, 2]),
+        f_graph(3).relabel([1, 2, 6, 7, 8, 5, 0, 4, 3]),
+    ],
+    ids=["triangle-hexagon", "F3"],
+)
+def test_cone_streams_drawings_past_the_first_64(g):
+    res = cone_cr(g, budget_ms=10_000)
+    assert res.status == "exact" and res.value == 6
+    assert_drawing(cone(g), res.certificate, res.value)
+
+
+def test_cone_stops_the_stream_at_the_floor(monkeypatch):
+    # The first optimal drawing of K5 already gives cone(K5) = K6 its
+    # floor of 3, so no further drawing is enumerated or tried.
+    calls = []
+    enumerated = []
+    real_insert = conecross.apex.insert_apex
+    real_enumerate = conecross.apex.cr_certificates
+
+    def counted_insert(g, cert):
+        calls.append(cert)
+        return real_insert(g, cert)
+
+    def counted_enumerate(*args, **kwargs):
+        drawings = real_enumerate(*args, **kwargs)
+        enumerated.extend(drawings)
+        return drawings
+
+    monkeypatch.setattr(conecross.apex, "insert_apex", counted_insert)
+    monkeypatch.setattr(conecross.apex, "cr_certificates", counted_enumerate)
+    res = cone_cr(complete_graph(5))
+    assert res.status == "exact" and res.value == 3
+    assert len(calls) == 1
+    assert enumerated == calls
 
 
 def test_cone_of_a_disconnected_graph():

@@ -164,6 +164,36 @@ def test_certificate_enumeration_respects_the_limit():
     assert len(certs) == 3
 
 
+def test_certificate_enumeration_without_a_limit_takes_the_whole_level():
+    g = fig1_graph()
+    certs = cr_certificates(g, 3, limit=None)
+    assert len(certs) == 108
+    assert len({c.crossings for c in certs}) == 108
+    assert certs[:64] == cr_certificates(g, 3, limit=64)
+
+
+def test_certificate_enumeration_stops_at_the_first_accepted_drawing():
+    g = fig3_graph()
+    seen = []
+
+    def until(cert):
+        seen.append(cert)
+        return len(seen) == 2
+
+    certs = cr_certificates(g, 2, limit=None, until=until)
+    assert certs == seen == cr_certificates(g, 2, limit=2)
+    assert cr_certificates(g, 2, until=lambda c: True) == [cr_exact(g).certificate]
+
+
+@pytest.mark.parametrize(
+    "k, limit, message",
+    [(-1, 16, r"k=-1: the crossing count must be >= 0"), (1, -1, r"limit=-1: must be None or >= 0")],
+)
+def test_certificate_enumeration_rejects_bad_arguments(k, limit, message):
+    with pytest.raises(ValueError, match=message):
+        cr_certificates(cycle_graph(4), k, limit=limit)
+
+
 def test_thread_count_does_not_change_the_bracket():
     for g in (complete_graph(6), fig3_graph()):
         a = cr_exact(g, threads=1)
