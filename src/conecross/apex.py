@@ -104,6 +104,9 @@ def _embedding_faces(
         cycle = nodes + [nodes[0]]
         for a, b in zip(cycle, cycle[1:]):
             half_face[(a, b)] = fid
+    if not faces:
+        # Without edges the whole plane is one face holding every vertex.
+        faces.append(list(range(n_nodes)))
     return faces, half_face
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import islice, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .books import BookDrawing
@@ -27,9 +25,6 @@ from .graphs import Multigraph
 from .planarity import lr_planar
 
 CERT_FORMAT = "conecross-cert-v1"
-
-# Orders of concurrent crossings tried by ``certificate_from_book`` (7!).
-TIED_ORDERINGS_CAP = 5040
 
 
 @dataclass(frozen=True)
@@ -281,126 +276,77 @@ def combine_brackets(
     return SolveResult(lower, upper, "exact" if exact else "bounds-only", cert, stats)
 
 
-def _slot_abscissas(d: BookDrawing) -> dict[tuple[int, int], Fraction]:
-    """Exact x coordinate of each (instance id, endpoint vertex) chord end.
-
-    Vertices sit at integer positions along a parabola; the chord ends at
-    a vertex are fanned out to the right of it, ordered so that chords
-    sharing the vertex never cross: targets taken in clockwise cyclic
-    order starting just below the vertex get increasing offsets.  Copies
-    of a parallel pair nest, copy 0 outermost: ascending copy index at
-    the left endpoint, descending at the right.
-    """
-    g = d.graph
-    pos = d.order.position_map()
-    n = g.n
-    ends: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(n)}
-    for eid, (u, v, copy) in enumerate(g.instances()):
-        ends[u].append((eid, v, copy))
-        ends[v].append((eid, u, copy))
-
-    out: dict[tuple[int, int], Fraction] = {}
-    for v, incident in ends.items():
-        pv = pos[v]
-
-        def slot_key(item: tuple[int, int, int]) -> tuple[int, int]:
-            eid, target, copy = item
-            back = (pv - pos[target]) % n
-            at_right_end = pos[target] < pv
-            nest = -copy if at_right_end else copy
-            return (back, nest)
-
-        incident.sort(key=slot_key)
-        width = len(incident) + 1
-        for j, (eid, _, _) in enumerate(incident):
-            out[(eid, v)] = Fraction(pv) + Fraction(j + 1, 2 * width)
-    return out
-
-
-def _sorted_orders(
-    g: Multigraph,
-    xs: dict[tuple[int, int], Fraction],
-    crossings: list[tuple[int, int]],
-    rank: dict[int, int] | None = None,
-) -> tuple[dict[int, list[int]], set[int]]:
-    """Each edge's crossings ordered along it via exact chord geometry.
-
-    Chord ends lie on the parabola y = x^2, so the chord through abscissas
-    a, b is the line y = (a+b)x - ab and two interleaving chords meet at
-    x* = (ab - cd) / ((a+b) - (c+d)), the denominator nonzero because
-    interleaving forces distinct endpoint sums.  Equal positions mean
-    concurrent crossings; ``rank`` perturbs crossing idx by rank[idx]
-    infinitesimally along every edge through it.  Returns the orders and
-    the crossing indices left tied.
-    """
-    insts = g.instances()
-    span = [(xs[(eid, u)], xs[(eid, v)]) for eid, (u, v, _) in enumerate(insts)]
-
-    def meet(e: int, f: int) -> Fraction:
-        a, b = span[e]
-        c, d = span[f]
-        return (a * b - c * d) / ((a + b) - (c + d))
-
-    per_edge: dict[int, list[tuple[Fraction, int, int]]] = {}
-    for idx, (e, f) in enumerate(crossings):
-        x_star = meet(e, f)
-        tiebreak = 0 if rank is None else rank.get(idx, 0)
-        per_edge.setdefault(e, []).append((x_star, tiebreak, idx))
-        per_edge.setdefault(f, []).append((x_star, tiebreak, idx))
-
-    orders: dict[int, list[int]] = {}
-    tied: set[int] = set()
-    for eid, found in per_edge.items():
-        u, v, _ = insts[eid]
-        if xs[(eid, u)] < xs[(eid, v)]:
-            found.sort(key=lambda t: (t[0], t[1]))
-        else:
-            found.sort(key=lambda t: (-t[0], -t[1]))
-        for prev, cur in zip(found, found[1:]):
-            if prev[0] == cur[0] and prev[1] == cur[1]:
-                tied.update((prev[2], cur[2]))
-        orders[eid] = [idx for _, _, idx in found]
-    return orders, tied
-
-
 def certificate_from_book(d: BookDrawing) -> CrossingCertificate:
-    """Read a crossing certificate off a book drawing.
+    """Read a crossing certificate off a 1- or 2-page book drawing.
 
-    The crossing pairs are the interleaving same-page chords.  Crossing
-    orders along each edge come from an exact rational drawing (parabola
-    model, one half-plane per page).  In the measure-zero event of
-    concurrent crossings the tied crossings are nudged apart in up to
-    TIED_ORDERINGS_CAP relative orders until the certificate verifies.
+    The crossing pairs are the interleaving same-page chords.  Their
+    orders along each edge come from an integer orthogonal drawing: the
+    spine is cut open at the order's first vertex, and each chord of one
+    page runs up from its left end to its height, across, and down to its
+    right end (the other page is the mirror image below the spine, with
+    the same orders).  Heights rank chords by (span, -copy, id), so a chord is
+    taller than every chord nested inside it and copy 0 of a parallel
+    pair is outermost.  At each vertex the chord ends are spread along
+    the spine: first the chords arriving from the left, shortest first,
+    then those leaving to the right, tallest first.
+
+    Chords sharing a vertex, nested chords and disjoint chords never
+    meet.  Two interleaving chords meet once, where a vertical of one
+    crosses the horizontal of the other.  Verticals have distinct x and
+    horizontals distinct heights, so no two crossings share a point and
+    plain sorts give every order.  Three or more pages make no plane
+    drawing and raise ValueError.
     """
-    g = d.graph
+    pages = len(set(d.pages))
+    if pages > 2:
+        raise ValueError(
+            f"a book drawing on {pages} pages is not a plane drawing; "
+            "certificates are read off 1 or 2 pages"
+        )
     crossings = d.crossing_pairs()
     if not crossings:
         return CrossingCertificate.build([])
-    xs = _slot_abscissas(d)
-
-    def assemble(orderings: dict[int, list[int]]) -> CrossingCertificate:
-        trimmed = {eid: seq for eid, seq in orderings.items() if len(seq) >= 2}
-        return CrossingCertificate.build(crossings, trimmed)
-
-    orders, tied = _sorted_orders(g, xs, crossings)
-    cert = assemble(orders)
-    if not tied:
-        return cert
-    if verify_certificate(g, cert)[1]:
-        return cert
-    # Concurrent crossings: try relative nudges of the tied ones, up to the cap.
-    for perm in islice(permutations(sorted(tied)), TIED_ORDERINGS_CAP):
-        rank = {idx: r for r, idx in enumerate(perm)}
-        retry, still_tied = _sorted_orders(g, xs, crossings, rank)
-        if still_tied:
-            continue
-        cand = assemble(retry)
-        if verify_certificate(g, cand)[1]:
-            return cand
-    raise RuntimeError(
-        f"could not resolve {len(tied)} concurrent crossings into a drawing "
-        f"within the cap of {TIED_ORDERINGS_CAP} orderings"
+    insts = d.graph.instances()
+    pos = d.order.position_map()
+    left = [min(pos[u], pos[v]) for u, v, _ in insts]
+    right = [max(pos[u], pos[v]) for u, v, _ in insts]
+    ids = range(len(insts))
+    height = [0] * len(insts)
+    by_height = sorted(ids, key=lambda e: (right[e] - left[e], -insts[e][2], e))
+    for h, eid in enumerate(by_height):
+        height[eid] = h
+    # x of each chord end: its rank along the spine.
+    ends = sorted(
+        [(right[e], 0, height[e], e) for e in ids]
+        + [(left[e], 1, -height[e], e) for e in ids]
     )
+    x_left = [0] * len(insts)
+    x_right = [0] * len(insts)
+    for x, (_, leaving, _, eid) in enumerate(ends):
+        (x_left if leaving else x_right)[eid] = x
+
+    # Keys along a chord from its left end: up (0, height), across
+    # (1, x), down (2, -height).
+    keyed: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for idx, (e, f) in enumerate(crossings):
+        a, b = (e, f) if x_left[e] < x_left[f] else (f, e)
+        if height[a] < height[b]:
+            key_a, key_b = (1, x_left[b]), (0, height[a])
+        else:
+            key_a, key_b = (2, -height[b]), (1, x_right[a])
+        keyed.setdefault(a, []).append((key_a, idx))
+        keyed.setdefault(b, []).append((key_b, idx))
+
+    orders: dict[int, list[int]] = {}
+    for eid, found in keyed.items():
+        if len(found) < 2:
+            continue
+        seq = [idx for _, idx in sorted(found)]
+        # Orders run from the smaller endpoint u.
+        if pos[insts[eid][0]] != left[eid]:
+            seq.reverse()
+        orders[eid] = seq
+    return CrossingCertificate.build(crossings, orders)
 
 
 def scale_certificate(

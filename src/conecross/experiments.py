@@ -1,9 +1,9 @@
 """Canned experiment drivers behind the `conecross experiment` subcommand.
 
 Each driver returns plain dict rows so the CLI can print them as JSON and
-tests can assert on them directly.  Heavy exhaustive runs (full cone
-searches, K7 two-page sweeps) sit behind the CONECROSS_LONGRUN=1
-environment switch so the default tiers stay fast.
+tests can assert on them directly.  The cone check and the K7 two-page
+sweep are fast and always tested; only the F5 lower bound, a search with
+an hour's budget, is tested with CONECROSS_LONGRUN=1 set.
 """
 
 from __future__ import annotations

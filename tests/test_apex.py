@@ -63,6 +63,12 @@ def test_insert_apex_on_a_planar_base():
     assert verify_certificate(cone(g), cone_cert) == (0, True)
 
 
+def test_insert_apex_on_a_single_vertex():
+    # No edges, so one face holds the lone vertex; the cone is K2.
+    cert = insert_apex(empty_graph(1), CrossingCertificate.build([]))
+    assert_drawing(cone(empty_graph(1)), cert, 0)
+
+
 def test_insert_apex_demands_connectivity():
     g = disjoint_union(cycle_graph(3), cycle_graph(3))
     with pytest.raises(ValueError):

@@ -6,8 +6,10 @@ import random
 import pytest
 
 from conecross import (
+    BookDrawing,
     CrossingCertificate,
     CyclicOrder,
+    Multigraph,
     SolveResult,
     SolveStats,
     certificate_from_book,
@@ -29,6 +31,7 @@ from conecross import (
 )
 from conecross import certificates
 from conecross.certificates import certificate_error
+from oracle import assert_drawing
 
 
 def k5_cert():
@@ -118,37 +121,57 @@ def test_certificate_json_round_trip():
         CrossingCertificate.from_json_dict(data)
 
 
+def random_multigraph(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = rng.sample(pairs, rng.randint(0, len(pairs)))
+    return Multigraph.build(n, [(u, v, rng.randint(1, 3)) for u, v in picked])
+
+
 def test_certificate_from_book_matches_the_drawing():
     rng = random.Random(23)
-    for trial in range(30):
+    for trial in range(60):
         n = rng.randint(3, 8)
-        g = random_graph(n, rng.randint(0, 2 * n), seed=trial)
+        if trial % 2:
+            g = random_multigraph(rng, n)
+        else:
+            g = random_graph(n, rng.randint(0, 2 * n), seed=trial)
         seq = list(range(n))
         rng.shuffle(seq)
-        d = one_page_drawing(g, CyclicOrder(tuple(seq)))
-        cert = certificate_from_book(d)
-        assert cert.count == count_crossings(d)
-        count, ok = verify_certificate(g, cert)
-        assert ok and count == cert.count
+        order = CyclicOrder(tuple(seq))
+        drawings = [
+            one_page_drawing(g, order),
+            BookDrawing(g, order, tuple(rng.randint(0, 1) for _ in range(g.m))),
+        ]
+        for d in drawings:
+            assert_drawing(g, certificate_from_book(d), count_crossings(d))
 
 
 def test_certificate_from_convex_k6_carries_edge_orders():
     d = one_page_drawing(complete_graph(6))
     cert = certificate_from_book(d)
-    assert cert.count == 15
-    assert verify_certificate(complete_graph(6), cert) == (15, True)
+    assert_drawing(complete_graph(6), cert, 15)
     # the three long diagonals each cross several edges, so orders exist
     assert len(cert.edge_orders) > 0
 
 
 def test_certificate_from_book_handles_parallel_edges():
-    from conecross import Multigraph
-
     g = Multigraph.build(4, [(0, 2, 2), (1, 3, 3)])
     d = one_page_drawing(g)
-    cert = certificate_from_book(d)
-    assert cert.count == 6
-    assert verify_certificate(g, cert) == (6, True)
+    assert_drawing(g, certificate_from_book(d), 6)
+
+
+def test_certificate_from_book_reads_a_one_page_k14():
+    order = CyclicOrder((1, 7, 4, 6, 9, 0, 10, 8, 5, 13, 11, 3, 12, 2))
+    g = complete_graph(14)
+    assert_drawing(g, certificate_from_book(one_page_drawing(g, order)), 1001)
+
+
+def test_certificate_from_book_refuses_three_pages_in_use():
+    g, order = complete_graph(5), CyclicOrder.natural(5)
+    with pytest.raises(ValueError, match="3 pages"):
+        certificate_from_book(BookDrawing(g, order, (0, 1, 2) * 3 + (0,)))
+    # Pages 0 and 2 are two pages.
+    assert_drawing(g, certificate_from_book(BookDrawing(g, order, (0, 2) * 5)), 3)
 
 
 def test_scale_certificate_doubles_to_a_grid():
@@ -217,28 +240,23 @@ def test_solve_result_validation():
 
 
 def tied_one_page_drawing():
-    # Chords of this convex drawing meet three at a point: crossings 35,
-    # 43 and 59 of its 83 are concurrent in the exact rational model.
+    # Chords of this convex drawing meet three at a point when the
+    # vertices sit on a parabola: crossings 35, 43 and 59 of its 83.
     g = random_graph(10, 30, seed=278859136)
     return g, one_page_drawing(g, CyclicOrder((8, 4, 5, 9, 0, 7, 1, 6, 3, 2)))
 
 
-def test_concurrent_crossings_are_nudged_apart_until_they_verify(monkeypatch):
+def test_concurrent_chords_give_a_certificate_without_a_retry(monkeypatch):
     g, d = tied_one_page_drawing()
-    xs = certificates._slot_abscissas(d)
-    orders, tied = certificates._sorted_orders(g, xs, d.crossing_pairs())
-    assert tied == {35, 43, 59}
-    untied = CrossingCertificate.build(
-        d.crossing_pairs(), {e: seq for e, seq in orders.items() if len(seq) >= 2}
-    )
-    assert verify_certificate(g, untied) == (83, False)
-    # The first relative order fails and the second one verifies.
-    monkeypatch.setattr(certificates, "TIED_ORDERINGS_CAP", 2)
-    assert verify_certificate(g, certificate_from_book(d)) == (83, True)
+    calls = []
+    real = certificates.verify_certificate
 
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-def test_tied_crossing_retry_stops_at_its_cap(monkeypatch):
-    _, d = tied_one_page_drawing()
-    monkeypatch.setattr(certificates, "TIED_ORDERINGS_CAP", 1)
-    with pytest.raises(RuntimeError, match="cap of 1 orderings"):
-        certificate_from_book(d)
+    monkeypatch.setattr(certificates, "verify_certificate", counted)
+    cert = certificate_from_book(d)
+    assert calls == []
+    monkeypatch.undo()
+    assert_drawing(g, cert, 83)
