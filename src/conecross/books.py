@@ -112,7 +112,8 @@ class BookDrawing:
 
     @property
     def page_count(self) -> int:
-        return max(self.pages, default=0) + 1 if self.pages else 1
+        """Pages in use; a drawing without edges uses one."""
+        return len(set(self.pages)) or 1
 
     def crossing_pairs(self) -> list[tuple[int, int]]:
         """Unordered instance-id pairs on a common page that interleave."""

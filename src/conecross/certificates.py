@@ -297,7 +297,7 @@ def certificate_from_book(d: BookDrawing) -> CrossingCertificate:
     plain sorts give every order.  Three or more pages make no plane
     drawing and raise ValueError.
     """
-    pages = len(set(d.pages))
+    pages = d.page_count
     if pages > 2:
         raise ValueError(
             f"a book drawing on {pages} pages is not a plane drawing; "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 GRAPH_FORMAT = "conecross-graph-v1"
 
@@ -364,6 +364,103 @@ def random_graph(n: int, m: int, seed: int) -> Multigraph:
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(all_pairs)
     return Multigraph.build(n, all_pairs[: min(m, len(all_pairs))])
+
+
+class _Stopped(Exception):
+    """Raised inside the automorphism search when its caller says stop."""
+
+
+def automorphism_generators(
+    g: Multigraph, stop: Callable[[], bool] = lambda: False
+) -> Iterator[tuple[int, ...]]:
+    """Vertex permutations that keep every pair's multiplicity and together
+    generate Aut(g), yielded as they are found.  The search ends early,
+    with the permutations yielded so far, once ``stop()`` returns True; it
+    is asked before each refinement.
+
+    Colour refinement splits the vertices into ordered cells that no
+    automorphism mixes.  Individualising the first vertex of the first
+    cell with two or more vertices and refining again, down to single
+    vertices, fixes a base b_0, b_1, ...  Deepest level first, every
+    vertex v in b_i's cell that the permutations found so far do not map
+    b_i to is tried: a backtracking search over the same refinements looks
+    for one automorphism fixing b_0..b_{i-1} that maps b_i to v.  One
+    automorphism per coset of each stabiliser in the chain generates the
+    group, so it is never enumerated.
+    """
+    adj: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for u, v, mult in g.edges:
+        adj[u][v] = adj[v][u] = mult
+
+    def refine(cells: list[list[int]]) -> list[list[int]]:
+        while True:
+            colour = [0] * g.n
+            for c, cell in enumerate(cells):
+                for v in cell:
+                    colour[v] = c
+            split: list[list[int]] = []
+            for cell in cells:
+                by_key: dict[tuple, list[int]] = {}
+                for v in cell:
+                    key = tuple(sorted((colour[w], mult) for w, mult in adj[v].items()))
+                    by_key.setdefault(key, []).append(v)
+                split += [by_key[key] for key in sorted(by_key)]
+            if len(split) == len(cells):
+                return cells
+            cells = split
+
+    def pin(cells: list[list[int]], k: int, v: int) -> list[list[int]]:
+        if stop():
+            raise _Stopped
+        return refine(cells[:k] + [[v], [w for w in cells[k] if w != v]] + cells[k + 1:])
+
+    path = [refine([list(range(g.n))])]
+    base: list[tuple[int, int]] = []  # (cell index, base vertex) per level
+
+    def extend(d: int, cells: list[list[int]], targets: list[int]) -> list[int] | None:
+        # Map b_d to each target in turn and follow the base path below it.
+        for y in targets:
+            image = pin(cells, base[d][0], y)
+            if [len(cell) for cell in image] != [len(cell) for cell in path[d + 1]]:
+                continue
+            if d + 1 < len(base):
+                found = extend(d + 1, image, image[base[d + 1][0]])
+            else:
+                found = [0] * g.n
+                for (a,), (b,) in zip(path[-1], image):
+                    found[a] = b
+                if any(adj[found[u]].get(found[v]) != mult for u, v, mult in g.edges):
+                    found = None
+            if found is not None:
+                return found
+        return None
+
+    try:
+        while len(path[-1]) < g.n:
+            k = next(k for k, cell in enumerate(path[-1]) if len(cell) > 1)
+            base.append((k, path[-1][k][0]))
+            path.append(pin(path[-1], k, path[-1][k][0]))
+        gens: list[list[int]] = []
+        for i in reversed(range(len(base))):
+            k, b = base[i]
+            orbit = {b}
+            for v in path[i][k]:
+                if v in orbit:
+                    continue
+                perm = extend(i, path[i], [v])
+                if perm is None:
+                    continue
+                gens.append(perm)
+                yield tuple(perm)
+                stack = list(orbit)
+                while stack:
+                    x = stack.pop()
+                    for p in gens:
+                        if p[x] not in orbit:
+                            orbit.add(p[x])
+                            stack.append(p[x])
+    except _Stopped:
+        return
 
 
 def iter_instance_pairs(g: Multigraph) -> Iterator[tuple[int, int]]:

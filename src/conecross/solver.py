@@ -22,7 +22,17 @@ Prunes, all sound:
     outside K leaves the non-planar K intact), so U is K filtered by
     single deletions, found here with about a third of the tests;
   - certificates inherit the good-drawing restrictions (no adjacent or
-    repeated pairs), which some optimal drawing always satisfies.
+    repeated pairs), which some optimal drawing always satisfies;
+  - ``cr_exact`` skips root branch j when an automorphism sigma of G maps
+    an earlier root pair c_i (i < j) onto c_j; branch j still forbids
+    every earlier pair, skipped ones included.  A certificate C whose
+    first root pair is c_j has the realizable image sigma^-1(C), which
+    crosses c_i and so belongs to a branch of lower index.  Indices only
+    go down, so this ends at a searched branch, and the lowest-index hit
+    is never skipped: the bracket and the certificate stay the same.
+    The argument holds for any set of automorphisms, so the generators
+    found before the deadline suffice.  ``cr_certificates`` does not
+    skip: it lists every drawing of the level, images included.
 
 The search at a level is a generator of realizable certificates in a
 fixed order.  ``cr_certificates`` collects those with distinct crossing
@@ -31,7 +41,9 @@ first drawing a caller's ``until`` test accepts, so a caller can act on
 each drawing as the search finds it.  ``cr_exact`` fans each level's root
 branches out as strided jobs, one per worker (``parallel.fan_out``; one
 job runs in this process).  The lowest-index hit wins, so the thread
-count never matters.
+count never matters.  A worker computes the root orbits only when it is
+about to start a branch of index 1 or more, so a level whose first
+branch hits pays nothing for them.
 
 Levels below the first success are exhausted, so the found level is the
 crossing number; the certificate is re-verified before it is returned.
@@ -52,7 +64,7 @@ from .certificates import (
     verify_certificate,
 )
 from .books import one_page_drawing
-from .graphs import Multigraph
+from .graphs import Multigraph, automorphism_generators
 from .parallel import Deadline, fan_out, worker_count
 from .planarity import lr_planar
 
@@ -284,16 +296,55 @@ def _branch_worker(
     deadline: Deadline,
 ) -> tuple[tuple[int, CrossingCertificate] | None, int, int, bool]:
     """First hit among the assigned root branches, as (branch index,
-    certificate), with the worker's node and planarity counts."""
+    certificate), with the worker's node and planarity counts.  Branches
+    that an automorphism maps from an earlier one are skipped."""
     r, cands, assigned = job
     search = _LevelSearch(g, r, deadline)
+    repeats: set[int] | None = None
     for index in assigned:
+        if index:
+            if repeats is None:
+                repeats = _orbit_repeats(g, cands, deadline)
+            if index in repeats:
+                continue
         cert = next(search.branch({}, [], frozenset(cands[:index]), cands[index]), None)
         if cert is not None:
             return (index, cert), search.nodes, search.planarity, True
         if search.out_of_time:
             break
     return None, search.nodes, search.planarity, not search.out_of_time
+
+
+def _orbit_repeats(
+    g: Multigraph, cands: list[tuple[int, int]], deadline: Deadline
+) -> set[int]:
+    """Indices j of root pairs that an automorphism of ``g`` maps from an
+    earlier root pair, over the generators found before the deadline."""
+    index = g.instance_index()
+    insts = g.instances()
+    moves: list[list[int]] = []
+    for perm in automorphism_generators(g, deadline.expired):
+        moves.append([
+            index[(min(perm[u], perm[v]), max(perm[u], perm[v]), copy)]
+            for u, v, copy in insts
+        ])
+    reached: set[tuple[int, int]] = set()
+    repeats: set[int] = set()
+    for j, pair in enumerate(cands):
+        if pair in reached:
+            repeats.add(j)
+            continue
+        reached.add(pair)
+        stack = [pair]
+        while stack:
+            e, f = stack.pop()
+            for move in moves:
+                a, b = move[e], move[f]
+                image = (a, b) if a < b else (b, a)
+                if image not in reached:
+                    reached.add(image)
+                    stack.append(image)
+    return repeats
 
 
 def _solve_component(

@@ -78,6 +78,14 @@ def test_book_drawing_validation():
     assert d.page_count == 2
 
 
+def test_page_count_counts_the_pages_in_use():
+    # Page indices need not be consecutive: edges on pages 0 and 2 use two.
+    d = BookDrawing(complete_graph(5), CyclicOrder.natural(5), (0, 2) * 5)
+    assert d.page_count == 2
+    empty = BookDrawing(Multigraph(3, ()), CyclicOrder.natural(3), ())
+    assert empty.page_count == 1
+
+
 def test_one_page_k4_has_one_crossing():
     d = one_page_drawing(complete_graph(4))
     assert count_crossings(d) == 1

@@ -1,5 +1,6 @@
 """Multigraph container and generator tests."""
 
+import itertools
 import json
 
 import pytest
@@ -19,7 +20,7 @@ from conecross import (
     random_graph,
     subdivide_edge,
 )
-from conecross.graphs import iter_instance_pairs
+from conecross.graphs import automorphism_generators, iter_instance_pairs
 
 
 def test_build_merges_parallel_and_reversed_pairs():
@@ -220,3 +221,85 @@ def test_iter_instance_pairs_skips_shared_endpoints():
     g = Multigraph.build(4, [(0, 1, 2), (2, 3)])
     # parallel copies never share both endpoints but do share each one
     assert list(iter_instance_pairs(g)) == [(0, 2), (1, 2)]
+
+
+def group_closure(gens, n):
+    """Every product of the generators, the identity included."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for q in gens:
+            r = tuple(q[x] for x in p)
+            if r not in group:
+                group.add(r)
+                stack.append(r)
+    return group
+
+
+def wheel_with_a_doubled_spoke():
+    return Multigraph.build(5, [(0, 1), (0, 1), (0, 2), (0, 3), (0, 4),
+                                (1, 2), (2, 3), (3, 4), (4, 1)])
+
+
+@pytest.mark.parametrize("g", [
+    fig1_graph(), f_graph(3), fig3_graph(), complete_graph(5), cycle_graph(7),
+    empty_graph(4), multiply_edges(fig1_graph(), 2), wheel_with_a_doubled_spoke(),
+    random_graph(8, 14, seed=3),
+])
+def test_automorphism_generators_keep_every_multiplicity(g):
+    for perm in automorphism_generators(g):
+        assert sorted(perm) == list(range(g.n))
+        for u, v, mult in g.edges:
+            assert g.multiplicity(perm[u], perm[v]) == mult
+
+
+@pytest.mark.parametrize("g, order", [
+    (fig1_graph(), 6), (f_graph(3), 6), (fig3_graph(), 2), (complete_graph(5), 120),
+    (cycle_graph(7), 14), (empty_graph(0), 1),
+    (disjoint_union(complete_graph(5), complete_graph(5)), 2 * 120 * 120),
+])
+def test_automorphism_generators_generate_the_whole_group(g, order):
+    assert len(group_closure(list(automorphism_generators(g)), g.n)) == order
+
+
+def test_automorphisms_of_a_multigraph_fix_its_doubled_pair():
+    # The 4-wheel has the 8 symmetries of its square rim; doubling spoke
+    # 0-1 leaves the reflection through rim vertices 1 and 3.
+    g = wheel_with_a_doubled_spoke()
+    group = group_closure(list(automorphism_generators(g)), g.n)
+    assert group == {(0, 1, 2, 3, 4), (0, 1, 4, 3, 2)}
+    h = Multigraph.build(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    group = group_closure(list(automorphism_generators(h)), h.n)
+    assert len(group) == 4
+    assert all({p[0], p[1]} == {0, 1} for p in group)
+
+
+def test_automorphism_generators_agree_with_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for seed in range(40):
+        n = 3 + seed % 6
+        g = random_graph(n, seed % 11 + 2, seed)
+        if seed % 3 == 0:
+            g = Multigraph.build(n, [(u, v, 1 + (u + v) % 2) for u, v, _ in g.edges])
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_weighted_edges_from(g.edges)
+        same = lambda a, b: a["weight"] == b["weight"]  # noqa: E731
+        expected = sum(1 for _ in GraphMatcher(h, h, edge_match=same).isomorphisms_iter())
+        assert len(group_closure(list(automorphism_generators(g)), n)) == expected
+
+
+def test_automorphism_search_stops_when_asked():
+    # Stopped after its t-th refinement, the search has yielded a prefix of
+    # the full list; the solver passes its deadline this way.
+    g = complete_graph(7)
+    full = list(automorphism_generators(g))
+    assert list(automorphism_generators(g, lambda: True)) == []
+    for t in (1, 5, 12):
+        asked = itertools.count()
+        part = list(automorphism_generators(g, lambda: next(asked) >= t))
+        assert part == full[:len(part)]
+    assert len(part) < len(full)
