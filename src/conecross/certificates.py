@@ -210,13 +210,20 @@ def rolled_up(solves: list[SolveStats], started: float) -> SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Bracket on a crossing number, exact when the two sides meet."""
+    """Bracket on a crossing number, exact when the two sides meet.
+
+    ``lower_reason`` names the argument behind ``lower``: ``euler`` (the
+    Euler bound), ``search`` (an exhausted level), ``vertex-count`` or
+    ``edge-count`` (a counting bound over deletions, see ``solver``),
+    ``component sum``, or empty where no crossing-number search ran.
+    """
 
     lower: int
     upper: int
     status: str
     certificate: CrossingCertificate | None = None
     stats: SolveStats = field(default_factory=SolveStats)
+    lower_reason: str = ""
 
     def __post_init__(self) -> None:
         if self.status not in ("exact", "bounds-only"):
@@ -237,6 +244,7 @@ class SolveResult:
             "lower": self.lower,
             "upper": self.upper,
             "status": self.status,
+            "lower_reason": self.lower_reason,
             "stats": {
                 "nodes": self.stats.nodes,
                 "planarity_calls": self.stats.planarity_calls,
@@ -273,7 +281,10 @@ def combine_brackets(
     elif exact:
         raise RuntimeError("exact result without certificate")
     stats = rolled_up([res.stats for _, _, res in parts], started)
-    return SolveResult(lower, upper, "exact" if exact else "bounds-only", cert, stats)
+    reason = parts[0][2].lower_reason if len(parts) == 1 else "component sum"
+    return SolveResult(
+        lower, upper, "exact" if exact else "bounds-only", cert, stats, reason
+    )
 
 
 def certificate_from_book(d: BookDrawing) -> CrossingCertificate:

@@ -1,14 +1,12 @@
 """Canned experiment drivers behind the `conecross experiment` subcommand.
 
 Each driver returns plain dict rows so the CLI can print them as JSON and
-tests can assert on them directly.  The cone check and the K7 two-page
-sweep are fast and always tested; only the F5 lower bound, a search with
-an hour's budget, is tested with CONECROSS_LONGRUN=1 set.
+tests can assert on them directly.  The cone check, the F5 lower bound
+and the K7 two-page sweep run in seconds and are always tested.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from math import isqrt
 
@@ -37,10 +35,6 @@ from .pages import split_report, two_page_cr
 from .solver import cr_exact
 
 
-def longrun_enabled() -> bool:
-    return os.environ.get("CONECROSS_LONGRUN", "") == "1"
-
-
 def _fs_witness(k: int) -> tuple[str, Multigraph]:
     if k == 1:
         return "K5", complete_graph(5)
@@ -55,10 +49,11 @@ def fs_small(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
     """The f_s(k) table for k = 1..5 with per-row provenance.
 
     Rows for k <= 3 are solved exactly (witness crossing number and its
-    cone, both by search).  Rows for k = 4, 5 pair a verified drawing
-    certificate for the cone with the matching closed-form lower bound;
-    re-deriving the witness crossing number exactly is left to the
-    slower solver checks.
+    cone, both by search).  Rows for k = 4, 5 take the witness crossing
+    number from a solve seeded with the family's k-crossing drawing,
+    whose lower bound the counting argument closes, and pair a verified
+    drawing certificate for the cone with the matching closed-form lower
+    bound of Theorem 4.1.
     """
     rows = []
     for k in (1, 2, 3):
@@ -87,13 +82,15 @@ def fs_small(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
     for k in (4, 5):
         name, g = _fs_witness(k)
         base_cert = f_graph_certificate(k)
-        base_count, base_ok = verify_certificate(g, base_cert)
+        base = cr_exact(
+            g, threads=threads, budget_ms=budget_ms, upper_seed=(k, base_cert)
+        )
         cone_cert = insert_apex(g, base_cert)
         cone_count, cone_ok = verify_certificate(cone(g), cone_cert)
         lower = thm41_lower(k)
         ok = (
-            base_ok
-            and base_count == k
+            base.status == "exact"
+            and base.value == k
             and cone_ok
             and cone_count == fs_known(k)
             and lower == cone_count
@@ -103,7 +100,7 @@ def fs_small(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
                 "k": k,
                 "value": cone_count,
                 "witness": name,
-                "witness_cr": base_count,
+                "witness_cr": base.value if base.status == "exact" else None,
                 "provenance": "certificate+theorem",
                 "lower_bound": lower,
                 "ok": bool(ok),
@@ -227,7 +224,12 @@ def longrun_cone_exhaustion(threads: int = 1, budget_ms: int | None = None) -> d
 
 
 def longrun_f5_lower(threads: int = 1, budget_ms: int | None = None) -> dict:
-    """Prove the k = 5 fan-family graph needs at least five crossings."""
+    """Prove the k = 5 fan-family graph needs at least five crossings.
+
+    The solve is seeded with the family's 5-crossing drawing, so the
+    vertex count closes it: one capped sub-search per vertex orbit of F5
+    (under a second on a 2-core x86 host).
+    """
     g = f_graph(5)
     res = cr_exact(
         g,

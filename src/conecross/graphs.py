@@ -462,13 +462,3 @@ def automorphism_generators(
     except _Stopped:
         return
 
-
-def iter_instance_pairs(g: Multigraph) -> Iterator[tuple[int, int]]:
-    """All unordered non-adjacent instance pairs (the crossable pairs)."""
-    insts = g.instances()
-    for i in range(len(insts)):
-        a, b, _ = insts[i]
-        for j in range(i + 1, len(insts)):
-            c, d, _ = insts[j]
-            if a != c and a != d and b != c and b != d:
-                yield i, j

@@ -32,7 +32,21 @@ Prunes, all sound:
     is never skipped: the bracket and the certificate stay the same.
     The argument holds for any set of automorphisms, so the generators
     found before the deadline suffice.  ``cr_certificates`` does not
-    skip: it lists every drawing of the level, images included.
+    skip: it lists every drawing of the level, images included;
+  - a counting bound (Kleitman's method) sets the start level of a
+    component whose verified upper seed U lies above it, unless
+    ``lower_start`` asks for pure search.  Some optimal drawing is good,
+    so each of its crossings lies on two distinct edges with four
+    distinct ends, and it survives deleting any of the other n - 4
+    vertices or m - 2 edge instances.  Hence
+    sum_v cr(G - v) <= (n - 4) cr(G) and sum_e cr(G - e) <= (m - 2) cr(G),
+    and cr(G) >= ceil(sum_x lb(G - x) / div) for any proven bounds lb.
+    Deletions in one orbit of the automorphisms found are isomorphic, so
+    one sub-search per orbit, weighted by the orbit's size, gives them
+    all.  A sub-search exhausts levels of G - x from its Euler bound up
+    to a cap that U needs on average, and builds no drawing.  The count
+    aims at U: when U > cr(G) it cannot close and the level search takes
+    over from whatever it proved.
 
 The search at a level is a generator of realizable certificates in a
 fixed order.  ``cr_certificates`` collects those with distinct crossing
@@ -347,6 +361,107 @@ def _orbit_repeats(
     return repeats
 
 
+def _deletions(
+    g: Multigraph, gens: list[tuple[int, ...]], vertices: bool
+) -> Iterator[tuple[int, Multigraph]]:
+    """(orbit size, G - x) for one x per orbit of ``gens`` on the vertices
+    or, with ``vertices`` False, on the edge instances.  The copies of a
+    parallel pair lie in one orbit: deleting any of them gives one graph."""
+    mult = {(u, v): k for u, v, k in g.edges}
+    # An item is a vertex (v,) or a pair (u, v); images keep the ends sorted.
+    items = [(v,) for v in range(g.n)] if vertices else list(mult)
+    seen: set[tuple[int, ...]] = set()
+    for x in items:
+        if x in seen:
+            continue
+        orbit = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for p in gens:
+                z = tuple(sorted(p[v] for v in y))
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        seen |= orbit
+        if vertices:
+            (w,) = x
+            kept = [(a - (a > w), b - (b > w), k) for a, b, k in g.edges if w not in (a, b)]
+            yield len(orbit), Multigraph.build(g.n - 1, kept)
+        else:
+            kept = [(a, b, k - ((a, b) == x)) for a, b, k in g.edges]
+            yield sum(mult[e] for e in orbit), Multigraph.build(
+                g.n, [edge for edge in kept if edge[2]]
+            )
+
+
+def _deletion_lower(h: Multigraph, cap: int, deadline: Deadline) -> tuple[int, int, int]:
+    """(lower bound on cr(h), nodes, planarity tests): each component's
+    levels are exhausted from its Euler bound while the sum is below
+    ``cap``, and a component stops at its first hit or unfinished level."""
+    comps = [sub for sub, _ in h.component_subgraphs()]
+    levels = [cr_lower(sub) for sub in comps]
+    nodes = planarity = 0
+    for i, sub in enumerate(comps):
+        while sum(levels) < cap and not deadline.expired():
+            cert, complete, n_nodes, n_tests = _find_certificate(sub, levels[i], deadline, 1)
+            nodes += n_nodes
+            planarity += n_tests
+            if cert is not None or not complete:
+                break
+            levels[i] += 1
+    return sum(levels), nodes, planarity
+
+
+def _counting_lower(
+    g: Multigraph, level: int, target: int, deadline: Deadline
+) -> tuple[int, str, int, int]:
+    """(bound, reason, nodes, planarity tests): ``level`` raised by the
+    vertex and edge counts, which aim to prove cr(g) >= ``target``.
+
+    A count over items of one kind (``size`` of them) proves
+    ceil(sum lb / div) and reaches ``target`` once the sum meets ``need``;
+    ``cap`` is the per-item bound that gets there on average, and no
+    sub-search goes past it.  A kind whose cap exceeds target - 1 is not
+    tried, and the kind with the lower cap goes first (edges on a tie:
+    G - v lies inside G - e for an edge e at v).  A kind stops once the
+    sum meets ``need`` or its untried orbits, all at ``cap``, could not
+    beat the current level.
+    """
+    kinds = []
+    for vertices, size, div in ((False, g.m, g.m - 2), (True, g.n, g.n - 4)):
+        if div < 1:
+            continue
+        need = div * (target - 1) + 1
+        cap = -(-need // size)
+        if cap <= target - 1:
+            kinds.append((cap, vertices, size, div, need))
+    kinds.sort(key=lambda kind: kind[0])
+    reason = ""
+    nodes = planarity = 0
+    gens: list[tuple[int, ...]] | None = None
+    for cap, vertices, size, div, need in kinds:
+        if gens is None:
+            gens = list(automorphism_generators(g, deadline.expired))
+        total, rest = 0, size
+        for weight, h in _deletions(g, gens, vertices):
+            if total >= need or deadline.expired():
+                break
+            if -(-(total + rest * cap) // div) <= level:
+                break
+            lb, n_nodes, n_tests = _deletion_lower(h, cap, deadline)
+            nodes += n_nodes
+            planarity += n_tests
+            total += weight * lb
+            rest -= weight
+        if -(-total // div) > level:
+            level = -(-total // div)
+            reason = "vertex-count" if vertices else "edge-count"
+        if level >= target:
+            break
+    return level, reason, nodes, planarity
+
+
 def _solve_component(
     g: Multigraph,
     max_k: int | None,
@@ -354,15 +469,20 @@ def _solve_component(
     threads: int,
     level: int,
     upper_seed: tuple[int, CrossingCertificate] | None,
+    count: bool,
 ) -> SolveResult:
-    """Deepen from ``level``, which must not exceed cr(g)."""
+    """Deepen from ``level``, which must not exceed cr(g); with ``count``
+    and a seed above ``level``, start from the counting bound if higher."""
     nodes = planarity = 0
     seed_val, seed_cert = upper_seed if upper_seed is not None else (None, None)
+    reason = "euler"
 
     def result(
         lower: int, upper: int, status: str, cert: CrossingCertificate | None
     ) -> SolveResult:
-        return SolveResult(lower, upper, status, cert, SolveStats(nodes, planarity))
+        return SolveResult(
+            lower, upper, status, cert, SolveStats(nodes, planarity), reason
+        )
 
     def bounds_only(lower: int) -> SolveResult:
         if seed_val is not None:
@@ -377,6 +497,15 @@ def _solve_component(
                 f"lower bound {lower} exceeds the upper bound {upper}"
             )
         return result(lower, upper, "bounds-only", cert)
+
+    if count and seed_val is not None and seed_val > level:
+        bound, kind, nodes, planarity = _counting_lower(g, level, seed_val, deadline)
+        if bound > seed_val:
+            raise RuntimeError(
+                f"{kind} bound {bound} exceeds the verified upper bound {seed_val}"
+            )
+        if bound > level:
+            level, reason = bound, kind
 
     while True:
         if seed_val is not None and level >= seed_val:
@@ -398,6 +527,7 @@ def _solve_component(
         if not complete:
             return bounds_only(level)
         level += 1
+        reason = "search"
 
 
 def cr_exact(
@@ -416,7 +546,9 @@ def cr_exact(
     Euler bound (useful to re-derive the bound by pure search), and must
     lie between 0 and every component's Euler bound;
     ``upper_seed`` is a known (value, certificate) pair for the whole
-    graph, honoured when it is connected.
+    graph, honoured when it is connected.  A seeded solve first tries to
+    prove the seed's value by counting over vertex or edge deletions,
+    unless ``lower_start`` is given.
     """
     started = time.monotonic()
     deadline = Deadline(budget_ms)
@@ -438,8 +570,9 @@ def cr_exact(
         levels = [lower_start] * len(comps)
 
     seed = upper_seed if len(comps) == 1 else None
+    count = lower_start is None
     parts = [
-        (sub, vertices, _solve_component(sub, max_k, deadline, threads, level, seed))
+        (sub, vertices, _solve_component(sub, max_k, deadline, threads, level, seed, count))
         for (sub, vertices), level in zip(comps, levels)
     ]
     return combine_brackets(g, parts, started)

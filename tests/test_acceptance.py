@@ -2,8 +2,7 @@
 
 Each test prints as its own pass/fail line under ``pytest -v``.  Wall
 clock limits are part of the contract and are asserted with
-``time.monotonic`` around the actual solve.  Tests marked ``longrun``
-only run with CONECROSS_LONGRUN=1; everything else is always on.
+``time.monotonic`` around the actual solve.  Every test is always on.
 
 Shared solves live in a session fixture so the suite solves each graph
 once, keeps its timing, and later criteria can sweep over everything
@@ -54,13 +53,8 @@ from conecross import (
 from conecross.experiments import (
     cor22_suite,
     longrun_cone_exhaustion,
-    longrun_enabled,
     longrun_f5_lower,
     longrun_z7,
-)
-
-longrun = pytest.mark.skipif(
-    not longrun_enabled(), reason="set CONECROSS_LONGRUN=1 to run"
 )
 
 
@@ -164,9 +158,10 @@ def test_criterion_04_fan_family(solved):
     assert ok and count == 5
 
 
-@longrun
 def test_criterion_04_longrun_f5_lower_bound():
-    result = longrun_f5_lower(budget_ms=60 * 60 * 1000)
+    # Seeded at 5, the vertex count over F5's two vertex orbits closes the
+    # bracket in well under a second.
+    result = longrun_f5_lower(budget_ms=30 * 1000)
     assert result["status"] == "exact" and result["value"] == 5
 
 

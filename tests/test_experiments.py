@@ -1,14 +1,11 @@
 """Canned experiment runners."""
 
-import os
-
 import pytest
 
 from conecross.experiments import (
     cor22_suite,
     family_points,
     hh_table,
-    longrun_enabled,
 )
 
 
@@ -65,18 +62,3 @@ def test_hh_table_refuses_unverifiable_sizes():
     with pytest.raises(ValueError):
         hh_table(verify_upto=9)
 
-
-def test_longrun_gate_reads_the_environment():
-    old = os.environ.get("CONECROSS_LONGRUN")
-    try:
-        os.environ["CONECROSS_LONGRUN"] = "1"
-        assert longrun_enabled()
-        os.environ["CONECROSS_LONGRUN"] = "0"
-        assert not longrun_enabled()
-        os.environ.pop("CONECROSS_LONGRUN")
-        assert not longrun_enabled()
-    finally:
-        if old is None:
-            os.environ.pop("CONECROSS_LONGRUN", None)
-        else:
-            os.environ["CONECROSS_LONGRUN"] = old

@@ -20,7 +20,7 @@ from conecross import (
     random_graph,
     subdivide_edge,
 )
-from conecross.graphs import automorphism_generators, iter_instance_pairs
+from conecross.graphs import automorphism_generators
 
 
 def test_build_merges_parallel_and_reversed_pairs():
@@ -213,14 +213,6 @@ def test_random_graph_is_deterministic_per_seed():
     assert a.m == 15
     assert random_graph(10, 999, seed=0).m == 45  # capped at C(10,2)
     assert random_graph(10, 15, seed=8) != a
-
-
-def test_iter_instance_pairs_skips_shared_endpoints():
-    pairs = list(iter_instance_pairs(complete_graph(4)))
-    assert pairs == [(0, 5), (1, 4), (2, 3)]
-    g = Multigraph.build(4, [(0, 1, 2), (2, 3)])
-    # parallel copies never share both endpoints but do share each one
-    assert list(iter_instance_pairs(g)) == [(0, 2), (1, 2)]
 
 
 def group_closure(gens, n):

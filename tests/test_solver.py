@@ -24,11 +24,14 @@ from conecross import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    certificate_from_book,
     f_graph,
+    f_graph_certificate,
     fig1_graph,
     fig3_graph,
     lr_planar,
     multiply_edges,
+    one_page_drawing,
     random_graph,
     subdivide_edge,
     verify_certificate,
@@ -402,3 +405,71 @@ def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
         cr_exact(g)
     assert len(seen) > 100
     assert any(seen) and not all(seen)
+
+
+def seeded_sweep_graphs():
+    # Connected multigraphs on 5-8 vertices, about a fifth of the pairs
+    # doubled.
+    rng = random.Random(2016)
+    graphs = []
+    while len(graphs) < 40:
+        n = rng.randint(5, 8)
+        g = random_graph(n, rng.randint(n + 2, 2 * n + 3), rng.randrange(10**6))
+        if len(g.components()) == 1:
+            pairs = [(u, v, k + (rng.random() < 0.2)) for u, v, k in g.edges]
+            graphs.append(Multigraph.build(n, pairs))
+    return graphs
+
+
+def test_counting_bound_never_passes_the_crossing_number(monkeypatch):
+    # Seeded with the natural 1-page drawing, the count aims at a target
+    # that is often above cr: it must still prove no more than cr, and the
+    # bracket must be the unseeded one.
+    counted = []
+    count = solver._counting_lower
+
+    def observed(g, level, target, deadline):
+        found = count(g, level, target, deadline)
+        counted.append((g, found[0], found[1]))
+        return found
+
+    monkeypatch.setattr(solver, "_counting_lower", observed)
+    exact = {}
+    for g in seeded_sweep_graphs():
+        plain = cr_exact(g)
+        exact[g] = plain.value
+        natural = certificate_from_book(one_page_drawing(g))
+        seeded = cr_exact(g, upper_seed=(natural.count, natural))
+        assert (seeded.lower, seeded.upper, seeded.status) == (
+            plain.lower, plain.upper, plain.status)
+        assert_drawing(g, seeded.certificate, seeded.value)
+    assert len(counted) > 20
+    assert all(bound <= exact[g] for g, bound, _ in counted)
+    assert any(reason for _, _, reason in counted)
+
+
+def test_counting_bound_closes_a_relabelled_seeded_f3():
+    # lower_start=0 turns the count off; the count closes the same bracket
+    # with the same drawing and fewer nodes.
+    g = relabelled(f_graph(3), 5)
+    seed = (3, cr_exact(g).certificate)
+    counted = cr_exact(g, upper_seed=seed)
+    searched = cr_exact(g, upper_seed=seed, lower_start=0)
+    assert (counted.lower, counted.upper, counted.status, counted.certificate) == (
+        searched.lower, searched.upper, searched.status, searched.certificate)
+    assert counted.stats.nodes < searched.stats.nodes
+    assert (counted.lower_reason, searched.lower_reason) == ("edge-count", "search")
+
+
+def test_lower_bounds_name_their_reason():
+    f3 = cr_exact(f_graph(3), upper_seed=(3, f_graph_certificate(3)))
+    f5 = cr_exact(f_graph(5), upper_seed=(5, f_graph_certificate(5)))
+    assert (f3.value, f3.lower_reason) == (3, "edge-count")
+    assert (f5.value, f5.lower_reason) == (5, "vertex-count")
+    assert cr_exact(f_graph(3)).lower_reason == "search"
+    assert cr_exact(complete_graph(6)).lower_reason == "euler"
+    two = cr_exact(disjoint_union(complete_graph(5), complete_graph(5)))
+    assert two.lower_reason == "component sum"
+    assert two.to_json_dict()["lower_reason"] == "component sum"
+    # The cone of the wheel with chords closes at its Euler bound.
+    assert cone_cr(fig3_graph()).lower_reason == "euler"
