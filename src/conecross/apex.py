@@ -29,6 +29,7 @@ from .certificates import (
     SolveResult,
     combine_brackets,
     lift_certificate,
+    planar_segments,
     rolled_up,
     verify_certificate,
 )
@@ -55,23 +56,6 @@ class ApexRoutingError(RuntimeError):
 def lift_to_cone(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate:
     """Re-express a certificate of G in the instance ids of cone(G)."""
     return lift_certificate(cone(g), [(g, range(g.n), cert)])
-
-
-def _segments(
-    g: Multigraph, cert: CrossingCertificate
-) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Planarization segments as (endpoint a, endpoint b, host id, slot).
-
-    Slot j of a host is the gap between its j-th and (j+1)-th crossings in
-    traversal order; a host crossed c times has slots 0..c.
-    """
-    seqs = cert.sequences()
-    segments: list[tuple[int, int, int, int]] = []
-    for eid, (u, v, _) in enumerate(g.instances()):
-        chain = [u] + [g.n + idx for idx in seqs.get(eid, [])] + [v]
-        for j, (a, b) in enumerate(zip(chain, chain[1:])):
-            segments.append((a, b, eid, j))
-    return segments, g.n + cert.count
 
 
 def _embedding_faces(
@@ -126,7 +110,8 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
     count, ok = verify_certificate(g, cert)
     if not ok:
         raise ValueError("base certificate does not verify")
-    segments, n_nodes = _segments(g, cert)
+    segments = planar_segments(g, cert)
+    n_nodes = g.n + cert.count
     faces, half_face = _embedding_faces(segments, n_nodes)
 
     # Dual steps: crossing segment i moves between the two faces of either

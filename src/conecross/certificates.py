@@ -140,20 +140,30 @@ def certificate_error(g: Multigraph, cert: CrossingCertificate) -> str | None:
     return None
 
 
-def planarize(g: Multigraph, cert: CrossingCertificate) -> Multigraph:
-    """Replace each crossing by a degree-4 dummy vertex (ids n, n+1, ...).
+def planar_segments(
+    g: Multigraph, cert: CrossingCertificate
+) -> list[tuple[int, int, int, int]]:
+    """Planarization segments as (endpoint a, endpoint b, host id, slot):
+    each edge is split along its crossing order, crossing i being vertex
+    n + i.  Slot j of a host is the gap between its j-th and (j+1)-th
+    crossings in traversal order; a host crossed c times has slots 0..c.
+    """
+    seqs = cert.sequences()
+    out: list[tuple[int, int, int, int]] = []
+    for eid, (u, v, _) in enumerate(g.instances()):
+        chain = [u] + [g.n + idx for idx in seqs.get(eid, [])] + [v]
+        out.extend((a, b, eid, j) for j, (a, b) in enumerate(zip(chain, chain[1:])))
+    return out
 
-    Each edge is split along its crossing order into consecutive segments.
-    Raises ValueError on a malformed certificate.
+
+def planarize(g: Multigraph, cert: CrossingCertificate) -> Multigraph:
+    """Replace each crossing by a degree-4 dummy vertex (ids n, n+1, ...),
+    as in :func:`planar_segments`.  Raises ValueError on a malformed certificate.
     """
     reason = certificate_error(g, cert)
     if reason is not None:
         raise ValueError(reason)
-    seqs = cert.sequences()
-    pairs: list[tuple[int, int]] = []
-    for eid, (u, v, _) in enumerate(g.instances()):
-        chain = [u] + [g.n + idx for idx in seqs.get(eid, [])] + [v]
-        pairs.extend(zip(chain, chain[1:]))
+    pairs = [(a, b) for a, b, _, _ in planar_segments(g, cert)]
     return Multigraph.build(g.n + cert.count, pairs)
 
 

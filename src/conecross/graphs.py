@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 GRAPH_FORMAT = "conecross-graph-v1"
 
@@ -366,6 +366,21 @@ def random_graph(n: int, m: int, seed: int) -> Multigraph:
     return Multigraph.build(n, all_pairs[: min(m, len(all_pairs))])
 
 
+def orbit(x: Hashable, gens: Sequence, image: Callable) -> set:
+    """Every image of ``x`` under products of ``gens``, ``x`` included;
+    ``image(p, y)`` is the image of y under generator p."""
+    found = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for p in gens:
+            z = image(p, y)
+            if z not in found:
+                found.add(z)
+                stack.append(z)
+    return found
+
+
 class _Stopped(Exception):
     """Raised inside the automorphism search when its caller says stop."""
 
@@ -443,22 +458,16 @@ def automorphism_generators(
         gens: list[list[int]] = []
         for i in reversed(range(len(base))):
             k, b = base[i]
-            orbit = {b}
+            reached = {b}
             for v in path[i][k]:
-                if v in orbit:
+                if v in reached:
                     continue
                 perm = extend(i, path[i], [v])
                 if perm is None:
                     continue
                 gens.append(perm)
                 yield tuple(perm)
-                stack = list(orbit)
-                while stack:
-                    x = stack.pop()
-                    for p in gens:
-                        if p[x] not in orbit:
-                            orbit.add(p[x])
-                            stack.append(p[x])
+                reached = orbit(b, gens, lambda p, x: p[x])
     except _Stopped:
         return
 

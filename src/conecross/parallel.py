@@ -16,6 +16,8 @@ class Deadline:
     __slots__ = ("at",)
 
     def __init__(self, budget_ms: int | None) -> None:
+        if budget_ms is not None and budget_ms < 0:
+            raise ValueError(f"budget_ms={budget_ms}: must be None or >= 0")
         self.at = time.monotonic() + budget_ms / 1000 if budget_ms is not None else None
 
     def expired(self) -> bool:

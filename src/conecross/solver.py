@@ -43,10 +43,8 @@ Prunes, all sound:
     and cr(G) >= ceil(sum_x lb(G - x) / div) for any proven bounds lb.
     Deletions in one orbit of the automorphisms found are isomorphic, so
     one sub-search per orbit, weighted by the orbit's size, gives them
-    all.  A sub-search exhausts levels of G - x from its Euler bound up
-    to a cap that U needs on average, and builds no drawing.  The count
-    aims at U: when U > cr(G) it cannot close and the level search takes
-    over from whatever it proved.
+    all.  The count aims at U: when U > cr(G) it cannot close, and the
+    level search takes over from whatever it proved.
 
 The search at a level is a generator of realizable certificates in a
 fixed order.  ``cr_certificates`` collects those with distinct crossing
@@ -59,15 +57,23 @@ count never matters.  A worker computes the root orbits only when it is
 about to start a branch of index 1 or more, so a level whose first
 branch hits pays nothing for them.
 
-Levels below the first success are exhausted, so the found level is the
-crossing number; the certificate is re-verified before it is returned.
+Every level search of ``cr_exact`` runs in one deepening loop,
+``_deepen``, which ends at the first level with a hit, the first level
+cut short, or a stop, and adds its work to the component solve's tally.
+A component solve runs it once, from the count's bound if higher, up to
+the seed's count or ``max_k`` + 1; the count runs it on each component
+of G - x up to the level that U needs on average.  Levels below the
+first success are exhausted, so the found level is the crossing number;
+the certificate is re-verified before it is returned.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .certificates import (
     CrossingCertificate,
@@ -78,7 +84,7 @@ from .certificates import (
     verify_certificate,
 )
 from .books import one_page_drawing
-from .graphs import Multigraph, automorphism_generators
+from .graphs import Multigraph, automorphism_generators, orbit
 from .parallel import Deadline, fan_out, worker_count
 from .planarity import lr_planar
 
@@ -86,13 +92,14 @@ from .planarity import lr_planar
 HOST_BLOCK = 4
 
 
+def _euler(sub: Multigraph) -> int:
+    """Euler bound max(0, m' - 3n + 6) of a connected graph, simplified."""
+    return max(0, len(sub.edges) - 3 * sub.n + 6) if sub.n >= 3 else 0
+
+
 def cr_lower(g: Multigraph) -> int:
-    """Sum of per-component Euler bounds max(0, m' - 3n + 6), simplified."""
-    return sum(
-        max(0, len(sub.edges) - 3 * sub.n + 6)
-        for sub, _ in g.component_subgraphs()
-        if sub.n >= 3
-    )
+    """Sum of per-component Euler bounds."""
+    return sum(_euler(sub) for sub, _ in g.component_subgraphs())
 
 
 class _LevelSearch:
@@ -273,19 +280,25 @@ class _LevelSearch:
         return [h for h in range(len(self.ends)) if h not in removed]
 
 
+@dataclass
+class _Tally:
+    """Nodes entered and planarity tests made by one component's searches."""
+
+    nodes: int = 0
+    planarity: int = 0
+
+
 def _find_certificate(
-    g: Multigraph,
-    r: int,
-    deadline: Deadline,
-    threads: int,
-) -> tuple[CrossingCertificate | None, bool, int, int]:
-    """(certificate, level fully exhausted, nodes, planarity tests), with
-    the root's branches fanned out to workers."""
+    g: Multigraph, r: int, deadline: Deadline, threads: int, tally: _Tally
+) -> tuple[CrossingCertificate | None, bool]:
+    """(certificate, level fully exhausted), with the root's branches
+    fanned out to workers."""
     root = _LevelSearch(g, r, deadline)
     cert, cands = root.expand({}, [], frozenset())
-    nodes, planarity = 1, root.planarity
+    tally.nodes += 1
+    tally.planarity += root.planarity
     if cert is not None or not cands:
-        return cert, True, nodes, planarity
+        return cert, True
     # A worker takes every ``workers``-th root branch; branch i forbids the
     # pairs of branches 0..i-1, as the root of ``_LevelSearch._node`` does.
     workers = worker_count(threads, len(cands))
@@ -293,15 +306,15 @@ def _find_certificate(
     hits: list[tuple[int, CrossingCertificate]] = []
     complete = True
     for hit, n_nodes, n_tests, done in fan_out(_branch_worker, g, jobs, threads, deadline):
-        nodes += n_nodes
-        planarity += n_tests
+        tally.nodes += n_nodes
+        tally.planarity += n_tests
         complete = complete and done
         if hit is not None:
             hits.append(hit)
     if hits:
         # Branch indices are distinct: the lowest-index hit wins.
-        return min(hits)[1], True, nodes, planarity
-    return None, complete, nodes, planarity
+        return min(hits)[1], True
+    return None, complete
 
 
 def _branch_worker(
@@ -329,6 +342,29 @@ def _branch_worker(
     return None, search.nodes, search.planarity, not search.out_of_time
 
 
+def _deepen(
+    g: Multigraph, level: int, stop: float, deadline: Deadline, threads: int, tally: _Tally
+) -> tuple[int, CrossingCertificate | None]:
+    """Search levels from ``level``, which must not exceed cr(g), below
+    ``stop``: (the first level with a certificate, that certificate), or
+    (the first level left unexhausted, None), at ``stop`` or the deadline."""
+    while level < stop and not deadline.expired():
+        cert, complete = _find_certificate(g, level, deadline, threads, tally)
+        if cert is not None:
+            if cert.count != level:
+                raise RuntimeError("search found a certificate below an exhausted level")
+            return level, cert
+        if not complete:
+            break
+        level += 1
+    return level, None
+
+
+def _sorted_image(p: Sequence[int], items: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of a sorted tuple of vertices or instances under ``p``."""
+    return tuple(sorted(p[x] for x in items))
+
+
 def _orbit_repeats(
     g: Multigraph, cands: list[tuple[int, int]], deadline: Deadline
 ) -> set[int]:
@@ -336,28 +372,17 @@ def _orbit_repeats(
     earlier root pair, over the generators found before the deadline."""
     index = g.instance_index()
     insts = g.instances()
-    moves: list[list[int]] = []
-    for perm in automorphism_generators(g, deadline.expired):
-        moves.append([
-            index[(min(perm[u], perm[v]), max(perm[u], perm[v]), copy)]
-            for u, v, copy in insts
-        ])
+    moves = [
+        [index[(min(perm[u], perm[v]), max(perm[u], perm[v]), copy)] for u, v, copy in insts]
+        for perm in automorphism_generators(g, deadline.expired)
+    ]
     reached: set[tuple[int, int]] = set()
     repeats: set[int] = set()
     for j, pair in enumerate(cands):
         if pair in reached:
             repeats.add(j)
-            continue
-        reached.add(pair)
-        stack = [pair]
-        while stack:
-            e, f = stack.pop()
-            for move in moves:
-                a, b = move[e], move[f]
-                image = (a, b) if a < b else (b, a)
-                if image not in reached:
-                    reached.add(image)
-                    stack.append(image)
+        else:
+            reached |= orbit(pair, moves, _sorted_image)
     return repeats
 
 
@@ -374,50 +399,25 @@ def _deletions(
     for x in items:
         if x in seen:
             continue
-        orbit = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for p in gens:
-                z = tuple(sorted(p[v] for v in y))
-                if z not in orbit:
-                    orbit.add(z)
-                    stack.append(z)
-        seen |= orbit
+        found = orbit(x, gens, _sorted_image)
+        seen |= found
         if vertices:
             (w,) = x
             kept = [(a - (a > w), b - (b > w), k) for a, b, k in g.edges if w not in (a, b)]
-            yield len(orbit), Multigraph.build(g.n - 1, kept)
+            yield len(found), Multigraph.build(g.n - 1, kept)
         else:
             kept = [(a, b, k - ((a, b) == x)) for a, b, k in g.edges]
-            yield sum(mult[e] for e in orbit), Multigraph.build(
+            yield sum(mult[e] for e in found), Multigraph.build(
                 g.n, [edge for edge in kept if edge[2]]
             )
 
 
-def _deletion_lower(h: Multigraph, cap: int, deadline: Deadline) -> tuple[int, int, int]:
-    """(lower bound on cr(h), nodes, planarity tests): each component's
-    levels are exhausted from its Euler bound while the sum is below
-    ``cap``, and a component stops at its first hit or unfinished level."""
-    comps = [sub for sub, _ in h.component_subgraphs()]
-    levels = [cr_lower(sub) for sub in comps]
-    nodes = planarity = 0
-    for i, sub in enumerate(comps):
-        while sum(levels) < cap and not deadline.expired():
-            cert, complete, n_nodes, n_tests = _find_certificate(sub, levels[i], deadline, 1)
-            nodes += n_nodes
-            planarity += n_tests
-            if cert is not None or not complete:
-                break
-            levels[i] += 1
-    return sum(levels), nodes, planarity
-
-
 def _counting_lower(
-    g: Multigraph, level: int, target: int, deadline: Deadline
-) -> tuple[int, str, int, int]:
-    """(bound, reason, nodes, planarity tests): ``level`` raised by the
-    vertex and edge counts, which aim to prove cr(g) >= ``target``.
+    g: Multigraph, level: int, target: int, deadline: Deadline, tally: _Tally
+) -> tuple[int, str]:
+    """(bound, reason): ``level`` raised by the vertex and edge counts,
+    which aim to prove cr(g) >= ``target``, and the count that raised it
+    (empty if neither did).
 
     A count over items of one kind (``size`` of them) proves
     ceil(sum lb / div) and reaches ``target`` once the sum meets ``need``;
@@ -426,7 +426,8 @@ def _counting_lower(
     tried, and the kind with the lower cap goes first (edges on a tie:
     G - v lies inside G - e for an edge e at v).  A kind stops once the
     sum meets ``need`` or its untried orbits, all at ``cap``, could not
-    beat the current level.
+    beat the current level.  A sub-search deepens each component of
+    G - x while the components' sum is below ``cap``.
     """
     kinds = []
     for vertices, size, div in ((False, g.m, g.m - 2), (True, g.n, g.n - 4)):
@@ -438,96 +439,61 @@ def _counting_lower(
             kinds.append((cap, vertices, size, div, need))
     kinds.sort(key=lambda kind: kind[0])
     reason = ""
-    nodes = planarity = 0
-    gens: list[tuple[int, ...]] | None = None
+    gens = list(automorphism_generators(g, deadline.expired)) if kinds else []
     for cap, vertices, size, div, need in kinds:
-        if gens is None:
-            gens = list(automorphism_generators(g, deadline.expired))
         total, rest = 0, size
         for weight, h in _deletions(g, gens, vertices):
             if total >= need or deadline.expired():
                 break
             if -(-(total + rest * cap) // div) <= level:
                 break
-            lb, n_nodes, n_tests = _deletion_lower(h, cap, deadline)
-            nodes += n_nodes
-            planarity += n_tests
-            total += weight * lb
+            comps = [sub for sub, _ in h.component_subgraphs()]
+            levels = [_euler(sub) for sub in comps]
+            for i, sub in enumerate(comps):
+                stop = cap - sum(levels) + levels[i]
+                levels[i], _ = _deepen(sub, levels[i], stop, deadline, 1, tally)
+            total += weight * sum(levels)
             rest -= weight
         if -(-total // div) > level:
             level = -(-total // div)
             reason = "vertex-count" if vertices else "edge-count"
         if level >= target:
             break
-    return level, reason, nodes, planarity
+    return level, reason
 
 
 def _solve_component(
     g: Multigraph,
-    max_k: int | None,
+    stop: float,
     deadline: Deadline,
     threads: int,
     level: int,
-    upper_seed: tuple[int, CrossingCertificate] | None,
+    seed: CrossingCertificate | None,
     count: bool,
 ) -> SolveResult:
-    """Deepen from ``level``, which must not exceed cr(g); with ``count``
-    and a seed above ``level``, start from the counting bound if higher."""
-    nodes = planarity = 0
-    seed_val, seed_cert = upper_seed if upper_seed is not None else (None, None)
+    """Deepen from ``level``, which must not exceed cr(g), up to ``stop``
+    or the verified ``seed`` drawing's count; with ``count`` and a seed
+    above ``level``, start from the counting bound if higher."""
+    tally = _Tally()
     reason = "euler"
-
-    def result(
-        lower: int, upper: int, status: str, cert: CrossingCertificate | None
-    ) -> SolveResult:
-        return SolveResult(
-            lower, upper, status, cert, SolveStats(nodes, planarity), reason
-        )
-
-    def bounds_only(lower: int) -> SolveResult:
-        if seed_val is not None:
-            upper, cert = seed_val, seed_cert
-        else:
-            # The natural convex drawing is always available.
-            cert = certificate_from_book(one_page_drawing(g))
-            upper = cert.count
-        # Exhausted levels never pass a valid upper bound.
-        if lower > upper:
-            raise RuntimeError(
-                f"lower bound {lower} exceeds the upper bound {upper}"
-            )
-        return result(lower, upper, "bounds-only", cert)
-
-    if count and seed_val is not None and seed_val > level:
-        bound, kind, nodes, planarity = _counting_lower(g, level, seed_val, deadline)
-        if bound > seed_val:
-            raise RuntimeError(
-                f"{kind} bound {bound} exceeds the verified upper bound {seed_val}"
-            )
-        if bound > level:
-            level, reason = bound, kind
-
-    while True:
-        if seed_val is not None and level >= seed_val:
-            # Everything below the seeded upper bound is exhausted.
-            return result(seed_val, seed_val, "exact", seed_cert)
-        if max_k is not None and level > max_k:
-            return bounds_only(level)
-        if deadline.expired():
-            return bounds_only(level)
-        cert, complete, n_nodes, n_tests = _find_certificate(g, level, deadline, threads)
-        nodes += n_nodes
-        planarity += n_tests
-        if cert is not None:
-            if cert.count != level:
-                raise RuntimeError(
-                    "search found a certificate below an exhausted level"
-                )
-            return result(level, level, "exact", cert)
-        if not complete:
-            return bounds_only(level)
-        level += 1
+    if count and seed is not None and seed.count > level:
+        level, kind = _counting_lower(g, level, seed.count, deadline, tally)
+        reason = kind or reason
+    if seed is not None:
+        stop = min(stop, seed.count)
+    lower, cert = _deepen(g, level, stop, deadline, threads, tally)
+    if lower > level:
         reason = "search"
+    # Every level below a seed that the search reaches is exhausted.
+    exact = cert is not None or (seed is not None and lower >= seed.count)
+    # The natural convex drawing is always available.
+    cert = cert or seed or certificate_from_book(one_page_drawing(g))
+    # Neither a proven count nor exhausted levels pass a valid upper bound.
+    if lower > cert.count:
+        raise RuntimeError(f"{reason} bound {lower} exceeds the upper bound {cert.count}")
+    stats = SolveStats(tally.nodes, tally.planarity)
+    status = "exact" if exact else "bounds-only"
+    return SolveResult(lower, cert.count, status, cert, stats, reason)
 
 
 def cr_exact(
@@ -552,6 +518,8 @@ def cr_exact(
     """
     started = time.monotonic()
     deadline = Deadline(budget_ms)
+    if max_k is not None and max_k < 0:
+        raise ValueError(f"max_k={max_k}: must be None or >= 0")
     if upper_seed is not None:
         value, cert = upper_seed
         count, ok = verify_certificate(g, cert)
@@ -559,7 +527,7 @@ def cr_exact(
             raise ValueError("upper seed certificate does not verify")
 
     comps = g.component_subgraphs()
-    levels = [cr_lower(sub) for sub, _ in comps]
+    levels = [_euler(sub) for sub, _ in comps]
     if lower_start is not None:
         # A start above cr(G) would treat unsearched levels as exhausted.
         if not 0 <= lower_start <= min(levels, default=0):
@@ -569,10 +537,11 @@ def cr_exact(
             )
         levels = [lower_start] * len(comps)
 
-    seed = upper_seed if len(comps) == 1 else None
+    seed = upper_seed[1] if upper_seed is not None and len(comps) == 1 else None
     count = lower_start is None
+    stop = math.inf if max_k is None else max_k + 1
     parts = [
-        (sub, vertices, _solve_component(sub, max_k, deadline, threads, level, seed, count))
+        (sub, vertices, _solve_component(sub, stop, deadline, threads, level, seed, count))
         for (sub, vertices), level in zip(comps, levels)
     ]
     return combine_brackets(g, parts, started)

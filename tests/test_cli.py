@@ -108,6 +108,12 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_negative_budget_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "cr", "fig1", "--budget-ms", "-1")
+    assert code == 2
+    assert "budget_ms=-1" in err
+
+
 def test_cr_rejects_missing_files(capsys):
     code, _, err = run(capsys, "cr", "no-such-file.json")
     assert code == 2

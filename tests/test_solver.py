@@ -32,6 +32,7 @@ from conecross import (
     lr_planar,
     multiply_edges,
     one_page_drawing,
+    outerplanar_cr,
     random_graph,
     subdivide_edge,
     verify_certificate,
@@ -140,6 +141,18 @@ def test_tiny_budget_returns_a_bracket_not_a_lie():
     assert res.upper >= 3
     count, ok = verify_certificate(fig1_graph(), res.certificate)
     assert ok and count == res.upper
+
+
+def test_negative_budget_and_max_k_are_rejected():
+    # Every entry point refuses a negative budget where it makes its
+    # Deadline, instead of reading it as already expired.
+    for solve in (cr_exact, cone_cr, outerplanar_cr):
+        with pytest.raises(ValueError, match="budget_ms=-1"):
+            solve(complete_graph(6), budget_ms=-1)
+    with pytest.raises(ValueError, match="budget_ms=-5"):
+        cr_certificates(complete_graph(6), 3, budget_ms=-5)
+    with pytest.raises(ValueError, match="max_k=-1"):
+        cr_exact(complete_graph(6), max_k=-1)
 
 
 def test_upper_seed_is_verified_before_use():
@@ -428,8 +441,8 @@ def test_counting_bound_never_passes_the_crossing_number(monkeypatch):
     counted = []
     count = solver._counting_lower
 
-    def observed(g, level, target, deadline):
-        found = count(g, level, target, deadline)
+    def observed(g, level, target, deadline, tally):
+        found = count(g, level, target, deadline, tally)
         counted.append((g, found[0], found[1]))
         return found
 
@@ -459,6 +472,15 @@ def test_counting_bound_closes_a_relabelled_seeded_f3():
         searched.lower, searched.upper, searched.status, searched.certificate)
     assert counted.stats.nodes < searched.stats.nodes
     assert (counted.lower_reason, searched.lower_reason) == ("edge-count", "search")
+
+
+def test_seeded_solve_work_is_pinned():
+    # The count's sub-searches and the level search add to one tally, so
+    # a sub-search whose work goes uncounted moves these pairs.
+    pins = {3: (11, 82), 4: (232, 2512), 5: (169, 1923)}
+    for k, pin in pins.items():
+        stats = cr_exact(f_graph(k), upper_seed=(k, f_graph_certificate(k))).stats
+        assert (stats.nodes, stats.planarity_calls) == pin
 
 
 def test_lower_bounds_name_their_reason():
