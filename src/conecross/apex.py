@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import replace
-from itertools import permutations, product
 
 import networkx as nx
 
@@ -38,9 +37,6 @@ from .pages import ORDER_SEARCH_LIMIT, outerplanar_cr
 from .parallel import Deadline
 from .solver import cr_certificates, cr_exact, cr_lower
 
-# Orderings of crossings that share a slot, tried per apex face before the
-# face is given up; their number grows factorially with the slot sizes.
-SLOT_ORDERINGS_CAP = 5000
 # Cheapest apex faces assembled per drawing before the drawing is given up.
 APEX_FACES_CAP = 8
 
@@ -60,12 +56,15 @@ def lift_to_cone(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificat
 
 def _embedding_faces(
     segments: list[tuple[int, int, int, int]], n_nodes: int
-) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
+) -> tuple[list[dict[int, int]], list[list[int]]]:
     """Faces of the planarized drawing, via one midpoint per segment.
 
     Subdividing every segment keeps the embedding but makes the graph
-    simple, so parallel segments get their faces too.  Returns the face
-    vertex lists and the face id of each directed half-edge.
+    simple, so parallel segments get their faces too.  Node ``n_nodes + i``
+    is the midpoint of segment i.  Returns, per face, each node's first
+    position on the face's walk, and per segment the face that walks it
+    from a to b and the face that walks it from b to a (the midpoint has
+    one corner in each; a bridge has the same face twice).
     """
     G = nx.Graph()
     G.add_nodes_from(range(n_nodes))
@@ -76,22 +75,24 @@ def _embedding_faces(
     planar, emb = nx.check_planarity(G)
     if not planar:
         raise ValueError("certificate does not planarize; cannot place the apex")
-    faces: list[list[int]] = []
-    half_face: dict[tuple[int, int], int] = {}
+    walks: list[dict[int, int]] = []
+    seg_faces = [[0, 0] for _ in segments]
     seen: set[tuple[int, int]] = set()
     for u, v in sorted(emb.edges()):
         if (u, v) in seen:
             continue
         nodes = emb.traverse_face(u, v, mark_half_edges=seen)
-        fid = len(faces)
-        faces.append(nodes)
-        cycle = nodes + [nodes[0]]
-        for a, b in zip(cycle, cycle[1:]):
-            half_face[(a, b)] = fid
-    if not faces:
+        pos: dict[int, int] = {}
+        for p, node in enumerate(nodes):
+            pos.setdefault(node, p)
+            if node >= n_nodes:
+                i = node - n_nodes
+                seg_faces[i][nodes[p - 1] != segments[i][0]] = len(walks)
+        walks.append(pos)
+    if not walks:
         # Without edges the whole plane is one face holding every vertex.
-        faces.append(list(range(n_nodes)))
-    return faces, half_face
+        walks.append({v: v for v in range(n_nodes)})
+    return walks, seg_faces
 
 
 def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate:
@@ -111,70 +112,60 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
     if not ok:
         raise ValueError("base certificate does not verify")
     segments = planar_segments(g, cert)
-    n_nodes = g.n + cert.count
-    faces, half_face = _embedding_faces(segments, n_nodes)
+    walks, seg_faces = _embedding_faces(segments, g.n + cert.count)
 
-    # Dual steps: crossing segment i moves between the two faces of either
-    # of its halves.  Both halves of one midpoint always border the same
-    # two faces, so one entry per segment suffices.
-    seg_faces: list[tuple[int, int]] = []
-    face_segments: list[list[int]] = [[] for _ in faces]
-    for i, (a, b, _, _) in enumerate(segments):
-        mid = n_nodes + i
-        f1 = half_face[(a, mid)]
-        f2 = half_face[(mid, a)]
-        seg_faces.append((f1, f2))
+    # Dual steps: crossing segment i moves between the two faces beside it.
+    face_segments: list[list[int]] = [[] for _ in walks]
+    for i, (f1, f2) in enumerate(seg_faces):
         face_segments[f1].append(i)
         if f2 != f1:
             face_segments[f2].append(i)
 
-    face_vertices: list[set[int]] = [set(f) for f in faces]
     insts = g.instances()
+    incident: list[set[int]] = [set() for _ in range(g.n)]
+    for eid, (a, b, _) in enumerate(insts):
+        incident[a].add(eid)
+        incident[b].add(eid)
 
-    def paths_from(apex_face: int) -> list[list[int]] | None:
-        """Per-vertex shortest crossing sequences (segment indices)."""
-        out: list[list[int]] = []
+    def paths_from(apex_face: int) -> list[list[tuple[int, int]]] | None:
+        """Per-vertex shortest routes as (segment crossed, face entered) steps."""
+        out: list[list[tuple[int, int]]] = []
         for v in range(g.n):
-            blocked = {
-                eid for eid, (a, b, _) in enumerate(insts) if v in (a, b)
-            }
-            if v in face_vertices[apex_face]:
+            if v in walks[apex_face]:
                 out.append([])
                 continue
             prev: dict[int, tuple[int, int]] = {}
-            dist = {apex_face: 0}
             queue = deque([apex_face])
             goal = None
             while queue:
                 fid = queue.popleft()
-                if v in face_vertices[fid]:
+                if v in walks[fid]:
                     goal = fid
                     break
                 for i in face_segments[fid]:
-                    if segments[i][2] in blocked:
+                    if segments[i][2] in incident[v]:
                         continue
                     fa, fb = seg_faces[i]
                     nxt = fb if fa == fid else fa
-                    if nxt not in dist:
-                        dist[nxt] = dist[fid] + 1
+                    if nxt != apex_face and nxt not in prev:
                         prev[nxt] = (fid, i)
                         queue.append(nxt)
             if goal is None:
                 return None
-            path: list[int] = []
+            path: list[tuple[int, int]] = []
             cur = goal
             while cur != apex_face:
-                cur, seg = prev[cur]
-                path.append(seg)
+                back, seg = prev[cur]
+                path.append((seg, cur))
+                cur = back
             path.reverse()
-            hosts = [segments[i][2] for i in path]
-            if len(set(hosts)) != len(hosts):
+            if len({segments[i][2] for i, _ in path}) != len(path):
                 return None
             out.append(path)
         return out
 
     ranked = []
-    for fid in range(len(faces)):
+    for fid in range(len(walks)):
         found = paths_from(fid)
         if found is not None:
             ranked.append((sum(len(p) for p in found), fid, found))
@@ -188,16 +179,15 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
     apex_edge = [index[(v, g.n, 0)] for v in range(g.n)]
 
     tried = ranked[:APEX_FACES_CAP]
-    capped = 0
     for _, _, found in tried:
-        cert_try, hit_cap = _assemble_cone_cert(cg, cert, segments, found, lift, apex_edge)
-        if cert_try is not None:
-            return cert_try
-        capped += hit_cap
+        coned = _assemble_cone_cert(
+            cg, cert, segments, walks, seg_faces, found, lift, apex_edge
+        )
+        if coned is not None:
+            return coned
     raise ApexRoutingError(
         "apex routing produced no realizable certificate from the "
-        f"{len(tried)} cheapest apex faces (cap {APEX_FACES_CAP}); "
-        f"{capped} of them stopped at the cap of {SLOT_ORDERINGS_CAP} slot orderings"
+        f"{len(tried)} cheapest apex faces (cap {APEX_FACES_CAP})"
     )
 
 
@@ -205,66 +195,74 @@ def _assemble_cone_cert(
     cg: Multigraph,
     cert: CrossingCertificate,
     segments: list[tuple[int, int, int, int]],
-    paths: list[list[int]],
+    walks: list[dict[int, int]],
+    seg_faces: list[list[int]],
+    routes: list[list[tuple[int, int]]],
     lift: list[int],
     apex_edge: list[int],
-) -> tuple[CrossingCertificate | None, bool]:
+) -> CrossingCertificate | None:
     """Combine base crossings with routed apex crossings and verify.
 
-    Crossings landing in the same slot of the same host have no forced
-    relative order, so their orderings are tried until one verifies, at
-    most ``SLOT_ORDERINGS_CAP`` of them.  Returns the certificate (None
-    if no ordering verified) and whether the cap cut the search short.
+    Apex crossings on one segment are ordered by where their routes go.
+    Take two routes that enter a face F through the same segment s and
+    follow both while they leave each face through the same segment.  In
+    the first face where they part, they are disjoint chords that start
+    side by side on the entry segment; for them not to cross, the one
+    whose exit lies farther along that face's walk (in traversal order
+    from the entry) starts nearer the segment end the walk comes from.
+    Sides carry over a shared segment: the next face walks it the other
+    way, so the route nearer the walk's start on leaving one face is
+    nearer it on entering the next.  Routes end at distinct vertices, so
+    they always part, and the rule reaches back to s: sorting by the
+    negated exit offsets from F on puts first the crossing nearest the
+    end of s that F's walk comes from.  The order is reversed when F
+    walks s against its host.  A segment entered from both sides is
+    outside the rule, so the face is given up.  Returns the verified
+    certificate, or None.
     """
+    first_mid = cg.n - 1 + cert.count
     cg_pairs: list[tuple[int, int]] = [
         (lift[e], lift[f]) for e, f in cert.crossings
     ]
-    # (host, slot) -> crossing indices landing there
-    slot_groups: dict[tuple[int, int], list[int]] = {}
-    apex_orders: dict[int, list[int]] = {}
-    for v, path in enumerate(paths):
-        step_indices = []
-        for seg_i in path:
-            _, _, host, slot = segments[seg_i]
-            idx = len(cg_pairs)
-            cg_pairs.append((apex_edge[v], lift[host]))
-            slot_groups.setdefault((host, slot), []).append(idx)
-            step_indices.append(idx)
-        if len(step_indices) >= 2:
-            # Traversal starts at v, the smaller endpoint; the path walks
+    # segment -> (face entered through it, [(sort key, crossing index)])
+    slots: dict[int, tuple[int, list]] = {}
+    orders: dict[int, list[int]] = {}
+    for v, route in enumerate(routes):
+        exits = [first_mid + seg for seg, _ in route[1:]] + [v]
+        # Sorts like the negated offset of each exit from its face's entry
+        # along the face's walk.
+        keys = [
+            (walks[face][out] > walks[face][first_mid + seg], -walks[face][out])
+            for (seg, face), out in zip(route, exits)
+        ]
+        steps = []
+        for t, (seg, face) in enumerate(route):
+            entry, group = slots.setdefault(seg, (face, []))
+            if entry != face:
+                return None
+            group.append((keys[t:], len(cg_pairs)))
+            steps.append(len(cg_pairs))
+            cg_pairs.append((apex_edge[v], lift[segments[seg][2]]))
+        if len(steps) >= 2:
+            # Traversal starts at v, the smaller endpoint; the route walks
             # apex -> v, so reverse it.
-            apex_orders[apex_edge[v]] = list(reversed(step_indices))
+            orders[apex_edge[v]] = steps[::-1]
 
     base_seqs = cert.sequences()
-
-    ambiguous = [grp for grp in slot_groups.values() if len(grp) > 1]
-    choice_sets = [list(permutations(grp)) for grp in ambiguous]
-
-    for attempt, combo in enumerate(product(*choice_sets)):
-        if attempt >= SLOT_ORDERINGS_CAP:
-            return None, True
-        resolved: dict[tuple[int, int], list[int]] = {}
-        combo_iter = iter(combo)
-        for key, grp in slot_groups.items():
-            resolved[key] = list(next(combo_iter)) if len(grp) > 1 else grp
-
-        host_orders: dict[int, list[int]] = {}
-        for eid in range(len(lift)):
-            base_seq = base_seqs.get(eid, [])
-            seq: list[int] = []
-            for slot in range(len(base_seq) + 1):
-                seq.extend(resolved.get((eid, slot), []))
-                if slot < len(base_seq):
-                    seq.append(base_seq[slot])
-            if len(seq) >= 2:
-                host_orders[lift[eid]] = seq
-        orders = dict(apex_orders)
-        orders.update(host_orders)
-        cand = CrossingCertificate.build(cg_pairs, orders)
-        _, ok = verify_certificate(cg, cand)
-        if ok:
-            return cand, False
-    return None, False
+    host_seqs: dict[int, list[int]] = {}
+    # Segments run along each host in slot order.
+    for seg, (_, _, host, slot) in enumerate(segments):
+        seq = host_seqs.setdefault(host, [])
+        if seg in slots:
+            face, group = slots[seg]
+            ranked = [idx for _, idx in sorted(group)]
+            seq.extend(ranked if face == seg_faces[seg][0] else ranked[::-1])
+        if slot < len(base_seqs.get(host, ())):
+            seq.append(base_seqs[host][slot])
+    orders.update((lift[h], seq) for h, seq in host_seqs.items() if len(seq) >= 2)
+    cand = CrossingCertificate.build(cg_pairs, orders)
+    _, ok = verify_certificate(cg, cand)
+    return cand if ok else None
 
 
 def _cone_cr_split(

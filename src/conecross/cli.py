@@ -37,6 +37,7 @@ from .graphs import (
     subdivide_edge,
 )
 from .pages import outerplanar_search, split_report, two_page_search
+from .parallel import Deadline
 from .solver import cr_exact
 
 
@@ -169,6 +170,8 @@ def cmd_book(args: argparse.Namespace) -> int:
         raise UsageError(f"--optimize {mode} produces 2 pages, got --pages {pages}")
     if mode in ("none", "order") and pages != 1:
         raise UsageError(f"--optimize {mode} keeps 1 page; use partition or both for 2")
+    # Only the order searches spend the budget, but every mode refuses a bad one.
+    Deadline(args.budget_ms)
 
     status = "exact"
     if mode == "none":

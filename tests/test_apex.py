@@ -1,5 +1,7 @@
 """Apex insertion and cone crossing numbers."""
 
+from collections import Counter
+
 import pytest
 
 import conecross.apex
@@ -11,12 +13,12 @@ from conecross import (
     complete_graph,
     cone,
     cone_cr,
+    cr_certificates,
     cr_exact,
     cycle_graph,
     disjoint_union,
     empty_graph,
     f_graph,
-    fig1_certificate,
     fig1_graph,
     fig3_graph,
     insert_apex,
@@ -190,7 +192,20 @@ def test_cone_does_not_hide_internal_faults_of_apex_insertion(monkeypatch):
         cone_cr(complete_graph(5))
 
 
-def test_insert_apex_names_the_slot_ordering_cap(monkeypatch):
-    monkeypatch.setattr(conecross.apex, "SLOT_ORDERINGS_CAP", 0)
-    with pytest.raises(ApexRoutingError, match=r"stopped at the cap of 0 slot orderings"):
-        insert_apex(fig1_graph(), fig1_certificate())
+@pytest.mark.parametrize(
+    "g, k, histogram",
+    [
+        (fig1_graph(), 3, {6: 1, 7: 9, 8: 24, 9: 35, 10: 39}),
+        (fig3_graph(), 2, {5: 2, 6: 6, 7: 10}),
+    ],
+    ids=["triangle-hexagon", "wheel-with-chords"],
+)
+def test_insert_apex_into_every_optimal_drawing(g, k, histogram):
+    # All 108 and 18 optimal drawings take the apex, and each cone
+    # drawing stands up to both planarity oracles.
+    counts = Counter()
+    for drawing in cr_certificates(g, k, limit=None):
+        coned = insert_apex(g, drawing)
+        assert_drawing(cone(g), coned, coned.count)
+        counts[coned.count] += 1
+    assert counts == histogram

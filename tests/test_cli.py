@@ -108,8 +108,18 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_negative_budget_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "cr", "fig1", "--budget-ms", "-1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cr", "fig1"],
+        ["book", "--pages", "1", "fig1"],
+        ["book", "--optimize", "partition", "fig1"],
+        ["book", "--optimize", "order", "fig1"],
+    ],
+    ids=["cr", "book-none", "book-partition", "book-order"],
+)
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv, "--budget-ms", "-1")
     assert code == 2
     assert "budget_ms=-1" in err
 
