@@ -1,6 +1,6 @@
 """Cone crossing numbers: apex insertion into a drawing plus the solver.
 
-Two certificate routes feed the solver's upper bound for cr(cone(G)):
+Two certificate routes feed the upper bound for cr(cone(G)):
 
   - A 1-page drawing of G puts every vertex on the outer face, so the
     apex can be joined from outside with zero new crossings; the cone
@@ -11,8 +11,10 @@ Two certificate routes feed the solver's upper bound for cr(cone(G)):
     stepped over.  Minimizing over apex faces gives a cone certificate
     whose apex edges cross G where the geometry says they must.
 
-Both seeds are verified before use; the solver itself then closes the
-bracket from below.
+Each cone certificate is verified once: an apex insertion verifies what
+it assembles, and the lifted 1-page seed is verified where ``cone_cr``
+returns it at the cone's Euler floor, or else by the closing solve that
+takes it as its upper seed.  That solve closes the bracket from below.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import networkx as nx
 from .certificates import (
     CrossingCertificate,
     SolveResult,
+    certificate_error,
     combine_brackets,
     lift_certificate,
     planar_segments,
@@ -74,7 +77,7 @@ def _embedding_faces(
         G.add_edge(mid, b)
     planar, emb = nx.check_planarity(G)
     if not planar:
-        raise ValueError("certificate does not planarize; cannot place the apex")
+        raise ValueError("base certificate does not verify: its planarization is not planar")
     walks: list[dict[int, int]] = []
     seg_faces = [[0, 0] for _ in segments]
     seen: set[tuple[int, int]] = set()
@@ -102,15 +105,17 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
     crossings of the apex edges; along the way each apex edge avoids
     edges at its own endpoint and never crosses one host twice.  The
     returned certificate has been verified against cone(G).  Raises
-    ``ApexRoutingError`` when no apex face admits such routes, or none of
-    the routes through the ``APEX_FACES_CAP`` cheapest faces assembles
+    ``ValueError`` when ``cert`` is malformed (before any embedding is
+    built) or its planarization is not planar (the embedding's own test),
+    and ``ApexRoutingError`` when no apex face admits such routes, or none
+    of the routes through the ``APEX_FACES_CAP`` cheapest faces assembles
     into a realizable certificate.
     """
     if len(g.components()) != 1:
         raise ValueError("apex insertion needs a connected base graph")
-    count, ok = verify_certificate(g, cert)
-    if not ok:
-        raise ValueError("base certificate does not verify")
+    reason = certificate_error(g, cert)
+    if reason is not None:
+        raise ValueError(f"base certificate does not verify: {reason}")
     segments = planar_segments(g, cert)
     walks, seg_faces = _embedding_faces(segments, g.n + cert.count)
 
@@ -299,14 +304,27 @@ def cone_cr(
 
     A disconnected base splits: the cone's crossing number is the sum
     over component cones, solved independently.  For a connected base the
-    first seed is the best 1-page drawing of G (its apex joins from the
-    outer face for free).  If that does not meet the cone's own lower
-    bound and cr(G) is solvable in budget, the optimal drawings of G are
-    streamed from the level search, the first being the one cr_exact just
-    returned.  Different optimal drawings expose very different face
-    structures to the apex, so the apex is inserted into each drawing as
-    it is found, until a seed meets the cone's lower bound, the level is
-    exhausted, or the budget runs out.  The best seed caps the deepening.
+    seeds come in this order, each tried only while the best so far is
+    above the cone's Euler floor:
+
+      1. the best 1-page drawing of G, lifted (its apex joins from the
+         outer face for free);
+      2. the apex inserted into the drawing ``cr_exact(G)`` returns, if
+         that solve is exact in budget;
+      3. the apex inserted into each further optimal drawing of G, as the
+         level search streams them (its first, the drawing of step 2, is
+         skipped), until a seed meets the floor, the level is exhausted,
+         or the budget runs out.  Different optimal drawings expose very
+         different face structures to the apex.
+
+    A best seed at the floor is returned as it stands, exact by the Euler
+    bound, with no solve of the cone.  Above the floor it caps the
+    deepening of a closing ``cr_exact(cone(G))``.  Each cone certificate
+    is verified once: apex insertion verifies what it assembles; the
+    lifted 1-page seed is verified here when it is returned at the floor,
+    and otherwise by the closing solve's check of its upper seed.  A
+    1-page seed that fails either check raises: lifting a 1-page drawing
+    cannot lose realizability, so that is an internal fault.
     """
     started = time.monotonic()
     deadline = Deadline(budget_ms)
@@ -315,16 +333,13 @@ def cone_cr(
 
     cg = cone(g)
     floor = cr_lower(cg)
-    best: tuple[int, CrossingCertificate] | None = None
+    best: CrossingCertificate | None = None
     inner = None
 
     if g.n <= ORDER_SEARCH_LIMIT:
         ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms(), threads=threads)
         if ocr.certificate is not None:
-            lifted = lift_to_cone(g, ocr.certificate)
-            count, ok = verify_certificate(cg, lifted)
-            if ok:
-                best = (count, lifted)
+            best = lift_to_cone(g, ocr.certificate)
 
     def seed_from(drawing: CrossingCertificate) -> bool:
         """Insert the apex into one optimal drawing of G; True stops the stream."""
@@ -333,30 +348,39 @@ def cone_cr(
             coned = insert_apex(g, drawing)
         except ApexRoutingError:
             return deadline.expired()
-        if best is None or coned.count < best[0]:
-            best = (coned.count, coned)
-        return deadline.expired() or best[0] <= floor
+        if best is None or coned.count < best.count:
+            best = coned
+        return deadline.expired() or best.count <= floor
 
-    if best is None or best[0] > floor:
+    if best is None or best.count > floor:
         inner = cr_exact(
             g, max_k=max_k, budget_ms=deadline.remaining_ms(), threads=threads
         )
-        if inner.status == "exact":
+        first = inner.certificate
+        if inner.status == "exact" and not seed_from(first):
             cr_certificates(
                 g,
                 inner.value,
                 limit=None,
                 budget_ms=deadline.remaining_ms(),
-                until=seed_from,
+                until=lambda drawing: drawing != first and seed_from(drawing),
             )
 
+    # The solve of G that fed the seeds is part of this answer's work.
+    solves = [] if inner is None else [inner.stats]
+    if best is not None and best.count <= floor:
+        # A seed at the floor with no solve of G is the 1-page seed, the
+        # one seed not verified yet.
+        if inner is None and not verify_certificate(cg, best)[1]:
+            raise RuntimeError("the lifted 1-page seed does not verify on cone(G)")
+        return SolveResult(
+            floor, floor, "exact", best, rolled_up(solves, started), "euler"
+        )
     res = cr_exact(
         cg,
         max_k=max_k,
         budget_ms=deadline.remaining_ms(),
         threads=threads,
-        upper_seed=best,
+        upper_seed=None if best is None else (best.count, best),
     )
-    # The solve of G that fed the seeds is part of this answer's work.
-    solves = [res.stats] if inner is None else [inner.stats, res.stats]
-    return replace(res, stats=rolled_up(solves, started))
+    return replace(res, stats=rolled_up(solves + [res.stats], started))

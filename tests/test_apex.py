@@ -78,8 +78,19 @@ def test_insert_apex_demands_connectivity():
 
 
 def test_insert_apex_demands_a_valid_base_certificate():
-    with pytest.raises(ValueError):
+    # K5 with no crossings is well formed but not a drawing.
+    with pytest.raises(ValueError, match="not planar"):
         insert_apex(complete_graph(5), CrossingCertificate.build([]))
+
+
+def test_insert_apex_rejects_a_malformed_certificate_before_embedding(monkeypatch):
+    def no_embedding(*args):
+        raise AssertionError("embedding built for a malformed certificate")
+
+    monkeypatch.setattr(conecross.apex, "_embedding_faces", no_embedding)
+    # Instances 0 = (0, 1) and 1 = (0, 2) share vertex 0.
+    with pytest.raises(ValueError, match="adjacent edge instances"):
+        insert_apex(complete_graph(5), CrossingCertificate.build([(0, 1)]))
 
 
 def test_cone_of_planar_graphs():
@@ -119,28 +130,54 @@ def test_cone_streams_drawings_past_the_first_64(g):
 
 
 def test_cone_stops_the_stream_at_the_floor(monkeypatch):
-    # The first optimal drawing of K5 already gives cone(K5) = K6 its
-    # floor of 3, so no further drawing is enumerated or tried.
+    # The drawing cr_exact returns for K5 already gives cone(K5) = K6 its
+    # floor of 3, so the apex goes into that one drawing and no drawing is
+    # enumerated.
     calls = []
     enumerated = []
+    solved = []
     real_insert = conecross.apex.insert_apex
-    real_enumerate = conecross.apex.cr_certificates
+    real_solve = conecross.apex.cr_exact
 
     def counted_insert(g, cert):
         calls.append(cert)
         return real_insert(g, cert)
 
-    def counted_enumerate(*args, **kwargs):
-        drawings = real_enumerate(*args, **kwargs)
-        enumerated.extend(drawings)
-        return drawings
+    def counted_solve(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        solved.append(res)
+        return res
 
     monkeypatch.setattr(conecross.apex, "insert_apex", counted_insert)
-    monkeypatch.setattr(conecross.apex, "cr_certificates", counted_enumerate)
+    monkeypatch.setattr(conecross.apex, "cr_exact", counted_solve)
+    monkeypatch.setattr(
+        conecross.apex, "cr_certificates", lambda *a, **kw: enumerated.append(a)
+    )
     res = cone_cr(complete_graph(5))
     assert res.status == "exact" and res.value == 3
-    assert len(calls) == 1
-    assert enumerated == calls
+    assert res.lower_reason == "euler"
+    assert [r.certificate for r in solved] == calls
+    assert len(calls) == 1 and enumerated == []
+
+
+def test_cone_tries_each_drawing_once(monkeypatch):
+    # Wheel-with-chords: cr_exact's drawing does not reach the cone's floor
+    # of 5, so the stream runs on and skips that drawing, its first.
+    calls = []
+    real_insert = conecross.apex.insert_apex
+
+    def counted_insert(g, cert):
+        calls.append(cert)
+        return real_insert(g, cert)
+
+    monkeypatch.setattr(conecross.apex, "insert_apex", counted_insert)
+    res = cone_cr(fig3_graph())
+    assert len(calls) > 1
+    assert len(set(calls)) == len(calls)
+    assert res.status == "exact" and res.value == 5
+    assert res.lower_reason == "euler"
+    assert res.stats.nodes > 0
+    assert_drawing(cone(fig3_graph()), res.certificate, 5)
 
 
 def test_cone_of_a_disconnected_graph():
@@ -189,6 +226,26 @@ def test_cone_does_not_hide_internal_faults_of_apex_insertion(monkeypatch):
 
     monkeypatch.setattr(conecross.apex, "insert_apex", broken)
     with pytest.raises(RuntimeError, match="inconsistent embedding"):
+        cone_cr(complete_graph(5))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        # At the cone's floor of 3, cone_cr returns the seed and checks it.
+        (CrossingCertificate.build([]), RuntimeError),
+        # Above it, the closing solve checks its upper seed.
+        (CrossingCertificate.build([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]), ValueError),
+    ],
+    ids=["at-floor", "above-floor"],
+)
+def test_cone_raises_on_a_one_page_seed_that_does_not_verify(monkeypatch, bad, error):
+    def no_route(g, cert):
+        raise ApexRoutingError("no admissible apex face")
+
+    monkeypatch.setattr(conecross.apex, "lift_to_cone", lambda g, cert: bad)
+    monkeypatch.setattr(conecross.apex, "insert_apex", no_route)
+    with pytest.raises(error, match="does not verify"):
         cone_cr(complete_graph(5))
 
 
