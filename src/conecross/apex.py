@@ -36,13 +36,9 @@ from .certificates import (
     verify_certificate,
 )
 from .graphs import Multigraph, cone
-from .pages import ORDER_SEARCH_LIMIT, outerplanar_cr
+from .pages import outerplanar_cr
 from .parallel import Deadline
 from .solver import cr_certificates, cr_exact, cr_lower
-
-# Cheapest apex faces assembled per drawing before the drawing is given up.
-APEX_FACES_CAP = 8
-
 
 class ApexRoutingError(RuntimeError):
     """The apex found no route into this particular drawing of G.
@@ -102,14 +98,15 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
     """Certificate for cone(G) built on top of a certificate for G.
 
     G must be connected.  The apex face is chosen to minimize the total
-    crossings of the apex edges; along the way each apex edge avoids
-    edges at its own endpoint and never crosses one host twice.  The
-    returned certificate has been verified against cone(G).  Raises
-    ``ValueError`` when ``cert`` is malformed (before any embedding is
-    built) or its planarization is not planar (the embedding's own test),
-    and ``ApexRoutingError`` when no apex face admits such routes, or none
-    of the routes through the ``APEX_FACES_CAP`` cheapest faces assembles
-    into a realizable certificate.
+    crossings of the apex edges, ties going to the lowest face id; along
+    the way each apex edge avoids edges at its own endpoint and never
+    crosses one host twice.  Only the routes through that one face are
+    assembled, and the returned certificate has been verified against
+    cone(G).  Raises ``ValueError`` when ``cert`` is malformed (before any
+    embedding is built) or its planarization is not planar (the
+    embedding's own test), and ``ApexRoutingError`` when no apex face
+    admits such routes or the cheapest face's routes do not assemble into
+    a realizable certificate.
     """
     if len(g.components()) != 1:
         raise ValueError("apex insertion needs a connected base graph")
@@ -176,24 +173,19 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
             ranked.append((sum(len(p) for p in found), fid, found))
     if not ranked:
         raise ApexRoutingError("no admissible apex face")
-    ranked.sort(key=lambda t: (t[0], t[1]))
+    _, _, routes = min(ranked, key=lambda t: t[:2])
 
     cg = cone(g)
     index = cg.instance_index()
     lift = [index[inst] for inst in insts]
     apex_edge = [index[(v, g.n, 0)] for v in range(g.n)]
 
-    tried = ranked[:APEX_FACES_CAP]
-    for _, _, found in tried:
-        coned = _assemble_cone_cert(
-            cg, cert, segments, walks, seg_faces, found, lift, apex_edge
-        )
-        if coned is not None:
-            return coned
-    raise ApexRoutingError(
-        "apex routing produced no realizable certificate from the "
-        f"{len(tried)} cheapest apex faces (cap {APEX_FACES_CAP})"
+    coned = _assemble_cone_cert(
+        cg, cert, segments, walks, seg_faces, routes, lift, apex_edge
     )
+    if coned is None:
+        raise ApexRoutingError("the cheapest apex face gives no realizable certificate")
+    return coned
 
 
 def _assemble_cone_cert(
@@ -308,7 +300,8 @@ def cone_cr(
     above the cone's Euler floor:
 
       1. the best 1-page drawing of G, lifted (its apex joins from the
-         outer face for free);
+         outer face for free); past the order-search limit, or when no
+         order finishes in budget, the natural order's drawing;
       2. the apex inserted into the drawing ``cr_exact(G)`` returns, if
          that solve is exact in budget;
       3. the apex inserted into each further optimal drawing of G, as the
@@ -333,13 +326,9 @@ def cone_cr(
 
     cg = cone(g)
     floor = cr_lower(cg)
-    best: CrossingCertificate | None = None
     inner = None
-
-    if g.n <= ORDER_SEARCH_LIMIT:
-        ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms(), threads=threads)
-        if ocr.certificate is not None:
-            best = lift_to_cone(g, ocr.certificate)
+    ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms(), threads=threads)
+    best = lift_to_cone(g, ocr.certificate)
 
     def seed_from(drawing: CrossingCertificate) -> bool:
         """Insert the apex into one optimal drawing of G; True stops the stream."""
@@ -348,11 +337,11 @@ def cone_cr(
             coned = insert_apex(g, drawing)
         except ApexRoutingError:
             return deadline.expired()
-        if best is None or coned.count < best.count:
+        if coned.count < best.count:
             best = coned
         return deadline.expired() or best.count <= floor
 
-    if best is None or best.count > floor:
+    if best.count > floor:
         inner = cr_exact(
             g, max_k=max_k, budget_ms=deadline.remaining_ms(), threads=threads
         )
@@ -361,14 +350,13 @@ def cone_cr(
             cr_certificates(
                 g,
                 inner.value,
-                limit=None,
                 budget_ms=deadline.remaining_ms(),
                 until=lambda drawing: drawing != first and seed_from(drawing),
             )
 
     # The solve of G that fed the seeds is part of this answer's work.
     solves = [] if inner is None else [inner.stats]
-    if best is not None and best.count <= floor:
+    if best.count <= floor:
         # A seed at the floor with no solve of G is the 1-page seed, the
         # one seed not verified yet.
         if inner is None and not verify_certificate(cg, best)[1]:
@@ -381,6 +369,6 @@ def cone_cr(
         max_k=max_k,
         budget_ms=deadline.remaining_ms(),
         threads=threads,
-        upper_seed=None if best is None else (best.count, best),
+        upper_seed=(best.count, best),
     )
     return replace(res, stats=rolled_up(solves + [res.stats], started))

@@ -31,8 +31,10 @@ Prunes, all sound:
     go down, so this ends at a searched branch, and the lowest-index hit
     is never skipped: the bracket and the certificate stay the same.
     The argument holds for any set of automorphisms, so the generators
-    found before the deadline suffice.  ``cr_certificates`` does not
-    skip: it lists every drawing of the level, images included;
+    found before the deadline suffice.  ``cr_certificates`` lists every
+    drawing of the level, images included, so it skips only until its
+    first hit: while no earlier branch holds a drawing, neither does
+    one that an automorphism maps from an earlier branch;
   - a counting bound (Kleitman's method) sets the start level of a
     component whose verified upper seed U lies above it, unless
     ``lower_start`` asks for pure search.  Some optimal drawing is good,
@@ -46,16 +48,18 @@ Prunes, all sound:
     all.  The count aims at U: when U > cr(G) it cannot close, and the
     level search takes over from whatever it proved.
 
-The search at a level is a generator of realizable certificates in a
-fixed order.  ``cr_certificates`` collects those with distinct crossing
-sets, lazily: it stops at a count, at the end of the level, or at the
+The search at a level is one generator over a set of root branches,
+``_LevelSearch.root_hits``, that yields realizable certificates with
+distinct crossing sets in a fixed order.  ``cr_certificates`` walks every
+root branch with it, lazily: it stops at the end of the level or at the
 first drawing a caller's ``until`` test accepts, so a caller can act on
 each drawing as the search finds it.  ``cr_exact`` fans each level's root
 branches out as strided jobs, one per worker (``parallel.fan_out``; one
-job runs in this process).  The lowest-index hit wins, so the thread
-count never matters.  A worker computes the root orbits only when it is
-about to start a branch of index 1 or more, so a level whose first
-branch hits pays nothing for them.
+job runs in this process), and takes each job's first hit.  The
+lowest-index hit wins, so the thread count never matters.  The generator
+computes the root orbits only when it is about to start a branch of
+index 1 or more, so a level whose first branch hits pays nothing for
+them.
 
 Every level search of ``cr_exact`` runs in one deepening loop,
 ``_deepen``, which ends at the first level with a hit, the first level
@@ -72,7 +76,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .certificates import (
@@ -148,15 +151,28 @@ class _LevelSearch:
 
     # -- search -----------------------------------------------------------
 
-    def certificates(self) -> Iterator[CrossingCertificate]:
-        """Realizable certificates with pairwise distinct crossing sets, in
-        search order, until the level is exhausted or the deadline passes
-        (then ``out_of_time`` is set)."""
+    def root_hits(
+        self, cands: list[tuple[int, int]], assigned: Sequence[int]
+    ) -> Iterator[tuple[int, CrossingCertificate]]:
+        """(branch index, certificate) for the realizable certificates below
+        the ``assigned`` root branches, in search order, with pairwise
+        distinct crossing sets, until they are exhausted or the deadline
+        passes (then ``out_of_time`` is set).  Until the first hit, branches
+        that an automorphism maps from an earlier one are skipped."""
         seen: set[tuple[tuple[int, int], ...]] = set()
-        for cert in self._node({}, [], frozenset()):
-            if cert.crossings not in seen:
-                seen.add(cert.crossings)
-                yield cert
+        repeats: set[int] | None = None
+        for index in assigned:
+            if index and not seen:
+                if repeats is None:
+                    repeats = _orbit_repeats(self.g, cands, self.deadline)
+                if index in repeats:
+                    continue
+            for cert in self.branch({}, [], frozenset(cands[:index]), cands[index]):
+                if cert.crossings not in seen:
+                    seen.add(cert.crossings)
+                    yield index, cert
+            if self.out_of_time:
+                return
 
     def expand(
         self,
@@ -300,7 +316,7 @@ def _find_certificate(
     if cert is not None or not cands:
         return cert, True
     # A worker takes every ``workers``-th root branch; branch i forbids the
-    # pairs of branches 0..i-1, as the root of ``_LevelSearch._node`` does.
+    # pairs of branches 0..i-1, as the branches of ``_LevelSearch._node`` do.
     workers = worker_count(threads, len(cands))
     jobs = [(r, cands, range(w, len(cands), workers)) for w in range(workers)]
     hits: list[tuple[int, CrossingCertificate]] = []
@@ -323,23 +339,11 @@ def _branch_worker(
     deadline: Deadline,
 ) -> tuple[tuple[int, CrossingCertificate] | None, int, int, bool]:
     """First hit among the assigned root branches, as (branch index,
-    certificate), with the worker's node and planarity counts.  Branches
-    that an automorphism maps from an earlier one are skipped."""
+    certificate), with the worker's node and planarity counts."""
     r, cands, assigned = job
     search = _LevelSearch(g, r, deadline)
-    repeats: set[int] | None = None
-    for index in assigned:
-        if index:
-            if repeats is None:
-                repeats = _orbit_repeats(g, cands, deadline)
-            if index in repeats:
-                continue
-        cert = next(search.branch({}, [], frozenset(cands[:index]), cands[index]), None)
-        if cert is not None:
-            return (index, cert), search.nodes, search.planarity, True
-        if search.out_of_time:
-            break
-    return None, search.nodes, search.planarity, not search.out_of_time
+    hit = next(search.root_hits(cands, assigned), None)
+    return hit, search.nodes, search.planarity, hit is not None or not search.out_of_time
 
 
 def _deepen(
@@ -550,29 +554,32 @@ def cr_exact(
 def cr_certificates(
     g: Multigraph,
     k: int,
-    limit: int | None = 16,
     budget_ms: int | None = None,
     until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> list[CrossingCertificate]:
-    """Drawings of ``g`` with ``k`` crossings each, in search order.
+    """Drawings of ``g`` with ``k`` = cr(g) crossings each, in search order.
 
-    Meant for ``k = cr(g)``, where every hit has exactly ``k`` crossings;
-    the certificates are the search's hits with pairwise distinct
+    The certificates are the level search's hits with pairwise distinct
     crossing sets, the first being the drawing ``cr_exact`` returns.  The
-    search runs lazily and stops after ``limit`` drawings (None: the
-    whole level), when ``budget_ms`` runs out, or right after the first
-    drawing for which ``until(drawing)`` returns True.  ``until`` sees
-    each drawing as soon as it is found, so a caller can stop the search
-    at the first drawing that serves it, for instance one that admits a
-    cheap apex insertion.
+    search runs lazily and stops at the end of the level, when
+    ``budget_ms`` runs out, or right after the first drawing for which
+    ``until(drawing)`` returns True.  ``until`` sees each drawing as soon
+    as it is found, so a caller can stop the search at the first drawing
+    that serves it, for instance one that admits a cheap apex insertion.
+    Raises ``ValueError`` on a drawing with fewer than ``k`` crossings,
+    which shows that ``k`` is above cr(g).
     """
     if k < 0:
         raise ValueError(f"k={k}: the crossing count must be >= 0")
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit={limit}: must be None or >= 0")
     search = _LevelSearch(g, k, Deadline(budget_ms))
+    cert, cands = search.expand({}, [], frozenset())
+    hits = [(0, cert)] if cert is not None else search.root_hits(cands, range(len(cands)))
     found: list[CrossingCertificate] = []
-    for cert in islice(search.certificates(), limit):
+    for _, cert in hits:
+        if cert.count != k:
+            raise ValueError(
+                f"k={k} is above cr(g): the search found a {cert.count}-crossing drawing"
+            )
         found.append(cert)
         if until is not None and until(cert):
             break

@@ -257,12 +257,51 @@ def test_cone_raises_on_a_one_page_seed_that_does_not_verify(monkeypatch, bad, e
     ],
     ids=["triangle-hexagon", "wheel-with-chords"],
 )
-def test_insert_apex_into_every_optimal_drawing(g, k, histogram):
-    # All 108 and 18 optimal drawings take the apex, and each cone
-    # drawing stands up to both planarity oracles.
+def test_insert_apex_into_every_optimal_drawing(monkeypatch, g, k, histogram):
+    # All 108 and 18 optimal drawings take the apex through their cheapest
+    # face, the one face assembled, and each cone drawing stands up to both
+    # planarity oracles.
+    assembled = []
+    real_assemble = conecross.apex._assemble_cone_cert
+
+    def counted_assemble(*args):
+        assembled.append(args)
+        return real_assemble(*args)
+
+    monkeypatch.setattr(conecross.apex, "_assemble_cone_cert", counted_assemble)
     counts = Counter()
-    for drawing in cr_certificates(g, k, limit=None):
+    for inserted, drawing in enumerate(cr_certificates(g, k), start=1):
         coned = insert_apex(g, drawing)
+        assert len(assembled) == inserted
         assert_drawing(cone(g), coned, coned.count)
         counts[coned.count] += 1
     assert counts == histogram
+
+
+def test_cheapest_face_that_does_not_assemble_gives_up_the_drawing(monkeypatch):
+    # No second face is tried: the drawing is given up, and cone_cr falls
+    # back on its other seeds and the closing solve.
+    assembled = []
+
+    def unrealizable(*args):
+        assembled.append(args)
+        return None
+
+    monkeypatch.setattr(conecross.apex, "_assemble_cone_cert", unrealizable)
+    with pytest.raises(ApexRoutingError, match="cheapest apex face"):
+        insert_apex(complete_graph(5), CrossingCertificate.build([(1, 5)]))
+    assert len(assembled) == 1
+    res = cone_cr(complete_graph(5))
+    assert res.status == "exact" and res.value == 3
+    assert_drawing(cone(complete_graph(5)), res.certificate, 3)
+
+
+def test_cone_past_the_order_search_limit_lifts_the_natural_drawing():
+    # K12 has 12 vertices, past the order search's 11: the natural 1-page
+    # drawing has C(12, 4) = 495 crossings and lifts to the cone for free,
+    # where the closing solve's own fallback, cone(K12) = K13 drawn
+    # naturally, has C(13, 4) = 715.
+    g = complete_graph(12)
+    res = cone_cr(g, budget_ms=300)
+    assert (res.lower, res.upper, res.status) == (45, 495, "bounds-only")
+    assert_drawing(cone(g), res.certificate, 495)

@@ -169,24 +169,25 @@ def test_upper_seed_short_circuits_exhausted_levels():
 
 
 def test_certificate_enumeration_yields_distinct_optima():
-    certs = cr_certificates(complete_graph(5), 1, limit=8)
+    certs = cr_certificates(complete_graph(5), 1)[:8]
     assert len(certs) == 8
     assert len({c.crossings for c in certs}) == 8
     for cert in certs:
         assert verify_certificate(complete_graph(5), cert) == (1, True)
 
 
-def test_certificate_enumeration_respects_the_limit():
-    certs = cr_certificates(complete_graph(5), 1, limit=3)
-    assert len(certs) == 3
-
-
 def test_certificate_enumeration_without_a_limit_takes_the_whole_level():
     g = fig1_graph()
-    certs = cr_certificates(g, 3, limit=None)
+    certs = cr_certificates(g, 3)
     assert len(certs) == 108
     assert len({c.crossings for c in certs}) == 108
-    assert certs[:64] == cr_certificates(g, 3, limit=64)
+    seen = []
+
+    def until(cert):
+        seen.append(cert)
+        return len(seen) == 64
+
+    assert certs[:64] == cr_certificates(g, 3, until=until) == seen
 
 
 def test_certificate_enumeration_stops_at_the_first_accepted_drawing():
@@ -197,18 +198,25 @@ def test_certificate_enumeration_stops_at_the_first_accepted_drawing():
         seen.append(cert)
         return len(seen) == 2
 
-    certs = cr_certificates(g, 2, limit=None, until=until)
-    assert certs == seen == cr_certificates(g, 2, limit=2)
+    certs = cr_certificates(g, 2, until=until)
+    assert certs == seen == cr_certificates(g, 2)[:2]
     assert cr_certificates(g, 2, until=lambda c: True) == [cr_exact(g).certificate]
 
 
 @pytest.mark.parametrize(
-    "k, limit, message",
-    [(-1, 16, r"k=-1: the crossing count must be >= 0"), (1, -1, r"limit=-1: must be None or >= 0")],
+    "g, k, message",
+    [
+        (cycle_graph(4), -1, r"k=-1: the crossing count must be >= 0"),
+        # cr(K5) = 1: the level-2 search finds 1-crossing drawings.
+        (complete_graph(5), 2, r"k=2 is above cr\(g\): the search found a 1-crossing drawing"),
+        # A planar graph is its own drawing at the root, whatever k.
+        (cycle_graph(4), 3, r"k=3 is above cr\(g\): the search found a 0-crossing drawing"),
+    ],
+    ids=["negative-k", "k-above-cr", "k-above-cr-planar"],
 )
-def test_certificate_enumeration_rejects_bad_arguments(k, limit, message):
+def test_certificate_enumeration_rejects_bad_arguments(g, k, message):
     with pytest.raises(ValueError, match=message):
-        cr_certificates(cycle_graph(4), k, limit=limit)
+        cr_certificates(g, k)
 
 
 def test_thread_count_does_not_change_the_bracket():
@@ -295,7 +303,7 @@ def test_disconnected_multigraph_with_interleaved_labels():
 def test_first_enumerated_certificate_is_the_solvers_certificate():
     for g in (complete_graph(6), fig3_graph()):
         res = cr_exact(g)
-        first = cr_certificates(g, res.value, limit=1)
+        first = cr_certificates(g, res.value, until=lambda cert: True)
         assert first == [res.certificate]
 
 
@@ -350,6 +358,28 @@ def test_root_orbit_skip_keeps_the_answer_and_shrinks_the_tree(monkeypatch):
         assert a.stats.nodes <= b.stats.nodes
         assert_drawing(g, a.certificate, a.value)
     assert sum(a.stats.nodes for a in pruned) < sum(b.stats.nodes for b in full)
+
+
+def test_enumeration_skips_orbit_repeats_only_before_its_first_hit(monkeypatch):
+    # Before the first hit no earlier root branch holds a drawing, so
+    # neither does one that an automorphism maps from an earlier branch:
+    # the skip drops no drawing, and after the hit every image is listed.
+    graphs = orbit_differential_graphs()
+    solved = [cr_exact(g) for g in graphs]
+    levels = [res.value for res in solved]
+    tests = []
+    real = solver.lr_planar
+    monkeypatch.setattr(solver, "lr_planar", lambda n, pairs: tests.append(n) or real(n, pairs))
+    pruned = [cr_certificates(g, k) for g, k in zip(graphs, levels)]
+    pruned_tests = len(tests)
+    monkeypatch.setattr(solver, "_orbit_repeats", lambda g, cands, deadline: set())
+    full = [cr_certificates(g, k) for g, k in zip(graphs, levels)]
+    assert pruned == full
+    # 29,857 against 30,427 tests for 663 drawings.
+    assert pruned_tests < len(tests) - pruned_tests
+    for g, res, certs in zip(graphs, solved, pruned):
+        assert certs[0] == res.certificate
+        assert_drawing(g, certs[-1], res.value)
 
 
 def test_root_orbit_skip_in_a_worker_keeps_the_drawing():
