@@ -37,7 +37,7 @@ from .certificates import (
 )
 from .graphs import Multigraph, cone
 from .pages import outerplanar_cr
-from .parallel import Deadline
+from .deadline import Deadline, require_one_thread
 from .solver import cr_certificates, cr_exact, cr_lower
 
 class ApexRoutingError(RuntimeError):
@@ -266,7 +266,6 @@ def _cone_cr_split(
     g: Multigraph,
     max_k: int | None,
     deadline: Deadline,
-    threads: int,
     started: float,
 ) -> SolveResult:
     """Sum per-component cone solutions for a disconnected base graph.
@@ -279,9 +278,7 @@ def _cone_cr_split(
     """
     parts = []
     for sub, vertices in g.component_subgraphs():
-        res = cone_cr(
-            sub, max_k=max_k, budget_ms=deadline.remaining_ms(), threads=threads
-        )
+        res = cone_cr(sub, max_k=max_k, budget_ms=deadline.remaining_ms())
         parts.append((cone(sub), vertices + [g.n], res))
     return combine_brackets(cone(g), parts, started)
 
@@ -317,17 +314,20 @@ def cone_cr(
     lifted 1-page seed is verified here when it is returned at the floor,
     and otherwise by the closing solve's check of its upper seed.  A
     1-page seed that fails either check raises: lifting a 1-page drawing
-    cannot lose realizability, so that is an internal fault.
+    cannot lose realizability, so that is an internal fault.  ``threads``
+    must be 1: the solves run in this process, and the keyword goes once
+    the benchmark stops passing it (ROADMAP item 1).
     """
+    require_one_thread(threads)
     started = time.monotonic()
     deadline = Deadline(budget_ms)
     if len(g.components()) > 1:
-        return _cone_cr_split(g, max_k, deadline, threads, started)
+        return _cone_cr_split(g, max_k, deadline, started)
 
     cg = cone(g)
     floor = cr_lower(cg)
     inner = None
-    ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms(), threads=threads)
+    ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms())
     best = lift_to_cone(g, ocr.certificate)
 
     def seed_from(drawing: CrossingCertificate) -> bool:
@@ -342,9 +342,7 @@ def cone_cr(
         return deadline.expired() or best.count <= floor
 
     if best.count > floor:
-        inner = cr_exact(
-            g, max_k=max_k, budget_ms=deadline.remaining_ms(), threads=threads
-        )
+        inner = cr_exact(g, max_k=max_k, budget_ms=deadline.remaining_ms())
         first = inner.certificate
         if inner.status == "exact" and not seed_from(first):
             cr_certificates(
@@ -368,7 +366,6 @@ def cone_cr(
         cg,
         max_k=max_k,
         budget_ms=deadline.remaining_ms(),
-        threads=threads,
         upper_seed=(best.count, best),
     )
     return replace(res, stats=rolled_up(solves + [res.stats], started))

@@ -37,7 +37,7 @@ from .graphs import (
     subdivide_edge,
 )
 from .pages import outerplanar_search, split_report, two_page_search
-from .parallel import Deadline
+from .deadline import Deadline
 from .solver import cr_exact
 
 
@@ -98,13 +98,6 @@ def _book_dot(d: BookDrawing) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _thread_count(raw: str) -> int:
-    """argparse type for --threads: an integer of at least 1."""
-    if not raw.isdecimal() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {raw!r}")
-    return int(raw)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
     if family == "kn":
@@ -153,9 +146,9 @@ def cmd_cr(args: argparse.Namespace) -> int:
     if args.cone:
         from .apex import cone_cr
 
-        res = cone_cr(g, max_k=args.max_k, budget_ms=args.budget_ms, threads=args.threads)
+        res = cone_cr(g, max_k=args.max_k, budget_ms=args.budget_ms)
     else:
-        res = cr_exact(g, max_k=args.max_k, budget_ms=args.budget_ms, threads=args.threads)
+        res = cr_exact(g, max_k=args.max_k, budget_ms=args.budget_ms)
     _emit(res.to_json_dict(), args.out)
     return 0
 
@@ -186,13 +179,13 @@ def cmd_book(args: argparse.Namespace) -> int:
     elif mode == "order":
         if args.order is not None:
             raise UsageError("--optimize order searches orders; drop --order")
-        res, drawing = outerplanar_search(g, budget_ms=args.budget_ms, threads=args.threads)
+        res, drawing = outerplanar_search(g, budget_ms=args.budget_ms)
         crossings = res.upper
         status = res.status
     else:
         if args.order is not None:
             raise UsageError("--optimize both searches orders; drop --order")
-        res, drawing = two_page_search(g, budget_ms=args.budget_ms, threads=args.threads)
+        res, drawing = two_page_search(g, budget_ms=args.budget_ms)
         crossings = res.upper
         status = res.status
 
@@ -264,11 +257,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     name = args.name
     if name == "fs-small":
-        rows = fs_small(threads=args.threads, budget_ms=args.budget_ms)
+        rows = fs_small(budget_ms=args.budget_ms)
         _emit(rows, args.out)
         return 0 if all(r["ok"] for r in rows) else 1
     if name == "family-points":
-        rows = family_points(threads=args.threads, budget_ms=args.budget_ms)
+        rows = family_points(budget_ms=args.budget_ms)
         _emit(rows, args.out)
         return 0 if all(r["verified"] and r["matches_formula"] for r in rows) else 1
     if name == "cor22-suite":
@@ -276,19 +269,19 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         _emit(result, args.out)
         return 0 if not result["failures"] else 1
     if name == "hh-table":
-        rows = hh_table(verify_upto=args.verify_upto, threads=args.threads)
+        rows = hh_table(verify_upto=args.verify_upto)
         _emit(rows, args.out)
         return 0 if all(r.get("verified", True) for r in rows) else 1
     if name == "cone-exhaustion":
-        result = longrun_cone_exhaustion(threads=args.threads, budget_ms=args.budget_ms)
+        result = longrun_cone_exhaustion(budget_ms=args.budget_ms)
         _emit(result, args.out)
         return 0 if result["status"] == "exact" else 1
     if name == "f5-lower":
-        result = longrun_f5_lower(threads=args.threads, budget_ms=args.budget_ms)
+        result = longrun_f5_lower(budget_ms=args.budget_ms)
         _emit(result, args.out)
         return 0 if result["status"] == "exact" else 1
     if name == "z7":
-        result = longrun_z7(threads=args.threads, budget_ms=args.budget_ms)
+        result = longrun_z7(budget_ms=args.budget_ms)
         _emit(result, args.out)
         return 0 if result["value"] == result["expected"] else 1
     raise UsageError(f"unknown experiment {name!r}")
@@ -333,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--max-k", type=int, dest="max_k")
     p_cr.add_argument("--budget-ms", type=int, dest="budget_ms")
     p_cr.add_argument("--cone", action="store_true", help="solve the cone instead")
-    p_cr.add_argument("--threads", type=_thread_count, default=1)
     p_cr.add_argument("--out")
     p_cr.set_defaults(func=cmd_cr)
 
@@ -347,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
     )
     p_book.add_argument("--budget-ms", type=int, dest="budget_ms")
-    p_book.add_argument("--threads", type=_thread_count, default=1)
     p_book.add_argument("--out", help="write the book drawing here")
     p_book.add_argument("--dot", help="write annotated DOT here")
     p_book.set_defaults(func=cmd_book)
@@ -386,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--count", type=int, default=1000)
     p_exp.add_argument("--verify-upto", type=int, default=0, dest="verify_upto")
     p_exp.add_argument("--budget-ms", type=int, dest="budget_ms")
-    p_exp.add_argument("--threads", type=_thread_count, default=1)
     p_exp.add_argument("--out")
     p_exp.set_defaults(func=cmd_experiment)
 

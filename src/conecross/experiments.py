@@ -45,7 +45,7 @@ def _fs_witness(k: int) -> tuple[str, Multigraph]:
     return f"fan-family-{k}", f_graph(k)
 
 
-def fs_small(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
+def fs_small(budget_ms: int | None = None) -> list[dict]:
     """The f_s(k) table for k = 1..5 with per-row provenance.
 
     Rows for k <= 3 are solved exactly (witness crossing number and its
@@ -58,8 +58,8 @@ def fs_small(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
     rows = []
     for k in (1, 2, 3):
         name, g = _fs_witness(k)
-        base = cr_exact(g, threads=threads, budget_ms=budget_ms)
-        conev = cone_cr(g, threads=threads, budget_ms=budget_ms)
+        base = cr_exact(g, budget_ms=budget_ms)
+        conev = cone_cr(g, budget_ms=budget_ms)
         lower = thm41_lower(k)
         ok = (
             base.status == "exact"
@@ -83,7 +83,7 @@ def fs_small(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
         name, g = _fs_witness(k)
         base_cert = f_graph_certificate(k)
         base = cr_exact(
-            g, threads=threads, budget_ms=budget_ms, upper_seed=(k, base_cert)
+            g, budget_ms=budget_ms, upper_seed=(k, base_cert)
         )
         cone_cert = insert_apex(g, base_cert)
         cone_count, cone_ok = verify_certificate(cone(g), cone_cert)
@@ -109,7 +109,7 @@ def fs_small(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
     return rows
 
 
-def family_points(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
+def family_points(budget_ms: int | None = None) -> list[dict]:
     """Multigraph family datapoints (3r^2, 3r^2 + 3r) for r = 1, 2.
 
     The r = 1 point is the triangle-hexagon graph itself, drawn with the
@@ -120,7 +120,7 @@ def family_points(threads: int = 1, budget_ms: int | None = None) -> list[dict]:
     additionally re-derived by the exact solver.
     """
     g1 = fig1_graph()
-    base = cr_exact(g1, threads=threads, budget_ms=budget_ms)
+    base = cr_exact(g1, budget_ms=budget_ms)
     if base.status != "exact" or base.value != 3:
         raise RuntimeError("could not solve the r=1 family graph exactly")
     cert1 = fig1_certificate()
@@ -175,7 +175,7 @@ def cor22_suite(count: int = 1000, seed: int = 0) -> dict:
     return {"count": count, "seed": seed, "failures": failures}
 
 
-def hh_table(verify_upto: int = 0, threads: int = 1) -> list[dict]:
+def hh_table(verify_upto: int = 0) -> list[dict]:
     """Z(n) for n = 5..12, optionally cross-checked by two-page search.
 
     Verification solves the free-order two-page problem for K_n, which
@@ -189,14 +189,14 @@ def hh_table(verify_upto: int = 0, threads: int = 1) -> list[dict]:
     for n in range(5, 13):
         row = {"n": n, "z": harary_hill(n)}
         if 5 <= n <= verify_upto:
-            res = two_page_cr(complete_graph(n), threads=threads)
+            res = two_page_cr(complete_graph(n))
             row["two_page"] = res.value
             row["verified"] = res.status == "exact" and res.value == row["z"]
         rows.append(row)
     return rows
 
 
-def longrun_cone_exhaustion(threads: int = 1, budget_ms: int | None = None) -> dict:
+def longrun_cone_exhaustion(budget_ms: int | None = None) -> dict:
     """Re-derive cr(cone(triangle-hexagon)) >= 6 by search from level zero.
 
     Starts the level search at zero instead of the edge-count lower
@@ -213,7 +213,6 @@ def longrun_cone_exhaustion(threads: int = 1, budget_ms: int | None = None) -> d
         cone(g1),
         lower_start=0,
         upper_seed=(count, seed),
-        threads=threads,
         budget_ms=budget_ms,
     )
     return {
@@ -223,7 +222,7 @@ def longrun_cone_exhaustion(threads: int = 1, budget_ms: int | None = None) -> d
     }
 
 
-def longrun_f5_lower(threads: int = 1, budget_ms: int | None = None) -> dict:
+def longrun_f5_lower(budget_ms: int | None = None) -> dict:
     """Prove the k = 5 fan-family graph needs at least five crossings.
 
     The solve is seeded with the family's 5-crossing drawing, so the
@@ -234,7 +233,6 @@ def longrun_f5_lower(threads: int = 1, budget_ms: int | None = None) -> dict:
     res = cr_exact(
         g,
         upper_seed=(5, f_graph_certificate(5)),
-        threads=threads,
         budget_ms=budget_ms,
     )
     return {
@@ -245,9 +243,9 @@ def longrun_f5_lower(threads: int = 1, budget_ms: int | None = None) -> dict:
     }
 
 
-def longrun_z7(threads: int = 1, budget_ms: int | None = None) -> dict:
+def longrun_z7(budget_ms: int | None = None) -> dict:
     """Two-page crossing number of K7, expected to equal Z(7) = 9."""
-    res = two_page_cr(complete_graph(7), threads=threads, budget_ms=budget_ms)
+    res = two_page_cr(complete_graph(7), budget_ms=budget_ms)
     return {
         "value": res.value if res.status == "exact" else None,
         "status": res.status,

@@ -10,10 +10,10 @@ k/2 - (sqrt(8k+1)-1)/8.
 Order search (outerplanar and free 2-page) enumerates canonical spine
 orders, one vertex at a time for the 1-page case so that partial crossing
 counts prune the (n-1)!/2 space.  Both searches run through one driver,
-``_order_search``: it fans a scan (``_prefix_search`` or
-``_two_page_scan``) out, whole or split by the second spine vertex,
-draws the best order (or the natural order when no order finished), and
-certifies and verifies that drawing before it answers.
+``_order_search``: it runs a scan (``_prefix_search`` or
+``_two_page_scan``), draws the best order (or the natural order when no
+order finished), and certifies and verifies that drawing before it
+answers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .books import (
 from .certificates import SolveResult, SolveStats, certificate_from_book, verify_certificate
 from .graphs import Multigraph
 from .maxcut import EXACT_LIMIT, Cut, EdwardsBound, maxcut_edwards, maxcut_exact
-from .parallel import Deadline, fan_out
+from .deadline import Deadline, require_one_thread
 
 ORDER_SEARCH_LIMIT = 11
 
@@ -94,13 +94,12 @@ def one_to_two(g: Multigraph, order: CyclicOrder) -> BookDrawing:
 OrderScan = tuple[int | None, tuple[int, ...] | None, bool, int]
 
 
-def _prefix_search(g: Multigraph, second: int | None, deadline: Deadline) -> OrderScan:
+def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
     """Best 1-page crossing count over canonical orders, pruned by prefix.
 
     Crossings between chords with all endpoints placed never change when
     later vertices are appended, so a partial count that reaches the
-    incumbent prunes.  ``second`` pins the vertex at position 1 (the unit
-    of parallel splitting).  Returns (best, best order, completed, nodes).
+    incumbent prunes.  Returns (best, best order, completed, nodes).
     """
     n = g.n
     if n <= 2:
@@ -134,8 +133,7 @@ def _prefix_search(g: Multigraph, second: int | None, deadline: Deadline) -> Ord
             best = cnt
             best_seq = tuple(seq)
             return
-        candidates = range(1, n) if t != 1 or second is None else (second,)
-        for w in candidates:
+        for w in range(1, n):
             if pos[w] != -1:
                 continue
             if t == n - 1 and w < seq[1]:
@@ -174,13 +172,12 @@ def two_page_cr_fixed_order(g: Multigraph, order: CyclicOrder) -> int:
     return cg.m - maxcut_exact(cg.n_vertices, cg.edges).size
 
 
-def _two_page_scan(g: Multigraph, second: int | None, deadline: Deadline) -> OrderScan:
+def _two_page_scan(g: Multigraph, deadline: Deadline) -> OrderScan:
     """Fewest 2-page crossings over canonical orders, each split by an
     exact max cut; stops early at 0.
 
-    ``second`` pins the vertex at position 1 (the unit of parallel
-    splitting).  Returns (best, best order, completed, orders run); no
-    order runs with more than EXACT_LIMIT edges, too many for an exact cut.
+    Returns (best, best order, completed, orders run); no order runs with
+    more than EXACT_LIMIT edges, too many for an exact cut.
     """
     if g.m > EXACT_LIMIT:
         return None, None, False, 0
@@ -188,8 +185,6 @@ def _two_page_scan(g: Multigraph, second: int | None, deadline: Deadline) -> Ord
     best_seq: tuple[int, ...] | None = None
     orders_run = 0
     for order in canonical_orders(g.n):
-        if second is not None and order.seq[1] != second:
-            continue
         if deadline.expired():
             return best, best_seq, False, orders_run
         orders_run += 1
@@ -204,34 +199,24 @@ def _two_page_scan(g: Multigraph, second: int | None, deadline: Deadline) -> Ord
 
 def _order_search(
     g: Multigraph,
-    scan: Callable[[Multigraph, int | None, Deadline], OrderScan],
+    scan: Callable[[Multigraph, Deadline], OrderScan],
     drawing_of: Callable[[Multigraph, CyclicOrder], BookDrawing],
     budget_ms: int | None,
-    threads: int,
 ) -> tuple[SolveResult, BookDrawing]:
     """Run an order scan and certify the drawing of its best order.
 
-    The scan is exhaustive for n <= ORDER_SEARCH_LIMIT.  It goes through
-    ``fan_out`` as one job, or with ``threads`` above 1 as one job per
-    vertex at spine position 1, and the best result wins (ties: the lowest
-    vertex).  When no order finished (past the limit, out of budget, or
-    too many edges for an exact 2-page split) the natural order's drawing
-    gives a bounds-only bracket.  Every drawing returned has a verified
-    certificate witnessing the upper bound.
+    The scan is exhaustive for n <= ORDER_SEARCH_LIMIT.  When no order
+    finished (past the limit, out of budget, or too many edges for an
+    exact 2-page split) the natural order's drawing gives a bounds-only
+    bracket.  Every drawing returned has a verified certificate
+    witnessing the upper bound.
     """
     start = time.monotonic()
     deadline = Deadline(budget_ms)
     if g.n > ORDER_SEARCH_LIMIT:
         value, seq, complete, work = None, None, False, 1
     else:
-        # One job shares its incumbent over all orders; split only for workers.
-        jobs = range(1, g.n) if threads > 1 and g.n > 3 else [None]
-        value, seq, complete, work = None, None, True, 0
-        for part, part_seq, done, count in fan_out(scan, g, jobs, threads, deadline):
-            work += count
-            complete = complete and done
-            if part is not None and (value is None or part < value):
-                value, seq = part, part_seq
+        value, seq, complete, work = scan(g, deadline)
 
     order = CyclicOrder.natural(g.n) if seq is None else CyclicOrder(seq)
     drawing = drawing_of(g, order)
@@ -248,22 +233,31 @@ def _order_search(
 def outerplanar_search(
     g: Multigraph, budget_ms: int | None = None, threads: int = 1
 ) -> tuple[SolveResult, BookDrawing]:
-    """Minimum crossings over 1-page (convex) drawings, with the drawing."""
-    return _order_search(g, _prefix_search, one_page_drawing, budget_ms, threads)
+    """Minimum crossings over 1-page (convex) drawings, with the drawing.
+
+    ``threads`` must be 1: the search runs in this process, and the
+    keyword goes once the benchmark stops passing it (ROADMAP item 1).
+    """
+    require_one_thread(threads)
+    return _order_search(g, _prefix_search, one_page_drawing, budget_ms)
 
 
-def outerplanar_cr(g: Multigraph, budget_ms: int | None = None, threads: int = 1) -> SolveResult:
+def outerplanar_cr(g: Multigraph, budget_ms: int | None = None) -> SolveResult:
     """Minimum crossings over 1-page (convex) drawings."""
-    return outerplanar_search(g, budget_ms, threads)[0]
+    return outerplanar_search(g, budget_ms)[0]
 
 
 def two_page_search(
     g: Multigraph, budget_ms: int | None = None, threads: int = 1
 ) -> tuple[SolveResult, BookDrawing]:
-    """Minimum crossings over all 2-page drawings, with the drawing."""
-    return _order_search(g, _two_page_scan, one_to_two, budget_ms, threads)
+    """Minimum crossings over all 2-page drawings, with the drawing.
+
+    ``threads`` must be 1, as for ``outerplanar_search``.
+    """
+    require_one_thread(threads)
+    return _order_search(g, _two_page_scan, one_to_two, budget_ms)
 
 
-def two_page_cr(g: Multigraph, budget_ms: int | None = None, threads: int = 1) -> SolveResult:
+def two_page_cr(g: Multigraph, budget_ms: int | None = None) -> SolveResult:
     """Minimum crossings over all 2-page drawings (free spine order)."""
-    return two_page_search(g, budget_ms, threads)[0]
+    return two_page_search(g, budget_ms)[0]

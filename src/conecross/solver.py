@@ -48,18 +48,14 @@ Prunes, all sound:
     all.  The count aims at U: when U > cr(G) it cannot close, and the
     level search takes over from whatever it proved.
 
-The search at a level is one generator over a set of root branches,
-``_LevelSearch.root_hits``, that yields realizable certificates with
-distinct crossing sets in a fixed order.  ``cr_certificates`` walks every
-root branch with it, lazily: it stops at the end of the level or at the
-first drawing a caller's ``until`` test accepts, so a caller can act on
-each drawing as the search finds it.  ``cr_exact`` fans each level's root
-branches out as strided jobs, one per worker (``parallel.fan_out``; one
-job runs in this process), and takes each job's first hit.  The
-lowest-index hit wins, so the thread count never matters.  The generator
-computes the root orbits only when it is about to start a branch of
-index 1 or more, so a level whose first branch hits pays nothing for
-them.
+The search at a level is one generator, ``_LevelSearch.hits``, that
+yields realizable certificates with distinct crossing sets in a fixed
+order.  ``cr_exact`` takes its first hit; ``cr_certificates`` drains it
+lazily, stopping at the end of the level or at the first drawing a
+caller's ``until`` test accepts, so a caller can act on each drawing as
+the search finds it.  The generator computes the root orbits only when it
+is about to start a branch of index 1 or more, so a level whose first
+branch hits pays nothing for them.
 
 Every level search of ``cr_exact`` runs in one deepening loop,
 ``_deepen``, which ends at the first level with a hit, the first level
@@ -88,7 +84,7 @@ from .certificates import (
 )
 from .books import one_page_drawing
 from .graphs import Multigraph, automorphism_generators, orbit
-from .parallel import Deadline, fan_out, worker_count
+from .deadline import Deadline, require_one_thread
 from .planarity import lr_planar
 
 # Hosts deleted together by the first group test at a one-crossing-left node.
@@ -151,26 +147,29 @@ class _LevelSearch:
 
     # -- search -----------------------------------------------------------
 
-    def root_hits(
-        self, cands: list[tuple[int, int]], assigned: Sequence[int]
-    ) -> Iterator[tuple[int, CrossingCertificate]]:
-        """(branch index, certificate) for the realizable certificates below
-        the ``assigned`` root branches, in search order, with pairwise
-        distinct crossing sets, until they are exhausted or the deadline
-        passes (then ``out_of_time`` is set).  Until the first hit, branches
-        that an automorphism maps from an earlier one are skipped."""
+    def hits(self) -> Iterator[CrossingCertificate]:
+        """The realizable certificates with ``r`` crossings, in search order,
+        with pairwise distinct crossing sets, until they are exhausted or the
+        deadline passes (then ``out_of_time`` is set).  The root counts as
+        one node.  Until the first hit, root branches that an automorphism
+        maps from an earlier one are skipped."""
+        self.nodes += 1
+        cert, cands = self.expand({}, [], frozenset())
+        if cert is not None:
+            yield cert
+            return
         seen: set[tuple[tuple[int, int], ...]] = set()
         repeats: set[int] | None = None
-        for index in assigned:
+        for index, pair in enumerate(cands):
             if index and not seen:
                 if repeats is None:
                     repeats = _orbit_repeats(self.g, cands, self.deadline)
                 if index in repeats:
                     continue
-            for cert in self.branch({}, [], frozenset(cands[:index]), cands[index]):
+            for cert in self.branch({}, [], frozenset(cands[:index]), pair):
                 if cert.crossings not in seen:
                     seen.add(cert.crossings)
-                    yield index, cert
+                    yield cert
             if self.out_of_time:
                 return
 
@@ -305,55 +304,24 @@ class _Tally:
 
 
 def _find_certificate(
-    g: Multigraph, r: int, deadline: Deadline, threads: int, tally: _Tally
+    g: Multigraph, r: int, deadline: Deadline, tally: _Tally
 ) -> tuple[CrossingCertificate | None, bool]:
-    """(certificate, level fully exhausted), with the root's branches
-    fanned out to workers."""
-    root = _LevelSearch(g, r, deadline)
-    cert, cands = root.expand({}, [], frozenset())
-    tally.nodes += 1
-    tally.planarity += root.planarity
-    if cert is not None or not cands:
-        return cert, True
-    # A worker takes every ``workers``-th root branch; branch i forbids the
-    # pairs of branches 0..i-1, as the branches of ``_LevelSearch._node`` do.
-    workers = worker_count(threads, len(cands))
-    jobs = [(r, cands, range(w, len(cands), workers)) for w in range(workers)]
-    hits: list[tuple[int, CrossingCertificate]] = []
-    complete = True
-    for hit, n_nodes, n_tests, done in fan_out(_branch_worker, g, jobs, threads, deadline):
-        tally.nodes += n_nodes
-        tally.planarity += n_tests
-        complete = complete and done
-        if hit is not None:
-            hits.append(hit)
-    if hits:
-        # Branch indices are distinct: the lowest-index hit wins.
-        return min(hits)[1], True
-    return None, complete
-
-
-def _branch_worker(
-    g: Multigraph,
-    job: tuple[int, list[tuple[int, int]], range],
-    deadline: Deadline,
-) -> tuple[tuple[int, CrossingCertificate] | None, int, int, bool]:
-    """First hit among the assigned root branches, as (branch index,
-    certificate), with the worker's node and planarity counts."""
-    r, cands, assigned = job
+    """(first certificate of level ``r``, level fully exhausted)."""
     search = _LevelSearch(g, r, deadline)
-    hit = next(search.root_hits(cands, assigned), None)
-    return hit, search.nodes, search.planarity, hit is not None or not search.out_of_time
+    cert = next(search.hits(), None)
+    tally.nodes += search.nodes
+    tally.planarity += search.planarity
+    return cert, cert is not None or not search.out_of_time
 
 
 def _deepen(
-    g: Multigraph, level: int, stop: float, deadline: Deadline, threads: int, tally: _Tally
+    g: Multigraph, level: int, stop: float, deadline: Deadline, tally: _Tally
 ) -> tuple[int, CrossingCertificate | None]:
     """Search levels from ``level``, which must not exceed cr(g), below
     ``stop``: (the first level with a certificate, that certificate), or
     (the first level left unexhausted, None), at ``stop`` or the deadline."""
     while level < stop and not deadline.expired():
-        cert, complete = _find_certificate(g, level, deadline, threads, tally)
+        cert, complete = _find_certificate(g, level, deadline, tally)
         if cert is not None:
             if cert.count != level:
                 raise RuntimeError("search found a certificate below an exhausted level")
@@ -455,7 +423,7 @@ def _counting_lower(
             levels = [_euler(sub) for sub in comps]
             for i, sub in enumerate(comps):
                 stop = cap - sum(levels) + levels[i]
-                levels[i], _ = _deepen(sub, levels[i], stop, deadline, 1, tally)
+                levels[i], _ = _deepen(sub, levels[i], stop, deadline, tally)
             total += weight * sum(levels)
             rest -= weight
         if -(-total // div) > level:
@@ -470,7 +438,6 @@ def _solve_component(
     g: Multigraph,
     stop: float,
     deadline: Deadline,
-    threads: int,
     level: int,
     seed: CrossingCertificate | None,
     count: bool,
@@ -485,7 +452,7 @@ def _solve_component(
         reason = kind or reason
     if seed is not None:
         stop = min(stop, seed.count)
-    lower, cert = _deepen(g, level, stop, deadline, threads, tally)
+    lower, cert = _deepen(g, level, stop, deadline, tally)
     if lower > level:
         reason = "search"
     # Every level below a seed that the search reaches is exhausted.
@@ -518,8 +485,11 @@ def cr_exact(
     ``upper_seed`` is a known (value, certificate) pair for the whole
     graph, honoured when it is connected.  A seeded solve first tries to
     prove the seed's value by counting over vertex or edge deletions,
-    unless ``lower_start`` is given.
+    unless ``lower_start`` is given.  ``threads`` must be 1: the search
+    runs in this process, and the keyword goes once the benchmark stops
+    passing it (ROADMAP item 1).
     """
+    require_one_thread(threads)
     started = time.monotonic()
     deadline = Deadline(budget_ms)
     if max_k is not None and max_k < 0:
@@ -545,7 +515,7 @@ def cr_exact(
     count = lower_start is None
     stop = math.inf if max_k is None else max_k + 1
     parts = [
-        (sub, vertices, _solve_component(sub, stop, deadline, threads, level, seed, count))
+        (sub, vertices, _solve_component(sub, stop, deadline, level, seed, count))
         for (sub, vertices), level in zip(comps, levels)
     ]
     return combine_brackets(g, parts, started)
@@ -571,11 +541,8 @@ def cr_certificates(
     """
     if k < 0:
         raise ValueError(f"k={k}: the crossing count must be >= 0")
-    search = _LevelSearch(g, k, Deadline(budget_ms))
-    cert, cands = search.expand({}, [], frozenset())
-    hits = [(0, cert)] if cert is not None else search.root_hits(cands, range(len(cands)))
     found: list[CrossingCertificate] = []
-    for _, cert in hits:
+    for cert in _LevelSearch(g, k, Deadline(budget_ms)).hits():
         if cert.count != k:
             raise ValueError(
                 f"k={k} is above cr(g): the search found a {cert.count}-crossing drawing"

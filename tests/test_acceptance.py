@@ -307,13 +307,3 @@ def test_criterion_12_structural_properties(solved):
             assert cr_exact(sub).value == base.value
     union = disjoint_union(suite[0], suite[1])
     assert cr_exact(union).value == values[0] + values[1]
-
-    # (c) brackets do not depend on the thread count
-    for g in (complete_graph(6), fig3_graph()):
-        one = cr_exact(g, threads=1)
-        four = cr_exact(g, threads=4)
-        assert (one.lower, one.upper, one.status) == (
-            four.lower,
-            four.upper,
-            four.status,
-        )

@@ -99,11 +99,10 @@ def test_cr_accepts_graph_files(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["cr", "book", "experiment"])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_is_a_usage_error(capsys, command, threads):
+def test_threads_is_not_an_option(capsys, command):
     target = "hh-table" if command == "experiment" else "fig1"
     with pytest.raises(SystemExit) as exc:
-        main([command, target, "--threads", threads])
+        main([command, target, "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 

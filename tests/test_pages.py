@@ -146,23 +146,8 @@ def test_budget_zero_still_returns_an_honest_bracket():
     assert_certified_bounds_only(g, *two_page_search(g, budget_ms=0), pages=2)
 
 
-def test_thread_count_does_not_change_the_answer():
-    for g in (complete_graph(6), fig3_graph()):
-        single = two_page_cr(g, threads=1)
-        multi = two_page_cr(g, threads=4)
-        assert single.value == multi.value
-        assert outerplanar_cr(g, threads=1).value == outerplanar_cr(g, threads=4).value
-        # Ties go to the lowest second vertex, as in the single scan, so
-        # the certified drawings agree as well.
-        for search in (outerplanar_search, two_page_search):
-            res, drawing = search(g, threads=1)
-            multi_res, multi_drawing = search(g, threads=4)
-            assert multi_res.certificate == res.certificate
-            assert multi_drawing == drawing
-
-
-def test_parallel_two_page_search_on_a_planar_graph_is_exact_zero():
-    res = two_page_cr(cycle_graph(7), threads=2)
+def test_two_page_search_on_a_planar_graph_is_exact_zero():
+    res = two_page_cr(cycle_graph(7))
     assert res.status == "exact" and res.value == 0
 
 

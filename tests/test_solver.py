@@ -5,9 +5,7 @@ cr(Petersen) = 2, and crossing numbers are invariant under relabeling
 and edge subdivision and additive over disjoint unions.
 """
 
-import concurrent.futures
 import itertools
-import os
 import random
 
 import pytest
@@ -37,9 +35,9 @@ from conecross import (
     subdivide_edge,
     verify_certificate,
 )
-from conecross import parallel, solver
-from conecross.pages import two_page_search
-from conecross.parallel import Deadline, worker_count
+from conecross import solver
+from conecross.deadline import Deadline
+from conecross.pages import outerplanar_search, two_page_search
 from oracle import assert_drawing
 
 
@@ -219,37 +217,6 @@ def test_certificate_enumeration_rejects_bad_arguments(g, k, message):
         cr_certificates(g, k)
 
 
-def test_thread_count_does_not_change_the_bracket():
-    for g in (complete_graph(6), fig3_graph()):
-        a = cr_exact(g, threads=1)
-        b = cr_exact(g, threads=4)
-        assert (a.lower, a.upper, a.status) == (b.lower, b.upper, b.status)
-        # The lowest-index hit wins, so the drawing is the same one too.
-        assert a.certificate == b.certificate
-
-
-def answer(res):
-    return (res.lower, res.upper, res.status, res.certificate,
-            res.stats.nodes, res.stats.planarity_calls)
-
-
-def test_one_cpu_runs_threaded_searches_in_process(monkeypatch):
-    # With one CPU, threads=4 is the one-worker case of the fan-out: the
-    # same split runs here and no process pool is started.
-    solve = answer(cr_exact(fig3_graph()))
-    book, drawing = two_page_search(complete_graph(6))
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert answer(cr_exact(fig3_graph(), threads=4)) == solve
-    threaded_book, threaded_drawing = two_page_search(complete_graph(6), threads=4)
-    assert answer(threaded_book) == answer(book)
-    assert threaded_drawing == drawing
-
-
 def test_a_level_cut_short_mid_search_gives_a_certified_bracket(monkeypatch):
     # The deadline passes inside level 3 of fig1 (cr = 3, Euler bound 0):
     # levels 0..2 are exhausted, and the natural 1-page drawing gives the
@@ -305,15 +272,6 @@ def test_first_enumerated_certificate_is_the_solvers_certificate():
         res = cr_exact(g)
         first = cr_certificates(g, res.value, until=lambda cert: True)
         assert first == [res.certificate]
-
-
-def test_pool_size_is_clamped_to_cpus_and_jobs():
-    cpus = os.cpu_count() or 1
-    assert worker_count(10**9, 10**9) == cpus
-    assert worker_count(10**9, 3) == min(cpus, 3)
-    assert worker_count(2, 10**9) == min(cpus, 2)
-    assert worker_count(0, 5) == 1
-    assert worker_count(8, 0) == 1
 
 
 def test_search_tree_sizes_are_pinned():
@@ -382,14 +340,22 @@ def test_enumeration_skips_orbit_repeats_only_before_its_first_hit(monkeypatch):
         assert_drawing(g, certs[-1], res.value)
 
 
-def test_root_orbit_skip_in_a_worker_keeps_the_drawing():
-    # Worker 1 starts at root branch 1, where the skip acts.
+def test_root_orbit_skip_keeps_the_drawing_of_a_relabelled_f3():
     g = relabelled(f_graph(3), 7)
-    serial = cr_exact(g, threads=1)
-    threaded = cr_exact(g, threads=2)
-    assert (threaded.lower, threaded.upper, threaded.status) == (3, 3, "exact")
-    assert threaded.certificate == serial.certificate
-    assert_drawing(g, threaded.certificate, 3)
+    res = cr_exact(g)
+    assert (res.lower, res.upper, res.status) == (3, 3, "exact")
+    assert_drawing(g, res.certificate, 3)
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+@pytest.mark.parametrize(
+    "entry",
+    [cr_exact, cone_cr, outerplanar_search, two_page_search],
+    ids=lambda entry: entry.__name__,
+)
+def test_only_one_thread_is_accepted(entry, threads):
+    with pytest.raises(ValueError, match="threads"):
+        entry(complete_graph(5), threads=threads)
 
 
 def test_root_orbit_repeats_follow_the_symmetry():
