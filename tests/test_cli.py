@@ -107,6 +107,16 @@ def test_threads_is_not_an_option(capsys, command):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cr", "book", "experiment"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(capsys, command, threads):
+    target = "hh-table" if command == "experiment" else "fig1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
