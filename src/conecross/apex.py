@@ -11,6 +11,8 @@ Two certificate routes feed the upper bound for cr(cone(G)):
     stepped over.  Minimizing over apex faces gives a cone certificate
     whose apex edges cross G where the geometry says they must.
 
+``cone_cr`` puts the apex into each optimal drawing of G as ``cr_exact``'s
+own search finds it: level cr(G) is searched once per cone solve.
 Each cone certificate is verified once: an apex insertion verifies what
 it assembles, and the lifted 1-page seed is verified where ``cone_cr``
 returns it at the cone's Euler floor, or else by the closing solve that
@@ -38,6 +40,7 @@ from .certificates import (
 from .graphs import Multigraph, cone
 from .pages import outerplanar_cr
 from .deadline import Deadline, require_one_thread
+# cr_certificates stays importable here for the benchmark's tracer (ROADMAP item 1).
 from .solver import cr_certificates, cr_exact, cr_lower
 
 class ApexRoutingError(RuntimeError):
@@ -299,13 +302,11 @@ def cone_cr(
       1. the best 1-page drawing of G, lifted (its apex joins from the
          outer face for free); past the order-search limit, or when no
          order finishes in budget, the natural order's drawing;
-      2. the apex inserted into the drawing ``cr_exact(G)`` returns, if
-         that solve is exact in budget;
-      3. the apex inserted into each further optimal drawing of G, as the
-         level search streams them (its first, the drawing of step 2, is
-         skipped), until a seed meets the floor, the level is exhausted,
-         or the budget runs out.  Different optimal drawings expose very
-         different face structures to the apex.
+      2. the apex inserted into each optimal drawing of G as
+         ``cr_exact(G)``'s own search finds it, the drawing that solve
+         returns first, until a seed meets the floor, the level cr(G) is
+         exhausted, or the budget runs out.  Different optimal drawings
+         expose very different face structures to the apex.
 
     A best seed at the floor is returned as it stands, exact by the Euler
     bound, with no solve of the cone.  Above the floor it caps the
@@ -326,7 +327,6 @@ def cone_cr(
 
     cg = cone(g)
     floor = cr_lower(cg)
-    inner = None
     ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms())
     best = lift_to_cone(g, ocr.certificate)
 
@@ -336,28 +336,20 @@ def cone_cr(
         try:
             coned = insert_apex(g, drawing)
         except ApexRoutingError:
-            return deadline.expired()
+            return False
         if coned.count < best.count:
             best = coned
-        return deadline.expired() or best.count <= floor
-
-    if best.count > floor:
-        inner = cr_exact(g, max_k=max_k, budget_ms=deadline.remaining_ms())
-        first = inner.certificate
-        if inner.status == "exact" and not seed_from(first):
-            cr_certificates(
-                g,
-                inner.value,
-                budget_ms=deadline.remaining_ms(),
-                until=lambda drawing: drawing != first and seed_from(drawing),
-            )
+        return best.count <= floor
 
     # The solve of G that fed the seeds is part of this answer's work.
-    solves = [] if inner is None else [inner.stats]
+    solves = []
+    if best.count > floor:
+        inner = cr_exact(g, max_k=max_k, budget_ms=deadline.remaining_ms(), until=seed_from)
+        solves.append(inner.stats)
     if best.count <= floor:
         # A seed at the floor with no solve of G is the 1-page seed, the
         # one seed not verified yet.
-        if inner is None and not verify_certificate(cg, best)[1]:
+        if not solves and not verify_certificate(cg, best)[1]:
             raise RuntimeError("the lifted 1-page seed does not verify on cone(G)")
         return SolveResult(
             floor, floor, "exact", best, rolled_up(solves, started), "euler"

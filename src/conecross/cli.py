@@ -4,13 +4,15 @@ Subcommands: gen, cr, book, convert12, bounds, experiment.  All output is
 JSON on stdout; graph, book, and certificate files use the versioned
 formats from the library modules.  Exit codes: 0 when every verdict
 passes, 1 when a verdict fails, 2 for usage errors (argparse uses 2 on
-its own already).
+its own already), and 141 (as for SIGPIPE in a shell), with nothing on
+stderr, when the reader closes stdout early (``conecross cr fig1 | head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .books import BookDrawing, CyclicOrder, count_crossings, one_page_drawing
@@ -70,7 +72,8 @@ def _parse_order(raw: str | None, n: int) -> CyclicOrder:
 def _emit(obj, out: str | None = None) -> None:
     text = json.dumps(obj, indent=2)
     if out is None:
-        print(text)
+        # Flushed here, so that a closed pipe raises inside ``main``.
+        print(text, flush=True)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -388,6 +391,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # Python docs recipe: stdout to devnull, so the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -208,8 +208,8 @@ def _order_search(
     The scan is exhaustive for n <= ORDER_SEARCH_LIMIT.  When no order
     finished (past the limit, out of budget, or too many edges for an
     exact 2-page split) the natural order's drawing gives a bounds-only
-    bracket.  Every drawing returned has a verified certificate
-    witnessing the upper bound.
+    bracket, unless it has no crossings.  Every drawing returned has a
+    verified certificate witnessing the upper bound.
     """
     start = time.monotonic()
     deadline = Deadline(budget_ms)
@@ -225,7 +225,7 @@ def _order_search(
     if not ok or (value is not None and count != value):
         raise RuntimeError("order search produced an unrealizable drawing")
     stats = SolveStats(work, 1, (time.monotonic() - start) * 1000)
-    if complete and value is not None:
+    if count == 0 or (complete and value is not None):
         return SolveResult(count, count, "exact", cert, stats), drawing
     return SolveResult(0, count, "bounds-only", cert, stats), drawing
 

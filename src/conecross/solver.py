@@ -31,10 +31,11 @@ Prunes, all sound:
     go down, so this ends at a searched branch, and the lowest-index hit
     is never skipped: the bracket and the certificate stay the same.
     The argument holds for any set of automorphisms, so the generators
-    found before the deadline suffice.  ``cr_certificates`` lists every
-    drawing of the level, images included, so it skips only until its
-    first hit: while no earlier branch holds a drawing, neither does
-    one that an automorphism maps from an earlier branch;
+    found before the deadline suffice.  A drawing stream (``cr_exact``'s
+    ``until``, ``cr_certificates``) wants every drawing of the level,
+    images included, so the skip ends at the first hit: while no earlier
+    branch holds a drawing, neither does one that an automorphism maps
+    from an earlier branch;
   - a counting bound (Kleitman's method) sets the start level of a
     component whose verified upper seed U lies above it, unless
     ``lower_start`` asks for pure search.  Some optimal drawing is good,
@@ -50,12 +51,12 @@ Prunes, all sound:
 
 The search at a level is one generator, ``_LevelSearch.hits``, that
 yields realizable certificates with distinct crossing sets in a fixed
-order.  ``cr_exact`` takes its first hit; ``cr_certificates`` drains it
-lazily, stopping at the end of the level or at the first drawing a
-caller's ``until`` test accepts, so a caller can act on each drawing as
-the search finds it.  The generator computes the root orbits only when it
-is about to start a branch of index 1 or more, so a level whose first
-branch hits pays nothing for them.
+order.  ``cr_exact`` takes its first hit and, given an ``until`` test,
+drains the same generator to the test's first True or the level's end,
+so a caller acts on each optimal drawing as the level's one search finds
+it; ``cr_certificates`` lists a whole level.  The generator computes the
+root orbits only when it is about to start a branch of index 1 or more,
+so a level whose first branch hits pays nothing for them.
 
 Every level search of ``cr_exact`` runs in one deepening loop,
 ``_deepen``, which ends at the first level with a hit, the first level
@@ -303,30 +304,31 @@ class _Tally:
     planarity: int = 0
 
 
-def _find_certificate(
-    g: Multigraph, r: int, deadline: Deadline, tally: _Tally
-) -> tuple[CrossingCertificate | None, bool]:
-    """(first certificate of level ``r``, level fully exhausted)."""
-    search = _LevelSearch(g, r, deadline)
-    cert = next(search.hits(), None)
-    tally.nodes += search.nodes
-    tally.planarity += search.planarity
-    return cert, cert is not None or not search.out_of_time
-
-
 def _deepen(
-    g: Multigraph, level: int, stop: float, deadline: Deadline, tally: _Tally
+    g: Multigraph,
+    level: int,
+    stop: float,
+    deadline: Deadline,
+    tally: _Tally,
+    until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> tuple[int, CrossingCertificate | None]:
     """Search levels from ``level``, which must not exceed cr(g), below
-    ``stop``: (the first level with a certificate, that certificate), or
-    (the first level left unexhausted, None), at ``stop`` or the deadline."""
+    ``stop``: (the first level with a certificate, its first certificate),
+    or (the first level left unexhausted, None), at ``stop`` or the
+    deadline; ``until`` sees the found level's hits up to one it accepts."""
     while level < stop and not deadline.expired():
-        cert, complete = _find_certificate(g, level, deadline, tally)
+        search = _LevelSearch(g, level, deadline)
+        hits = search.hits()
+        cert = next(hits, None)
+        if cert is not None and cert.count != level:
+            raise RuntimeError("search found a certificate below an exhausted level")
+        if cert is not None and until is not None and not until(cert):
+            next(filter(until, hits), None)
+        tally.nodes += search.nodes
+        tally.planarity += search.planarity
         if cert is not None:
-            if cert.count != level:
-                raise RuntimeError("search found a certificate below an exhausted level")
             return level, cert
-        if not complete:
+        if search.out_of_time:
             break
         level += 1
     return level, None
@@ -441,6 +443,7 @@ def _solve_component(
     level: int,
     seed: CrossingCertificate | None,
     count: bool,
+    until: Callable[[CrossingCertificate], bool] | None,
 ) -> SolveResult:
     """Deepen from ``level``, which must not exceed cr(g), up to ``stop``
     or the verified ``seed`` drawing's count; with ``count`` and a seed
@@ -452,7 +455,7 @@ def _solve_component(
         reason = kind or reason
     if seed is not None:
         stop = min(stop, seed.count)
-    lower, cert = _deepen(g, level, stop, deadline, tally)
+    lower, cert = _deepen(g, level, stop, deadline, tally, until)
     if lower > level:
         reason = "search"
     # Every level below a seed that the search reaches is exhausted.
@@ -474,6 +477,7 @@ def cr_exact(
     threads: int = 1,
     lower_start: int | None = None,
     upper_seed: tuple[int, CrossingCertificate] | None = None,
+    until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> SolveResult:
     """Crossing number with certificate, or an honest bracket.
 
@@ -485,7 +489,10 @@ def cr_exact(
     ``upper_seed`` is a known (value, certificate) pair for the whole
     graph, honoured when it is connected.  A seeded solve first tries to
     prove the seed's value by counting over vertex or edge deletions,
-    unless ``lower_start`` is given.  ``threads`` must be 1: the search
+    unless ``lower_start`` is given.  ``until``, for a connected graph
+    only, sees each drawing of the level the search closes at, the
+    returned one first, until it returns True or the level or the budget
+    ends; the stats count that search.  ``threads`` must be 1: the search
     runs in this process, and the keyword goes once the benchmark stops
     passing it (ROADMAP item 1).
     """
@@ -501,6 +508,8 @@ def cr_exact(
             raise ValueError("upper seed certificate does not verify")
 
     comps = g.component_subgraphs()
+    if until is not None and len(comps) > 1:
+        raise ValueError(f"until needs a connected graph, got {len(comps)} components")
     levels = [_euler(sub) for sub, _ in comps]
     if lower_start is not None:
         # A start above cr(G) would treat unsearched levels as exhausted.
@@ -515,29 +524,22 @@ def cr_exact(
     count = lower_start is None
     stop = math.inf if max_k is None else max_k + 1
     parts = [
-        (sub, vertices, _solve_component(sub, stop, deadline, level, seed, count))
+        (sub, vertices, _solve_component(sub, stop, deadline, level, seed, count, until))
         for (sub, vertices), level in zip(comps, levels)
     ]
     return combine_brackets(g, parts, started)
 
 
 def cr_certificates(
-    g: Multigraph,
-    k: int,
-    budget_ms: int | None = None,
-    until: Callable[[CrossingCertificate], bool] | None = None,
+    g: Multigraph, k: int, budget_ms: int | None = None
 ) -> list[CrossingCertificate]:
     """Drawings of ``g`` with ``k`` = cr(g) crossings each, in search order.
 
     The certificates are the level search's hits with pairwise distinct
-    crossing sets, the first being the drawing ``cr_exact`` returns.  The
-    search runs lazily and stops at the end of the level, when
-    ``budget_ms`` runs out, or right after the first drawing for which
-    ``until(drawing)`` returns True.  ``until`` sees each drawing as soon
-    as it is found, so a caller can stop the search at the first drawing
-    that serves it, for instance one that admits a cheap apex insertion.
-    Raises ``ValueError`` on a drawing with fewer than ``k`` crossings,
-    which shows that ``k`` is above cr(g).
+    crossing sets, the first being the drawing ``cr_exact`` returns; the
+    list ends with the level or when ``budget_ms`` runs out.  Raises
+    ``ValueError`` on a drawing with fewer than ``k`` crossings, which
+    shows that ``k`` is above cr(g).
     """
     if k < 0:
         raise ValueError(f"k={k}: the crossing count must be >= 0")
@@ -548,6 +550,4 @@ def cr_certificates(
                 f"k={k} is above cr(g): the search found a {cert.count}-crossing drawing"
             )
         found.append(cert)
-        if until is not None and until(cert):
-            break
     return found

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import conecross.apex
+import conecross.solver
 from conecross import (
     ApexRoutingError,
     CrossingCertificate,
@@ -131,10 +132,9 @@ def test_cone_streams_drawings_past_the_first_64(g):
 
 def test_cone_stops_the_stream_at_the_floor(monkeypatch):
     # The drawing cr_exact returns for K5 already gives cone(K5) = K6 its
-    # floor of 3, so the apex goes into that one drawing and no drawing is
-    # enumerated.
+    # floor of 3, so the apex goes into that one drawing and the level
+    # search goes no further than that solve's own first hit.
     calls = []
-    enumerated = []
     solved = []
     real_insert = conecross.apex.insert_apex
     real_solve = conecross.apex.cr_exact
@@ -150,19 +150,19 @@ def test_cone_stops_the_stream_at_the_floor(monkeypatch):
 
     monkeypatch.setattr(conecross.apex, "insert_apex", counted_insert)
     monkeypatch.setattr(conecross.apex, "cr_exact", counted_solve)
-    monkeypatch.setattr(
-        conecross.apex, "cr_certificates", lambda *a, **kw: enumerated.append(a)
-    )
     res = cone_cr(complete_graph(5))
     assert res.status == "exact" and res.value == 3
     assert res.lower_reason == "euler"
     assert [r.certificate for r in solved] == calls
-    assert len(calls) == 1 and enumerated == []
+    assert len(calls) == 1
+    alone = real_solve(complete_graph(5)).stats
+    assert (res.stats.nodes, res.stats.planarity_calls) == (
+        alone.nodes, alone.planarity_calls)
 
 
 def test_cone_tries_each_drawing_once(monkeypatch):
     # Wheel-with-chords: cr_exact's drawing does not reach the cone's floor
-    # of 5, so the stream runs on and skips that drawing, its first.
+    # of 5, so its level search runs on to the next drawings.
     calls = []
     real_insert = conecross.apex.insert_apex
 
@@ -178,6 +178,44 @@ def test_cone_tries_each_drawing_once(monkeypatch):
     assert res.lower_reason == "euler"
     assert res.stats.nodes > 0
     assert_drawing(cone(fig3_graph()), res.certificate, 5)
+
+
+def test_cone_streams_a_prefix_of_the_optimal_drawings(monkeypatch):
+    # The apex goes into the drawings of level cr(G) = 2 in the order one
+    # search of that level finds them, the first being cr_exact's own.
+    g = fig3_graph()
+    calls = []
+    real_insert = conecross.apex.insert_apex
+
+    def counted_insert(h, cert):
+        calls.append(cert)
+        return real_insert(h, cert)
+
+    monkeypatch.setattr(conecross.apex, "insert_apex", counted_insert)
+    cone_cr(g)
+    level = cr_certificates(g, 2)
+    assert 1 < len(calls) < len(level)
+    assert calls == level[: len(calls)]
+    assert calls[0] == cr_exact(g).certificate
+
+
+@pytest.mark.parametrize(
+    "g", [fig3_graph(), fig1_graph()], ids=["wheel-with-chords", "triangle-hexagon"]
+)
+def test_cone_stats_count_every_planarity_test_of_the_search(monkeypatch, g):
+    # The stream that feeds the apex runs inside cr_exact's own search, so
+    # the rolled-up stats miss none of the solver's planarity tests.
+    tests = []
+    real = conecross.solver.lr_planar
+
+    def counted(n, pairs):
+        tests.append(n)
+        return real(n, pairs)
+
+    monkeypatch.setattr(conecross.solver, "lr_planar", counted)
+    res = cone_cr(g)
+    assert res.status == "exact"
+    assert res.stats.planarity_calls == len(tests)
 
 
 def test_cone_of_a_disconnected_graph():

@@ -1,9 +1,15 @@
-"""Command-line interface, driven through main(argv)."""
+"""Command-line interface, driven through main(argv) and, where the
+process's own streams matter, as a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conecross
 from conecross import BookDrawing, Multigraph, complete_graph, f_graph
 from conecross.cli import main
 
@@ -131,6 +137,24 @@ def test_negative_budget_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv, "--budget-ms", "-1")
     assert code == 2
     assert "budget_ms=-1" in err
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # The read end closes before the solve ends, so the JSON meets a
+    # broken pipe, as under ``conecross cr fig1 | head -c 50``.
+    src = str(Path(conecross.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conecross.cli", "cr", "fig1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_cr_rejects_missing_files(capsys):

@@ -174,31 +174,70 @@ def test_certificate_enumeration_yields_distinct_optima():
         assert verify_certificate(complete_graph(5), cert) == (1, True)
 
 
+def streamed(g, stop_after=None, **kwargs):
+    """``cr_exact(g)`` with an ``until`` test that accepts the drawing
+    numbered ``stop_after`` (never, if None), and the drawings it saw."""
+    seen = []
+
+    def until(cert):
+        seen.append(cert)
+        return len(seen) == stop_after
+
+    return cr_exact(g, until=until, **kwargs), seen
+
+
 def test_certificate_enumeration_without_a_limit_takes_the_whole_level():
     g = fig1_graph()
     certs = cr_certificates(g, 3)
     assert len(certs) == 108
     assert len({c.crossings for c in certs}) == 108
-    seen = []
-
-    def until(cert):
-        seen.append(cert)
-        return len(seen) == 64
-
-    assert certs[:64] == cr_certificates(g, 3, until=until) == seen
+    res, seen = streamed(g)
+    assert seen == certs and res.certificate == certs[0]
+    assert streamed(g, 64)[1] == certs[:64]
 
 
 def test_certificate_enumeration_stops_at_the_first_accepted_drawing():
     g = fig3_graph()
-    seen = []
+    res, seen = streamed(g, 2)
+    assert seen == cr_certificates(g, 2)[:2]
+    assert streamed(g, 1)[1] == [cr_exact(g).certificate] == [res.certificate]
 
-    def until(cert):
-        seen.append(cert)
-        return len(seen) == 2
 
-    certs = cr_certificates(g, 2, until=until)
-    assert certs == seen == cr_certificates(g, 2)[:2]
-    assert cr_certificates(g, 2, until=lambda c: True) == [cr_exact(g).certificate]
+def test_the_drawing_stream_keeps_the_answer_and_counts_its_search():
+    # The stream goes on where cr_exact's first hit left the level search:
+    # the bracket and the drawing stay, and its work adds to the stats.
+    for g in (fig1_graph(), fig3_graph(), f_graph(3)):
+        alone = cr_exact(g)
+        res, seen = streamed(g)
+        assert (res.lower, res.upper, res.status, res.certificate, res.lower_reason) == (
+            alone.lower, alone.upper, alone.status, alone.certificate, alone.lower_reason)
+        assert res.stats.nodes > alone.stats.nodes
+        assert res.stats.planarity_calls > alone.stats.planarity_calls
+        # Accepting the first drawing ends the stream before any search.
+        first = streamed(g, 1)[0].stats
+        assert (first.nodes, first.planarity_calls) == (
+            alone.stats.nodes, alone.stats.planarity_calls)
+
+
+def test_only_the_closing_search_streams_its_drawings():
+    # A seed at cr(F3) is proved by the count, whose sub-searches find
+    # drawings of F3 - x; none of them reaches until, nor does the seed.
+    g = f_graph(3)
+    res, seen = streamed(g, upper_seed=(3, f_graph_certificate(3)))
+    assert res.status == "exact" and res.lower_reason == "edge-count" and seen == []
+    # A seed above cr(F3): the count falls short, the search hits level 3,
+    # and only that level's drawings of F3 are streamed.
+    loose = certificate_from_book(one_page_drawing(g))
+    res, seen = streamed(g, upper_seed=(loose.count, loose))
+    assert res.value == 3 and seen and seen[0] == res.certificate
+    for cert in seen:
+        assert_drawing(g, cert, 3)
+
+
+def test_until_needs_a_connected_graph():
+    g = disjoint_union(complete_graph(5), complete_graph(5))
+    with pytest.raises(ValueError, match="until needs a connected graph, got 2 components"):
+        cr_exact(g, until=lambda cert: True)
 
 
 @pytest.mark.parametrize(
@@ -269,9 +308,8 @@ def test_disconnected_multigraph_with_interleaved_labels():
 
 def test_first_enumerated_certificate_is_the_solvers_certificate():
     for g in (complete_graph(6), fig3_graph()):
-        res = cr_exact(g)
-        first = cr_certificates(g, res.value, until=lambda cert: True)
-        assert first == [res.certificate]
+        res, seen = streamed(g, 1)
+        assert seen == [res.certificate] == cr_certificates(g, res.value)[:1]
 
 
 def test_search_tree_sizes_are_pinned():
@@ -280,7 +318,8 @@ def test_search_tree_sizes_are_pinned():
     fig1 = cr_exact(fig1_graph()).stats
     f3 = cr_exact(f_graph(3)).stats
     assert (fig1.nodes, f3.nodes) == (131, 131)
-    assert cone_cr(fig3_graph()).stats.nodes == 4
+    # The cone's solve of G counts the drawing stream its seeds come from.
+    assert cone_cr(fig3_graph()).stats.nodes == 17
     assert fig1.planarity_calls < 3000
     assert f3.planarity_calls < 2200
 
