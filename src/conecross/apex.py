@@ -25,6 +25,7 @@ import time
 from collections import deque
 from dataclasses import replace
 
+# Kept for the benchmark's tracer, which patches apex.nx (ROADMAP item 1).
 import networkx as nx
 
 from .certificates import (
@@ -39,6 +40,7 @@ from .certificates import (
 )
 from .graphs import Multigraph, cone
 from .pages import outerplanar_cr
+from .planarity import lr_embedding
 from .deadline import Deadline, require_one_thread
 # cr_certificates stays importable here for the benchmark's tracer (ROADMAP item 1).
 from .solver import cr_certificates, cr_exact, cr_lower
@@ -63,27 +65,47 @@ def _embedding_faces(
 
     Subdividing every segment keeps the embedding but makes the graph
     simple, so parallel segments get their faces too.  Node ``n_nodes + i``
-    is the midpoint of segment i.  Returns, per face, each node's first
+    is the midpoint of segment i.  ``lr_embedding`` gives the clockwise
+    rotation at every node, and a face walk that reaches w from v leaves
+    w towards the neighbour just counterclockwise of v; walks start from
+    the half-edges in sorted order.  Returns, per face, each node's first
     position on the face's walk, and per segment the face that walks it
     from a to b and the face that walks it from b to a (the midpoint has
-    one corner in each; a bridge has the same face twice).
+    one corner in each; a bridge has the same face twice).  Raises
+    ``ValueError`` when the planarization is not planar, and
+    ``RuntimeError`` when the faces break Euler's formula, which would be
+    a fault of the embedding.
     """
-    G = nx.Graph()
-    G.add_nodes_from(range(n_nodes))
+    edges = []
     for i, (a, b, _, _) in enumerate(segments):
         mid = n_nodes + i
-        G.add_edge(a, mid)
-        G.add_edge(mid, b)
-    planar, emb = nx.check_planarity(G)
-    if not planar:
+        edges.append((a, mid))
+        edges.append((mid, b))
+    rotation = lr_embedding(n_nodes + len(segments), edges)
+    if rotation is None:
         raise ValueError("base certificate does not verify: its planarization is not planar")
+    # turn[w, v]: the node a face walk goes to after arriving at w from v.
+    turn: dict[tuple[int, int], int] = {}
+    for w, nbrs in enumerate(rotation):
+        if nbrs:
+            ccw = nbrs[-1]
+            for v in nbrs:
+                turn[w, v] = ccw
+                ccw = v
     walks: list[dict[int, int]] = []
     seg_faces = [[0, 0] for _ in segments]
     seen: set[tuple[int, int]] = set()
-    for u, v in sorted(emb.edges()):
-        if (u, v) in seen:
+    for start in sorted(turn):
+        if start in seen:
             continue
-        nodes = emb.traverse_face(u, v, mark_half_edges=seen)
+        nodes = []
+        u, v = start
+        while True:
+            seen.add((u, v))
+            nodes.append(u)
+            u, v = v, turn[v, u]
+            if (u, v) == start:
+                break
         pos: dict[int, int] = {}
         for p, node in enumerate(nodes):
             pos.setdefault(node, p)
@@ -94,6 +116,13 @@ def _embedding_faces(
     if not walks:
         # Without edges the whole plane is one face holding every vertex.
         walks.append({v: v for v in range(n_nodes)})
+    # V - E + F = 2 for the connected planarization: n_nodes + s nodes,
+    # 2s edges.
+    if n_nodes - len(segments) + len(walks) != 2:
+        raise RuntimeError(
+            f"embedding has {len(walks)} faces, against Euler's formula for "
+            f"{n_nodes} nodes and {len(segments)} segments"
+        )
     return walks, seg_faces
 
 
@@ -267,11 +296,13 @@ def _assemble_cone_cert(
 
 def _cone_cr_split(
     g: Multigraph,
+    subs: list[tuple[Multigraph, list[int]]],
     max_k: int | None,
     deadline: Deadline,
     started: float,
 ) -> SolveResult:
-    """Sum per-component cone solutions for a disconnected base graph.
+    """Sum per-component cone solutions for a disconnected base graph
+    whose components are ``subs``.
 
     cr(cone(G)) splits exactly over the components of G: gluing the
     component cones at the shared apex, each shrunk into a face corner of
@@ -280,8 +311,8 @@ def _cone_cr_split(
     component cones, so the sum is a lower bound too.
     """
     parts = []
-    for sub, vertices in g.component_subgraphs():
-        res = cone_cr(sub, max_k=max_k, budget_ms=deadline.remaining_ms())
+    for sub, vertices in subs:
+        res = _cone_cr_connected(sub, max_k, deadline, time.monotonic())
         parts.append((cone(sub), vertices + [g.n], res))
     return combine_brackets(cone(g), parts, started)
 
@@ -322,9 +353,16 @@ def cone_cr(
     require_one_thread(threads)
     started = time.monotonic()
     deadline = Deadline(budget_ms)
-    if len(g.components()) > 1:
-        return _cone_cr_split(g, max_k, deadline, started)
+    subs = g.component_subgraphs()
+    if len(subs) > 1:
+        return _cone_cr_split(g, subs, max_k, deadline, started)
+    return _cone_cr_connected(g, max_k, deadline, started)
 
+
+def _cone_cr_connected(
+    g: Multigraph, max_k: int | None, deadline: Deadline, started: float
+) -> SolveResult:
+    """``cone_cr`` of a connected (or empty) base graph."""
     cg = cone(g)
     floor = cr_lower(cg)
     ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms())

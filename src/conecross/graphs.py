@@ -169,11 +169,16 @@ class Multigraph:
         """Each component as (subgraph, vertices); vertex i of the subgraph
         is ``vertices[i]`` here.  Labels keep their relative order, so
         copy j of a pair stays copy j."""
+        comps = self.components()
+        if len(comps) == 1:
+            return [(self, comps[0])]
         out = []
-        for comp in self.components():
+        for comp in comps:
+            # An order-keeping relabelling keeps the edges normalized and
+            # sorted.
             index = {v: i for i, v in enumerate(comp)}
-            pairs = [(index[u], index[v], mult) for u, v, mult in self.edges if u in index]
-            out.append((Multigraph.build(len(comp), pairs), comp))
+            edges = tuple((index[u], index[v], mult) for u, v, mult in self.edges if u in index)
+            out.append((Multigraph(len(comp), edges), comp))
         return out
 
     def relabel(self, perm: Sequence[int]) -> "Multigraph":

@@ -99,7 +99,10 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
 
     Crossings between chords with all endpoints placed never change when
     later vertices are appended, so a partial count that reaches the
-    incumbent prunes.  Returns (best, best order, completed, nodes).
+    incumbent prunes.  A chord from an earlier position p to the new last
+    position crosses exactly the placed chords that pass over p, so
+    ``cover[p]``, their summed multiplicity, prices it with no rescan.
+    Returns (best, best order, completed, nodes).
     """
     n = g.n
     if n <= 2:
@@ -116,8 +119,8 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
     pos = [-1] * n
     seq = [0] * n
     pos[0] = 0
-    # Edges with both endpoints placed, as (low position, high position, mult).
-    placed: list[tuple[int, int, int]] = []
+    # cover[p]: summed multiplicity of placed chords (a, b) with a < p < b.
+    cover = [0] * n
 
     def place(t: int, cnt: int) -> None:
         nonlocal best, best_seq, nodes, complete
@@ -142,17 +145,22 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
             new_edges = []
             for x, m in adj[w]:
                 px = pos[x]
-                if px == -1:
-                    continue
-                for pa, pb, m2 in placed:
-                    if pa < px < pb:
-                        gained += m * m2
-                new_edges.append((px, t, m))
+                if px != -1:
+                    gained += m * cover[px]
+                    new_edges.append((px, m))
             pos[w] = t
             seq[t] = w
-            placed.extend(new_edges)
+            # Only a child that places more vertices reads the cover.
+            deeper = t + 1 < n and (best is None or cnt + gained < best)
+            if deeper:
+                for px, m in new_edges:
+                    for p in range(px + 1, t):
+                        cover[p] += m
             place(t + 1, cnt + gained)
-            del placed[len(placed) - len(new_edges) :]
+            if deeper:
+                for px, m in new_edges:
+                    for p in range(px + 1, t):
+                        cover[p] -= m
             pos[w] = -1
         return
 

@@ -1,4 +1,4 @@
-"""Planarity decision via the left-right (LR partition) criterion.
+"""Planarity test and planar embedding via the left-right (LR) criterion.
 
 The test runs on a plain ``(n, edge list)`` description so the solver can
 call it on throwaway planarizations without building graph objects.  Two
@@ -9,37 +9,66 @@ with m > 3n - 6 never is.
 The LR test itself is the two-pass DFS of Brandes, "The left-right
 planarity test" (2009): an orientation pass computing lowpoints and
 nesting depths, then a testing pass maintaining a stack of conflict pairs
-of return-edge intervals.  Only the decision is produced; no embedding is
-constructed.
+of return-edge intervals.  ``lr_planar`` stops there with the decision.
+``lr_embedding`` shares both passes and then runs the paper's third one:
+it resolves each edge's side from the ``ref`` chains the testing pass
+left, re-sorts the outgoing edges by signed nesting depth, and inserts
+the back edges into the rotation system in a last DFS.
 
-Both passes run on integer edge ids.  An edge gets its id when the
+Every pass runs on integer edge ids.  An edge gets its id when the
 orientation pass orients it away from an endpoint (the parent for a tree
 edge, the descendant for a back edge), and every per-edge quantity lives
 in a flat list indexed by that id.  A conflict pair is a 4-slot list
 ``[L.low, L.high, R.low, R.high]`` of edge ids, with -1 for an empty slot.
-Both DFS passes are iterative, keeping one list iterator per open vertex,
-so deep graphs (long subdivided chains) cannot overflow the interpreter's
-recursion limit.
+The embedding pass works on half-edges: id e runs from the edge's source
+and id e + m back from its target.  Edges are deduplicated in the order
+given, so the DFS, and with it the embedding, follows the input order;
+fed its edges in sorted order, the embedding is the one networkx's LR
+implementation returns.  All passes are iterative, keeping one list
+iterator per open vertex, so deep graphs (long subdivided chains) cannot
+overflow the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .graphs import Multigraph
 
 
 def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """Planarity of the simple graph underlying ``edges`` on vertices 0..n-1."""
-    seen = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
-    m = len(seen)
+    # The answer does not depend on adjacency order, so a set will do.
+    pairs = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
+    m = len(pairs)
     if m <= 8:
         return True
     if n >= 3 and m > 3 * n - 6:
         return False
+    return _lr_test(n, pairs) is not None
 
+
+def lr_embedding(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]] | None:
+    """A planar embedding of the simple graph underlying ``edges``, or None.
+
+    Returns, for each vertex 0..n-1, its neighbours in clockwise order
+    (empty for an isolated vertex), or None when the graph is not planar.
+    """
+    # First-seen order, which the DFS and so the embedding follow.
+    pairs = {((u, v) if u < v else (v, u)): None for u, v in edges if u != v}
+    if n >= 3 and len(pairs) > 3 * n - 6:
+        return None
+    tested = _lr_test(n, pairs)
+    return None if tested is None else _embed(n, *tested)
+
+
+def _lr_test(n: int, pairs: Collection[tuple[int, int]]) -> tuple | None:
+    """The orientation and testing passes: None if not planar, else what
+    the embedding pass reads (roots, edge ends, outgoing edges, nesting
+    depths, parent edges, ``ref`` and relative ``side`` of every edge)."""
+    m = len(pairs)
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in seen:
+    for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
 
@@ -132,6 +161,7 @@ def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     # (-1) interval end, which lands here instead of clobbering a real edge.
     # Nothing ever reads it.
     ref = [-1] * (m + 1)
+    side = [1] * m
     for s in roots:
         stack = [(s, iter(ordered[s]))]
         ei = -1  # edge out of the top vertex still to be settled there
@@ -154,7 +184,7 @@ def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
                             if q[0] != -1 or q[1] != -1:
                                 q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
                                 if q[0] != -1 or q[1] != -1:
-                                    return False
+                                    return None
                             if lowpt[q[2]] > le:
                                 if P[2] == -1 and P[3] == -1:
                                     P[3] = q[3]
@@ -176,7 +206,7 @@ def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
                             if r_conf:
                                 q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
                                 if q[3] != -1 and lowpt[q[3]] > li:
-                                    return False
+                                    return None
                             ref[P[2]] = q[3]
                             if q[2] != -1:
                                 P[2] = q[2]
@@ -219,6 +249,8 @@ def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
                 if low != hu:
                     break
                 S.pop()
+                if q[0] != -1:
+                    side[q[0]] = -1
             if S:
                 q = S[-1]
                 h = q[1]
@@ -227,6 +259,7 @@ def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
                 q[1] = h
                 if h == -1 and q[0] != -1:
                     ref[q[0]] = q[2]
+                    side[q[0]] = -1
                     q[0] = -1
                 h = q[3]
                 while h != -1 and dst[h] == u:
@@ -234,11 +267,120 @@ def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
                 q[3] = h
                 if h == -1 and q[2] != -1:
                     ref[q[2]] = q[0]
+                    side[q[2]] = -1
                     q[2] = -1
-            # Brandes also sets ref[e] here, but only the embedding phase
-            # reads ref of a tree edge; interval ends are all back edges.
+                # e lies on the side of its highest return edge.
+                if lowpt[e] < hu:
+                    hl, hr = q[1], q[3]
+                    ref[e] = hl if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]) else hr
             ei = e
-    return True
+    return roots, src, dst, out, nesting, parent_edge, ref, side
+
+
+def _embed(
+    n: int,
+    roots: list[int],
+    src: list[int],
+    dst: list[int],
+    out: list[list[int]],
+    nesting: list[int],
+    parent_edge: list[int],
+    ref: list[int],
+    side: list[int],
+) -> list[list[int]]:
+    """Brandes's embedding pass: clockwise neighbour lists per vertex."""
+    m = len(src)
+    # sign(e): an edge's side is relative to its ref edge's; resolve each
+    # chain from its far end and cut it, so every edge is resolved once.
+    for e in range(m):
+        f = ref[e]
+        if f < 0:
+            continue
+        chain = [e]
+        while ref[f] >= 0:
+            chain.append(f)
+            f = ref[f]
+        for c in reversed(chain):
+            side[c] *= side[ref[c]]
+            ref[c] = -1
+    for e in range(m):
+        nesting[e] *= side[e]
+    ordered = [
+        sorted(o, key=nesting.__getitem__) if len(o) > 1 else o for o in out
+    ]
+
+    # Half-edge rotation as a circular doubly linked list: nxt is the next
+    # half-edge clockwise around the same vertex, prv counterclockwise.
+    # Outgoing edges start in signed nesting order; first[v] is v's
+    # leftmost half-edge, the one its parent edge goes in front of.
+    to = dst + src
+    nxt = [0] * (2 * m)
+    prv = [0] * (2 * m)
+    first = [-1] * n
+    for v, o in enumerate(ordered):
+        if o:
+            prev = o[-1]
+            for h in o:
+                nxt[prev] = h
+                prv[h] = prev
+                prev = h
+            first[v] = o[0]
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    for s in roots:
+        stack = [(s, iter(ordered[s]))]
+        while stack:
+            v, it = stack[-1]
+            for ei in it:
+                w = dst[ei]
+                t = ei + m
+                if ei == parent_edge[w]:
+                    # The tree edge goes in just counterclockwise of w's
+                    # leftmost half-edge and becomes the leftmost itself.
+                    f = first[w]
+                    if f < 0:
+                        nxt[t] = prv[t] = t
+                    else:
+                        p = prv[f]
+                        nxt[p] = prv[f] = t
+                        prv[t] = p
+                        nxt[t] = f
+                    first[w] = t
+                    left_ref[v] = right_ref[v] = ei
+                    stack.append((w, iter(ordered[w])))
+                    break
+                if side[ei] > 0:
+                    # Right back edge: just clockwise of right_ref[w].
+                    r = right_ref[w]
+                    q = nxt[r]
+                    nxt[r] = prv[q] = t
+                    prv[t] = r
+                    nxt[t] = q
+                else:
+                    # Left back edge: just counterclockwise of left_ref[w],
+                    # and the new left reference.
+                    lr = left_ref[w]
+                    p = prv[lr]
+                    nxt[p] = prv[lr] = t
+                    prv[t] = p
+                    nxt[t] = lr
+                    if first[w] == lr:
+                        first[w] = t
+                    left_ref[w] = t
+            else:
+                stack.pop()
+
+    rotation: list[list[int]] = []
+    for f in first:
+        nbrs = []
+        if f >= 0:
+            nbrs.append(to[f])
+            h = nxt[f]
+            while h != f:
+                nbrs.append(to[h])
+                h = nxt[h]
+        rotation.append(nbrs)
+    return rotation
 
 
 def is_planar(g: Multigraph) -> bool:

@@ -446,15 +446,16 @@ def _solve_component(
     until: Callable[[CrossingCertificate], bool] | None,
 ) -> SolveResult:
     """Deepen from ``level``, which must not exceed cr(g), up to ``stop``
-    or the verified ``seed`` drawing's count; with ``count`` and a seed
-    above ``level``, start from the counting bound if higher."""
+    or the verified ``seed`` drawing's count, whichever is lower; with
+    ``count`` and a seed, start from the counting bound if higher, which
+    aims at that same level."""
     tally = _Tally()
     reason = "euler"
-    if count and seed is not None and seed.count > level:
-        level, kind = _counting_lower(g, level, seed.count, deadline, tally)
-        reason = kind or reason
     if seed is not None:
         stop = min(stop, seed.count)
+    if count and seed is not None and stop > level:
+        level, kind = _counting_lower(g, level, stop, deadline, tally)
+        reason = kind or reason
     lower, cert = _deepen(g, level, stop, deadline, tally, until)
     if lower > level:
         reason = "search"
@@ -482,7 +483,8 @@ def cr_exact(
     """Crossing number with certificate, or an honest bracket.
 
     Components are solved independently (crossings add over a disjoint
-    union).  ``max_k`` caps the deepening level per component;
+    union).  ``max_k`` caps the deepening level per component, and the
+    counting bound aims no higher than ``max_k + 1`` either;
     ``lower_start`` forces exhaustion to begin at a lower level than the
     Euler bound (useful to re-derive the bound by pure search), and must
     lie between 0 and every component's Euler bound;

@@ -27,6 +27,8 @@ from conecross import (
     one_page_drawing,
     verify_certificate,
 )
+from conecross.certificates import planar_segments
+from conecross.planarity import lr_embedding
 from oracle import assert_drawing
 
 
@@ -314,6 +316,46 @@ def test_insert_apex_into_every_optimal_drawing(monkeypatch, g, k, histogram):
         assert_drawing(cone(g), coned, coned.count)
         counts[coned.count] += 1
     assert counts == histogram
+
+
+def test_insert_apex_into_drawings_with_parallel_segments():
+    # K5 with edge (0, 1) doubled has cr 1, and in each of its 12 optimal
+    # drawings the two copies run side by side between the same ends: the
+    # midpoints give those parallel segments the face between them.
+    g = Multigraph.build(5, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(0, 1)])
+    drawings = cr_certificates(g, 1)
+    assert len(drawings) == 12
+    for drawing in drawings:
+        ends = Counter(tuple(sorted(seg[:2])) for seg in planar_segments(g, drawing))
+        assert max(ends.values()) == 2
+        coned = insert_apex(g, drawing)
+        assert_drawing(cone(g), coned, 3)
+
+
+class _NoNetworkx:
+    def __getattr__(self, name):
+        raise AssertionError(f"apex insertion used networkx ({name})")
+
+
+def test_cone_needs_no_networkx(monkeypatch):
+    # apex.nx stays only as the benchmark tracer's patch point.
+    monkeypatch.setattr(conecross.apex, "nx", _NoNetworkx())
+    res = cone_cr(fig3_graph())
+    assert res.status == "exact" and res.value == 5
+    assert_drawing(cone(fig3_graph()), res.certificate, 5)
+
+
+def test_embedding_faces_check_euler(monkeypatch):
+    # A rotation system that is not a plane embedding has too few faces;
+    # that is an internal fault, not a drawing to skip.
+    def flipped(n, edges):
+        rotation = lr_embedding(n, edges)
+        rotation[0] = rotation[0][::-1]
+        return rotation
+
+    monkeypatch.setattr(conecross.apex, "lr_embedding", flipped)
+    with pytest.raises(RuntimeError, match="Euler"):
+        insert_apex(complete_graph(5), CrossingCertificate.build([(1, 5)]))
 
 
 def test_cheapest_face_that_does_not_assemble_gives_up_the_drawing(monkeypatch):

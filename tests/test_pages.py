@@ -10,6 +10,7 @@ from conecross import (
     cor22_bound_ok,
     count_crossings,
     cycle_graph,
+    fig1_graph,
     fig3_graph,
     multiply_edges,
     one_to_two,
@@ -20,8 +21,14 @@ from conecross import (
     two_page_cr_fixed_order,
     verify_certificate,
 )
+from conecross.deadline import Deadline
 from conecross.maxcut import EXACT_LIMIT
-from conecross.pages import ORDER_SEARCH_LIMIT, outerplanar_search, two_page_search
+from conecross.pages import (
+    ORDER_SEARCH_LIMIT,
+    _prefix_search,
+    outerplanar_search,
+    two_page_search,
+)
 
 
 def three_interleaved_chords():
@@ -72,6 +79,14 @@ def test_outerplanar_values():
     assert outerplanar_cr(complete_graph(5)).value == 5
     assert outerplanar_cr(cycle_graph(6)).value == 0
     assert outerplanar_cr(fig3_graph()).value == 11
+
+
+def test_prefix_search_is_pinned_on_the_triangle_hexagon_graph():
+    # Best count, best order, completion and node count: how a new chord
+    # is priced must not change the tree the search visits.
+    assert _prefix_search(fig1_graph(), Deadline(None)) == (
+        15, (0, 3, 8, 2, 7, 6, 1, 5, 4), True, 62891
+    )
 
 
 def test_outerplanar_certificate_witnesses_the_bound():

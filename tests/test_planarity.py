@@ -1,7 +1,10 @@
-"""Left-right planarity test, cross-checked against networkx.
+"""Left-right planarity test and embedding, cross-checked against networkx.
 
 networkx ships an independent implementation of the same criterion, so a
 seeded sweep over it is a real oracle rather than a mirror of our code.
+Embeddings are checked on their own terms: every rotation lists exactly
+a vertex's neighbours, and its face walks satisfy Euler's formula on
+every component.
 """
 
 import itertools
@@ -22,14 +25,82 @@ from conecross import (
     multiply_edges,
     subdivide_edge,
 )
-from conecross.planarity import lr_planar
+from conecross.planarity import lr_embedding, lr_planar
+
+
+def nx_graph(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u, v in edges if u != v)
+    return g
 
 
 def nx_planar(n, edges):
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    return nx.check_planarity(g)[0]
+    return nx.check_planarity(nx_graph(n, edges))[0]
+
+
+def assert_embedding(n, edges, rotation):
+    """``rotation`` is a planar rotation system of the simple graph under
+    ``edges``: each vertex lists its neighbours once, and on every
+    component V - E + F = 2, with F counted by walking faces."""
+    g = nx_graph(n, edges)
+    assert len(rotation) == n
+    turn = {}
+    for w, nbrs in enumerate(rotation):
+        assert len(nbrs) == len(set(nbrs)) and set(nbrs) == set(g[w])
+        for i, v in enumerate(nbrs):
+            # A walk arriving at w from v leaves towards v's
+            # counterclockwise neighbour.
+            turn[w, v] = nbrs[i - 1]
+    seen = set()
+    faces = {}
+    for start in turn:
+        if start in seen:
+            continue
+        u, v = start
+        while (u, v) not in seen:
+            seen.add((u, v))
+            u, v = v, turn[v, u]
+        faces[u] = faces.get(u, 0) + 1
+    for comp in nx.connected_components(g):
+        sub = g.subgraph(comp)
+        f = sum(faces.get(v, 0) for v in comp) or 1
+        assert sub.number_of_nodes() - sub.number_of_edges() + f == 2
+
+
+def check_embedding(n, edges, planar):
+    """``lr_embedding`` agrees with the decision ``planar`` and, when it
+    gives an embedding, the embedding holds up."""
+    rotation = lr_embedding(n, edges)
+    assert (rotation is not None) == planar, (n, edges)
+    if rotation is not None:
+        assert_embedding(n, edges, rotation)
+
+
+def test_embedding_small_cases():
+    assert lr_embedding(0, []) == []
+    assert lr_embedding(3, []) == [[], [], []]
+    assert lr_embedding(2, [(0, 1), (1, 0), (1, 1)]) == [[1], [0]]
+    assert lr_embedding(5, list(itertools.combinations(range(5), 2))) is None
+    k4 = list(itertools.combinations(range(4), 2))
+    assert_embedding(4, k4, lr_embedding(4, k4))
+
+
+def test_embedding_is_networkx_embedding_on_sorted_edges():
+    # Fed sorted edges, the DFS visits neighbours as networkx's does, so
+    # the rotation systems agree exactly, start vertex included.
+    rng = random.Random(11)
+    planar = 0
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        pool = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pool)
+        edges = sorted(pool[: rng.randint(0, min(len(pool), 3 * n))])
+        ok, emb = nx.check_planarity(nx_graph(n, edges))
+        expected = [list(emb.neighbors_cw_order(v)) for v in range(n)] if ok else None
+        assert lr_embedding(n, edges) == expected
+        planar += ok
+    assert 100 < planar < 400
 
 
 def test_small_known_cases():
@@ -67,7 +138,9 @@ def test_random_sweep_matches_networkx(seed):
         pool = list(itertools.combinations(range(n), 2))
         rng.shuffle(pool)
         edges = pool[:m]
-        assert lr_planar(n, edges) == nx_planar(n, edges)
+        expected = nx_planar(n, edges)
+        assert lr_planar(n, edges) == expected
+        check_embedding(n, edges, expected)
 
 
 def test_subdivided_kuratowski_graphs_stay_nonplanar():
@@ -196,6 +269,7 @@ def test_solver_shaped_inputs_match_networkx(shape):
         n, edges, known = shape(rng)
         expected = _oracle(n, edges)
         assert lr_planar(n, edges) == expected, (n, edges)
+        check_embedding(n, edges, expected)
         if known is not None:
             assert expected == known
         answers.add(expected)
@@ -212,3 +286,8 @@ def test_large_sparse_graph_needs_no_recursion():
     assert lr_planar(n, edges)
     assert not lr_planar(n + 5, edges + k5)
     assert not lr_planar(n + 5, edges + k5 + [(n - 1, n)])
+    assert_embedding(n, edges, lr_embedding(n, edges))
+    assert lr_embedding(n + 5, edges + k5 + [(n - 1, n)]) is None
+    # A long path of midpoints, as apex insertion builds them.
+    chain = [(i, i + 1) for i in range(5000)]
+    assert_embedding(5001, chain, lr_embedding(5001, chain))

@@ -27,6 +27,7 @@ from conecross import (
     f_graph_certificate,
     fig1_graph,
     fig3_graph,
+    lift_to_cone,
     lr_planar,
     multiply_edges,
     one_page_drawing,
@@ -130,6 +131,27 @@ def test_max_k_caps_the_search():
     assert res.lower == 3
     count, ok = verify_certificate(complete_graph(6), res.certificate)
     assert ok and count == res.upper
+
+
+@pytest.mark.parametrize("max_k", [0, 1])
+def test_max_k_caps_the_counting_bound(max_k):
+    # The wheel-with-chords cone has its Euler floor 5 as its value, and
+    # the closing solve is seeded with the lifted 1-page drawing (11).
+    # Under max_k the count must not aim at 11: it used to run the whole
+    # budget, ending at [5, 11] after 26,097 nodes.
+    res = cone_cr(fig3_graph(), max_k=max_k, budget_ms=15_000)
+    assert (res.lower, res.upper, res.status) == (5, 11, "bounds-only")
+    assert res.stats.nodes <= 1
+    g = cone(fig3_graph())
+    seed = lift_to_cone(fig3_graph(), outerplanar_cr(fig3_graph()).certificate)
+    res = cr_exact(g, max_k=max_k, budget_ms=15_000, upper_seed=(11, seed))
+    assert (res.lower, res.upper, res.status, res.stats.nodes) == (5, 11, "bounds-only", 0)
+
+
+@pytest.mark.parametrize("max_k", [2, None])
+def test_max_k_above_the_base_value_keeps_the_cone_exact(max_k):
+    res = cone_cr(fig3_graph(), max_k=max_k)
+    assert (res.value, res.status, res.stats.nodes) == (5, "exact", 17)
 
 
 def test_tiny_budget_returns_a_bracket_not_a_lie():
