@@ -312,8 +312,9 @@ def _cone_cr_split(
     """
     parts = []
     for sub, vertices in subs:
-        res = _cone_cr_connected(sub, max_k, deadline, time.monotonic())
-        parts.append((cone(sub), vertices + [g.n], res))
+        cs = cone(sub)
+        res = _cone_cr_connected(sub, cs, max_k, deadline, time.monotonic())
+        parts.append((cs, vertices + [g.n], res))
     return combine_brackets(cone(g), parts, started)
 
 
@@ -351,19 +352,23 @@ def cone_cr(
     the benchmark stops passing it (ROADMAP item 1).
     """
     require_one_thread(threads)
+    # Checked here, not only in the solve of G, which a split or a seed
+    # at the floor may never reach.
+    if max_k is not None and max_k < 0:
+        raise ValueError(f"max_k={max_k}: must be None or >= 0")
     started = time.monotonic()
     deadline = Deadline(budget_ms)
     subs = g.component_subgraphs()
     if len(subs) > 1:
         return _cone_cr_split(g, subs, max_k, deadline, started)
-    return _cone_cr_connected(g, max_k, deadline, started)
+    return _cone_cr_connected(g, cone(g), max_k, deadline, started)
 
 
 def _cone_cr_connected(
-    g: Multigraph, max_k: int | None, deadline: Deadline, started: float
+    g: Multigraph, cg: Multigraph, max_k: int | None, deadline: Deadline, started: float
 ) -> SolveResult:
-    """``cone_cr`` of a connected (or empty) base graph."""
-    cg = cone(g)
+    """``cone_cr`` of a connected (or empty) base graph ``g``, whose cone is
+    ``cg``."""
     floor = cr_lower(cg)
     ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms())
     best = lift_to_cone(g, ocr.certificate)

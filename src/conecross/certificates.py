@@ -184,20 +184,29 @@ def lift_certificate(
 
     Each part is (sub, vertices, cert) with vertex i of ``sub`` being
     ``vertices[i]`` of ``whole``; copy j of a pair stays copy j.  Crossing
-    indices are shifted past those of the parts before.
+    indices are shifted past those of the parts before.  Only the instances
+    a certificate names are looked up.
     """
-    index = whole.instance_index()
+    # first[(u, v)]: the id of copy 0 of pair (u, v) in ``whole``.
+    first: dict[tuple[int, int], int] = {}
+    count = 0
+    for u, v, mult in whole.edges:
+        first[(u, v)] = count
+        count += mult
     pairs: list[tuple[int, int]] = []
     orders: dict[int, list[int]] = {}
     for sub, vertices, cert in parts:
-        ids = []
-        for u, v, copy in sub.instances():
+        insts = sub.instances()
+
+        def lifted(eid: int) -> int:
+            u, v, copy = insts[eid]
             a, b = vertices[u], vertices[v]
-            ids.append(index[(min(a, b), max(a, b), copy)])
+            return first[(a, b) if a < b else (b, a)] + copy
+
         offset = len(pairs)
-        pairs.extend((ids[e], ids[f]) for e, f in cert.crossings)
+        pairs.extend((lifted(e), lifted(f)) for e, f in cert.crossings)
         for eid, seq in cert.edge_orders:
-            orders[ids[eid]] = [i + offset for i in seq]
+            orders[lifted(eid)] = [i + offset for i in seq]
     return CrossingCertificate.build(pairs, orders)
 
 

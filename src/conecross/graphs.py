@@ -172,14 +172,17 @@ class Multigraph:
         comps = self.components()
         if len(comps) == 1:
             return [(self, comps[0])]
-        out = []
-        for comp in comps:
-            # An order-keeping relabelling keeps the edges normalized and
-            # sorted.
-            index = {v: i for i, v in enumerate(comp)}
-            edges = tuple((index[u], index[v], mult) for u, v, mult in self.edges if u in index)
-            out.append((Multigraph(len(comp), edges), comp))
-        return out
+        # where[v]: v's component and its label there.  An order-keeping
+        # relabelling keeps each component's edges normalized and sorted.
+        where = [(0, 0)] * self.n
+        for c, comp in enumerate(comps):
+            for i, v in enumerate(comp):
+                where[v] = (c, i)
+        edges: list[list[tuple[int, int, int]]] = [[] for _ in comps]
+        for u, v, mult in self.edges:
+            c, a = where[u]
+            edges[c].append((a, where[v][1], mult))
+        return [(Multigraph(len(comp), tuple(es)), comp) for comp, es in zip(comps, edges)]
 
     def relabel(self, perm: Sequence[int]) -> "Multigraph":
         """Apply the bijection v -> perm[v] to the vertex set."""

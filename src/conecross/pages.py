@@ -98,19 +98,32 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
     """Best 1-page crossing count over canonical orders, pruned by prefix.
 
     Crossings between chords with all endpoints placed never change when
-    later vertices are appended, so a partial count that reaches the
-    incumbent prunes.  A chord from an earlier position p to the new last
-    position crosses exactly the placed chords that pass over p, so
-    ``cover[p]``, their summed multiplicity, prices it with no rescan.
+    later vertices are appended.  A chord from an earlier position p to the
+    new last position crosses exactly the placed chords that pass over p,
+    so ``cover[p]``, their summed multiplicity, prices it with no rescan.
+    A chord still pending from a placed vertex x ends past every placed
+    chord, so it crosses at least the ``cover[pos[x]]`` chords over x:
+    the sum of ``pend[x] * cover[pos[x]]``, with ``pend[x]`` the
+    multiplicity of x's edges to unplaced vertices, is a lower bound on
+    what the rest of the order adds.  A prefix whose count plus that bound
+    reaches the incumbent prunes.  The bound follows the cover array as it
+    changes: placing w prices w's chords at exactly the bound they carried,
+    and each new unit of ``cover[p]`` adds ``pend`` of the vertex at p.
+    One pass over the positions from w's first placed neighbour raises
+    ``cover`` by a running sum of w's chords, so a dense graph pays the
+    order's length per vertex placed, not its square.
     Returns (best, best order, completed, nodes).
     """
     n = g.n
     if n <= 2:
         return 0, tuple(range(n)), True, 1
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # mult[w][x]: multiplicity of the pair wx, 0 for a non-edge.
+    mult = [[0] * n for _ in range(n)]
     for u, v, m in g.edges:
         adj[u].append((v, m))
         adj[v].append((u, m))
+        mult[u][v] = mult[v][u] = m
 
     best: int | None = None
     best_seq: tuple[int, ...] | None = None
@@ -121,8 +134,10 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
     pos[0] = 0
     # cover[p]: summed multiplicity of placed chords (a, b) with a < p < b.
     cover = [0] * n
+    # pend[x]: multiplicity of edges from placed x to unplaced vertices.
+    pend = [sum(m for _, m in adj[x]) for x in range(n)]
 
-    def place(t: int, cnt: int) -> None:
+    def place(t: int, cnt: int, bound: int) -> None:
         nonlocal best, best_seq, nodes, complete
         if not complete:
             return
@@ -130,7 +145,7 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
         if nodes % 1024 == 0 and deadline.expired():
             complete = False
             return
-        if best is not None and cnt >= best:
+        if best is not None and cnt + bound >= best:
             return
         if t == n:
             best = cnt
@@ -142,29 +157,45 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
             if t == n - 1 and w < seq[1]:
                 continue
             gained = 0
-            new_edges = []
+            placed = 0
+            first = t
             for x, m in adj[w]:
                 px = pos[x]
                 if px != -1:
                     gained += m * cover[px]
-                    new_edges.append((px, m))
+                    placed += m
+                    if px < first:
+                        first = px
             pos[w] = t
             seq[t] = w
-            # Only a child that places more vertices reads the cover.
-            deeper = t + 1 < n and (best is None or cnt + gained < best)
+            # Placing w turns ``gained`` of the bound into crossings; only a
+            # child that places more vertices reads the cover and pend.
+            rest = bound - gained
+            deeper = t + 1 < n and (best is None or cnt + bound < best)
             if deeper:
-                for px, m in new_edges:
-                    for p in range(px + 1, t):
-                        cover[p] += m
-            place(t + 1, cnt + gained)
+                row = mult[w]
+                pend[w] -= placed
+                for p in range(first, t):
+                    pend[seq[p]] -= row[seq[p]]
+                # w's chords over position p: those from positions before p.
+                over = 0
+                for p in range(first + 1, t):
+                    over += row[seq[p - 1]]
+                    cover[p] += over
+                    rest += over * pend[seq[p]]
+            place(t + 1, cnt + gained, rest)
             if deeper:
-                for px, m in new_edges:
-                    for p in range(px + 1, t):
-                        cover[p] -= m
+                pend[w] += placed
+                over = 0
+                for p in range(first + 1, t):
+                    over += row[seq[p - 1]]
+                    cover[p] -= over
+                for p in range(first, t):
+                    pend[seq[p]] += row[seq[p]]
             pos[w] = -1
         return
 
-    place(1, 0)
+    place(1, 0, 0)
     return best, best_seq, complete, nodes
 
 

@@ -15,12 +15,18 @@ Prunes, all sound:
     crossing budget (a completion would draw H with that few crossings);
   - with one crossing left, both of its hosts must individually restore
     planarity when deleted, so candidates shrink to the set U of hosts h
-    with H - h planar (h's whole chain deleted).  U is found by group
-    testing: one test deletes a block of HOST_BLOCK hosts at once, and
-    only a planar result is split in halves, since H - h contains H - S
-    for every h in S.  U lies inside any greedy host set K (a host
-    outside K leaves the non-planar K intact), so U is K filtered by
-    single deletions, found here with about a third of the tests;
+    with H - h planar (h's whole chain deleted).  U is resolved in branch
+    order: the node yields its pairs in sorted order and settles a host
+    only when that order reaches it, by group testing: one test deletes
+    the host's block of HOST_BLOCK hosts at once, and only a planar
+    result is halved towards the host, since H - h contains H - S for
+    every h in S.  A block is tested at most once per node, so a dead
+    node pays at most the tests that settle all of U, and a live node
+    stops testing once its caller takes a hit.  A host whose later
+    non-adjacent hosts are all known to lie outside U starts no pair and
+    is not tested.  U lies inside any greedy host set K (a host outside
+    K leaves the non-planar K intact), so U is K filtered by single
+    deletions, found here with about a third of the tests;
   - certificates inherit the good-drawing restrictions (no adjacent or
     repeated pairs), which some optimal drawing always satisfies;
   - ``cr_exact`` skips root branch j when an automorphism sigma of G maps
@@ -61,6 +67,8 @@ so a level whose first branch hits pays nothing for them.
 Every level search of ``cr_exact`` runs in one deepening loop,
 ``_deepen``, which ends at the first level with a hit, the first level
 cut short, or a stop, and adds its work to the component solve's tally.
+Its levels share one set of partner lists, and a level with no hit
+proves G non-planar, so no later level tests the root again.
 A component solve runs it once, from the count's bound if higher, up to
 the seed's count or ``max_k`` + 1; the count runs it on each component
 of G - x up to the level that U needs on average.  Levels below the
@@ -73,7 +81,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .certificates import (
     CrossingCertificate,
@@ -102,6 +110,16 @@ def cr_lower(g: Multigraph) -> int:
     return sum(_euler(sub) for sub, _ in g.component_subgraphs())
 
 
+def _partners(ends: list[tuple[int, int]]) -> list[list[int]]:
+    """For each host e, the later hosts f > e that share no end with e:
+    the hosts e can be crossed with in a good drawing."""
+    return [
+        [f for f in range(e + 1, len(ends))
+         if ends[f][0] != u and ends[f][0] != v and ends[f][1] != u and ends[f][1] != v]
+        for e, (u, v) in enumerate(ends)
+    ]
+
+
 class _LevelSearch:
     """Depth-first search for certificates with exactly ``r`` crossings.
 
@@ -110,11 +128,22 @@ class _LevelSearch:
     count the nodes entered and the planarity tests made.
     """
 
-    def __init__(self, g: Multigraph, r: int, deadline: Deadline):
+    def __init__(
+        self,
+        g: Multigraph,
+        r: int,
+        deadline: Deadline,
+        partners: list[list[int]] | None = None,
+        root_nonplanar: bool = False,
+    ):
         self.g = g
         self.ends = [(u, v) for u, v, _ in g.instances()]
         self.r = r
         self.deadline = deadline
+        # partners[e]: the hosts f > e that share no end with e.
+        self.partners = _partners(self.ends) if partners is None else partners
+        # An earlier level of the same graph already found G non-planar.
+        self.root_nonplanar = root_nonplanar
         self.nodes = 0
         self.planarity = 0
         self.out_of_time = False
@@ -161,13 +190,20 @@ class _LevelSearch:
             return
         seen: set[tuple[tuple[int, int], ...]] = set()
         repeats: set[int] | None = None
-        for index, pair in enumerate(cands):
+        tried: list[tuple[int, int]] = []
+        pending = iter(cands)
+        while (pair := next(pending, None)) is not None:
+            index = len(tried)
+            tried.append(pair)
             if index and not seen:
                 if repeats is None:
-                    repeats = _orbit_repeats(self.g, cands, self.deadline)
+                    # The skip needs every root pair: pull the rest now.
+                    rest = list(pending)
+                    repeats = _orbit_repeats(self.g, tried + rest, self.deadline)
+                    pending = iter(rest)
                 if index in repeats:
                     continue
-            for cert in self.branch({}, [], frozenset(cands[:index]), pair):
+            for cert in self.branch({}, [], frozenset(tried[:index]), pair):
                 if cert.crossings not in seen:
                     seen.add(cert.crossings)
                     yield cert
@@ -179,12 +215,14 @@ class _LevelSearch:
         chains: dict[int, list[int]],
         crossings: list[tuple[int, int]],
         forbidden: frozenset[tuple[int, int]],
-    ) -> tuple[CrossingCertificate | None, list[tuple[int, int]]]:
+    ) -> tuple[CrossingCertificate | None, Iterable[tuple[int, int]]]:
         """A node's own drawing if its planarization is planar, else the
-        crossing pairs to branch on, sorted (none: the node is a dead end)."""
+        crossing pairs to branch on, sorted (none: the node is a dead end).
+        With one crossing left the pairs come from a generator that tests
+        hosts only as the order reaches them."""
         s = len(crossings)
         pairs = self._pairs(chains)
-        if self._planar(s, pairs):
+        if (crossings or not self.root_nonplanar) and self._planar(s, pairs):
             orders = {eid: chain for eid, chain in chains.items() if len(chain) >= 2}
             return CrossingCertificate.build(list(crossings), orders), []
         if s == self.r:
@@ -194,26 +232,15 @@ class _LevelSearch:
         if simple_m - 3 * (self.g.n + s) + 6 > remaining:
             return None, []
 
-        if remaining == 1:
-            usable = self._deletable_hosts(chains, s)
-        else:
-            usable = self._minimal_hosts(chains, s)
         used = set(crossings)
-        cands: list[tuple[int, int]] = []
-        for a in range(len(usable)):
-            e = usable[a]
-            ue, ve = self.ends[e]
-            for b in range(a + 1, len(usable)):
-                f = usable[b]
-                uf, vf = self.ends[f]
-                if ue in (uf, vf) or ve in (uf, vf):
-                    continue
-                pair = (e, f) if e < f else (f, e)
-                if pair in used or pair in forbidden:
-                    continue
-                cands.append(pair)
-        cands.sort()
-        return None, cands
+        if remaining == 1:
+            return None, self._one_left_pairs(chains, s, used, forbidden)
+        usable = self._minimal_hosts(chains, s)
+        keep = set(usable)
+        return None, [
+            (e, f) for e in usable for f in self.partners[e]
+            if f in keep and (e, f) not in used and (e, f) not in forbidden
+        ]
 
     def _node(
         self,
@@ -258,26 +285,60 @@ class _LevelSearch:
                 if self.out_of_time:
                     return
 
-    def _deletable_hosts(self, chains: dict[int, list[int]], n_extra: int) -> list[int]:
-        """Hosts whose deletion alone makes the planarization planar, in
-        increasing order, by group tests over blocks of ``HOST_BLOCK``."""
-        found: list[int] = []
+    def _one_left_pairs(
+        self,
+        chains: dict[int, list[int]],
+        n_extra: int,
+        used: set[tuple[int, int]],
+        forbidden: frozenset[tuple[int, int]],
+    ) -> Iterator[tuple[int, int]]:
+        """The pairs of hosts in U, sorted, with U resolved in that order.
+        A host none of whose partners can still be in U starts no pair and
+        is not tested."""
+        inside: list[bool | None] = [None] * len(self.ends)
+        planar_blocks: set[tuple[int, int]] = set()
+        for e, later in enumerate(self.partners):
+            if all(inside[f] is False for f in later):
+                continue
+            if not self._deletable(chains, n_extra, inside, planar_blocks, e):
+                continue
+            for f in later:
+                pair = (e, f)
+                if pair in used or pair in forbidden:
+                    continue
+                if self._deletable(chains, n_extra, inside, planar_blocks, f):
+                    yield pair
 
-        def test(block: range) -> None:
-            # A non-planar H - S rules out every h in S: H - h contains it.
-            if not self._planar(n_extra, self._pairs(chains, frozenset(block))):
-                return
-            if len(block) == 1:
-                found.append(block[0])
-                return
-            half = len(block) // 2
-            test(block[:half])
-            test(block[half:])
+    def _deletable(
+        self,
+        chains: dict[int, list[int]],
+        n_extra: int,
+        inside: list[bool | None],
+        planar_blocks: set[tuple[int, int]],
+        h: int,
+    ) -> bool:
+        """Whether deleting host h alone makes the planarization planar.
 
+        Settled by group tests over h's block of ``HOST_BLOCK`` hosts,
+        halved towards h on a planar result: a non-planar H - S rules out
+        every host in S, since H - h contains it.  ``inside`` holds the
+        node's settled hosts and ``planar_blocks`` its planar blocks, so
+        no block is tested twice at one node."""
         m = len(self.ends)
-        for start in range(0, m, HOST_BLOCK):
-            test(range(start, min(start + HOST_BLOCK, m)))
-        return found
+        lo = h - h % HOST_BLOCK
+        hi = min(lo + HOST_BLOCK, m)
+        while inside[h] is None:
+            if (lo, hi) not in planar_blocks:
+                if not self._planar(n_extra, self._pairs(chains, frozenset(range(lo, hi)))):
+                    inside[lo:hi] = [False] * (hi - lo)
+                    break
+                planar_blocks.add((lo, hi))
+            if hi - lo == 1:
+                inside[h] = True
+                break
+            mid = lo + (hi - lo) // 2
+            lo, hi = (lo, mid) if h < mid else (mid, hi)
+        return bool(inside[h])
 
     def _minimal_hosts(self, chains: dict[int, list[int]], n_extra: int) -> list[int]:
         """Hosts of an inclusion-minimal non-planar set of edge chains.
@@ -286,7 +347,7 @@ class _LevelSearch:
         non-planar.  What remains hosts a Kuratowski subdivision, and any
         completion must cross two of these hosts with each other.  Used
         only with two or more crossings left; with one left,
-        ``_deletable_hosts`` finds the usable hosts directly.
+        ``_one_left_pairs`` tests the usable hosts directly.
         """
         removed: set[int] = set()
         for h in range(len(self.ends)):
@@ -315,9 +376,14 @@ def _deepen(
     """Search levels from ``level``, which must not exceed cr(g), below
     ``stop``: (the first level with a certificate, its first certificate),
     or (the first level left unexhausted, None), at ``stop`` or the
-    deadline; ``until`` sees the found level's hits up to one it accepts."""
+    deadline; ``until`` sees the found level's hits up to one it accepts.
+    The levels share the partner lists, and a level with no hit shows that
+    g is not planar, so later levels skip that root test."""
+    partners: list[list[int]] | None = None
+    root_nonplanar = False
     while level < stop and not deadline.expired():
-        search = _LevelSearch(g, level, deadline)
+        search = _LevelSearch(g, level, deadline, partners, root_nonplanar)
+        partners, root_nonplanar = search.partners, True
         hits = search.hits()
         cert = next(hits, None)
         if cert is not None and cert.count != level:

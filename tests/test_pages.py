@@ -83,9 +83,10 @@ def test_outerplanar_values():
 
 def test_prefix_search_is_pinned_on_the_triangle_hexagon_graph():
     # Best count, best order, completion and node count: how a new chord
-    # is priced must not change the tree the search visits.
+    # is priced must not change the tree the search visits.  The bound on
+    # the pending chords cut the tree from 62,891 nodes.
     assert _prefix_search(fig1_graph(), Deadline(None)) == (
-        15, (0, 3, 8, 2, 7, 6, 1, 5, 4), True, 62891
+        15, (0, 3, 8, 2, 7, 6, 1, 5, 4), True, 7142
     )
 
 

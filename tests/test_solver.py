@@ -173,6 +173,13 @@ def test_negative_budget_and_max_k_are_rejected():
         cr_certificates(complete_graph(6), 3, budget_ms=-5)
     with pytest.raises(ValueError, match="max_k=-1"):
         cr_exact(complete_graph(6), max_k=-1)
+    # Planar bases close at the cone's floor with no solve of G, so
+    # cone_cr checks max_k itself, with cr_exact's message.
+    cases = [(cycle_graph(5), -1), (disjoint_union(cycle_graph(4), cycle_graph(4)), -3),
+             (complete_graph(5), -1)]
+    for g, max_k in cases:
+        with pytest.raises(ValueError, match=f"max_k={max_k}: must be None or >= 0"):
+            cone_cr(g, max_k=max_k)
 
 
 def test_upper_seed_is_verified_before_use():
@@ -346,6 +353,14 @@ def test_search_tree_sizes_are_pinned():
     assert f3.planarity_calls < 2200
 
 
+def test_a_live_one_left_root_stops_testing_at_its_first_hit():
+    # K5's level-1 root: one test of K5, three settle host 0 (its block,
+    # the half, the host), three settle host 7, its first partner, and one
+    # finds the child planar.  The other hosts are never tested.
+    stats = cr_exact(complete_graph(5)).stats
+    assert (stats.nodes, stats.planarity_calls) == (2, 8)
+
+
 def relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -394,7 +409,7 @@ def test_enumeration_skips_orbit_repeats_only_before_its_first_hit(monkeypatch):
     monkeypatch.setattr(solver, "_orbit_repeats", lambda g, cands, deadline: set())
     full = [cr_certificates(g, k) for g, k in zip(graphs, levels)]
     assert pruned == full
-    # 29,857 against 30,427 tests for 663 drawings.
+    # 27,245 against 27,745 tests for 663 drawings.
     assert pruned_tests < len(tests) - pruned_tests
     for g, res, certs in zip(graphs, solved, pruned):
         assert certs[0] == res.certificate
@@ -447,27 +462,41 @@ def test_root_orbit_repeats_follow_the_symmetry():
 
 
 def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
-    # With one crossing left the search pairs the hosts h with G - h planar.
-    # At every such node reached, the group-tested set must equal deleting
-    # each host on its own, and the greedy host set filtered the same way.
-    # Checked as each node is reached: a wrong set can blow up the search.
+    # With one crossing left the search pairs the hosts h with H - h planar.
+    # At every such node reached, the pairs yielded must be, in order, the
+    # valid pairs of the hosts that single deletions find, and every host
+    # the group tests settle must agree with deleting it on its own; the
+    # greedy host set filtered the same way gives the same hosts.  Checked
+    # as each node is reached: a wrong set can blow up the search.
     seen = []
-    group_tested = solver._LevelSearch._deletable_hosts
+    lazy_pairs = solver._LevelSearch._one_left_pairs
+    group_tested = solver._LevelSearch._deletable
 
-    def checked(self, chains, n_extra):
-        found = group_tested(self, chains, n_extra)
+    def planar_without(search, chains, n_extra, h):
+        pairs = search._pairs(chains, frozenset((h,)))
+        return lr_planar(search.g.n + n_extra, pairs)
 
-        def planar_without(h):
-            pairs = self._pairs(chains, frozenset((h,)))
-            return lr_planar(self.g.n + n_extra, pairs)
-
-        assert found == [h for h in range(len(self.ends)) if planar_without(h)]
-        greedy = self._minimal_hosts(chains, n_extra)
-        assert found == [h for h in greedy if planar_without(h)]
-        seen.append(found)
+    def checked_host(self, chains, n_extra, inside, planar_blocks, h):
+        found = group_tested(self, chains, n_extra, inside, planar_blocks, h)
+        assert found == planar_without(self, chains, n_extra, h)
         return found
 
-    monkeypatch.setattr(solver._LevelSearch, "_deletable_hosts", checked)
+    def checked_pairs(self, chains, n_extra, used, forbidden):
+        hosts = [h for h in range(len(self.ends)) if planar_without(self, chains, n_extra, h)]
+        greedy = self._minimal_hosts(chains, n_extra)
+        assert hosts == [h for h in greedy if planar_without(self, chains, n_extra, h)]
+        expected = [
+            (e, f) for e, f in itertools.combinations(hosts, 2)
+            if not set(self.ends[e]) & set(self.ends[f])
+            and (e, f) not in used and (e, f) not in forbidden
+        ]
+        got = list(lazy_pairs(self, chains, n_extra, used, forbidden))
+        assert got == expected
+        seen.append(hosts)
+        yield from got
+
+    monkeypatch.setattr(solver._LevelSearch, "_deletable", checked_host)
+    monkeypatch.setattr(solver._LevelSearch, "_one_left_pairs", checked_pairs)
     perm = (2, 1, 0, 4, 8, 3, 5, 6, 7)
     graphs = [f_graph(3).relabel(perm)]
     graphs += [random_graph(8, 18, seed) for seed in range(1, 10)]
@@ -534,7 +563,7 @@ def test_counting_bound_closes_a_relabelled_seeded_f3():
 def test_seeded_solve_work_is_pinned():
     # The count's sub-searches and the level search add to one tally, so
     # a sub-search whose work goes uncounted moves these pairs.
-    pins = {3: (11, 82), 4: (232, 2512), 5: (169, 1923)}
+    pins = {3: (11, 57), 4: (232, 2484), 5: (169, 1864)}
     for k, pin in pins.items():
         stats = cr_exact(f_graph(k), upper_seed=(k, f_graph_certificate(k))).stats
         assert (stats.nodes, stats.planarity_calls) == pin
