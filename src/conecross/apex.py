@@ -11,8 +11,10 @@ Two certificate routes feed the upper bound for cr(cone(G)):
     stepped over.  Minimizing over apex faces gives a cone certificate
     whose apex edges cross G where the geometry says they must.
 
-``cone_cr`` puts the apex into each optimal drawing of G as ``cr_exact``'s
-own search finds it: level cr(G) is searched once per cone solve.
+``cone_cr`` splits G into components and combines their cones' brackets
+as ``cr_exact`` does.  It puts the apex into each optimal drawing of a
+component as ``cr_exact``'s own search finds it: the level of the
+component's crossing number is searched once per cone solve.
 Each cone certificate is verified once: an apex insertion verifies what
 it assembles, and the lifted 1-page seed is verified where ``cone_cr``
 returns it at the cone's Euler floor, or else by the closing solve that
@@ -294,30 +296,6 @@ def _assemble_cone_cert(
     return cand if ok else None
 
 
-def _cone_cr_split(
-    g: Multigraph,
-    subs: list[tuple[Multigraph, list[int]]],
-    max_k: int | None,
-    deadline: Deadline,
-    started: float,
-) -> SolveResult:
-    """Sum per-component cone solutions for a disconnected base graph
-    whose components are ``subs``.
-
-    cr(cone(G)) splits exactly over the components of G: gluing the
-    component cones at the shared apex, each shrunk into a face corner of
-    the previous one, realizes the sum of their crossing numbers, and any
-    drawing of cone(G) restricts to edge-disjoint drawings of all the
-    component cones, so the sum is a lower bound too.
-    """
-    parts = []
-    for sub, vertices in subs:
-        cs = cone(sub)
-        res = _cone_cr_connected(sub, cs, max_k, deadline, time.monotonic())
-        parts.append((cs, vertices + [g.n], res))
-    return combine_brackets(cone(g), parts, started)
-
-
 def cone_cr(
     g: Multigraph,
     max_k: int | None = None,
@@ -326,49 +304,56 @@ def cone_cr(
 ) -> SolveResult:
     """cr(cone(G)) with upper bound seeded from drawings of G.
 
-    A disconnected base splits: the cone's crossing number is the sum
-    over component cones, solved independently.  For a connected base the
-    seeds come in this order, each tried only while the best so far is
-    above the cone's Euler floor:
+    G is split into its components and each component's cone is solved on
+    its own: gluing the component cones at the shared apex, each shrunk
+    into a face corner of the previous one, realizes the sum of their
+    crossing numbers, and any drawing of cone(G) restricts to
+    edge-disjoint drawings of all of them, so the sum is exact.  An empty
+    G is one part, the lone apex.  A component's seeds come in this
+    order, each tried only while the best so far is above its cone's
+    Euler floor:
 
-      1. the best 1-page drawing of G, lifted (its apex joins from the
-         outer face for free); past the order-search limit, or when no
-         order finishes in budget, the natural order's drawing;
-      2. the apex inserted into each optimal drawing of G as
-         ``cr_exact(G)``'s own search finds it, the drawing that solve
-         returns first, until a seed meets the floor, the level cr(G) is
-         exhausted, or the budget runs out.  Different optimal drawings
-         expose very different face structures to the apex.
+      1. its best 1-page drawing, lifted (the apex joins from the outer
+         face for free); past the order-search limit, or when no order
+         finishes in budget, the natural order's drawing;
+      2. the apex inserted into each of its optimal drawings as
+         ``cr_exact``'s own search finds them, the returned one first,
+         until a seed meets the floor, the level is exhausted, or the
+         budget runs out.  Different optimal drawings expose very
+         different face structures to the apex.
 
     A best seed at the floor is returned as it stands, exact by the Euler
     bound, with no solve of the cone.  Above the floor it caps the
-    deepening of a closing ``cr_exact(cone(G))``.  Each cone certificate
-    is verified once: apex insertion verifies what it assembles; the
-    lifted 1-page seed is verified here when it is returned at the floor,
-    and otherwise by the closing solve's check of its upper seed.  A
+    deepening of a closing ``cr_exact`` of the cone.  Each cone
+    certificate is verified once: apex insertion verifies what it
+    assembles; the lifted 1-page seed is verified when it is returned at
+    the floor, and otherwise by the closing solve's check of its upper
+    seed; ``combine_brackets`` verifies a sum where it lifts it.  A
     1-page seed that fails either check raises: lifting a 1-page drawing
     cannot lose realizability, so that is an internal fault.  ``threads``
     must be 1: the solves run in this process, and the keyword goes once
     the benchmark stops passing it (ROADMAP item 1).
     """
     require_one_thread(threads)
-    # Checked here, not only in the solve of G, which a split or a seed
-    # at the floor may never reach.
+    # Checked here, not only in the solve of G, which a seed at the floor
+    # may never reach.
     if max_k is not None and max_k < 0:
         raise ValueError(f"max_k={max_k}: must be None or >= 0")
     started = time.monotonic()
     deadline = Deadline(budget_ms)
-    subs = g.component_subgraphs()
-    if len(subs) > 1:
-        return _cone_cr_split(g, subs, max_k, deadline, started)
-    return _cone_cr_connected(g, cone(g), max_k, deadline, started)
+    parts = []
+    for sub, vertices in g.component_subgraphs() or [(g, [])]:
+        cs = cone(sub)
+        parts.append((cs, vertices + [g.n], _cone_cr_connected(sub, cs, max_k, deadline)))
+    return combine_brackets(cone(g), parts, started)
 
 
 def _cone_cr_connected(
-    g: Multigraph, cg: Multigraph, max_k: int | None, deadline: Deadline, started: float
+    g: Multigraph, cg: Multigraph, max_k: int | None, deadline: Deadline
 ) -> SolveResult:
     """``cone_cr`` of a connected (or empty) base graph ``g``, whose cone is
     ``cg``."""
+    started = time.monotonic()
     floor = cr_lower(cg)
     ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms())
     best = lift_to_cone(g, ocr.certificate)

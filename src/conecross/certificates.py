@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .books import BookDrawing
@@ -169,11 +169,10 @@ def planarize(g: Multigraph, cert: CrossingCertificate) -> Multigraph:
 
 def verify_certificate(g: Multigraph, cert: CrossingCertificate) -> tuple[int, bool]:
     """(crossing count, realizable?).  Malformed certificates are just invalid."""
-    try:
-        h = planarize(g, cert)
-    except ValueError:
+    if certificate_error(g, cert) is not None:
         return cert.count, False
-    return cert.count, lr_planar(h.n, list(h.simple_pairs()))
+    pairs = [(a, b) for a, b, _, _ in planar_segments(g, cert)]
+    return cert.count, lr_planar(g.n + cert.count, pairs)
 
 
 def lift_certificate(
@@ -283,9 +282,16 @@ def combine_brackets(
     """The bracket of ``whole`` from those of edge-disjoint parts whose
     crossing numbers add up to its own (components, component cones).
 
-    Parts are (sub, vertices, result) as in :func:`lift_certificate`; the
-    lifted certificate is verified.  ``started`` is the caller's
-    ``time.monotonic()`` at entry."""
+    Parts are (sub, vertices, result) as in :func:`lift_certificate`, each
+    certificate verified where it was made.  A lone part that is ``whole``
+    itself, on the same labels, is returned as it stands; otherwise the
+    lifted certificate is verified.  Either way the stats are rolled up
+    from ``started``, the caller's ``time.monotonic()`` at entry."""
+    stats = rolled_up([res.stats for _, _, res in parts], started)
+    if len(parts) == 1:
+        sub, vertices, res = parts[0]
+        if sub == whole and list(vertices) == list(range(whole.n)):
+            return replace(res, stats=stats)
     lower = sum(res.lower for _, _, res in parts)
     upper = sum(res.upper for _, _, res in parts)
     exact = all(res.status == "exact" for _, _, res in parts)
@@ -299,10 +305,8 @@ def combine_brackets(
             raise RuntimeError("part certificates do not combine into a drawing")
     elif exact:
         raise RuntimeError("exact result without certificate")
-    stats = rolled_up([res.stats for _, _, res in parts], started)
-    reason = parts[0][2].lower_reason if len(parts) == 1 else "component sum"
     return SolveResult(
-        lower, upper, "exact" if exact else "bounds-only", cert, stats, reason
+        lower, upper, "exact" if exact else "bounds-only", cert, stats, "component sum"
     )
 
 

@@ -67,13 +67,16 @@ so a level whose first branch hits pays nothing for them.
 Every level search of ``cr_exact`` runs in one deepening loop,
 ``_deepen``, which ends at the first level with a hit, the first level
 cut short, or a stop, and adds its work to the component solve's tally.
-Its levels share one set of partner lists, and a level with no hit
-proves G non-planar, so no later level tests the root again.
+One ``_LevelSearch`` serves all its levels: they share one set of
+partner lists, and a level with no hit proves G non-planar, so no later
+level tests the root again.
 A component solve runs it once, from the count's bound if higher, up to
 the seed's count or ``max_k`` + 1; the count runs it on each component
 of G - x up to the level that U needs on average.  Levels below the
 first success are exhausted, so the found level is the crossing number;
-the certificate is re-verified before it is returned.
+the component's certificate is re-verified before it is returned, and
+``combine_brackets`` verifies the sum of several components where it
+lifts them.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .certificates import (
@@ -121,32 +125,31 @@ def _partners(ends: list[tuple[int, int]]) -> list[list[int]]:
 
 
 class _LevelSearch:
-    """Depth-first search for certificates with exactly ``r`` crossings.
+    """Depth-first search of one graph's levels: ``hits(r)`` yields the
+    certificates with exactly ``r`` crossings.
 
     The exclusion discipline makes the certificates it yields free of
     rediscoveries across sibling branches.  ``nodes`` and ``planarity``
-    count the nodes entered and the planarity tests made.
+    count the nodes entered and the planarity tests made over all levels.
     """
 
-    def __init__(
-        self,
-        g: Multigraph,
-        r: int,
-        deadline: Deadline,
-        partners: list[list[int]] | None = None,
-        root_nonplanar: bool = False,
-    ):
+    def __init__(self, g: Multigraph, deadline: Deadline):
         self.g = g
-        self.ends = [(u, v) for u, v, _ in g.instances()]
-        self.r = r
         self.deadline = deadline
-        # partners[e]: the hosts f > e that share no end with e.
-        self.partners = _partners(self.ends) if partners is None else partners
-        # An earlier level of the same graph already found G non-planar.
-        self.root_nonplanar = root_nonplanar
+        self.r = 0
+        self.root_nonplanar = False
         self.nodes = 0
         self.planarity = 0
         self.out_of_time = False
+
+    @cached_property
+    def ends(self) -> list[tuple[int, int]]:
+        return [(u, v) for u, v, _ in self.g.instances()]
+
+    @cached_property
+    def partners(self) -> list[list[int]]:
+        """partners[e]: the hosts f > e that share no end with e."""
+        return _partners(self.ends)
 
     # -- planarization plumbing ------------------------------------------
 
@@ -177,12 +180,14 @@ class _LevelSearch:
 
     # -- search -----------------------------------------------------------
 
-    def hits(self) -> Iterator[CrossingCertificate]:
+    def hits(self, r: int) -> Iterator[CrossingCertificate]:
         """The realizable certificates with ``r`` crossings, in search order,
         with pairwise distinct crossing sets, until they are exhausted or the
         deadline passes (then ``out_of_time`` is set).  The root counts as
         one node.  Until the first hit, root branches that an automorphism
-        maps from an earlier one are skipped."""
+        maps from an earlier one are skipped.  One level at a time: a new
+        call resets the level of any earlier generator."""
+        self.r = r
         self.nodes += 1
         cert, cands = self.expand({}, [], frozenset())
         if cert is not None:
@@ -225,6 +230,7 @@ class _LevelSearch:
         if (crossings or not self.root_nonplanar) and self._planar(s, pairs):
             orders = {eid: chain for eid, chain in chains.items() if len(chain) >= 2}
             return CrossingCertificate.build(list(crossings), orders), []
+        self.root_nonplanar |= not crossings
         if s == self.r:
             return None, []
         remaining = self.r - s
@@ -377,27 +383,22 @@ def _deepen(
     ``stop``: (the first level with a certificate, its first certificate),
     or (the first level left unexhausted, None), at ``stop`` or the
     deadline; ``until`` sees the found level's hits up to one it accepts.
-    The levels share the partner lists, and a level with no hit shows that
-    g is not planar, so later levels skip that root test."""
-    partners: list[list[int]] | None = None
-    root_nonplanar = False
+    One search object serves every level."""
+    search = _LevelSearch(g, deadline)
+    cert = None
     while level < stop and not deadline.expired():
-        search = _LevelSearch(g, level, deadline, partners, root_nonplanar)
-        partners, root_nonplanar = search.partners, True
-        hits = search.hits()
+        hits = search.hits(level)
         cert = next(hits, None)
         if cert is not None and cert.count != level:
             raise RuntimeError("search found a certificate below an exhausted level")
         if cert is not None and until is not None and not until(cert):
             next(filter(until, hits), None)
-        tally.nodes += search.nodes
-        tally.planarity += search.planarity
-        if cert is not None:
-            return level, cert
-        if search.out_of_time:
+        if cert is not None or search.out_of_time:
             break
         level += 1
-    return level, None
+    tally.nodes += search.nodes
+    tally.planarity += search.planarity
+    return level, cert
 
 
 def _sorted_image(p: Sequence[int], items: tuple[int, ...]) -> tuple[int, ...]:
@@ -532,6 +533,8 @@ def _solve_component(
     # Neither a proven count nor exhausted levels pass a valid upper bound.
     if lower > cert.count:
         raise RuntimeError(f"{reason} bound {lower} exceeds the upper bound {cert.count}")
+    if not verify_certificate(g, cert)[1]:
+        raise RuntimeError("the component's certificate does not verify")
     stats = SolveStats(tally.nodes, tally.planarity)
     status = "exact" if exact else "bounds-only"
     return SolveResult(lower, cert.count, status, cert, stats, reason)
@@ -612,7 +615,7 @@ def cr_certificates(
     if k < 0:
         raise ValueError(f"k={k}: the crossing count must be >= 0")
     found: list[CrossingCertificate] = []
-    for cert in _LevelSearch(g, k, Deadline(budget_ms)).hits():
+    for cert in _LevelSearch(g, Deadline(budget_ms)).hits(k):
         if cert.count != k:
             raise ValueError(
                 f"k={k} is above cr(g): the search found a {cert.count}-crossing drawing"

@@ -7,6 +7,7 @@ and edge subdivision and additive over disjoint unions.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -438,7 +439,8 @@ def test_root_orbit_repeats_follow_the_symmetry():
     # The level-2 root of F3 has 35 candidate pairs in 19 orbits under its
     # 6 automorphisms; the path on 4 vertices has no repeats.
     g = f_graph(3)
-    search = solver._LevelSearch(g, 2, Deadline(None))
+    search = solver._LevelSearch(g, Deadline(None))
+    search.r = 2
     _, cands = search.expand({}, [], frozenset())
     repeats = solver._orbit_repeats(g, cands, Deadline(None))
     assert (len(cands), len(cands) - len(repeats)) == (35, 19)
@@ -581,3 +583,94 @@ def test_lower_bounds_name_their_reason():
     assert two.to_json_dict()["lower_reason"] == "component sum"
     # The cone of the wheel with chords closes at its Euler bound.
     assert cone_cr(fig3_graph()).lower_reason == "euler"
+
+
+def shared_split_graphs():
+    k5 = complete_graph(5)
+    return {
+        "empty-0": empty_graph(0),
+        "empty-3": empty_graph(3),
+        "K5+K1": disjoint_union(k5, empty_graph(1)),
+        "2xK5": disjoint_union(k5, k5),
+    }
+
+
+def pinned(crossings, lower, reason, nodes, tests):
+    return {
+        "lower": lower, "upper": lower, "status": "exact", "lower_reason": reason,
+        "stats": {"nodes": nodes, "planarity_calls": tests},
+        "certificate": {
+            "format": "conecross-cert-v1", "crossings": crossings, "edge_orders": {},
+        },
+    }
+
+
+SHARED_SPLIT_PINS = [
+    (cr_exact, "empty-0", pinned([], 0, "component sum", 0, 0)),
+    (cr_exact, "empty-3", pinned([], 0, "component sum", 3, 3)),
+    (cr_exact, "K5+K1", pinned([[0, 7]], 1, "component sum", 3, 9)),
+    (cr_exact, "2xK5", pinned([[0, 7], [10, 17]], 2, "component sum", 4, 16)),
+    # An empty G is one part: the lone apex, at its Euler floor.
+    (cone_cr, "empty-0", pinned([], 0, "euler", 0, 0)),
+    (cone_cr, "empty-3", pinned([], 0, "component sum", 0, 0)),
+    (cone_cr, "K5+K1", pinned([[0, 9], [3, 13], [8, 10]], 3, "component sum", 2, 8)),
+    (cone_cr, "2xK5", pinned(
+        [[0, 9], [3, 13], [8, 10], [15, 24], [18, 28], [23, 25]], 6, "component sum", 4, 16)),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, name, want",
+    SHARED_SPLIT_PINS,
+    ids=[f"{entry.__name__}-{name}" for entry, name, _ in SHARED_SPLIT_PINS],
+)
+def test_split_solve_combine_answers_are_pinned(entry, name, want):
+    # cr_exact and cone_cr split G into components, solve each part and
+    # combine the parts' brackets the same way.
+    got = entry(shared_split_graphs()[name]).to_json_dict()
+    del got["stats"]["elapsed_ms"]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "entry, g, lifts, checks",
+    [
+        (cr_exact, fig3_graph(), 0, 1),
+        (cone_cr, fig3_graph(), 1, 10),
+        (cone_cr, disjoint_union(complete_graph(5), complete_graph(5)), 3, 7),
+    ],
+    ids=["cr-connected", "cone-wheel-with-chords", "cone-2xK5"],
+)
+def test_only_real_lifts_are_made(monkeypatch, entry, g, lifts, checks):
+    # A lone part that is the whole graph is returned as it stands.  The
+    # cone of the wheel with chords lifts only its 1-page seed; each K5 of
+    # 2xK5 lifts its seed, and the sum over the two cones is one more.
+    # Every certificate is still checked once where it is made.
+    from conecross import apex, certificates, pages
+
+    calls = Counter()
+    real_lift = certificates.lift_certificate
+    real_verify = certificates.verify_certificate
+
+    def lifted(whole, parts):
+        calls["lift"] += 1
+        return real_lift(whole, parts)
+
+    def verified(h, cert):
+        calls["verify"] += 1
+        return real_verify(h, cert)
+
+    for module in (certificates, apex):
+        monkeypatch.setattr(module, "lift_certificate", lifted)
+    for module in (certificates, solver, apex, pages):
+        monkeypatch.setattr(module, "verify_certificate", verified)
+    assert entry(g).status == "exact"
+    assert (calls["lift"], calls["verify"]) == (lifts, checks)
+
+
+def test_a_component_certificate_that_does_not_verify_raises(monkeypatch):
+    # Each part's certificate is checked where it is made, so a connected
+    # solve, which lifts nothing, still refuses a drawing that fails.
+    monkeypatch.setattr(solver, "verify_certificate", lambda g, cert: (cert.count, False))
+    with pytest.raises(RuntimeError, match="does not verify"):
+        cr_exact(complete_graph(5))
