@@ -14,11 +14,13 @@ Two certificate routes feed the upper bound for cr(cone(G)):
 ``cone_cr`` splits G into components and combines their cones' brackets
 as ``cr_exact`` does.  It puts the apex into each optimal drawing of a
 component as ``cr_exact``'s own search finds it: the level of the
-component's crossing number is searched once per cone solve.
-Each cone certificate is verified once: an apex insertion verifies what
-it assembles, and the lifted 1-page seed is verified where ``cone_cr``
-returns it at the cone's Euler floor, or else by the closing solve that
-takes it as its upper seed.  That solve closes the bracket from below.
+component's crossing number is searched once per cone solve.  A best
+seed above the cone's Euler floor caps ``solver.solve_component`` on the
+cone, the component solve ``cr_exact`` runs, which closes the bracket
+from below.  Each cone seed is verified once, where it enters: an apex
+insertion verifies what it assembles, and ``cone_cr`` verifies the
+lifted 1-page seed when it keeps it; the component solve returns a seed
+unchecked and verifies only the drawings it finds itself.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .pages import outerplanar_cr
 from .planarity import lr_embedding
 from .deadline import Deadline, require_one_thread
 # cr_certificates stays importable here for the benchmark's tracer (ROADMAP item 1).
-from .solver import cr_certificates, cr_exact, cr_lower
+from .solver import cr_certificates, cr_exact, cr_lower, solve_component
 
 class ApexRoutingError(RuntimeError):
     """The apex found no route into this particular drawing of G.
@@ -324,12 +326,14 @@ def cone_cr(
 
     A best seed at the floor is returned as it stands, exact by the Euler
     bound, with no solve of the cone.  Above the floor it caps the
-    deepening of a closing ``cr_exact`` of the cone.  Each cone
+    deepening of ``solver.solve_component`` on the cone, the component
+    solve of ``cr_exact``; ``cr_exact`` itself runs only on G.  Each cone
     certificate is verified once: apex insertion verifies what it
-    assembles; the lifted 1-page seed is verified when it is returned at
-    the floor, and otherwise by the closing solve's check of its upper
-    seed; ``combine_brackets`` verifies a sum where it lifts it.  A
-    1-page seed that fails either check raises: lifting a 1-page drawing
+    assembles; the lifted 1-page seed, if no insertion beats it, is
+    verified here before the floor test; the component solve verifies
+    only a drawing it finds itself; ``combine_brackets`` verifies a sum
+    where it lifts it.  A 1-page seed that fails its check raises
+    ``RuntimeError`` on either side of the floor: lifting a 1-page drawing
     cannot lose realizability, so that is an internal fault.  ``threads``
     must be 1: the solves run in this process, and the keyword goes once
     the benchmark stops passing it (ROADMAP item 1).
@@ -356,7 +360,7 @@ def _cone_cr_connected(
     started = time.monotonic()
     floor = cr_lower(cg)
     ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms())
-    best = lift_to_cone(g, ocr.certificate)
+    one_page = best = lift_to_cone(g, ocr.certificate)
 
     def seed_from(drawing: CrossingCertificate) -> bool:
         """Insert the apex into one optimal drawing of G; True stops the stream."""
@@ -374,18 +378,12 @@ def _cone_cr_connected(
     if best.count > floor:
         inner = cr_exact(g, max_k=max_k, budget_ms=deadline.remaining_ms(), until=seed_from)
         solves.append(inner.stats)
+    # Apex insertion verified its seeds; the 1-page seed is checked only if kept.
+    if best is one_page and not verify_certificate(cg, best)[1]:
+        raise RuntimeError("the lifted 1-page seed does not verify on cone(G)")
     if best.count <= floor:
-        # A seed at the floor with no solve of G is the 1-page seed, the
-        # one seed not verified yet.
-        if not solves and not verify_certificate(cg, best)[1]:
-            raise RuntimeError("the lifted 1-page seed does not verify on cone(G)")
         return SolveResult(
             floor, floor, "exact", best, rolled_up(solves, started), "euler"
         )
-    res = cr_exact(
-        cg,
-        max_k=max_k,
-        budget_ms=deadline.remaining_ms(),
-        upper_seed=(best.count, best),
-    )
+    res = solve_component(cg, max_k, deadline, floor, best)
     return replace(res, stats=rolled_up(solves + [res.stats], started))

@@ -101,42 +101,32 @@ def _book_dot(d: BookDrawing) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Family name -> (the flags it needs, its builder from the parsed args).
+FAMILIES = {
+    "kn": (("n",), lambda a: complete_graph(a.n)),
+    "cycle": (("n",), lambda a: cycle_graph(a.n)),
+    "fk": (("k",), lambda a: f_graph(a.k)),
+    "fig1": ((), lambda a: fig1_graph()),
+    "fig3": ((), lambda a: fig3_graph()),
+    "mult": (("base", "r"), lambda a: multiply_edges(_load_graph(a.base), a.r)),
+    "union": (
+        ("base", "other"),
+        lambda a: disjoint_union(_load_graph(a.base), _load_graph(a.other)),
+    ),
+    "cone": (("base",), lambda a: cone(_load_graph(a.base))),
+    "subdivide": (
+        ("base", "edge"),
+        lambda a: subdivide_edge(_load_graph(a.base), a.edge, a.t),
+    ),
+}
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "kn":
-        if args.n is None:
-            raise UsageError("--family kn needs --n")
-        g = complete_graph(args.n)
-    elif family == "cycle":
-        if args.n is None:
-            raise UsageError("--family cycle needs --n")
-        g = cycle_graph(args.n)
-    elif family == "fk":
-        if args.k is None:
-            raise UsageError("--family fk needs --k")
-        g = f_graph(args.k)
-    elif family == "fig1":
-        g = fig1_graph()
-    elif family == "fig3":
-        g = fig3_graph()
-    elif family == "mult":
-        if args.base is None or args.r is None:
-            raise UsageError("--family mult needs --base and --r")
-        g = multiply_edges(_load_graph(args.base), args.r)
-    elif family == "union":
-        if args.base is None or args.other is None:
-            raise UsageError("--family union needs --base and --other")
-        g = disjoint_union(_load_graph(args.base), _load_graph(args.other))
-    elif family == "cone":
-        if args.base is None:
-            raise UsageError("--family cone needs --base")
-        g = cone(_load_graph(args.base))
-    elif family == "subdivide":
-        if args.base is None or args.edge is None:
-            raise UsageError("--family subdivide needs --base and --edge")
-        g = subdivide_edge(_load_graph(args.base), args.edge, args.t)
-    else:
-        raise UsageError(f"unknown family {family!r}")
+    needs, build = FAMILIES[args.family]
+    if any(getattr(args, flag) is None for flag in needs):
+        flags = " and ".join(f"--{flag}" for flag in needs)
+        raise UsageError(f"--family {args.family} needs {flags}")
+    g = build(args)
     _emit(g.to_json_dict(), args.out)
     if args.dot is not None:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -257,37 +247,42 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _closed(result) -> bool:
+    return result["status"] == "exact"
+
+
+# Experiment name -> (its runner from the parsed args, its pass rule).
+EXPERIMENTS = {
+    "fs-small": (
+        lambda a: fs_small(budget_ms=a.budget_ms),
+        lambda rows: all(r["ok"] for r in rows),
+    ),
+    "family-points": (
+        lambda a: family_points(budget_ms=a.budget_ms),
+        lambda rows: all(r["verified"] and r["matches_formula"] for r in rows),
+    ),
+    "cor22-suite": (
+        lambda a: cor22_suite(count=a.count, seed=a.seed),
+        lambda result: not result["failures"],
+    ),
+    "hh-table": (
+        lambda a: hh_table(verify_upto=a.verify_upto),
+        lambda rows: all(r.get("verified", True) for r in rows),
+    ),
+    "cone-exhaustion": (lambda a: longrun_cone_exhaustion(budget_ms=a.budget_ms), _closed),
+    "f5-lower": (lambda a: longrun_f5_lower(budget_ms=a.budget_ms), _closed),
+    "z7": (
+        lambda a: longrun_z7(budget_ms=a.budget_ms),
+        lambda result: result["value"] == result["expected"],
+    ),
+}
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "fs-small":
-        rows = fs_small(budget_ms=args.budget_ms)
-        _emit(rows, args.out)
-        return 0 if all(r["ok"] for r in rows) else 1
-    if name == "family-points":
-        rows = family_points(budget_ms=args.budget_ms)
-        _emit(rows, args.out)
-        return 0 if all(r["verified"] and r["matches_formula"] for r in rows) else 1
-    if name == "cor22-suite":
-        result = cor22_suite(count=args.count, seed=args.seed)
-        _emit(result, args.out)
-        return 0 if not result["failures"] else 1
-    if name == "hh-table":
-        rows = hh_table(verify_upto=args.verify_upto)
-        _emit(rows, args.out)
-        return 0 if all(r.get("verified", True) for r in rows) else 1
-    if name == "cone-exhaustion":
-        result = longrun_cone_exhaustion(budget_ms=args.budget_ms)
-        _emit(result, args.out)
-        return 0 if result["status"] == "exact" else 1
-    if name == "f5-lower":
-        result = longrun_f5_lower(budget_ms=args.budget_ms)
-        _emit(result, args.out)
-        return 0 if result["status"] == "exact" else 1
-    if name == "z7":
-        result = longrun_z7(budget_ms=args.budget_ms)
-        _emit(result, args.out)
-        return 0 if result["value"] == result["expected"] else 1
-    raise UsageError(f"unknown experiment {name!r}")
+    run, passes = EXPERIMENTS[args.name]
+    result = run(args)
+    _emit(result, args.out)
+    return 0 if passes(result) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,21 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a graph file")
-    p_gen.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "kn",
-            "cycle",
-            "fk",
-            "fig1",
-            "fig3",
-            "mult",
-            "union",
-            "cone",
-            "subdivide",
-        ],
-    )
+    p_gen.add_argument("--family", required=True, choices=list(FAMILIES))
     p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--r", type=int)
@@ -364,18 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_exp = sub.add_parser("experiment", help="run a canned experiment")
-    p_exp.add_argument(
-        "name",
-        choices=[
-            "fs-small",
-            "family-points",
-            "cor22-suite",
-            "hh-table",
-            "cone-exhaustion",
-            "f5-lower",
-            "z7",
-        ],
-    )
+    p_exp.add_argument("name", choices=list(EXPERIMENTS))
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--count", type=int, default=1000)
     p_exp.add_argument("--verify-upto", type=int, default=0, dest="verify_upto")

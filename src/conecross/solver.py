@@ -70,13 +70,15 @@ cut short, or a stop, and adds its work to the component solve's tally.
 One ``_LevelSearch`` serves all its levels: they share one set of
 partner lists, and a level with no hit proves G non-planar, so no later
 level tests the root again.
-A component solve runs it once, from the count's bound if higher, up to
-the seed's count or ``max_k`` + 1; the count runs it on each component
-of G - x up to the level that U needs on average.  Levels below the
-first success are exhausted, so the found level is the crossing number;
-the component's certificate is re-verified before it is returned, and
-``combine_brackets`` verifies the sum of several components where it
-lifts them.
+A component solve (``solve_component``, shared by ``cr_exact`` and by
+``cone_cr`` for a cone above its floor) runs it once, from the count's
+bound if higher, up to the seed's count or ``max_k`` + 1; the count runs
+it on each component of G - x up to the level that U needs on average.
+Levels below the first success are exhausted, so the found level is the
+crossing number.  Each drawing is verified once: a seed where it enters,
+a search hit or the natural drawing before the component solve returns
+it, and the sum of several components where ``combine_brackets`` lifts
+them.
 """
 
 from __future__ import annotations
@@ -503,21 +505,28 @@ def _counting_lower(
     return level, reason
 
 
-def _solve_component(
+def solve_component(
     g: Multigraph,
-    stop: float,
+    max_k: int | None,
     deadline: Deadline,
     level: int,
-    seed: CrossingCertificate | None,
-    count: bool,
-    until: Callable[[CrossingCertificate], bool] | None,
+    seed: CrossingCertificate | None = None,
+    count: bool = True,
+    until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> SolveResult:
-    """Deepen from ``level``, which must not exceed cr(g), up to ``stop``
-    or the verified ``seed`` drawing's count, whichever is lower; with
-    ``count`` and a seed, start from the counting bound if higher, which
-    aims at that same level."""
+    """Solve a connected ``g``: deepen from ``level``, which must not
+    exceed cr(g), up to ``max_k`` + 1 or the ``seed`` drawing's count,
+    whichever is lower; with ``count`` and a seed, start from the counting
+    bound if higher, which aims at that same level.  ``until`` is as for
+    ``cr_exact``.
+
+    The caller verifies ``seed`` where it enters (``cr_exact`` checks its
+    ``upper_seed``, ``cone_cr`` its cone seeds), so a seed that closes the
+    bracket is returned unchecked; a search hit and the natural drawing
+    are verified here."""
     tally = _Tally()
     reason = "euler"
+    stop = math.inf if max_k is None else max_k + 1
     if seed is not None:
         stop = min(stop, seed.count)
     if count and seed is not None and stop > level:
@@ -533,7 +542,7 @@ def _solve_component(
     # Neither a proven count nor exhausted levels pass a valid upper bound.
     if lower > cert.count:
         raise RuntimeError(f"{reason} bound {lower} exceeds the upper bound {cert.count}")
-    if not verify_certificate(g, cert)[1]:
+    if cert is not seed and not verify_certificate(g, cert)[1]:
         raise RuntimeError("the component's certificate does not verify")
     stats = SolveStats(tally.nodes, tally.planarity)
     status = "exact" if exact else "bounds-only"
@@ -557,8 +566,8 @@ def cr_exact(
     ``lower_start`` forces exhaustion to begin at a lower level than the
     Euler bound (useful to re-derive the bound by pure search), and must
     lie between 0 and every component's Euler bound;
-    ``upper_seed`` is a known (value, certificate) pair for the whole
-    graph, honoured when it is connected.  A seeded solve first tries to
+    ``upper_seed``, for a connected graph only, is a known (value,
+    certificate) pair, verified here once.  A seeded solve first tries to
     prove the seed's value by counting over vertex or edge deletions,
     unless ``lower_start`` is given.  ``until``, for a connected graph
     only, sees each drawing of the level the search closes at, the
@@ -572,15 +581,16 @@ def cr_exact(
     deadline = Deadline(budget_ms)
     if max_k is not None and max_k < 0:
         raise ValueError(f"max_k={max_k}: must be None or >= 0")
+    comps = g.component_subgraphs()
+    for name, given in (("until", until), ("upper_seed", upper_seed)):
+        if given is not None and len(comps) > 1:
+            raise ValueError(f"{name} needs a connected graph, got {len(comps)} components")
+    seed = None
     if upper_seed is not None:
-        value, cert = upper_seed
-        count, ok = verify_certificate(g, cert)
+        value, seed = upper_seed
+        count, ok = verify_certificate(g, seed)
         if not ok or count != value:
             raise ValueError("upper seed certificate does not verify")
-
-    comps = g.component_subgraphs()
-    if until is not None and len(comps) > 1:
-        raise ValueError(f"until needs a connected graph, got {len(comps)} components")
     levels = [_euler(sub) for sub, _ in comps]
     if lower_start is not None:
         # A start above cr(G) would treat unsearched levels as exhausted.
@@ -591,11 +601,9 @@ def cr_exact(
             )
         levels = [lower_start] * len(comps)
 
-    seed = upper_seed[1] if upper_seed is not None and len(comps) == 1 else None
     count = lower_start is None
-    stop = math.inf if max_k is None else max_k + 1
     parts = [
-        (sub, vertices, _solve_component(sub, stop, deadline, level, seed, count, until))
+        (sub, vertices, solve_component(sub, max_k, deadline, level, seed, count, until))
         for (sub, vertices), level in zip(comps, levels)
     ]
     return combine_brackets(g, parts, started)

@@ -10,7 +10,19 @@ from pathlib import Path
 import pytest
 
 import conecross
-from conecross import BookDrawing, Multigraph, complete_graph, f_graph
+from conecross import (
+    BookDrawing,
+    Multigraph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    f_graph,
+    fig1_graph,
+    fig3_graph,
+    multiply_edges,
+    subdivide_edge,
+)
+from conecross import cli
 from conecross.cli import main
 
 
@@ -73,6 +85,86 @@ def test_gen_missing_flag_is_a_usage_error(capsys):
     code, _, err = run(capsys, "gen", "--family", "kn")
     assert code == 2
     assert "--n" in err
+
+
+# (family, flags with "K3" for a K3 graph file, the graph it builds)
+FAMILY_CASES = [
+    ("kn", ["--n", "4"], complete_graph(4)),
+    ("cycle", ["--n", "5"], cycle_graph(5)),
+    ("fk", ["--k", "3"], f_graph(3)),
+    ("fig1", [], fig1_graph()),
+    ("fig3", [], fig3_graph()),
+    ("mult", ["--base", "K3", "--r", "2"], multiply_edges(complete_graph(3), 2)),
+    ("union", ["--base", "K3", "--other", "K3"],
+     disjoint_union(complete_graph(3), complete_graph(3))),
+    ("cone", ["--base", "K3"], complete_graph(4)),
+    ("subdivide", ["--base", "K3", "--edge", "1"], subdivide_edge(complete_graph(3), 1)),
+]
+
+
+def test_every_family_is_tested():
+    assert [family for family, _, _ in FAMILY_CASES] == list(cli.FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "family, flags, expected", FAMILY_CASES, ids=[case[0] for case in FAMILY_CASES]
+)
+def test_every_family_builds_its_graph_and_names_the_flags_it_needs(
+    capsys, tmp_path, family, flags, expected
+):
+    k3 = write_graph(tmp_path, complete_graph(3))
+    argv = [k3 if flag == "K3" else flag for flag in flags]
+    data = run_json(capsys, "gen", "--family", family, *argv)
+    assert Multigraph.from_json_dict(data) == expected
+    needs = flags[::2]
+    if needs:
+        code, out, err = run(capsys, "gen", "--family", family)
+        assert (code, out) == (2, "")
+        assert err == f"error: --family {family} needs {' and '.join(needs)}\n"
+
+
+# name -> (runner looked up in cli, the arguments it gets by default,
+#          a result that passes, one that fails)
+EXPERIMENT_CASES = {
+    "fs-small": ("fs_small", {"budget_ms": None},
+                 [{"ok": True}], [{"ok": True}, {"ok": False}]),
+    "family-points": ("family_points", {"budget_ms": None},
+                      [{"verified": True, "matches_formula": True}],
+                      [{"verified": True, "matches_formula": False}]),
+    "cor22-suite": ("cor22_suite", {"count": 1000, "seed": 0},
+                    {"failures": []}, {"failures": [{"trial": 3}]}),
+    "hh-table": ("hh_table", {"verify_upto": 0},
+                 [{"n": 5}, {"n": 6, "verified": True}], [{"n": 6, "verified": False}]),
+    "cone-exhaustion": ("longrun_cone_exhaustion", {"budget_ms": None},
+                        {"status": "exact"}, {"status": "bounds-only"}),
+    "f5-lower": ("longrun_f5_lower", {"budget_ms": None},
+                 {"status": "exact"}, {"status": "bounds-only"}),
+    "z7": ("longrun_z7", {"budget_ms": None},
+           {"value": 9, "expected": 9}, {"value": 8, "expected": 9}),
+}
+
+
+def test_every_experiment_is_tested():
+    assert list(EXPERIMENT_CASES) == list(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("passes", [True, False], ids=["pass", "fail"])
+@pytest.mark.parametrize("name", list(EXPERIMENT_CASES))
+def test_every_experiment_prints_its_result_and_exits_by_its_pass_rule(
+    monkeypatch, capsys, name, passes
+):
+    runner, kwargs, good, bad = EXPERIMENT_CASES[name]
+    result = good if passes else bad
+    calls = []
+
+    def stub(**got):
+        calls.append(got)
+        return result
+
+    monkeypatch.setattr(cli, runner, stub)
+    code, out, err = run(capsys, "experiment", name)
+    assert (code, json.loads(out), err) == (0 if passes else 1, result, "")
+    assert calls == [kwargs]
 
 
 def test_gen_dot_output(capsys, tmp_path):

@@ -270,6 +270,15 @@ def test_until_needs_a_connected_graph():
         cr_exact(g, until=lambda cert: True)
 
 
+def test_upper_seed_needs_a_connected_graph(monkeypatch):
+    # The seed is refused before it is checked, not checked and dropped.
+    g = disjoint_union(complete_graph(5), complete_graph(5))
+    seed = certificate_from_book(one_page_drawing(g))
+    monkeypatch.setattr(solver, "verify_certificate", None)
+    with pytest.raises(ValueError, match="upper_seed needs a connected graph, got 2 components"):
+        cr_exact(g, upper_seed=(seed.count, seed))
+
+
 @pytest.mark.parametrize(
     "g, k, message",
     [
@@ -632,23 +641,42 @@ def test_split_solve_combine_answers_are_pinned(entry, name, want):
     assert got == want
 
 
+K33 = Multigraph.build(6, [(a, b, 1) for a in range(3) for b in range(3, 6)])
+
+
+def seeded_f3(g):
+    return cr_exact(g, upper_seed=(3, f_graph_certificate(3)))
+
+
 @pytest.mark.parametrize(
     "entry, g, lifts, checks",
     [
         (cr_exact, fig3_graph(), 0, 1),
+        # The seed is checked on entry; the count proves it optimal and the
+        # component solve returns it unchecked.
+        (seeded_f3, f_graph(3), 0, 1),
+        # Cones at their floor, with no closing solve.
         (cone_cr, fig3_graph(), 1, 10),
+        (cone_cr, fig1_graph(), 1, 66),
         (cone_cr, disjoint_union(complete_graph(5), complete_graph(5)), 3, 7),
+        # Cones above their floor close through the component solve, which
+        # takes the seed as checked where it was made.
+        (cone_cr, subdivide_edge(complete_graph(5), 0), 1, 20),
+        (cone_cr, multiply_edges(complete_graph(4), 2), 1, 3),
+        (cone_cr, K33, 1, 21),
     ],
-    ids=["cr-connected", "cone-wheel-with-chords", "cone-2xK5"],
+    ids=["cr-connected", "proof-F3", "cone-wheel-with-chords", "cone-triangle-hexagon",
+         "cone-2xK5", "cone-K5-subdivided", "cone-doubled-K4", "cone-K33"],
 )
 def test_only_real_lifts_are_made(monkeypatch, entry, g, lifts, checks):
-    # A lone part that is the whole graph is returned as it stands.  The
-    # cone of the wheel with chords lifts only its 1-page seed; each K5 of
-    # 2xK5 lifts its seed, and the sum over the two cones is one more.
-    # Every certificate is still checked once where it is made.
+    # A lone part that is the whole graph is returned as it stands.  A
+    # connected cone lifts only its 1-page seed; each K5 of 2xK5 lifts its
+    # seed, and the sum over the two cones is one more.  Every certificate
+    # is checked once where it is made, the answer's own among them.
     from conecross import apex, certificates, pages
 
     calls = Counter()
+    checked = []
     real_lift = certificates.lift_certificate
     real_verify = certificates.verify_certificate
 
@@ -657,15 +685,45 @@ def test_only_real_lifts_are_made(monkeypatch, entry, g, lifts, checks):
         return real_lift(whole, parts)
 
     def verified(h, cert):
-        calls["verify"] += 1
+        checked.append(cert)
         return real_verify(h, cert)
 
     for module in (certificates, apex):
         monkeypatch.setattr(module, "lift_certificate", lifted)
     for module in (certificates, solver, apex, pages):
         monkeypatch.setattr(module, "verify_certificate", verified)
-    assert entry(g).status == "exact"
-    assert (calls["lift"], calls["verify"]) == (lifts, checks)
+    res = entry(g)
+    assert res.status == "exact"
+    assert (calls["lift"], len(checked)) == (lifts, checks)
+    assert sum(cert is res.certificate for cert in checked) == 1
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        subdivide_edge(complete_graph(5), 0),
+        multiply_edges(complete_graph(4), 2),
+        K33,
+        fig3_graph(),
+        disjoint_union(complete_graph(5), complete_graph(5)),
+    ],
+    ids=["K5-subdivided", "doubled-K4", "K33", "wheel-with-chords", "2xK5"],
+)
+def test_cone_cr_solves_only_g_through_cr_exact(monkeypatch, g):
+    # A cone part above its floor closes through the component solve; the
+    # public entry point sees only the components of G.
+    from conecross import apex
+
+    solved = []
+    real = apex.cr_exact
+
+    def recorded(h, **kwargs):
+        solved.append(h)
+        return real(h, **kwargs)
+
+    monkeypatch.setattr(apex, "cr_exact", recorded)
+    assert cone_cr(g).status == "exact"
+    assert solved == [sub for sub, _ in g.component_subgraphs()]
 
 
 def test_a_component_certificate_that_does_not_verify_raises(monkeypatch):
