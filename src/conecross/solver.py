@@ -60,16 +60,21 @@ yields realizable certificates with distinct crossing sets in a fixed
 order.  ``cr_exact`` takes its first hit and, given an ``until`` test,
 drains the same generator to the test's first True or the level's end,
 so a caller acts on each optimal drawing as the level's one search finds
-it; ``cr_certificates`` lists a whole level.  The generator computes the
-root orbits only when it is about to start a branch of index 1 or more,
-so a level whose first branch hits pays nothing for them.
+it; ``cr_certificates`` lists a whole level.  The generator closes the
+root orbits as branches start, from the second branch on: a pair inside
+the orbits closed so far is skipped, and any other adds its orbit.  So a
+level whose first branch hits pays nothing for them, and no root pair is
+drawn ahead of its branch (with one crossing left, drawing a pair tests
+its hosts).
 
 Every level search of ``cr_exact`` runs in one deepening loop,
 ``_deepen``, which ends at the first level with a hit, the first level
-cut short, or a stop, and adds its work to the component solve's tally.
-One ``_LevelSearch`` serves all its levels: they share one set of
-partner lists, and a level with no hit proves G non-planar, so no later
-level tests the root again.
+cut short, or a stop.  One ``_LevelSearch`` serves all levels of a
+graph: they share one set of partner lists and one set of automorphism
+generators, found on first use and read by the count too, and a level
+with no hit proves G non-planar, so no later level tests the root again.
+Its counters are the component solve's work, the count's sub-searches
+included.
 A component solve (``solve_component``, shared by ``cr_exact`` and by
 ``cone_cr`` for a cone above its floor) runs it once, from the count's
 bound if higher, up to the seed's count or ``max_k`` + 1; the count runs
@@ -85,7 +90,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -132,7 +136,10 @@ class _LevelSearch:
 
     The exclusion discipline makes the certificates it yields free of
     rediscoveries across sibling branches.  ``nodes`` and ``planarity``
-    count the nodes entered and the planarity tests made over all levels.
+    count the nodes entered and the planarity tests made over all levels,
+    and the work of the counting bound's sub-searches when it runs on
+    this search.  ``generators`` is found once, on first use, for the
+    root skip of every level and for the count.
     """
 
     def __init__(self, g: Multigraph, deadline: Deadline):
@@ -152,6 +159,22 @@ class _LevelSearch:
     def partners(self) -> list[list[int]]:
         """partners[e]: the hosts f > e that share no end with e."""
         return _partners(self.ends)
+
+    @cached_property
+    def generators(self) -> list[tuple[int, ...]]:
+        """Automorphisms of g that generate Aut(g), or those found before
+        the deadline: the root skip and the count hold for any set."""
+        return list(automorphism_generators(self.g, self.deadline.expired))
+
+    @cached_property
+    def moves(self) -> list[list[int]]:
+        """The generators' action on instance ids."""
+        index = self.g.instance_index()
+        insts = self.g.instances()
+        return [
+            [index[(min(p[u], p[v]), max(p[u], p[v]), copy)] for u, v, copy in insts]
+            for p in self.generators
+        ]
 
     # -- planarization plumbing ------------------------------------------
 
@@ -196,26 +219,24 @@ class _LevelSearch:
             yield cert
             return
         seen: set[tuple[tuple[int, int], ...]] = set()
-        repeats: set[int] | None = None
+        reached: set[tuple[int, int]] = set()
         tried: list[tuple[int, int]] = []
-        pending = iter(cands)
-        while (pair := next(pending, None)) is not None:
-            index = len(tried)
-            tried.append(pair)
-            if index and not seen:
-                if repeats is None:
-                    # The skip needs every root pair: pull the rest now.
-                    rest = list(pending)
-                    repeats = _orbit_repeats(self.g, tried + rest, self.deadline)
-                    pending = iter(rest)
-                if index in repeats:
+        for pair in cands:
+            if tried and not seen:
+                # Close the orbits of the branches started so far; the
+                # first branch's orbit waits until a second one is due.
+                reached = reached or orbit(tried[0], self.moves, _sorted_image)
+                if pair in reached:
+                    tried.append(pair)
                     continue
-            for cert in self.branch({}, [], frozenset(tried[:index]), pair):
+                reached |= orbit(pair, self.moves, _sorted_image)
+            for cert in self.branch({}, [], frozenset(tried), pair):
                 if cert.crossings not in seen:
                     seen.add(cert.crossings)
                     yield cert
             if self.out_of_time:
                 return
+            tried.append(pair)
 
     def expand(
         self,
@@ -365,30 +386,19 @@ class _LevelSearch:
         return [h for h in range(len(self.ends)) if h not in removed]
 
 
-@dataclass
-class _Tally:
-    """Nodes entered and planarity tests made by one component's searches."""
-
-    nodes: int = 0
-    planarity: int = 0
-
-
 def _deepen(
-    g: Multigraph,
+    search: _LevelSearch,
     level: int,
     stop: float,
-    deadline: Deadline,
-    tally: _Tally,
     until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> tuple[int, CrossingCertificate | None]:
-    """Search levels from ``level``, which must not exceed cr(g), below
-    ``stop``: (the first level with a certificate, its first certificate),
-    or (the first level left unexhausted, None), at ``stop`` or the
-    deadline; ``until`` sees the found level's hits up to one it accepts.
-    One search object serves every level."""
-    search = _LevelSearch(g, deadline)
+    """Search ``search``'s levels from ``level``, which must not exceed
+    cr(g), below ``stop``: (the first level with a certificate, its first
+    certificate), or (the first level left unexhausted, None), at ``stop``
+    or the deadline; ``until`` sees the found level's hits up to one it
+    accepts."""
     cert = None
-    while level < stop and not deadline.expired():
+    while level < stop and not search.deadline.expired():
         hits = search.hits(level)
         cert = next(hits, None)
         if cert is not None and cert.count != level:
@@ -398,35 +408,12 @@ def _deepen(
         if cert is not None or search.out_of_time:
             break
         level += 1
-    tally.nodes += search.nodes
-    tally.planarity += search.planarity
     return level, cert
 
 
 def _sorted_image(p: Sequence[int], items: tuple[int, ...]) -> tuple[int, ...]:
     """The image of a sorted tuple of vertices or instances under ``p``."""
     return tuple(sorted(p[x] for x in items))
-
-
-def _orbit_repeats(
-    g: Multigraph, cands: list[tuple[int, int]], deadline: Deadline
-) -> set[int]:
-    """Indices j of root pairs that an automorphism of ``g`` maps from an
-    earlier root pair, over the generators found before the deadline."""
-    index = g.instance_index()
-    insts = g.instances()
-    moves = [
-        [index[(min(perm[u], perm[v]), max(perm[u], perm[v]), copy)] for u, v, copy in insts]
-        for perm in automorphism_generators(g, deadline.expired)
-    ]
-    reached: set[tuple[int, int]] = set()
-    repeats: set[int] = set()
-    for j, pair in enumerate(cands):
-        if pair in reached:
-            repeats.add(j)
-        else:
-            reached |= orbit(pair, moves, _sorted_image)
-    return repeats
 
 
 def _deletions(
@@ -455,9 +442,7 @@ def _deletions(
             )
 
 
-def _counting_lower(
-    g: Multigraph, level: int, target: int, deadline: Deadline, tally: _Tally
-) -> tuple[int, str]:
+def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int, str]:
     """(bound, reason): ``level`` raised by the vertex and edge counts,
     which aim to prove cr(g) >= ``target``, and the count that raised it
     (empty if neither did).
@@ -470,8 +455,10 @@ def _counting_lower(
     G - v lies inside G - e for an edge e at v).  A kind stops once the
     sum meets ``need`` or its untried orbits, all at ``cap``, could not
     beat the current level.  A sub-search deepens each component of
-    G - x while the components' sum is below ``cap``.
+    G - x while the components' sum is below ``cap``, and adds its work
+    to ``search``; the orbits are those of ``search.generators``.
     """
+    g = search.g
     kinds = []
     for vertices, size, div in ((False, g.m, g.m - 2), (True, g.n, g.n - 4)):
         if div < 1:
@@ -482,11 +469,10 @@ def _counting_lower(
             kinds.append((cap, vertices, size, div, need))
     kinds.sort(key=lambda kind: kind[0])
     reason = ""
-    gens = list(automorphism_generators(g, deadline.expired)) if kinds else []
     for cap, vertices, size, div, need in kinds:
         total, rest = 0, size
-        for weight, h in _deletions(g, gens, vertices):
-            if total >= need or deadline.expired():
+        for weight, h in _deletions(g, search.generators, vertices):
+            if total >= need or search.deadline.expired():
                 break
             if -(-(total + rest * cap) // div) <= level:
                 break
@@ -494,7 +480,10 @@ def _counting_lower(
             levels = [_euler(sub) for sub in comps]
             for i, sub in enumerate(comps):
                 stop = cap - sum(levels) + levels[i]
-                levels[i], _ = _deepen(sub, levels[i], stop, deadline, tally)
+                part = _LevelSearch(sub, search.deadline)
+                levels[i], _ = _deepen(part, levels[i], stop)
+                search.nodes += part.nodes
+                search.planarity += part.planarity
             total += weight * sum(levels)
             rest -= weight
         if -(-total // div) > level:
@@ -524,15 +513,15 @@ def solve_component(
     ``upper_seed``, ``cone_cr`` its cone seeds), so a seed that closes the
     bracket is returned unchecked; a search hit and the natural drawing
     are verified here."""
-    tally = _Tally()
+    search = _LevelSearch(g, deadline)
     reason = "euler"
     stop = math.inf if max_k is None else max_k + 1
     if seed is not None:
         stop = min(stop, seed.count)
     if count and seed is not None and stop > level:
-        level, kind = _counting_lower(g, level, stop, deadline, tally)
+        level, kind = _counting_lower(search, level, stop)
         reason = kind or reason
-    lower, cert = _deepen(g, level, stop, deadline, tally, until)
+    lower, cert = _deepen(search, level, stop, until)
     if lower > level:
         reason = "search"
     # Every level below a seed that the search reaches is exhausted.
@@ -544,7 +533,7 @@ def solve_component(
         raise RuntimeError(f"{reason} bound {lower} exceeds the upper bound {cert.count}")
     if cert is not seed and not verify_certificate(g, cert)[1]:
         raise RuntimeError("the component's certificate does not verify")
-    stats = SolveStats(tally.nodes, tally.planarity)
+    stats = SolveStats(search.nodes, search.planarity)
     status = "exact" if exact else "bounds-only"
     return SolveResult(lower, cert.count, status, cert, stats, reason)
 

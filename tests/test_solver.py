@@ -371,6 +371,17 @@ def test_a_live_one_left_root_stops_testing_at_its_first_hit():
     assert (stats.nodes, stats.planarity_calls) == (2, 8)
 
 
+def test_a_one_left_root_tests_no_host_ahead_of_its_branches():
+    # K5 with edge 0 subdivided, relabelled: the level-1 root's first
+    # branch misses, so the root skip runs.  It closes orbits only for the
+    # branches it starts, so no host is tested for a root pair that no
+    # branch reaches.
+    g = subdivide_edge(complete_graph(5), 0).relabel([2, 3, 5, 0, 4, 1])
+    res = cr_exact(g)
+    assert res.value == 1
+    assert (res.stats.nodes, res.stats.planarity_calls) == (4, 11)
+
+
 def relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -394,7 +405,7 @@ def test_root_orbit_skip_keeps_the_answer_and_shrinks_the_tree(monkeypatch):
     # are those of the full root, found with no more nodes.
     graphs = orbit_differential_graphs()
     pruned = [cr_exact(g) for g in graphs]
-    monkeypatch.setattr(solver, "_orbit_repeats", lambda g, cands, deadline: set())
+    monkeypatch.setattr(solver._LevelSearch, "generators", [])
     full = [cr_exact(g) for g in graphs]
     for g, a, b in zip(graphs, pruned, full):
         assert (a.lower, a.upper, a.status, a.certificate) == (
@@ -416,7 +427,7 @@ def test_enumeration_skips_orbit_repeats_only_before_its_first_hit(monkeypatch):
     monkeypatch.setattr(solver, "lr_planar", lambda n, pairs: tests.append(n) or real(n, pairs))
     pruned = [cr_certificates(g, k) for g, k in zip(graphs, levels)]
     pruned_tests = len(tests)
-    monkeypatch.setattr(solver, "_orbit_repeats", lambda g, cands, deadline: set())
+    monkeypatch.setattr(solver._LevelSearch, "generators", [])
     full = [cr_certificates(g, k) for g, k in zip(graphs, levels)]
     assert pruned == full
     # 27,245 against 27,745 tests for 663 drawings.
@@ -446,12 +457,23 @@ def test_only_one_thread_is_accepted(entry, threads):
 
 def test_root_orbit_repeats_follow_the_symmetry():
     # The level-2 root of F3 has 35 candidate pairs in 19 orbits under its
-    # 6 automorphisms; the path on 4 vertices has no repeats.
+    # 6 automorphisms, and its search starts one branch per orbit; the
+    # path on 4 vertices has no repeats.
     g = f_graph(3)
     search = solver._LevelSearch(g, Deadline(None))
     search.r = 2
     _, cands = search.expand({}, [], frozenset())
-    repeats = solver._orbit_repeats(g, cands, Deadline(None))
+    started = []
+    branch = search.branch
+
+    def recorded(chains, crossings, forbidden, pair):
+        if not crossings:
+            started.append(pair)
+        return branch(chains, crossings, forbidden, pair)
+
+    search.branch = recorded
+    assert list(search.hits(2)) == []
+    repeats = {j for j, pair in enumerate(cands) if pair not in started}
     assert (len(cands), len(cands) - len(repeats)) == (35, 19)
     # Branch j is skipped exactly when an automorphism (listed here by
     # networkx) maps an earlier root pair onto it.
@@ -470,6 +492,33 @@ def test_root_orbit_repeats_follow_the_symmetry():
         j for j, pair in enumerate(cands)
         if any(image(sigma, earlier) == pair for sigma in autos for earlier in cands[:j])
     }
+
+
+def test_one_automorphism_search_per_graph_per_solve(monkeypatch):
+    # A solve's one search of G finds Aut(G) once, for the root skip of
+    # every level and for the count; the count's sub-searches find that
+    # of their own G - x at most once each.
+    searched = []
+    real = solver.automorphism_generators
+
+    def recorded(g, stop):
+        searched.append(g)
+        return real(g, stop)
+
+    monkeypatch.setattr(solver, "automorphism_generators", recorded)
+    f3 = f_graph(3)
+    natural = certificate_from_book(one_page_drawing(f3))
+    solves = [
+        (lambda: cr_exact(fig1_graph()), 1),
+        (lambda: cr_exact(f3), 1),
+        (lambda: cone_cr(fig1_graph()), 1),
+        (lambda: cr_exact(f3, upper_seed=(natural.count, natural)), 3),
+    ]
+    for solve, expected in solves:
+        searched.clear()
+        solve()
+        assert len(searched) == expected
+        assert len({(g.n, tuple(g.edges)) for g in searched}) == expected
 
 
 def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
@@ -538,9 +587,9 @@ def test_counting_bound_never_passes_the_crossing_number(monkeypatch):
     counted = []
     count = solver._counting_lower
 
-    def observed(g, level, target, deadline, tally):
-        found = count(g, level, target, deadline, tally)
-        counted.append((g, found[0], found[1]))
+    def observed(search, level, target):
+        found = count(search, level, target)
+        counted.append((search.g, found[0], found[1]))
         return found
 
     monkeypatch.setattr(solver, "_counting_lower", observed)
