@@ -276,10 +276,9 @@ def _assemble_cone_cert(
             group.append((keys[t:], len(cg_pairs)))
             steps.append(len(cg_pairs))
             cg_pairs.append((apex_edge[v], lift[segments[seg][2]]))
-        if len(steps) >= 2:
-            # Traversal starts at v, the smaller endpoint; the route walks
-            # apex -> v, so reverse it.
-            orders[apex_edge[v]] = steps[::-1]
+        # Traversal starts at v, the smaller endpoint; the route walks
+        # apex -> v, so reverse it.
+        orders[apex_edge[v]] = steps[::-1]
 
     base_seqs = cert.sequences()
     host_seqs: dict[int, list[int]] = {}
@@ -292,7 +291,7 @@ def _assemble_cone_cert(
             seq.extend(ranked if face == seg_faces[seg][0] else ranked[::-1])
         if slot < len(base_seqs.get(host, ())):
             seq.append(base_seqs[host][slot])
-    orders.update((lift[h], seq) for h, seq in host_seqs.items() if len(seq) >= 2)
+    orders.update((lift[h], seq) for h, seq in host_seqs.items())
     cand = CrossingCertificate.build(cg_pairs, orders)
     _, ok = verify_certificate(cg, cand)
     return cand if ok else None
@@ -382,8 +381,6 @@ def _cone_cr_connected(
     if best is one_page and not verify_certificate(cg, best)[1]:
         raise RuntimeError("the lifted 1-page seed does not verify on cone(G)")
     if best.count <= floor:
-        return SolveResult(
-            floor, floor, "exact", best, rolled_up(solves, started), "euler"
-        )
+        return SolveResult(floor, floor, best, rolled_up(solves, started), "euler")
     res = solve_component(cg, max_k, deadline, floor, best)
     return replace(res, stats=rolled_up(solves + [res.stats], started))

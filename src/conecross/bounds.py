@@ -142,70 +142,19 @@ def fs_known(k: int) -> int | None:
     return FS_KNOWN.get(k)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every closed-form bound evaluated at one k."""
-
-    k: int
-    thm12_lower_approx: float
-    thm12_min_c: int
-    thm41_lower: int
-    multigraph_upper_approx: float
-    fs_known: int | None
-    phi: PhiUpper | None
-
-    def rows(self) -> list[dict]:
-        """Serializable rows: {k, bound, value, conditional}."""
-        rows = [
-            {
-                "k": self.k,
-                "bound": "cone-lower-sqrt",
-                "value": self.thm12_min_c,
-                "conditional": False,
-            },
-            {
-                "k": self.k,
-                "bound": "cone-lower-simple",
-                "value": self.thm41_lower,
-                "conditional": False,
-            },
-            {
-                "k": self.k,
-                "bound": "cone-upper-multigraph",
-                "value": self.multigraph_upper_approx,
-                "conditional": False,
-            },
-        ]
-        if self.fs_known is not None:
-            rows.append(
-                {
-                    "k": self.k,
-                    "bound": "fs-known",
-                    "value": self.fs_known,
-                    "conditional": False,
-                }
-            )
-        if self.phi is not None:
-            rows.append(
-                {
-                    "k": self.k,
-                    "bound": "phi-upper",
-                    "value": self.phi.phi_upper,
-                    "conditional": True,
-                }
-            )
-        return rows
-
-
-def bound_report(k: int) -> BoundReport:
+def bound_report(k: int) -> list[dict]:
+    """Every closed-form bound at one k, as serializable rows
+    {k, bound, value, conditional}; fs-known only where f_s(k) is
+    established, phi-upper (conditional on Harary-Hill) from k = 1 on."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return BoundReport(
-        k=k,
-        thm12_lower_approx=k + sqrt(k / 2),
-        thm12_min_c=thm12_min_c(k),
-        thm41_lower=thm41_lower(k),
-        multigraph_upper_approx=k + sqrt(3 * k),
-        fs_known=fs_known(k),
-        phi=hh_phi_upper(k) if k >= 1 else None,
-    )
+    found = [
+        ("cone-lower-sqrt", thm12_min_c(k), False),
+        ("cone-lower-simple", thm41_lower(k), False),
+        ("cone-upper-multigraph", k + sqrt(3 * k), False),
+    ]
+    if (known := fs_known(k)) is not None:
+        found.append(("fs-known", known, False))
+    if k >= 1:
+        found.append(("phi-upper", hh_phi_upper(k).phi_upper, True))
+    return [{"k": k, "bound": b, "value": v, "conditional": c} for b, v, c in found]

@@ -33,8 +33,10 @@ class CrossingCertificate:
 
     edge_orders maps an edge-instance id to the indices (into crossings)
     of that edge's crossings, in traversal order from the smaller
-    endpoint.  Entries are mandatory for edges crossed twice or more and
-    optional otherwise; stored sorted by edge id.
+    endpoint, stored sorted by edge id.  Entries are mandatory for edges
+    crossed twice or more and optional otherwise: :meth:`build` keeps
+    only the mandatory ones, so callers may hand it every edge's order,
+    while a certificate read from JSON may carry one-crossing orders too.
     """
 
     crossings: tuple[tuple[int, int], ...]
@@ -45,7 +47,8 @@ class CrossingCertificate:
         crossings: Iterable[tuple[int, int]],
         edge_orders: Mapping[int, Sequence[int]] | None = None,
     ) -> "CrossingCertificate":
-        """Normalize (sort pairs, sort lists) and construct."""
+        """Normalize (sort pairs, sort lists, drop orders of fewer than
+        two crossings) and construct."""
         raw = [(min(e, f), max(e, f)) for e, f in crossings]
         argsort = sorted(range(len(raw)), key=raw.__getitem__)
         if edge_orders is None:
@@ -55,7 +58,9 @@ class CrossingCertificate:
         for new, old in enumerate(argsort):
             remap[old] = new
         fixed = {
-            eid: tuple(remap[i] for i in order) for eid, order in edge_orders.items()
+            eid: tuple(remap[i] for i in order)
+            for eid, order in edge_orders.items()
+            if len(order) >= 2
         }
         return CrossingCertificate(
             tuple(raw[i] for i in argsort), tuple(sorted(fixed.items()))
@@ -230,26 +235,28 @@ def rolled_up(solves: list[SolveStats], started: float) -> SolveStats:
 class SolveResult:
     """Bracket on a crossing number, exact when the two sides meet.
 
-    ``lower_reason`` names the argument behind ``lower``: ``euler`` (the
-    Euler bound), ``search`` (an exhausted level), ``vertex-count`` or
-    ``edge-count`` (a counting bound over deletions, see ``solver``),
-    ``component sum``, or empty where no crossing-number search ran.
+    ``lower`` is proven and ``upper`` is the count of a verified drawing,
+    so :attr:`status` is read off the bracket: ``exact`` when they meet,
+    ``bounds-only`` otherwise.  ``lower_reason`` names the argument
+    behind ``lower``: ``euler`` (the Euler bound), ``search`` (an
+    exhausted level), ``vertex-count`` or ``edge-count`` (a counting
+    bound over deletions, see ``solver``), ``component sum``, or empty
+    where no crossing-number search ran.
     """
 
     lower: int
     upper: int
-    status: str
     certificate: CrossingCertificate | None = None
     stats: SolveStats = field(default_factory=SolveStats)
     lower_reason: str = ""
 
     def __post_init__(self) -> None:
-        if self.status not in ("exact", "bounds-only"):
-            raise ValueError(f"unknown status {self.status!r}")
         if self.lower > self.upper:
             raise ValueError("lower bound exceeds upper bound")
-        if self.status == "exact" and self.lower != self.upper:
-            raise ValueError("exact result with open bracket")
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.lower == self.upper else "bounds-only"
 
     @property
     def value(self) -> int:
@@ -294,7 +301,6 @@ def combine_brackets(
             return replace(res, stats=stats)
     lower = sum(res.lower for _, _, res in parts)
     upper = sum(res.upper for _, _, res in parts)
-    exact = all(res.status == "exact" for _, _, res in parts)
     cert = None
     if all(res.certificate is not None for _, _, res in parts):
         cert = lift_certificate(
@@ -303,11 +309,9 @@ def combine_brackets(
         count, ok = verify_certificate(whole, cert)
         if not ok or count != upper:
             raise RuntimeError("part certificates do not combine into a drawing")
-    elif exact:
+    elif lower == upper:
         raise RuntimeError("exact result without certificate")
-    return SolveResult(
-        lower, upper, "exact" if exact else "bounds-only", cert, stats, "component sum"
-    )
+    return SolveResult(lower, upper, cert, stats, "component sum")
 
 
 def certificate_from_book(d: BookDrawing) -> CrossingCertificate:
@@ -373,8 +377,6 @@ def certificate_from_book(d: BookDrawing) -> CrossingCertificate:
 
     orders: dict[int, list[int]] = {}
     for eid, found in keyed.items():
-        if len(found) < 2:
-            continue
         seq = [idx for _, idx in sorted(found)]
         # Orders run from the smaller endpoint u.
         if pos[insts[eid][0]] != left[eid]:
@@ -440,8 +442,7 @@ def scale_certificate(
                     seq.extend(grid[slot])
                 else:
                     seq.extend(row[slot] for row in grid)
-            if len(seq) >= 2:
-                new_orders[teid] = seq
+            new_orders[teid] = seq
     return CrossingCertificate.build(new_pairs, new_orders)
 
 
@@ -455,12 +456,11 @@ def f_graph_certificate(k: int) -> CrossingCertificate:
     """
     from .graphs import f_graph
 
-    g = f_graph(k)
+    index = f_graph(k).instance_index()
 
     def spoke(i: int, j: int) -> int:
-        u = i
-        v = k + (j % (2 * k))
-        return g.instance_id(min(u, v), max(u, v))
+        # x_i = i lies below every outer-cycle id k..3k-1.
+        return index[(i, k + (j % (2 * k)), 0)]
 
     pairs = []
     for i in range(k):

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from .apex import cone_cr
 from .books import BookDrawing, CyclicOrder, count_crossings, one_page_drawing
 from .bounds import bound_report, thm12_min_c, thm41_lower
 from .experiments import (
@@ -137,8 +138,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_cr(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.cone:
-        from .apex import cone_cr
-
         res = cone_cr(g, max_k=args.max_k, budget_ms=args.budget_ms)
     else:
         res = cr_exact(g, max_k=args.max_k, budget_ms=args.budget_ms)
@@ -238,8 +237,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return 0
     if args.k is None:
         raise UsageError("bounds needs --k or --sweep")
-    report = bound_report(args.k)
-    rows = report.rows()
+    rows = bound_report(args.k)
     if args.multigraph:
         # The simple-graph lower bound does not apply to multigraphs.
         rows = [r for r in rows if r["bound"] != "cone-lower-simple"]

@@ -4,7 +4,6 @@ Vertices are integers 0..n-1.  Parallel edges are stored compressed as
 (u, v, multiplicity) entries but every downstream consumer works with
 *edge instances*: copy j of pair (u, v) is one instance, and instances
 are numbered 0..M-1 in sorted (u, v, copy) order.  That numbering is
-
 the identity that crossing certificates and book drawings refer to, so
 it must be stable under serialization round-trips.
 """
@@ -111,11 +110,7 @@ class Multigraph:
 
     def instance_index(self) -> dict[tuple[int, int, int], int]:
         """Instance id of every (u, v, copy), for lookups in a loop."""
-        index: dict[tuple[int, int, int], int] = {}
-        for u, v, mult in self.edges:
-            for copy in range(mult):
-                index[(u, v, copy)] = len(index)
-        return index
+        return {inst: eid for eid, inst in enumerate(self.instances())}
 
     def instance_endpoints(self, eid: int) -> tuple[int, int]:
         u, v, _ = self.instances()[eid]
@@ -123,16 +118,7 @@ class Multigraph:
 
     def instance_id(self, u: int, v: int, copy: int = 0) -> int:
         """Id of copy ``copy`` of pair (u, v); raises KeyError if absent."""
-        if u > v:
-            u, v = v, u
-        eid = 0
-        for a, b, mult in self.edges:
-            if (a, b) == (u, v):
-                if copy >= mult:
-                    raise KeyError(f"pair ({u},{v}) has only {mult} copies")
-                return eid + copy
-            eid += mult
-        raise KeyError(f"no edge ({u},{v})")
+        return self.instance_index()[(min(u, v), max(u, v), copy)]
 
     def multiplicity(self, u: int, v: int) -> int:
         if u > v:

@@ -264,9 +264,8 @@ def _order_search(
     if not ok or (value is not None and count != value):
         raise RuntimeError("order search produced an unrealizable drawing")
     stats = SolveStats(work, 1, (time.monotonic() - start) * 1000)
-    if count == 0 or (complete and value is not None):
-        return SolveResult(count, count, "exact", cert, stats), drawing
-    return SolveResult(0, count, "bounds-only", cert, stats), drawing
+    lower = count if complete and value is not None else 0
+    return SolveResult(lower, count, cert, stats), drawing
 
 
 def outerplanar_search(

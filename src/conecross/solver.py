@@ -251,8 +251,7 @@ class _LevelSearch:
         s = len(crossings)
         pairs = self._pairs(chains)
         if (crossings or not self.root_nonplanar) and self._planar(s, pairs):
-            orders = {eid: chain for eid, chain in chains.items() if len(chain) >= 2}
-            return CrossingCertificate.build(list(crossings), orders), []
+            return CrossingCertificate.build(list(crossings), chains), []
         self.root_nonplanar |= not crossings
         if s == self.r:
             return None, []
@@ -524,8 +523,6 @@ def solve_component(
     lower, cert = _deepen(search, level, stop, until)
     if lower > level:
         reason = "search"
-    # Every level below a seed that the search reaches is exhausted.
-    exact = cert is not None or (seed is not None and lower >= seed.count)
     # The natural convex drawing is always available.
     cert = cert or seed or certificate_from_book(one_page_drawing(g))
     # Neither a proven count nor exhausted levels pass a valid upper bound.
@@ -534,8 +531,7 @@ def solve_component(
     if cert is not seed and not verify_certificate(g, cert)[1]:
         raise RuntimeError("the component's certificate does not verify")
     stats = SolveStats(search.nodes, search.planarity)
-    status = "exact" if exact else "bounds-only"
-    return SolveResult(lower, cert.count, status, cert, stats, reason)
+    return SolveResult(lower, cert.count, cert, stats, reason)
 
 
 def cr_exact(

@@ -158,7 +158,7 @@ def test_conjecture_ratio_stays_bounded():
 
 
 def test_bound_report_rows():
-    rows = bound_report(10).rows()
+    rows = bound_report(10)
     names = [r["bound"] for r in rows]
     assert names == [
         "cone-lower-sqrt",
@@ -167,23 +167,28 @@ def test_bound_report_rows():
         "phi-upper",
     ]
     by_name = {r["bound"]: r for r in rows}
+    assert all(r["k"] == 10 for r in rows)
+    assert by_name["cone-lower-sqrt"]["value"] == 13
     assert by_name["cone-lower-simple"]["value"] == 15
+    assert by_name["cone-upper-multigraph"]["value"] == pytest.approx(10 + 30**0.5)
     assert by_name["phi-upper"]["value"] == 11
     assert by_name["phi-upper"]["conditional"]
     assert not by_name["cone-lower-sqrt"]["conditional"]
 
 
 def test_bound_report_includes_known_values_when_they_exist():
-    rows = bound_report(3).rows()
+    rows = bound_report(3)
     by_name = {r["bound"]: r for r in rows}
     assert by_name["fs-known"]["value"] == 6
     assert by_name["cone-lower-simple"]["value"] == 6
 
 
 def test_bound_report_at_zero():
-    report = bound_report(0)
-    assert report.thm12_min_c == 0
-    assert report.thm41_lower == 0
-    assert report.phi is None
+    by_name = {r["bound"]: r["value"] for r in bound_report(0)}
+    assert by_name == {
+        "cone-lower-sqrt": 0,
+        "cone-lower-simple": 0,
+        "cone-upper-multigraph": 0,
+    }
     with pytest.raises(ValueError):
         bound_report(-1)

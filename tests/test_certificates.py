@@ -16,11 +16,13 @@ from conecross import (
     complete_graph,
     cone,
     count_crossings,
+    cr_certificates,
     f_graph,
     f_graph_certificate,
     fig1_certificate,
     fig1_cone_certificate,
     fig1_graph,
+    insert_apex,
     is_planar,
     multiply_edges,
     one_page_drawing,
@@ -31,6 +33,7 @@ from conecross import (
 )
 from conecross import certificates
 from conecross.certificates import certificate_error
+from conecross.pages import outerplanar_search, two_page_search
 from oracle import assert_drawing
 
 
@@ -52,6 +55,39 @@ def test_build_remaps_order_indices_after_sorting():
     )
     assert cert.crossings == ((3, 7), (7, 9))
     assert cert.orders()[7] == (1, 0)
+
+
+def test_build_keeps_orders_only_for_edges_crossed_twice():
+    assert CrossingCertificate.build([(0, 5)], {0: [0], 5: [0]}) == (
+        CrossingCertificate.build([(0, 5)])
+    )
+    g = fig1_graph()
+    drawings = cr_certificates(g, 3)
+    assert len(drawings) == 108
+    coned = [insert_apex(g, cert) for cert in drawings]
+    k6 = complete_graph(6)
+    books = [search(k6)[0].certificate for search in (outerplanar_search, two_page_search)]
+    # The coned fig1 drawing crosses every edge at most once; doubling the
+    # apex edges crosses each of their copies once and each base host twice.
+    cg = cone(fig1_graph())
+    apex_doubled = Multigraph.build(
+        cg.n, [(u, v, 2 if v == 9 else 1) for u, v, _ in cg.edges]
+    )
+    scaled = [
+        scale_certificate(cg, fig1_cone_certificate(), target)
+        for target in (cg, apex_doubled)
+    ]
+    assert verify_certificate(apex_doubled, scaled[1]) == (9, True)
+    for cert in drawings + coned + books + scaled:
+        assert all(len(order) >= 2 for _, order in cert.edge_orders)
+
+
+def test_a_one_crossing_order_in_json_still_loads_and_verifies():
+    data = k5_cert().to_json_dict()
+    data["edge_orders"] = {"1": [0], "5": [0]}
+    cert = CrossingCertificate.from_json(json.dumps(data))
+    assert cert.edge_orders == ((1, (0,)), (5, (0,)))
+    assert verify_certificate(complete_graph(5), cert) == (1, True)
 
 
 def test_empty_certificate_of_planar_graph():
@@ -224,15 +260,13 @@ def test_cone_certificate_splits_three_and_three():
 
 def test_solve_result_validation():
     with pytest.raises(ValueError):
-        SolveResult(2, 1, "exact")
-    with pytest.raises(ValueError):
-        SolveResult(1, 2, "exact")
-    with pytest.raises(ValueError):
-        SolveResult(1, 2, "approximate")
-    open_result = SolveResult(1, 2, "bounds-only")
+        SolveResult(2, 1)
+    open_result = SolveResult(1, 2)
+    assert open_result.status == "bounds-only"
     with pytest.raises(ValueError):
         open_result.value
-    done = SolveResult(3, 3, "exact", stats=SolveStats(10, 20, 1.5))
+    done = SolveResult(3, 3, stats=SolveStats(10, 20, 1.5))
+    assert done.status == "exact"
     assert done.value == 3
     blob = done.to_json_dict()
     assert blob["status"] == "exact"

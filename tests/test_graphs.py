@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -59,6 +60,21 @@ def test_instance_ids_follow_edge_order():
         g.instance_id(0, 1, copy=2)
     with pytest.raises(KeyError):
         g.instance_id(1, 2)
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picked = rng.sample(pairs, rng.randint(0, len(pairs)))
+        h = Multigraph.build(n, [(u, v, rng.randint(1, 3)) for u, v in picked])
+        index = h.instance_index()
+        assert len(index) == h.m
+        for i, inst in enumerate(h.instances()):
+            u, v, copy = inst
+            assert index[inst] == i == h.instance_id(*inst) == h.instance_id(v, u, copy)
+        for u, v in pairs:
+            for copy in (-1, h.multiplicity(u, v)):
+                with pytest.raises(KeyError):
+                    h.instance_id(u, v, copy)
 
 
 def test_degree_counts_multiplicity():

@@ -164,6 +164,32 @@ def test_tiny_budget_returns_a_bracket_not_a_lie():
     assert ok and count == res.upper
 
 
+def test_a_closed_bracket_is_exact_at_every_entry_point():
+    for g in (cycle_graph(5), empty_graph(3)):
+        res = cr_exact(g, budget_ms=0)
+        assert (res.lower, res.upper, res.status, res.value) == (0, 0, "exact", 0)
+    named = [fig1_graph(), fig3_graph(), f_graph(3), complete_graph(5),
+             complete_graph(6), subdivide_edge(complete_graph(5), 0),
+             multiply_edges(complete_graph(4), 2), K33, cycle_graph(5), empty_graph(3)]
+    solves = {
+        "cr_exact": cr_exact,
+        "cone_cr": cone_cr,
+        "outerplanar_search": lambda g, budget_ms: outerplanar_search(g, budget_ms)[0],
+        "two_page_search": lambda g, budget_ms: two_page_search(g, budget_ms)[0],
+    }
+    # Unbudgeted, these take seconds (2-page, 9 vertices) or minutes (cone(K6) = K7).
+    slow = {(0, "two_page_search"), (2, "two_page_search"), (4, "cone_cr")}
+    for i, g in enumerate(named):
+        for name, solve in solves.items():
+            for budget in (0, None):
+                if budget is None and (i, name) in slow:
+                    continue
+                res = solve(g, budget_ms=budget)
+                assert (res.status == "exact") == (res.lower == res.upper), (i, name, budget)
+                if res.status == "exact":
+                    assert res.value == res.upper
+
+
 def test_negative_budget_and_max_k_are_rejected():
     # Every entry point refuses a negative budget where it makes its
     # Deadline, instead of reading it as already expired.
