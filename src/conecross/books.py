@@ -5,16 +5,20 @@ of the spine) and draws every edge as a chord inside one of k disks.  Two
 chords on the same page cross exactly when their endpoints interleave
 around the circle.  Everything here is a pure function over immutable
 values.
+
+Rotating or reflecting a spine order changes no crossing, so order
+searches take one canonical order per class.  That rule lives in
+``canonical_orders``; ``pages._prefix_search`` applies it incrementally.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import permutations
+from typing import Iterator
 
 from .graphs import Multigraph, clone_vertex
-from .maxcut import cut_value
 
 BOOK_FORMAT = "conecross-book-v1"
 
@@ -43,55 +47,19 @@ class CyclicOrder:
             pos[v] = p
         return pos
 
-    def rotated(self, shift: int) -> "CyclicOrder":
-        s = shift % self.n
-        return CyclicOrder(self.seq[s:] + self.seq[:s])
-
-    def reflected(self) -> "CyclicOrder":
-        return CyclicOrder((self.seq[0],) + tuple(reversed(self.seq[1:])))
-
-    def canonical(self) -> "CyclicOrder":
-        """Rotate vertex 0 to position 0; reflect so position 1 < position n-1.
-
-        This kills the rotation/reflection symmetry of the circle: each
-        cyclic order class has exactly one canonical representative.
-        """
-        start = self.seq.index(0)
-        rot = self.rotated(start)
-        if rot.n >= 3 and rot.seq[1] > rot.seq[-1]:
-            rot = rot.reflected()
-        return rot
-
 
 def canonical_orders(n: int) -> Iterator[CyclicOrder]:
-    """All canonical cyclic orders of 0..n-1; there are (n-1)!/2 for n >= 3."""
-    from itertools import permutations
+    """All canonical cyclic orders of 0..n-1; there are (n-1)!/2 for n >= 3.
 
+    Canonical: vertex 0 comes first, and the vertex after it is smaller
+    than the last one.
+    """
     if n <= 2:
         yield CyclicOrder.natural(n)
         return
     for perm in permutations(range(1, n)):
         if perm[0] < perm[-1]:
             yield CyclicOrder((0,) + perm)
-
-
-def interleaves(order: CyclicOrder, e: tuple[int, int], f: tuple[int, int]) -> bool:
-    """Do chords with endpoint pairs e and f cross in this cyclic order?
-
-    True iff the chords share no endpoint and exactly one endpoint of f
-    lies strictly between the endpoints of e.  Parallel instances share
-    both endpoints and therefore never interleave: they nest.
-    """
-    a, b = e
-    c, d = f
-    if a == c or a == d or b == c or b == d:
-        return False
-    pos = order.position_map()
-    n = order.n
-    span = (pos[b] - pos[a]) % n
-    c_in = (pos[c] - pos[a]) % n < span
-    d_in = (pos[d] - pos[a]) % n < span
-    return c_in != d_in
 
 
 @dataclass(frozen=True)
@@ -191,10 +159,6 @@ def circle_graph(g: Multigraph, order: CyclicOrder) -> CircleGraph:
     """Chord interleaving graph; depends on the order only, not on pages."""
     one_page = one_page_drawing(g, order)
     return CircleGraph(g.m, tuple(one_page.crossing_pairs()))
-
-
-def cut_size(cg: CircleGraph, side: Sequence[int]) -> int:
-    return cut_value(cg.edges, side)
 
 
 def clone_vertex_book(d: BookDrawing, v: int, with_edge: bool = False) -> BookDrawing:

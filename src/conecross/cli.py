@@ -39,7 +39,7 @@ from .graphs import (
     multiply_edges,
     subdivide_edge,
 )
-from .pages import outerplanar_search, split_report, two_page_search
+from .pages import one_to_two, outerplanar_search, split_report, two_page_search
 from .deadline import Deadline
 from .solver import cr_exact
 
@@ -148,38 +148,20 @@ def cmd_cr(args: argparse.Namespace) -> int:
 def cmd_book(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     mode = args.optimize
-    pages = args.pages
-    if pages is None:
-        pages = 2 if mode in ("partition", "both") else 1
-    if mode in ("partition", "both") and pages != 2:
-        raise UsageError(f"--optimize {mode} produces 2 pages, got --pages {pages}")
-    if mode in ("none", "order") and pages != 1:
-        raise UsageError(f"--optimize {mode} keeps 1 page; use partition or both for 2")
+    pages = 2 if mode in ("partition", "both") else 1
     # Only the order searches spend the budget, but every mode refuses a bad one.
     Deadline(args.budget_ms)
 
-    status = "exact"
-    if mode == "none":
-        order = _parse_order(args.order, g.n)
-        drawing = one_page_drawing(g, order)
-        crossings = count_crossings(drawing)
-    elif mode == "partition":
-        order = _parse_order(args.order, g.n)
-        report = split_report(g, order)
-        drawing = report.drawing
-        crossings = report.crossings
-    elif mode == "order":
+    if mode in ("order", "both"):
         if args.order is not None:
-            raise UsageError("--optimize order searches orders; drop --order")
-        res, drawing = outerplanar_search(g, budget_ms=args.budget_ms)
-        crossings = res.upper
-        status = res.status
+            raise UsageError(f"--optimize {mode} searches orders; drop --order")
+        search = outerplanar_search if mode == "order" else two_page_search
+        res, drawing = search(g, budget_ms=args.budget_ms)
+        crossings, status = res.upper, res.status
     else:
-        if args.order is not None:
-            raise UsageError("--optimize both searches orders; drop --order")
-        res, drawing = two_page_search(g, budget_ms=args.budget_ms)
-        crossings = res.upper
-        status = res.status
+        draw = one_page_drawing if mode == "none" else one_to_two
+        drawing = draw(g, _parse_order(args.order, g.n))
+        crossings, status = count_crossings(drawing), "exact"
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -199,6 +181,8 @@ def cmd_book(args: argparse.Namespace) -> int:
 
 
 def cmd_convert12(args: argparse.Namespace) -> int:
+    """Split a 1-page drawing onto 2 pages.  The verdict is always "pass":
+    a split that misses the Edwards bound raises RuntimeError, exit 1."""
     g = _load_graph(args.graph)
     order = _parse_order(args.order, g.n)
     report = split_report(g, order)
@@ -210,14 +194,16 @@ def cmd_convert12(args: argparse.Namespace) -> int:
             "k": report.one_page_crossings,
             "cut": report.cut.size,
             "crossings": report.crossings,
-            "verdict": "pass" if report.bound_ok else "fail",
+            "verdict": "pass",
         }
     )
-    return 0 if report.bound_ok else 1
+    return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.sweep is not None:
+        if args.sweep < 0:
+            raise ValueError("--sweep must be non-negative")
         rows = []
         violations = 0
         for k in range(args.sweep + 1):
@@ -314,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_book = sub.add_parser("book", help="build or optimize a book drawing")
     p_book.add_argument("graph")
     p_book.add_argument("--order", help="comma-separated spine order")
-    p_book.add_argument("--pages", type=int, choices=[1, 2])
     p_book.add_argument(
         "--optimize",
         choices=["none", "partition", "order", "both"],

@@ -157,22 +157,21 @@ def cor22_suite(count: int = 1000, seed: int = 0) -> dict:
     """Random page-splitting sweep: crossings == k - maxcut, bound holds.
 
     Each trial draws a random simple graph (n <= 12, m <= 30) and a
-    random spine order, splits the one-page drawing onto two pages, and
-    re-checks the crossing accounting and the integer bound form.
+    random spine order and splits the one-page drawing onto two pages.
+    ``split_report`` checks both; a miss raises RuntimeError (exit 1), so
+    ``failures`` is always empty.
     """
+    if count < 0:
+        raise ValueError("count must be non-negative")
     rng = random.Random(seed)
-    failures = []
-    for trial in range(count):
+    for _ in range(count):
         n = rng.randint(2, 12)
         m = rng.randint(0, min(30, n * (n - 1) // 2))
         g = random_graph(n, m, seed=rng.randrange(2**32))
         order = list(range(n))
         rng.shuffle(order)
-        split = split_report(g, CyclicOrder(tuple(order)))
-        k = split.one_page_crossings
-        if split.crossings != k - split.cut.size or not split.bound_ok:
-            failures.append({"trial": trial, "n": n, "m": m})
-    return {"count": count, "seed": seed, "failures": failures}
+        split_report(g, CyclicOrder(tuple(order)))
+    return {"count": count, "seed": seed, "failures": []}
 
 
 def hh_table(verify_upto: int = 0) -> list[dict]:

@@ -44,6 +44,10 @@ class EdwardsBound:
 
     m: int
 
+    def __post_init__(self) -> None:
+        if self.m < 0:
+            raise ValueError("edge count must be non-negative")
+
     def approx(self) -> float:
         return self.m / 2 + (sqrt(8 * self.m + 1) - 1) / 8
 
@@ -62,12 +66,6 @@ class EdwardsBound:
         while not self.met_by(c):
             c += 1
         return c
-
-
-def edwards_bound(m: int) -> EdwardsBound:
-    if m < 0:
-        raise ValueError("edge count must be non-negative")
-    return EdwardsBound(m)
 
 
 EXACT_LIMIT = 32
@@ -179,7 +177,7 @@ def _edwards_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
                 side[v] = 1 - side[v]
                 improved = True
     size = cut_value(edges, side)
-    if not edwards_bound(len(edges)).met_by(size):
+    if not EdwardsBound(len(edges)).met_by(size):
         if n > EXACT_LIMIT:
             raise RuntimeError(
                 "heuristic missed the Edwards bound on a component too large "

@@ -9,7 +9,10 @@ k/2 - (sqrt(8k+1)-1)/8.
 
 Order search (outerplanar and free 2-page) enumerates canonical spine
 orders, one vertex at a time for the 1-page case so that partial crossing
-counts prune the (n-1)!/2 space.  Both searches run through one driver,
+counts prune the (n-1)!/2 space.  The canonical rule is the one of
+``books.canonical_orders``: the 2-page scan iterates it, and
+``_prefix_search`` pins vertex 0 first and places a last vertex only if
+it exceeds the one at position 1.  Both searches run through one driver,
 ``_order_search``: it runs a scan (``_prefix_search`` or
 ``_two_page_scan``), draws the best order (or the natural order when no
 order finished), and certifies and verifies that drawing before it
@@ -49,36 +52,34 @@ def cor22_bound_ok(k: int, crossings: int) -> bool:
 
 @dataclass(frozen=True)
 class PageSplit:
-    """What one_to_two did: the drawing plus its accounting."""
+    """What one_to_two did: the drawing plus its accounting.  Every split
+    meets the Edwards bound: ``split_report`` raises on a miss."""
 
     drawing: BookDrawing
     one_page_crossings: int
     cut: Cut
     crossings: int
-    bound_ok: bool
 
 
 def split_report(g: Multigraph, order: CyclicOrder) -> PageSplit:
     cg = circle_graph(g, order)
     k = cg.m
     if k == 0:
-        drawing = one_page_drawing(g, order)
-        return PageSplit(drawing, 0, Cut((0,) * g.m, 0), 0, True)
+        return PageSplit(one_page_drawing(g, order), 0, Cut((0,) * g.m, 0), 0)
     if cg.n_vertices <= EXACT_LIMIT:
         cut = maxcut_exact(cg.n_vertices, cg.edges)
     else:
         cut = maxcut_edwards(cg.n_vertices, cg.edges)
     drawing = BookDrawing(g, order, tuple(cut.side))
     after = k - cut.size
-    report = PageSplit(drawing, k, cut, after, cor22_bound_ok(k, after))
     if count_crossings(drawing) != after:
         raise RuntimeError("page split does not match its cut accounting")
-    if not report.bound_ok:
+    if not cor22_bound_ok(k, after):
         # Unreachable while maxcut_edwards honours the Edwards bound on
         # every component: component bounds sum to at least the whole
         # bound because (a-1)(b-1) >= 0 for a, b >= 1.
         raise RuntimeError("page split missed the redrawing guarantee")
-    return report
+    return PageSplit(drawing, k, cut, after)
 
 
 def one_to_two(g: Multigraph, order: CyclicOrder) -> BookDrawing:
@@ -199,24 +200,13 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
     return best, best_seq, complete, nodes
 
 
-def two_page_cr_fixed_order(g: Multigraph, order: CyclicOrder) -> int:
-    """Fewest crossings on 2 pages with this spine order: k - maxcut(C)."""
-    cg = circle_graph(g, order)
-    if cg.n_vertices > EXACT_LIMIT:
-        raise ValueError(
-            f"circle graph has {cg.n_vertices} vertices, over the exact max-cut limit"
-        )
-    if cg.m == 0:
-        return 0
-    return cg.m - maxcut_exact(cg.n_vertices, cg.edges).size
-
-
 def _two_page_scan(g: Multigraph, deadline: Deadline) -> OrderScan:
     """Fewest 2-page crossings over canonical orders, each split by an
     exact max cut; stops early at 0.
 
-    Returns (best, best order, completed, orders run); no order runs with
-    more than EXACT_LIMIT edges, too many for an exact cut.
+    Returns (best, best order, completed, orders run).  A graph with more
+    than EXACT_LIMIT edge instances runs no order: its circle graphs have
+    that many vertices, too many for an exact cut.
     """
     if g.m > EXACT_LIMIT:
         return None, None, False, 0
@@ -227,7 +217,9 @@ def _two_page_scan(g: Multigraph, deadline: Deadline) -> OrderScan:
         if deadline.expired():
             return best, best_seq, False, orders_run
         orders_run += 1
-        value = two_page_cr_fixed_order(g, order)
+        # k - maxcut(C) crossings: the best split of this spine order.
+        cg = circle_graph(g, order)
+        value = cg.m - maxcut_exact(cg.n_vertices, cg.edges).size if cg.m else 0
         if best is None or value < best:
             best = value
             best_seq = order.seq

@@ -219,7 +219,7 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
     "argv",
     [
         ["cr", "fig1"],
-        ["book", "--pages", "1", "fig1"],
+        ["book", "fig1"],
         ["book", "--optimize", "partition", "fig1"],
         ["book", "--optimize", "order", "fig1"],
     ],
@@ -282,7 +282,7 @@ def test_book_order_search(capsys, tmp_path):
 
 def test_book_both_matches_the_two_page_optimum(capsys, tmp_path):
     k5 = write_graph(tmp_path, complete_graph(5))
-    data = run_json(capsys, "book", k5, "--optimize", "both", "--pages", "2")
+    data = run_json(capsys, "book", k5, "--optimize", "both")
     assert data["crossings"] == 1
     assert data["status"] == "exact"
 
@@ -310,12 +310,18 @@ def test_book_explicit_order(capsys, tmp_path):
 
 def test_book_flag_contradictions(capsys, tmp_path):
     k4 = write_graph(tmp_path, complete_graph(4))
-    code, _, err = run(capsys, "book", k4, "--optimize", "both", "--pages", "1")
-    assert code == 2 and "2 pages" in err
     code, _, err = run(capsys, "book", k4, "--optimize", "order", "--order", "0,1,2,3")
     assert code == 2
     code, _, err = run(capsys, "book", k4, "--order", "0,1,2")
     assert code == 2
+
+
+def test_book_pages_is_not_an_option(capsys):
+    # --optimize fixes the page count: partition and both give 2, else 1.
+    with pytest.raises(SystemExit) as exc:
+        main(["book", "fig1", "--pages", "1"])
+    assert exc.value.code == 2
+    assert "--pages" in capsys.readouterr().err
 
 
 def test_convert12_on_k5(capsys, tmp_path):
@@ -368,6 +374,12 @@ def test_bounds_sweep_counts_the_crossover(capsys):
     assert data["dominance_violations"] == 10
 
 
+def test_bounds_negative_sweep_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "bounds", "--sweep", "-3")
+    assert (code, out) == (2, "")
+    assert "--sweep" in err
+
+
 def test_bounds_requires_a_mode(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == 2 and "--k" in err
@@ -386,6 +398,12 @@ def test_experiment_cor22_small_run(capsys):
     data = run_json(capsys, "experiment", "cor22-suite", "--count", "40", "--seed", "3")
     assert data["count"] == 40
     assert data["failures"] == []
+
+
+def test_experiment_negative_count_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "experiment", "cor22-suite", "--count", "-5")
+    assert (code, out) == (2, "")
+    assert "count" in err
 
 
 def test_experiment_family_points(capsys):

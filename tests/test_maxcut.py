@@ -18,7 +18,6 @@ from conecross import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    edwards_bound,
     empty_graph,
     maxcut_edwards,
     maxcut_exact,
@@ -119,9 +118,9 @@ def test_edwards_bound_values():
     assert not b.met_by(1)
     assert b.minimum_met() == 2
     assert b.approx() == pytest.approx(2.0)
-    assert edwards_bound(0).approx() == pytest.approx(0.0)
+    assert EdwardsBound(0).approx() == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        edwards_bound(-1)
+        EdwardsBound(-1)
 
 
 def test_edwards_integer_form_brackets_the_float_form():

@@ -1,5 +1,8 @@
 """One-page and two-page optimization, and the cut-based page split."""
 
+import itertools
+import random
+
 import pytest
 
 from conecross import (
@@ -18,7 +21,6 @@ from conecross import (
     random_graph,
     split_report,
     two_page_cr,
-    two_page_cr_fixed_order,
     verify_certificate,
 )
 from conecross.deadline import Deadline
@@ -26,6 +28,7 @@ from conecross.maxcut import EXACT_LIMIT
 from conecross.pages import (
     ORDER_SEARCH_LIMIT,
     _prefix_search,
+    _two_page_scan,
     outerplanar_search,
     two_page_search,
 )
@@ -63,10 +66,7 @@ def test_split_report_accounting():
     assert report.one_page_crossings == 5
     assert report.crossings == report.one_page_crossings - report.cut.size
     assert count_crossings(report.drawing) == report.crossings
-    assert report.bound_ok == cor22_bound_ok(
-        report.one_page_crossings, report.crossings
-    )
-    assert report.bound_ok
+    assert cor22_bound_ok(report.one_page_crossings, report.crossings)
 
 
 def test_one_page_k4_after_split_is_planar():
@@ -102,7 +102,8 @@ def test_two_page_values():
     assert two_page_cr(complete_graph(5)).value == 1
     assert two_page_cr(complete_graph(6)).value == 3
     assert two_page_cr(cycle_graph(7)).value == 0
-    assert two_page_cr_fixed_order(complete_graph(5), CyclicOrder.natural(5)) == 1
+    # One spine order: its best 2-page split is the exact max cut's.
+    assert split_report(complete_graph(5), CyclicOrder.natural(5)).crossings == 1
 
 
 def test_two_page_search_returns_a_matching_drawing():
@@ -177,9 +178,48 @@ def test_two_page_search_on_a_planar_graph_is_exact_zero():
     assert res.status == "exact" and res.value == 0
 
 
-def test_fixed_order_rejects_huge_circle_graphs():
-    layers = Multigraph.build(
-        12, [(u, v) for u in range(12) for v in range(u + 1, 12)]
-    )
-    with pytest.raises(ValueError):
-        two_page_cr_fixed_order(layers, CyclicOrder.natural(12))
+def test_two_page_scan_runs_no_order_past_the_exact_limit():
+    # K12's 66 edges give every spine order a 66-vertex circle graph.
+    assert _two_page_scan(complete_graph(12), Deadline(None)) == (None, None, False, 0)
+
+
+def brute_force_minima(g):
+    """Fewest 1-page and 2-page crossings over all (n-1)! spine orders
+    with vertex 0 first, every split of the chords onto two pages tried."""
+    chords = [(u, v) for u, v, mult in g.edges for _ in range(mult)]
+    one = two = None
+    for rest in itertools.permutations(range(1, g.n)):
+        pos = {v: p for p, v in enumerate((0,) + rest)}
+        # crosses[i]: bitmask of the chords that chord i crosses on its page.
+        crosses = [0] * len(chords)
+        for (i, (a, b)), (j, (c, d)) in itertools.combinations(enumerate(chords), 2):
+            lo, hi = sorted((pos[a], pos[b]))
+            if len({a, b, c, d}) == 4 and (lo < pos[c] < hi) != (lo < pos[d] < hi):
+                crosses[i] |= 1 << j
+                crosses[j] |= 1 << i
+        k = sum(bin(x).count("1") for x in crosses) // 2
+        # Page 1 takes a set of the chords that cross something.
+        movable = [(1 << i, x) for i, x in enumerate(crosses) if x]
+        best_cut = 0
+        for pick in range(1 << max(len(movable) - 1, 0)):
+            side = sum(bit for t, (bit, _) in enumerate(movable) if pick >> t & 1)
+            cut = sum(bin(x & ~side).count("1") for bit, x in movable if side & bit)
+            best_cut = max(best_cut, cut)
+        one = k if one is None else min(one, k)
+        two = k - best_cut if two is None else min(two, k - best_cut)
+    return one, two
+
+
+def test_order_searches_match_brute_force_over_every_spine_order():
+    rng = random.Random(24)
+    for trial in range(24):
+        n = rng.randint(4, 6)
+        if trial % 4 == 3:
+            g = multiply_edges(random_graph(n, n, seed=trial), 2)
+        else:
+            g = random_graph(n, rng.randint(n, min(2 * n + 1, n * (n - 1) // 2)), seed=300 + trial)
+        one, two = brute_force_minima(g)
+        outer, _ = outerplanar_search(g)
+        both, _ = two_page_search(g)
+        assert (outer.status, outer.value) == ("exact", one), trial
+        assert (both.status, both.value) == ("exact", two), trial
