@@ -381,6 +381,6 @@ def _cone_cr_connected(
     if best is one_page and not verify_certificate(cg, best)[1]:
         raise RuntimeError("the lifted 1-page seed does not verify on cone(G)")
     if best.count <= floor:
-        return SolveResult(floor, floor, best, rolled_up(solves, started), "euler")
+        return SolveResult(floor, best, rolled_up(solves, started), "euler")
     res = solve_component(cg, max_k, deadline, floor, best)
     return replace(res, stats=rolled_up(solves + [res.stats], started))

@@ -235,24 +235,32 @@ def rolled_up(solves: list[SolveStats], started: float) -> SolveStats:
 class SolveResult:
     """Bracket on a crossing number, exact when the two sides meet.
 
-    ``lower`` is proven and ``upper`` is the count of a verified drawing,
-    so :attr:`status` is read off the bracket: ``exact`` when they meet,
-    ``bounds-only`` otherwise.  ``lower_reason`` names the argument
-    behind ``lower``: ``euler`` (the Euler bound), ``search`` (an
-    exhausted level), ``vertex-count`` or ``edge-count`` (a counting
-    bound over deletions, see ``solver``), ``component sum``, or empty
-    where no crossing-number search ran.
+    ``lower`` is proven and ``certificate`` is a verified drawing, whose
+    count is the upper bound :attr:`upper`, so :attr:`status` is read off
+    the bracket: ``exact`` when they meet, ``bounds-only`` otherwise.
+    ``lower_reason`` names the argument behind ``lower``: ``euler`` (the
+    Euler bound), ``search`` (an exhausted level), ``vertex-count`` or
+    ``edge-count`` (a counting bound over deletions, see ``solver``),
+    ``component sum``, or empty where no crossing-number search ran.  A
+    lower bound above the drawing's count raises ``RuntimeError``: no
+    result is built from outside input, so that is an internal fault.
     """
 
     lower: int
-    upper: int
-    certificate: CrossingCertificate | None = None
+    certificate: CrossingCertificate
     stats: SolveStats = field(default_factory=SolveStats)
     lower_reason: str = ""
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
-            raise ValueError("lower bound exceeds upper bound")
+            raise RuntimeError(
+                f"lower bound {self.lower} ({self.lower_reason or 'no reason'}) "
+                f"exceeds the drawing's count {self.upper}"
+            )
+
+    @property
+    def upper(self) -> int:
+        return self.certificate.count
 
     @property
     def status(self) -> str:
@@ -265,7 +273,7 @@ class SolveResult:
         return self.lower
 
     def to_json_dict(self) -> dict:
-        out: dict = {
+        return {
             "lower": self.lower,
             "upper": self.upper,
             "status": self.status,
@@ -275,10 +283,8 @@ class SolveResult:
                 "planarity_calls": self.stats.planarity_calls,
                 "elapsed_ms": round(self.stats.elapsed_ms, 3),
             },
+            "certificate": self.certificate.to_json_dict(),
         }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json_dict()
-        return out
 
 
 def combine_brackets(
@@ -299,19 +305,13 @@ def combine_brackets(
         sub, vertices, res = parts[0]
         if sub == whole and list(vertices) == list(range(whole.n)):
             return replace(res, stats=stats)
-    lower = sum(res.lower for _, _, res in parts)
-    upper = sum(res.upper for _, _, res in parts)
-    cert = None
-    if all(res.certificate is not None for _, _, res in parts):
-        cert = lift_certificate(
-            whole, [(sub, vertices, res.certificate) for sub, vertices, res in parts]
-        )
-        count, ok = verify_certificate(whole, cert)
-        if not ok or count != upper:
-            raise RuntimeError("part certificates do not combine into a drawing")
-    elif lower == upper:
-        raise RuntimeError("exact result without certificate")
-    return SolveResult(lower, upper, cert, stats, "component sum")
+    cert = lift_certificate(
+        whole, [(sub, vertices, res.certificate) for sub, vertices, res in parts]
+    )
+    count, ok = verify_certificate(whole, cert)
+    if not ok or count != sum(res.upper for _, _, res in parts):
+        raise RuntimeError("part certificates do not combine into a drawing")
+    return SolveResult(sum(res.lower for _, _, res in parts), cert, stats, "component sum")
 
 
 def certificate_from_book(d: BookDrawing) -> CrossingCertificate:

@@ -23,7 +23,6 @@ from .experiments import (
     family_points,
     fs_small,
     hh_table,
-    longrun_cone_exhaustion,
     longrun_f5_lower,
     longrun_z7,
 )
@@ -181,8 +180,8 @@ def cmd_book(args: argparse.Namespace) -> int:
 
 
 def cmd_convert12(args: argparse.Namespace) -> int:
-    """Split a 1-page drawing onto 2 pages.  The verdict is always "pass":
-    a split that misses the Edwards bound raises RuntimeError, exit 1."""
+    """Split a 1-page drawing onto 2 pages.  A split that misses the
+    Edwards bound raises RuntimeError, exit 1."""
     g = _load_graph(args.graph)
     order = _parse_order(args.order, g.n)
     report = split_report(g, order)
@@ -194,7 +193,6 @@ def cmd_convert12(args: argparse.Namespace) -> int:
             "k": report.one_page_crossings,
             "cut": report.cut.size,
             "crossings": report.crossings,
-            "verdict": "pass",
         }
     )
     return 0
@@ -231,11 +229,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _closed(result) -> bool:
-    return result["status"] == "exact"
-
-
-# Experiment name -> (its runner from the parsed args, its pass rule).
+# Experiment name -> (its runner from the parsed args, its pass rule, or
+# None for a runner that raises on a miss).
 EXPERIMENTS = {
     "fs-small": (
         lambda a: fs_small(budget_ms=a.budget_ms),
@@ -245,16 +240,15 @@ EXPERIMENTS = {
         lambda a: family_points(budget_ms=a.budget_ms),
         lambda rows: all(r["verified"] and r["matches_formula"] for r in rows),
     ),
-    "cor22-suite": (
-        lambda a: cor22_suite(count=a.count, seed=a.seed),
-        lambda result: not result["failures"],
-    ),
+    "cor22-suite": (lambda a: cor22_suite(count=a.count, seed=a.seed), None),
     "hh-table": (
         lambda a: hh_table(verify_upto=a.verify_upto),
         lambda rows: all(r.get("verified", True) for r in rows),
     ),
-    "cone-exhaustion": (lambda a: longrun_cone_exhaustion(budget_ms=a.budget_ms), _closed),
-    "f5-lower": (lambda a: longrun_f5_lower(budget_ms=a.budget_ms), _closed),
+    "f5-lower": (
+        lambda a: longrun_f5_lower(budget_ms=a.budget_ms),
+        lambda result: result["status"] == "exact",
+    ),
     "z7": (
         lambda a: longrun_z7(budget_ms=a.budget_ms),
         lambda result: result["value"] == result["expected"],
@@ -266,7 +260,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     run, passes = EXPERIMENTS[args.name]
     result = run(args)
     _emit(result, args.out)
-    return 0 if passes(result) else 1
+    return 0 if passes is None or passes(result) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

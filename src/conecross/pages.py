@@ -257,7 +257,7 @@ def _order_search(
         raise RuntimeError("order search produced an unrealizable drawing")
     stats = SolveStats(work, 1, (time.monotonic() - start) * 1000)
     lower = count if complete and value is not None else 0
-    return SolveResult(lower, count, cert, stats), drawing
+    return SolveResult(lower, cert, stats), drawing
 
 
 def outerplanar_search(

@@ -43,11 +43,10 @@ Prunes, all sound:
     branch holds a drawing, neither does one that an automorphism maps
     from an earlier branch;
   - a counting bound (Kleitman's method) sets the start level of a
-    component whose verified upper seed U lies above it, unless
-    ``lower_start`` asks for pure search.  Some optimal drawing is good,
-    so each of its crossings lies on two distinct edges with four
-    distinct ends, and it survives deleting any of the other n - 4
-    vertices or m - 2 edge instances.  Hence
+    component whose verified upper seed U lies above it.  Some optimal
+    drawing is good, so each of its crossings lies on two distinct edges
+    with four distinct ends, and it survives deleting any of the other
+    n - 4 vertices or m - 2 edge instances.  Hence
     sum_v cr(G - v) <= (n - 4) cr(G) and sum_e cr(G - e) <= (m - 2) cr(G),
     and cr(G) >= ceil(sum_x lb(G - x) / div) for any proven bounds lb.
     Deletions in one orbit of the automorphisms found are isomorphic, so
@@ -79,6 +78,11 @@ A component solve (``solve_component``, shared by ``cr_exact`` and by
 ``cone_cr`` for a cone above its floor) runs it once, from the count's
 bound if higher, up to the seed's count or ``max_k`` + 1; the count runs
 it on each component of G - x up to the level that U needs on average.
+No solve starts below a component's Euler bound, and none needs to: at
+such a level r the root is non-planar and closes at once, with no
+crossing left at r = 0 and otherwise by its Euler cut
+simple_m - 3n + 6 > r, whose left side is that bound.  So a lower start
+adds one root node per level and changes no bracket and no certificate.
 Levels below the first success are exhausted, so the found level is the
 crossing number.  Each drawing is verified once: a seed where it enters,
 a search hit or the natural drawing before the component solve returns
@@ -499,13 +503,12 @@ def solve_component(
     deadline: Deadline,
     level: int,
     seed: CrossingCertificate | None = None,
-    count: bool = True,
     until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> SolveResult:
     """Solve a connected ``g``: deepen from ``level``, which must not
     exceed cr(g), up to ``max_k`` + 1 or the ``seed`` drawing's count,
-    whichever is lower; with ``count`` and a seed, start from the counting
-    bound if higher, which aims at that same level.  ``until`` is as for
+    whichever is lower; with a seed, start from the counting bound if
+    higher, which aims at that same level.  ``until`` is as for
     ``cr_exact``.
 
     The caller verifies ``seed`` where it enters (``cr_exact`` checks its
@@ -517,21 +520,17 @@ def solve_component(
     stop = math.inf if max_k is None else max_k + 1
     if seed is not None:
         stop = min(stop, seed.count)
-    if count and seed is not None and stop > level:
-        level, kind = _counting_lower(search, level, stop)
-        reason = kind or reason
+        if stop > level:
+            level, kind = _counting_lower(search, level, stop)
+            reason = kind or reason
     lower, cert = _deepen(search, level, stop, until)
     if lower > level:
         reason = "search"
     # The natural convex drawing is always available.
     cert = cert or seed or certificate_from_book(one_page_drawing(g))
-    # Neither a proven count nor exhausted levels pass a valid upper bound.
-    if lower > cert.count:
-        raise RuntimeError(f"{reason} bound {lower} exceeds the upper bound {cert.count}")
     if cert is not seed and not verify_certificate(g, cert)[1]:
         raise RuntimeError("the component's certificate does not verify")
-    stats = SolveStats(search.nodes, search.planarity)
-    return SolveResult(lower, cert.count, cert, stats, reason)
+    return SolveResult(lower, cert, SolveStats(search.nodes, search.planarity), reason)
 
 
 def cr_exact(
@@ -539,27 +538,23 @@ def cr_exact(
     max_k: int | None = None,
     budget_ms: int | None = None,
     threads: int = 1,
-    lower_start: int | None = None,
     upper_seed: tuple[int, CrossingCertificate] | None = None,
     until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> SolveResult:
     """Crossing number with certificate, or an honest bracket.
 
     Components are solved independently (crossings add over a disjoint
-    union).  ``max_k`` caps the deepening level per component, and the
-    counting bound aims no higher than ``max_k + 1`` either;
-    ``lower_start`` forces exhaustion to begin at a lower level than the
-    Euler bound (useful to re-derive the bound by pure search), and must
-    lie between 0 and every component's Euler bound;
-    ``upper_seed``, for a connected graph only, is a known (value,
-    certificate) pair, verified here once.  A seeded solve first tries to
-    prove the seed's value by counting over vertex or edge deletions,
-    unless ``lower_start`` is given.  ``until``, for a connected graph
-    only, sees each drawing of the level the search closes at, the
-    returned one first, until it returns True or the level or the budget
-    ends; the stats count that search.  ``threads`` must be 1: the search
-    runs in this process, and the keyword goes once the benchmark stops
-    passing it (ROADMAP item 1).
+    union), each from its Euler bound.  ``max_k`` caps the deepening
+    level per component, and the counting bound aims no higher than
+    ``max_k + 1`` either; ``upper_seed``, for a connected graph only, is
+    a known (value, certificate) pair, verified here once.  A seeded
+    solve first tries to prove the seed's value by counting over vertex
+    or edge deletions.  ``until``, for a connected graph only, sees each
+    drawing of the level the search closes at, the returned one first,
+    until it returns True or the level or the budget ends; the stats
+    count that search.  ``threads`` must be 1: the search runs in this
+    process, and the keyword goes once the benchmark stops passing it
+    (ROADMAP item 1).
     """
     require_one_thread(threads)
     started = time.monotonic()
@@ -576,20 +571,9 @@ def cr_exact(
         count, ok = verify_certificate(g, seed)
         if not ok or count != value:
             raise ValueError("upper seed certificate does not verify")
-    levels = [_euler(sub) for sub, _ in comps]
-    if lower_start is not None:
-        # A start above cr(G) would treat unsearched levels as exhausted.
-        if not 0 <= lower_start <= min(levels, default=0):
-            raise ValueError(
-                f"lower_start={lower_start} is outside 0..{min(levels, default=0)}, "
-                "the least Euler bound of a component"
-            )
-        levels = [lower_start] * len(comps)
-
-    count = lower_start is None
     parts = [
-        (sub, vertices, solve_component(sub, max_k, deadline, level, seed, count, until))
-        for (sub, vertices), level in zip(comps, levels)
+        (sub, vertices, solve_component(sub, max_k, deadline, _euler(sub), seed, until))
+        for sub, vertices in comps
     ]
     return combine_brackets(g, parts, started)
 

@@ -259,18 +259,25 @@ def test_cone_certificate_splits_three_and_three():
 
 
 def test_solve_result_validation():
-    with pytest.raises(ValueError):
-        SolveResult(2, 1)
-    open_result = SolveResult(1, 2)
-    assert open_result.status == "bounds-only"
+    # The upper bound is the drawing's count; a lower bound above it is an
+    # internal fault, named by its reason.
+    g = complete_graph(5)
+    natural = certificate_from_book(one_page_drawing(g))
+    assert verify_certificate(g, natural) == (5, True)
+    with pytest.raises(RuntimeError, match=r"lower bound 6 \(search\) exceeds the drawing's count 5"):
+        SolveResult(6, natural, lower_reason="search")
+    open_result = SolveResult(1, natural)
+    assert (open_result.upper, open_result.status) == (5, "bounds-only")
     with pytest.raises(ValueError):
         open_result.value
-    done = SolveResult(3, 3, stats=SolveStats(10, 20, 1.5))
-    assert done.status == "exact"
-    assert done.value == 3
+    done = SolveResult(1, k5_cert(), SolveStats(10, 20, 1.5), "euler")
+    assert verify_certificate(g, done.certificate) == (1, True)
+    assert (done.upper, done.status, done.value) == (1, "exact", 1)
     blob = done.to_json_dict()
-    assert blob["status"] == "exact"
+    assert list(blob) == ["lower", "upper", "status", "lower_reason", "stats", "certificate"]
+    assert (blob["upper"], blob["status"], blob["lower_reason"]) == (1, "exact", "euler")
     assert blob["stats"]["planarity_calls"] == 20
+    assert blob["certificate"] == k5_cert().to_json_dict()
 
 
 def tied_one_page_drawing():

@@ -124,7 +124,8 @@ def test_every_family_builds_its_graph_and_names_the_flags_it_needs(
 
 
 # name -> (runner looked up in cli, the arguments it gets by default,
-#          a result that passes, one that fails)
+#          a result that passes, one that fails or, for a runner with no
+#          pass rule, the error it raises on a miss)
 EXPERIMENT_CASES = {
     "fs-small": ("fs_small", {"budget_ms": None},
                  [{"ok": True}], [{"ok": True}, {"ok": False}]),
@@ -132,11 +133,9 @@ EXPERIMENT_CASES = {
                       [{"verified": True, "matches_formula": True}],
                       [{"verified": True, "matches_formula": False}]),
     "cor22-suite": ("cor22_suite", {"count": 1000, "seed": 0},
-                    {"failures": []}, {"failures": [{"trial": 3}]}),
+                    {"count": 1000, "seed": 0}, RuntimeError("split misses the bound")),
     "hh-table": ("hh_table", {"verify_upto": 0},
                  [{"n": 5}, {"n": 6, "verified": True}], [{"n": 6, "verified": False}]),
-    "cone-exhaustion": ("longrun_cone_exhaustion", {"budget_ms": None},
-                        {"status": "exact"}, {"status": "bounds-only"}),
     "f5-lower": ("longrun_f5_lower", {"budget_ms": None},
                  {"status": "exact"}, {"status": "bounds-only"}),
     "z7": ("longrun_z7", {"budget_ms": None},
@@ -159,12 +158,27 @@ def test_every_experiment_prints_its_result_and_exits_by_its_pass_rule(
 
     def stub(**got):
         calls.append(got)
+        if isinstance(result, Exception):
+            raise result
         return result
 
     monkeypatch.setattr(cli, runner, stub)
-    code, out, err = run(capsys, "experiment", name)
-    assert (code, json.loads(out), err) == (0 if passes else 1, result, "")
+    if isinstance(result, Exception):
+        # Not caught as a usage error: Python exits 1 with the traceback.
+        with pytest.raises(type(result)):
+            run(capsys, "experiment", name)
+        assert capsys.readouterr().out == ""
+    else:
+        code, out, err = run(capsys, "experiment", name)
+        assert (code, json.loads(out), err) == (0 if passes else 1, result, "")
     assert calls == [kwargs]
+
+
+def test_cone_exhaustion_is_no_longer_an_experiment(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "cone-exhaustion"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cone-exhaustion'" in capsys.readouterr().err
 
 
 def test_gen_dot_output(capsys, tmp_path):
@@ -333,7 +347,7 @@ def test_convert12_on_k5(capsys, tmp_path):
     assert data["k"] == 5
     assert data["crossings"] == data["k"] - data["cut"]
     assert data["crossings"] <= 2
-    assert data["verdict"] == "pass"
+    assert list(data) == ["k", "cut", "crossings"]
     assert BookDrawing.from_json(out.read_text()).page_count == 2
 
 
@@ -396,8 +410,7 @@ def test_experiment_hh_table(capsys):
 
 def test_experiment_cor22_small_run(capsys):
     data = run_json(capsys, "experiment", "cor22-suite", "--count", "40", "--seed", "3")
-    assert data["count"] == 40
-    assert data["failures"] == []
+    assert data == {"count": 40, "seed": 3}
 
 
 def test_experiment_negative_count_is_a_usage_error(capsys):

@@ -333,27 +333,38 @@ def test_a_level_cut_short_mid_search_gives_a_certified_bracket(monkeypatch):
     assert_drawing(g, res.certificate, res.upper)
 
 
-def test_bracket_that_crosses_over_raises_instead_of_returning():
-    # A start level above the fallback drawing's count would break the
-    # premise that every level below the current one is exhausted; it is
-    # rejected up front, and the solver's own lower <= upper check stays
-    # behind that as an explicit raise that survives ``python -O``.
-    with pytest.raises(ValueError, match="lower_start"):
-        cr_exact(complete_graph(5), max_k=0, lower_start=6)
+def test_bracket_that_crosses_over_raises_instead_of_returning(monkeypatch):
+    # A lower bound above the drawing's count is an internal fault, not bad
+    # input: the one lower <= upper check, in SolveResult, raises
+    # RuntimeError (the CLI's exit 1), which survives ``python -O``.
+    monkeypatch.setattr(solver, "_counting_lower", lambda search, level, target: (6, "edge-count"))
+    g = complete_graph(5)
+    seed = certificate_from_book(one_page_drawing(g))
+    message = r"lower bound 6 \(edge-count\) exceeds the drawing's count 5"
+    with pytest.raises(RuntimeError, match=message):
+        cr_exact(g, upper_seed=(5, seed))
 
 
-def test_lower_start_above_the_euler_bound_is_rejected():
-    # cr(fig1) = 3 but its Euler bound is 0: a start at 4 would treat the
-    # unsearched levels 0..3 as exhausted and call a 4-crossing drawing exact.
-    with pytest.raises(ValueError, match="lower_start=4"):
-        cr_exact(fig1_graph(), lower_start=4)
-    with pytest.raises(ValueError, match="lower_start=-1"):
-        cr_exact(fig1_graph(), lower_start=-1)
-
-
-def test_lower_start_zero_re_derives_the_euler_bound_by_search():
-    assert solved(complete_graph(6), lower_start=0) == 3
-    assert solved(fig1_graph(), lower_start=0) == 3
+def test_levels_below_the_euler_bound_close_at_the_root():
+    # A solve starts at its Euler bound: below it, the root is non-planar
+    # and its Euler cut (or, at level 0, the empty budget) closes the level
+    # after one node, so a lower start could change no bracket.
+    rng = random.Random(25)
+    graphs = [complete_graph(6), complete_graph(7), cone(fig1_graph()),
+              cone(fig3_graph()), multiply_edges(complete_graph(6), 2), petersen()]
+    while len(graphs) < 30:
+        n = rng.randint(5, 9)
+        g = random_graph(n, rng.randint(3 * n - 5, n * (n - 1) // 2), rng.randrange(10**6))
+        if len(g.components()) == 1:
+            graphs.append(g)
+    levels = 0
+    for g in graphs:
+        for r in range(cr_lower(g)):
+            search = solver._LevelSearch(g, Deadline(None))
+            assert list(search.hits(r)) == []
+            assert (search.nodes, search.planarity, search.out_of_time) == (1, 1, False)
+            levels += 1
+    assert levels > 50
 
 
 def test_disconnected_multigraph_with_interleaved_labels():
@@ -634,12 +645,11 @@ def test_counting_bound_never_passes_the_crossing_number(monkeypatch):
 
 
 def test_counting_bound_closes_a_relabelled_seeded_f3():
-    # lower_start=0 turns the count off; the count closes the same bracket
-    # with the same drawing and fewer nodes.
+    # Seeded with the unseeded solve's drawing, the count closes the same
+    # bracket with that drawing and fewer nodes than exhausting the levels.
     g = relabelled(f_graph(3), 5)
-    seed = (3, cr_exact(g).certificate)
-    counted = cr_exact(g, upper_seed=seed)
-    searched = cr_exact(g, upper_seed=seed, lower_start=0)
+    searched = cr_exact(g)
+    counted = cr_exact(g, upper_seed=(3, searched.certificate))
     assert (counted.lower, counted.upper, counted.status, counted.certificate) == (
         searched.lower, searched.upper, searched.status, searched.certificate)
     assert counted.stats.nodes < searched.stats.nodes
