@@ -241,7 +241,9 @@ class SolveResult:
     ``lower_reason`` names the argument behind ``lower``: ``euler`` (the
     Euler bound), ``search`` (an exhausted level), ``vertex-count`` or
     ``edge-count`` (a counting bound over deletions, see ``solver``),
-    ``component sum``, or empty where no crossing-number search ran.  A
+    ``component sum``, ``order-search`` (a 1- or 2-page search that tried
+    every canonical spine order, see ``pages``), or empty for the trivial
+    0 of an unfinished order scan.  A
     lower bound above the drawing's count raises ``RuntimeError``: no
     result is built from outside input, so that is an internal fault.
     """

@@ -157,10 +157,13 @@ def cmd_book(args: argparse.Namespace) -> int:
         search = outerplanar_search if mode == "order" else two_page_search
         res, drawing = search(g, budget_ms=args.budget_ms)
         crossings, status = res.upper, res.status
+        # Only a search proves a lower bound, so only it names the reason.
+        found = {"lower_reason": res.lower_reason}
     else:
         draw = one_page_drawing if mode == "none" else one_to_two
         drawing = draw(g, _parse_order(args.order, g.n))
         crossings, status = count_crossings(drawing), "exact"
+        found = {}
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -174,6 +177,7 @@ def cmd_book(args: argparse.Namespace) -> int:
             "status": status,
             "pages": pages,
             "order": list(drawing.order.seq),
+            **found,
         }
     )
     return 0

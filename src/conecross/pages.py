@@ -240,7 +240,9 @@ def _order_search(
     finished (past the limit, out of budget, or too many edges for an
     exact 2-page split) the natural order's drawing gives a bounds-only
     bracket, unless it has no crossings.  Every drawing returned has a
-    verified certificate witnessing the upper bound.
+    verified certificate witnessing the upper bound.  A finished scan
+    proves its best count and names ``order-search`` as the reason; the
+    trivial 0 of an unfinished one names none.
     """
     start = time.monotonic()
     deadline = Deadline(budget_ms)
@@ -256,8 +258,9 @@ def _order_search(
     if not ok or (value is not None and count != value):
         raise RuntimeError("order search produced an unrealizable drawing")
     stats = SolveStats(work, 1, (time.monotonic() - start) * 1000)
-    lower = count if complete and value is not None else 0
-    return SolveResult(lower, cert, stats), drawing
+    if complete and value is not None:
+        return SolveResult(count, cert, stats, "order-search"), drawing
+    return SolveResult(0, cert, stats), drawing
 
 
 def outerplanar_search(

@@ -52,7 +52,19 @@ Prunes, all sound:
     Deletions in one orbit of the automorphisms found are isomorphic, so
     one sub-search per orbit, weighted by the orbit's size, gives them
     all.  The count aims at U: when U > cr(G) it cannot close, and the
-    level search takes over from whatever it proved.
+    level search takes over from whatever it proved.  The edge count's
+    sub-searches share one table of edge pairs {a, b} known to leave G
+    non-planar when deleted.  A group test at the root of a connected
+    G - x that finds G - x - B non-planar enters every pair inside
+    {x} u B, since G minus any two of them contains G - x - B, and each
+    pair enters with its orbit under the automorphisms found, since an
+    automorphism maps G - {a, b} onto G minus the image pair.  At the
+    root of G - x the planarization is G - x itself, so a known pair
+    {x, b} puts b outside the one-crossing-left set U(G - x): a host
+    block whose every host is known is settled without a test.  It also
+    shows G - x non-planar (it contains G - x - b), so the sub-search
+    skips its first root test.  Only tests go: U, the branch order, the
+    nodes and the certificates stay as they were.
 
 The search at a level is one generator, ``_LevelSearch.hits``, that
 yields realizable certificates with distinct crossing sets in a fixed
@@ -92,6 +104,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from functools import cached_property
@@ -134,6 +147,50 @@ def _partners(ends: list[tuple[int, int]]) -> list[list[int]]:
     ]
 
 
+class _PairTable:
+    """Pairs (a, b), a < b, of a graph's edge instances known to leave it
+    non-planar when both are deleted, closed under ``moves`` (automorphisms
+    acting on instance ids).  ``paired`` holds every instance in a known
+    pair.
+
+    A pair enters with its whole orbit, found by following the moves from
+    it; a pair already known is skipped, its orbit being known too, so the
+    closure costs at most one image per move per pair of instances.  The
+    moves are followed inline: ``graphs.orbit`` with a sorting image
+    callback made seeded F3 solves 5-12% slower.
+    """
+
+    def __init__(self, moves: list[list[int]]):
+        self.moves = moves
+        self.known: set[tuple[int, int]] = set()
+        self.paired: set[int] = set()
+
+    def rules_out(self, ids: list[int]) -> bool:
+        """Whether every pair {ids[0], b}, b a later id, is known."""
+        x, known = ids[0], self.known
+        return all((x, b) in known if x < b else (b, x) in known for b in ids[1:])
+
+    def learn(self, ids: list[int]) -> None:
+        """Deleting ``ids`` together leaves the graph non-planar, so
+        deleting any two of them does too."""
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                pair = (a, b) if a < b else (b, a)
+                if pair in self.known:
+                    continue
+                self.known.add(pair)
+                stack = [pair]
+                while stack:
+                    e, f = stack.pop()
+                    self.paired.update((e, f))
+                    for move in self.moves:
+                        c, d = move[e], move[f]
+                        image = (c, d) if c < d else (d, c)
+                        if image not in self.known:
+                            self.known.add(image)
+                            stack.append(image)
+
+
 class _LevelSearch:
     """Depth-first search of one graph's levels: ``hits(r)`` yields the
     certificates with exactly ``r`` crossings.
@@ -144,13 +201,25 @@ class _LevelSearch:
     and the work of the counting bound's sub-searches when it runs on
     this search.  ``generators`` is found once, on first use, for the
     root skip of every level and for the count.
+
+    ``deleted`` = (table, x) makes this the search of a connected G - x,
+    x an edge instance of G: host h here is instance h + (h >= x) of G,
+    and ``table`` is G's ``_PairTable``, read and filled by the group
+    tests at the root (see ``_counting_lower``).
     """
 
-    def __init__(self, g: Multigraph, deadline: Deadline):
+    def __init__(
+        self,
+        g: Multigraph,
+        deadline: Deadline,
+        deleted: tuple[_PairTable, int] | None = None,
+    ):
         self.g = g
         self.deadline = deadline
+        self.deleted = deleted
         self.r = 0
-        self.root_nonplanar = False
+        # G - x - b non-planar for a known pair {x, b} makes G - x non-planar.
+        self.root_nonplanar = deleted is not None and deleted[1] in deleted[0].paired
         self.nodes = 0
         self.planarity = 0
         self.out_of_time = False
@@ -355,13 +424,26 @@ class _LevelSearch:
         halved towards h on a planar result: a non-planar H - S rules out
         every host in S, since H - h contains it.  ``inside`` holds the
         node's settled hosts and ``planar_blocks`` its planar blocks, so
-        no block is tested twice at one node."""
+        no block is tested twice at one node.  At the root of a search of
+        G - x (``deleted``), a block whose every host b makes a known pair
+        {x, b} is ruled out untested, and a non-planar block teaches the
+        table that {x} and the block leave G non-planar."""
         m = len(self.ends)
         lo = h - h % HOST_BLOCK
         hi = min(lo + HOST_BLOCK, m)
+        # At the root the planarization is this search's graph itself.
+        root_of = self.deleted if not n_extra else None
         while inside[h] is None:
             if (lo, hi) not in planar_blocks:
+                if root_of is not None:
+                    table, x = root_of
+                    ids = [x] + [b + (b >= x) for b in range(lo, hi)]
+                    if table.rules_out(ids):
+                        inside[lo:hi] = [False] * (hi - lo)
+                        break
                 if not self._planar(n_extra, self._pairs(chains, frozenset(range(lo, hi)))):
+                    if root_of is not None:
+                        table.learn(ids)
                     inside[lo:hi] = [False] * (hi - lo)
                     break
                 planar_blocks.add((lo, hi))
@@ -421,11 +503,15 @@ def _sorted_image(p: Sequence[int], items: tuple[int, ...]) -> tuple[int, ...]:
 
 def _deletions(
     g: Multigraph, gens: list[tuple[int, ...]], vertices: bool
-) -> Iterator[tuple[int, Multigraph]]:
-    """(orbit size, G - x) for one x per orbit of ``gens`` on the vertices
-    or, with ``vertices`` False, on the edge instances.  The copies of a
-    parallel pair lie in one orbit: deleting any of them gives one graph."""
+) -> Iterator[tuple[int, int, Multigraph]]:
+    """(orbit size, x, G - x) for one x per orbit of ``gens`` on the
+    vertices or, with ``vertices`` False, on the edge instances.  The
+    copies of a parallel pair lie in one orbit: deleting any of them gives
+    one graph, and x is the last copy, so G - x lists G's other instances
+    in G's order."""
     mult = {(u, v): k for u, v, k in g.edges}
+    # last[(u, v)]: the instance id of the pair's last copy.
+    last = {pair: end - 1 for pair, end in zip(mult, itertools.accumulate(mult.values()))}
     # An item is a vertex (v,) or a pair (u, v); images keep the ends sorted.
     items = [(v,) for v in range(g.n)] if vertices else list(mult)
     seen: set[tuple[int, ...]] = set()
@@ -437,10 +523,10 @@ def _deletions(
         if vertices:
             (w,) = x
             kept = [(a - (a > w), b - (b > w), k) for a, b, k in g.edges if w not in (a, b)]
-            yield len(found), Multigraph.build(g.n - 1, kept)
+            yield len(found), w, Multigraph.build(g.n - 1, kept)
         else:
             kept = [(a, b, k - ((a, b) == x)) for a, b, k in g.edges]
-            yield sum(mult[e] for e in found), Multigraph.build(
+            yield sum(mult[e] for e in found), last[x], Multigraph.build(
                 g.n, [edge for edge in kept if edge[2]]
             )
 
@@ -459,7 +545,10 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
     sum meets ``need`` or its untried orbits, all at ``cap``, could not
     beat the current level.  A sub-search deepens each component of
     G - x while the components' sum is below ``cap``, and adds its work
-    to ``search``; the orbits are those of ``search.generators``.
+    to ``search``; the orbits are those of ``search.generators``.  The
+    edge kind's sub-searches of a connected G - x share one
+    ``_PairTable`` of G; a disconnected G - x gets none, since G - x - b
+    may owe its non-planarity to a component other than the searched one.
     """
     g = search.g
     kinds = []
@@ -474,16 +563,18 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
     reason = ""
     for cap, vertices, size, div, need in kinds:
         total, rest = 0, size
-        for weight, h in _deletions(g, search.generators, vertices):
+        table = None if vertices else _PairTable(search.moves)
+        for weight, x, h in _deletions(g, search.generators, vertices):
             if total >= need or search.deadline.expired():
                 break
             if -(-(total + rest * cap) // div) <= level:
                 break
             comps = [sub for sub, _ in h.component_subgraphs()]
             levels = [_euler(sub) for sub in comps]
+            deleted = (table, x) if table is not None and len(comps) == 1 else None
             for i, sub in enumerate(comps):
                 stop = cap - sum(levels) + levels[i]
-                part = _LevelSearch(sub, search.deadline)
+                part = _LevelSearch(sub, search.deadline, deleted)
                 levels[i], _ = _deepen(part, levels[i], stop)
                 search.nodes += part.nodes
                 search.planarity += part.planarity

@@ -17,3 +17,13 @@ def assert_drawing(g, cert, crossings):
     h = planarize(g, cert)
     planar, _ = nx.check_planarity(nx.Graph(h.simple_pairs()))
     assert planar
+
+
+def nx_planar(g, without=()):
+    """Whether ``g`` minus the edge instances ``without`` is planar,
+    according to networkx."""
+    gone = set(without)
+    pairs = [(u, v) for eid, (u, v, _) in enumerate(g.instances()) if eid not in gone]
+    simple = nx.Graph(pairs)
+    simple.add_nodes_from(range(g.n))
+    return nx.check_planarity(simple)[0]

@@ -292,6 +292,15 @@ def test_book_order_search(capsys, tmp_path):
     data = run_json(capsys, "book", k4, "--optimize", "order")
     assert data["crossings"] == 1
     assert data["status"] == "exact"
+    assert data["lower_reason"] == "order-search"
+
+
+def test_book_order_search_past_the_limit_names_no_reason(capsys, tmp_path):
+    # K12 is past the order-search limit: a bounds-only answer whose lower
+    # bound is the trivial 0.
+    k12 = write_graph(tmp_path, complete_graph(12))
+    data = run_json(capsys, "book", k12, "--optimize", "order")
+    assert (data["status"], data["lower_reason"]) == ("bounds-only", "")
 
 
 def test_book_both_matches_the_two_page_optimum(capsys, tmp_path):

@@ -173,6 +173,31 @@ def test_budget_zero_still_returns_an_honest_bracket():
     assert_certified_bounds_only(g, *two_page_search(g, budget_ms=0), pages=2)
 
 
+@pytest.mark.parametrize("search", [outerplanar_search, two_page_search])
+def test_a_finished_order_search_names_its_reason(search):
+    # Every canonical order searched proves the best count: the reason is
+    # the search, also when a planar order stops the scan early.
+    for g in (complete_graph(6), fig3_graph(), cycle_graph(7)):
+        res, _ = search(g)
+        assert (res.status, res.lower_reason) == ("exact", "order-search")
+        assert res.to_json_dict()["lower_reason"] == "order-search"
+
+
+@pytest.mark.parametrize("search", [outerplanar_search, two_page_search])
+def test_an_unfinished_order_search_names_no_reason(search):
+    # The trivial 0 of a scan that did not finish (out of budget, or past
+    # the size limit, even when the drawing closes the bracket at 0) rests
+    # on no argument.
+    graphs = [(complete_graph(7), 0), (complete_graph(ORDER_SEARCH_LIMIT + 1), None),
+              (cycle_graph(ORDER_SEARCH_LIMIT + 1), None)]
+    for g, budget_ms in graphs:
+        res, _ = search(g, budget_ms=budget_ms)
+        assert (res.lower, res.lower_reason) == (0, "")
+    # K9 scans no order on 2 pages: its circle graphs are too large.
+    if search is two_page_search:
+        assert search(complete_graph(9))[0].lower_reason == ""
+
+
 def test_two_page_search_on_a_planar_graph_is_exact_zero():
     res = two_page_cr(cycle_graph(7))
     assert res.status == "exact" and res.value == 0

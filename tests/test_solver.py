@@ -40,7 +40,7 @@ from conecross import (
 from conecross import solver
 from conecross.deadline import Deadline
 from conecross.pages import outerplanar_search, two_page_search
-from oracle import assert_drawing
+from oracle import assert_drawing, nx_planar
 
 
 def petersen():
@@ -599,6 +599,10 @@ def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
     graphs += [random_graph(8, 18, seed) for seed in range(1, 10)]
     for g in graphs:
         cr_exact(g)
+    # Seeded solves run the count, whose edge sub-searches settle root
+    # hosts from their shared pair table as well.
+    for g, value, seed in edge_count_cases().values():
+        cr_exact(g, upper_seed=(value, seed))
     assert len(seen) > 100
     assert any(seen) and not all(seen)
 
@@ -658,8 +662,10 @@ def test_counting_bound_closes_a_relabelled_seeded_f3():
 
 def test_seeded_solve_work_is_pinned():
     # The count's sub-searches and the level search add to one tally, so
-    # a sub-search whose work goes uncounted moves these pairs.
-    pins = {3: (11, 57), 4: (232, 2484), 5: (169, 1864)}
+    # a sub-search whose work goes uncounted moves these pairs.  The edge
+    # count's shared pair table saves F3 and F4 planarity tests (from 57
+    # and 2,484); F5 closes by the vertex count, which has no table.
+    pins = {3: (11, 28), 4: (232, 2452), 5: (169, 1864)}
     for k, pin in pins.items():
         stats = cr_exact(f_graph(k), upper_seed=(k, f_graph_certificate(k))).stats
         assert (stats.nodes, stats.planarity_calls) == pin
@@ -817,3 +823,87 @@ def test_a_component_certificate_that_does_not_verify_raises(monkeypatch):
     monkeypatch.setattr(solver, "verify_certificate", lambda g, cert: (cert.count, False))
     with pytest.raises(RuntimeError, match="does not verify"):
         cr_exact(complete_graph(5))
+
+
+def edge_count_cases():
+    """Seeded solves, (G, seed value, seed drawing) by name, most of them
+    closed or raised by the edge count: F3 and F4 with the family's
+    drawing, a relabelled F3 with the unseeded solve's drawing, and K6,
+    two K5s joined by a bridge (whose deletion leaves two components) and
+    sweep graphs with their natural 1-page drawing."""
+    cases = {f"F{k}": (f_graph(k), k, f_graph_certificate(k)) for k in (3, 4)}
+    g = relabelled(f_graph(3), 5)
+    plain = cr_exact(g)
+    cases["F3-relabelled"] = (g, plain.upper, plain.certificate)
+    sweep = seeded_sweep_graphs()
+    k5 = complete_graph(5)
+    bridged = Multigraph.build(10, [(u, v) for u, v, _ in disjoint_union(k5, k5).edges] + [(4, 5)])
+    named = [("K6", complete_graph(6)), ("K5-bridge-K5", bridged)]
+    for name, g in named + [(f"sweep-{j}", sweep[j]) for j in (0, 2, 3, 34)]:
+        natural = certificate_from_book(one_page_drawing(g))
+        cases[name] = (g, natural.count, natural)
+    return cases
+
+
+def test_pair_table_holds_only_non_planarizing_pairs(monkeypatch):
+    # Every pair the edge count's table holds leaves G non-planar when
+    # both instances are deleted (networkx's opinion), the table is closed
+    # under the moves, and ``paired`` holds the instances of its pairs.
+    # A sub-search root that a known pair marks non-planar is non-planar.
+    tables = []
+    marked = []
+    real_hits = solver._LevelSearch.hits
+
+    class Recorded(solver._PairTable):
+        def __init__(self, moves):
+            super().__init__(moves)
+            tables.append(self)
+
+    def checked_root(self, r):
+        if self.root_nonplanar and self.deleted is not None:
+            marked.append(self.g)
+            assert not nx_planar(self.g)
+        return real_hits(self, r)
+
+    monkeypatch.setattr(solver, "_PairTable", Recorded)
+    monkeypatch.setattr(solver._LevelSearch, "hits", checked_root)
+    checked = 0
+    for g, value, seed in edge_count_cases().values():
+        tables.clear()
+        cr_exact(g, upper_seed=(value, seed))
+        for table in tables:
+            for a, b in table.known:
+                assert a < b
+                assert not nx_planar(g, (a, b))
+                for move in table.moves:
+                    assert tuple(sorted((move[a], move[b]))) in table.known
+            assert table.paired == {x for pair in table.known for x in pair}
+            checked += len(table.known)
+    assert checked > 300 and marked
+
+
+# The cases' answers as they were before the pair table: (lower, reason,
+# nodes, crossings, edge orders, planarity tests), with the tests the
+# solve makes now.  The table changes no bracket, certificate, reason or
+# node count, and only removes tests.
+EDGE_COUNT_PINS = {
+    "F3": ((3, "edge-count", 11, [[3, 7], [4, 14], [10, 11]], {}, 57), 28),
+    "F3-relabelled": ((3, "edge-count", 11, [[1, 13], [2, 4], [5, 18]], {}, 63), 35),
+    "F4": ((4, "edge-count", 232, [[3, 7], [4, 19], [10, 12], [15, 16]], {}, 2484), 2452),
+    "K6": ((3, "euler", 11, [[1, 14], [2, 8], [5, 12]], {}, 91), 91),
+    "K5-bridge-K5": ((2, "vertex-count", 15, [[0, 7], [11, 18]], {}, 72), 68),
+    "sweep-0": ((2, "vertex-count", 148, [[2, 15], [7, 16]], {}, 1119), 1080),
+    "sweep-2": ((1, "euler", 29, [[1, 14]], {}, 112), 106),
+    "sweep-3": ((2, "edge-count", 126, [[0, 15], [2, 14]], {}, 1107), 1058),
+    "sweep-34": ((1, "vertex-count", 63, [[3, 12]], {}, 292), 253),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_COUNT_PINS))
+def test_pair_table_keeps_the_seeded_answers(name):
+    g, value, seed = edge_count_cases()[name]
+    res = cr_exact(g, upper_seed=(value, seed))
+    (lower, reason, nodes, crossings, orders, before), tests = EDGE_COUNT_PINS[name]
+    assert (res.lower, res.upper, res.lower_reason, res.stats.nodes) == (lower, lower, reason, nodes)
+    assert res.certificate == CrossingCertificate.build(crossings, orders)
+    assert res.stats.planarity_calls == tests <= before
