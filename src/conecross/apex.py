@@ -382,5 +382,5 @@ def _cone_cr_connected(
         raise RuntimeError("the lifted 1-page seed does not verify on cone(G)")
     if best.count <= floor:
         return SolveResult(floor, best, rolled_up(solves, started), "euler")
-    res = solve_component(cg, max_k, deadline, floor, best)
+    res = solve_component(cg, max_k, deadline, best)
     return replace(res, stats=rolled_up(solves + [res.stats], started))

@@ -242,10 +242,12 @@ class SolveResult:
     Euler bound), ``search`` (an exhausted level), ``vertex-count`` or
     ``edge-count`` (a counting bound over deletions, see ``solver``),
     ``component sum``, ``order-search`` (a 1- or 2-page search that tried
-    every canonical spine order, see ``pages``), or empty for the trivial
-    0 of an unfinished order scan.  A
-    lower bound above the drawing's count raises ``RuntimeError``: no
-    result is built from outside input, so that is an internal fault.
+    every canonical spine order, see ``pages``), ``thm41`` (the cited
+    floor of Theorem 4.1 on cones of simple graphs with cr >= k, which
+    only the f_s(k) table opts into, see ``experiments``), or empty for
+    the trivial 0 of an unfinished order scan.  A lower bound above the
+    drawing's count raises ``RuntimeError``: no result is built from
+    outside input, so that is an internal fault.
     """
 
     lower: int

@@ -148,8 +148,6 @@ def cmd_book(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     mode = args.optimize
     pages = 2 if mode in ("partition", "both") else 1
-    # Only the order searches spend the budget, but every mode refuses a bad one.
-    Deadline(args.budget_ms)
 
     if mode in ("order", "both"):
         if args.order is not None:
@@ -341,6 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every --budget-ms is refused here when bad, also where it goes unspent.
+        Deadline(getattr(args, "budget_ms", None))
         return args.func(args)
     except BrokenPipeError:
         # Python docs recipe: stdout to devnull, so the flush at exit is quiet.

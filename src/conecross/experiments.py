@@ -13,6 +13,7 @@ from .apex import cone_cr, insert_apex
 from .books import CyclicOrder
 from .bounds import fs_known, harary_hill, multigraph_family_point, thm41_lower
 from .certificates import (
+    SolveResult,
     f_graph_certificate,
     fig1_certificate,
     fig1_cone_certificate,
@@ -44,63 +45,46 @@ def _fs_witness(k: int) -> tuple[str, Multigraph]:
     return f"fan-family-{k}", f_graph(k)
 
 
+def _exact(res: SolveResult) -> int | None:
+    """The bracket's value if it is closed, else None."""
+    return res.lower if res.status == "exact" else None
+
+
 def fs_small(budget_ms: int | None = None) -> list[dict]:
     """The f_s(k) table for k = 1..5 with per-row provenance.
 
-    Rows for k <= 3 are solved exactly (witness crossing number and its
-    cone, both by search).  Rows for k = 4, 5 take the witness crossing
-    number from a solve seeded with the family's k-crossing drawing,
-    whose lower bound the counting argument closes, and pair a drawing
-    of the cone, verified by apex insertion, with the matching
-    closed-form lower bound of Theorem 4.1.
+    Each row reads two brackets: the witness's crossing number and its
+    cone's.  For k <= 3 both come from search (``cr_exact`` and
+    ``cone_cr``).  For k = 4, 5 the witness solve is seeded with the
+    family's k-crossing drawing, whose lower bound the counting argument
+    closes, and the cone's bracket pairs that drawing with the apex
+    inserted and the closed-form floor of Theorem 4.1 (``thm41``).  An
+    open bracket prints as null and fails its row.
     """
     rows = []
-    for k in (1, 2, 3):
+    for k in range(1, 6):
         name, g = _fs_witness(k)
-        base = cr_exact(g, budget_ms=budget_ms)
-        conev = cone_cr(g, budget_ms=budget_ms)
+        if k <= 3:
+            base = cr_exact(g, budget_ms=budget_ms)
+            conev = cone_cr(g, budget_ms=budget_ms)
+            provenance = "solver-exact"
+        else:
+            cert = f_graph_certificate(k)
+            base = cr_exact(g, budget_ms=budget_ms, upper_seed=(k, cert))
+            conev = SolveResult(thm41_lower(k), insert_apex(g, cert), lower_reason="thm41")
+            provenance = "certificate+theorem"
+        value, witness_cr = _exact(conev), _exact(base)
         lower = thm41_lower(k)
-        ok = (
-            base.status == "exact"
-            and base.value >= k
-            and conev.status == "exact"
-            and conev.value == fs_known(k)
-            and lower == conev.value
-        )
+        ok = witness_cr is not None and witness_cr >= k and value == fs_known(k) == lower
         rows.append(
             {
                 "k": k,
-                "value": conev.value,
+                "value": value,
                 "witness": name,
-                "witness_cr": base.value,
-                "provenance": "solver-exact",
+                "witness_cr": witness_cr,
+                "provenance": provenance,
                 "lower_bound": lower,
-                "ok": bool(ok),
-            }
-        )
-    for k in (4, 5):
-        name, g = _fs_witness(k)
-        base_cert = f_graph_certificate(k)
-        base = cr_exact(
-            g, budget_ms=budget_ms, upper_seed=(k, base_cert)
-        )
-        cone_count = insert_apex(g, base_cert).count
-        lower = thm41_lower(k)
-        ok = (
-            base.status == "exact"
-            and base.value == k
-            and cone_count == fs_known(k)
-            and lower == cone_count
-        )
-        rows.append(
-            {
-                "k": k,
-                "value": cone_count,
-                "witness": name,
-                "witness_cr": base.value if base.status == "exact" else None,
-                "provenance": "certificate+theorem",
-                "lower_bound": lower,
-                "ok": bool(ok),
+                "ok": ok,
             }
         )
     return rows
@@ -109,42 +93,34 @@ def fs_small(budget_ms: int | None = None) -> list[dict]:
 def family_points(budget_ms: int | None = None) -> list[dict]:
     """Multigraph family datapoints (3r^2, 3r^2 + 3r) for r = 1, 2.
 
-    The r = 1 point is the triangle-hexagon graph itself, drawn with the
-    apex outside the hexagon so only three of the six crossings touch
-    apex edges; r = 2 doubles every non-apex edge and scales that
-    drawing, which multiplies base crossings by four and apex crossings
-    by two.  Both rows rest on explicit certificates; the r = 1 value is
-    additionally re-derived by the exact solver.
+    Each row scales the triangle-hexagon graph's drawing and its cone's
+    (the apex outside the hexagon, so only three of the six crossings
+    touch apex edges) to the r-fold graph and verifies both; scaling
+    multiplies base crossings by r^2 and apex crossings by r, and is the
+    identity at r = 1.  The r = 1 row is verified only if the exact
+    solver also closes the base graph at the drawing's count.
     """
     g1 = fig1_graph()
+    cert1, cone_cert1 = fig1_certificate(), fig1_cone_certificate()
     base = cr_exact(g1, budget_ms=budget_ms)
-    if base.status != "exact" or base.value != 3:
-        raise RuntimeError("could not solve the r=1 family graph exactly")
-    cert1 = fig1_certificate()
-    count1b, ok1b = verify_certificate(g1, cert1)
-    cone_cert1 = fig1_cone_certificate()
-    count1, ok1 = verify_certificate(cone(g1), cone_cert1)
-    ok1 = ok1 and ok1b and count1b == base.value
-
-    g2 = multiply_edges(g1, 2)
-    cert2 = scale_certificate(g1, cert1, g2)
-    count2, ok2 = verify_certificate(g2, cert2)
-    cone_cert2 = scale_certificate(cone(g1), cone_cert1, cone(g2))
-    cone_count2, cone_ok2 = verify_certificate(cone(g2), cone_cert2)
-
-    return [
-        {
-            "r": r,
-            "k": k,
-            "cone_crossings": c,
-            "verified": bool(valid),
-            "matches_formula": (k, c) == multigraph_family_point(r),
-        }
-        for r, k, c, valid in (
-            (1, base.value, count1, ok1),
-            (2, count2, cone_count2, ok2 and cone_ok2),
+    rows = []
+    for r in (1, 2):
+        g = multiply_edges(g1, r)
+        k, ok = verify_certificate(g, scale_certificate(g1, cert1, g))
+        c, cone_ok = verify_certificate(
+            cone(g), scale_certificate(cone(g1), cone_cert1, cone(g))
         )
-    ]
+        solved = r > 1 or _exact(base) == k
+        rows.append(
+            {
+                "r": r,
+                "k": k,
+                "cone_crossings": c,
+                "verified": ok and cone_ok and solved,
+                "matches_formula": (k, c) == multigraph_family_point(r),
+            }
+        )
+    return rows
 
 
 def cor22_suite(count: int = 1000, seed: int = 0) -> dict:
@@ -182,9 +158,8 @@ def hh_table(verify_upto: int = 0) -> list[dict]:
     for n in range(5, 13):
         row = {"n": n, "z": harary_hill(n)}
         if 5 <= n <= verify_upto:
-            res = two_page_cr(complete_graph(n))
-            row["two_page"] = res.value
-            row["verified"] = res.status == "exact" and res.value == row["z"]
+            row["two_page"] = _exact(two_page_cr(complete_graph(n)))
+            row["verified"] = row["two_page"] == row["z"]
         rows.append(row)
     return rows
 
@@ -196,14 +171,9 @@ def longrun_f5_lower(budget_ms: int | None = None) -> dict:
     vertex count closes it: one capped sub-search per vertex orbit of F5
     (under a second on a 2-core x86 host).
     """
-    g = f_graph(5)
-    res = cr_exact(
-        g,
-        upper_seed=(5, f_graph_certificate(5)),
-        budget_ms=budget_ms,
-    )
+    res = cr_exact(f_graph(5), upper_seed=(5, f_graph_certificate(5)), budget_ms=budget_ms)
     return {
-        "value": res.value if res.status == "exact" else None,
+        "value": _exact(res),
         "lower": res.lower,
         "status": res.status,
         "nodes": res.stats.nodes,
@@ -214,7 +184,7 @@ def longrun_z7(budget_ms: int | None = None) -> dict:
     """Two-page crossing number of K7, expected to equal Z(7) = 9."""
     res = two_page_cr(complete_graph(7), budget_ms=budget_ms)
     return {
-        "value": res.value if res.status == "exact" else None,
+        "value": _exact(res),
         "status": res.status,
         "expected": harary_hill(7),
     }

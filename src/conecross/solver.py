@@ -592,22 +592,20 @@ def solve_component(
     g: Multigraph,
     max_k: int | None,
     deadline: Deadline,
-    level: int,
     seed: CrossingCertificate | None = None,
     until: Callable[[CrossingCertificate], bool] | None = None,
 ) -> SolveResult:
-    """Solve a connected ``g``: deepen from ``level``, which must not
-    exceed cr(g), up to ``max_k`` + 1 or the ``seed`` drawing's count,
-    whichever is lower; with a seed, start from the counting bound if
-    higher, which aims at that same level.  ``until`` is as for
-    ``cr_exact``.
+    """Solve a connected ``g``: deepen from its Euler bound up to
+    ``max_k`` + 1 or the ``seed`` drawing's count, whichever is lower;
+    with a seed, start from the counting bound if higher, which aims at
+    that same level.  ``until`` is as for ``cr_exact``.
 
     The caller verifies ``seed`` where it enters (``cr_exact`` checks its
     ``upper_seed``, ``cone_cr`` its cone seeds), so a seed that closes the
     bracket is returned unchecked; a search hit and the natural drawing
     are verified here."""
     search = _LevelSearch(g, deadline)
-    reason = "euler"
+    level, reason = _euler(g), "euler"
     stop = math.inf if max_k is None else max_k + 1
     if seed is not None:
         stop = min(stop, seed.count)
@@ -663,7 +661,7 @@ def cr_exact(
         if not ok or count != value:
             raise ValueError("upper seed certificate does not verify")
     parts = [
-        (sub, vertices, solve_component(sub, max_k, deadline, _euler(sub), seed, until))
+        (sub, vertices, solve_component(sub, max_k, deadline, seed, until))
         for sub, vertices in comps
     ]
     return combine_brackets(g, parts, started)

@@ -236,8 +236,10 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
         ["book", "fig1"],
         ["book", "--optimize", "partition", "fig1"],
         ["book", "--optimize", "order", "fig1"],
+        ["experiment", "hh-table"],
+        ["experiment", "cor22-suite"],
     ],
-    ids=["cr", "book-none", "book-partition", "book-order"],
+    ids=["cr", "book-none", "book-partition", "book-order", "hh-table", "cor22-suite"],
 )
 def test_negative_budget_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv, "--budget-ms", "-1")
@@ -426,6 +428,20 @@ def test_experiment_negative_count_is_a_usage_error(capsys):
     code, out, err = run(capsys, "experiment", "cor22-suite", "--count", "-5")
     assert (code, out) == (2, "")
     assert "count" in err
+
+
+@pytest.mark.parametrize(
+    "name, open_row",
+    [
+        ("fs-small", {"k": 1, "value": None, "witness_cr": None, "ok": False}),
+        ("family-points", {"r": 1, "verified": False}),
+    ],
+)
+def test_a_budget_bound_table_prints_its_open_rows_and_exits_1(capsys, name, open_row):
+    code, out, err = run(capsys, "experiment", name, "--budget-ms", "0")
+    assert (code, err) == (1, "")
+    first = json.loads(out)[0]
+    assert {key: first[key] for key in open_row} == open_row
 
 
 def test_experiment_family_points(capsys):

@@ -5,6 +5,7 @@ import pytest
 from conecross.experiments import (
     cor22_suite,
     family_points,
+    fs_small,
     hh_table,
 )
 
@@ -37,6 +38,30 @@ def test_family_points_rows():
         (2, 12, 18),
     ]
     assert all(r["verified"] for r in rows)
+    assert all(r["matches_formula"] for r in rows)
+
+
+def test_fs_small_prints_open_brackets_as_null():
+    rows = fs_small(budget_ms=0)
+    # Rows 1-3 search both brackets; no search closes at budget 0.
+    for row in rows[:3]:
+        assert (row["value"], row["witness_cr"], row["ok"]) == (None, None, False)
+    # Rows 4-5 keep the cone's closed bracket (drawing plus Theorem 4.1)
+    # but not the witness's, whose counting bound needs the budget.
+    assert [(r["value"], r["witness_cr"], r["ok"]) for r in rows[3:]] == [
+        (8, None, False),
+        (10, None, False),
+    ]
+    assert [r["lower_bound"] for r in rows] == [3, 5, 6, 8, 10]
+
+
+def test_family_points_unsolved_r1_row_is_unverified():
+    rows = family_points(budget_ms=0)
+    assert [(r["r"], r["k"], r["cone_crossings"]) for r in rows] == [
+        (1, 3, 6),
+        (2, 12, 18),
+    ]
+    assert [r["verified"] for r in rows] == [False, True]
     assert all(r["matches_formula"] for r in rows)
 
 
