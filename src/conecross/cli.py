@@ -3,9 +3,10 @@
 Subcommands: gen, cr, book, convert12, bounds, experiment.  All output is
 JSON on stdout; graph, book, and certificate files use the versioned
 formats from the library modules.  Exit codes: 0 when every verdict
-passes, 1 when a verdict fails, 2 for usage errors (argparse uses 2 on
-its own already), and 141 (as for SIGPIPE in a shell), with nothing on
-stderr, when the reader closes stdout early (``conecross cr fig1 | head``).
+passes, 1 when a verdict fails, 2 for usage errors, an option that the
+command does not read among them (argparse uses 2 on its own already),
+and 141 (as for SIGPIPE in a shell), with nothing on stderr, when the
+reader closes stdout early (``conecross cr fig1 | head``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .graphs import (
     subdivide_edge,
 )
 from .pages import one_to_two, outerplanar_search, split_report, two_page_search
-from .deadline import Deadline
 from .solver import cr_exact
 
 
@@ -101,32 +101,35 @@ def _book_dot(d: BookDrawing) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Family name -> (the flags it needs, its builder from the parsed args).
+# Family name -> (the flags it reads, its builder, which takes them as
+# keywords).  Only --t may be left out: subdivide_edge draws one point.
 FAMILIES = {
-    "kn": (("n",), lambda a: complete_graph(a.n)),
-    "cycle": (("n",), lambda a: cycle_graph(a.n)),
-    "fk": (("k",), lambda a: f_graph(a.k)),
-    "fig1": ((), lambda a: fig1_graph()),
-    "fig3": ((), lambda a: fig3_graph()),
-    "mult": (("base", "r"), lambda a: multiply_edges(_load_graph(a.base), a.r)),
+    "kn": (("n",), complete_graph),
+    "cycle": (("n",), cycle_graph),
+    "fk": (("k",), f_graph),
+    "fig1": ((), fig1_graph),
+    "fig3": ((), fig3_graph),
+    "mult": (("base", "r"), lambda base, r: multiply_edges(_load_graph(base), r)),
     "union": (
         ("base", "other"),
-        lambda a: disjoint_union(_load_graph(a.base), _load_graph(a.other)),
+        lambda base, other: disjoint_union(_load_graph(base), _load_graph(other)),
     ),
-    "cone": (("base",), lambda a: cone(_load_graph(a.base))),
+    "cone": (("base",), lambda base: cone(_load_graph(base))),
     "subdivide": (
-        ("base", "edge"),
-        lambda a: subdivide_edge(_load_graph(a.base), a.edge, a.t),
+        ("base", "edge", "t"),
+        lambda base, edge, **t: subdivide_edge(_load_graph(base), edge, **t),
     ),
 }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    needs, build = FAMILIES[args.family]
-    if any(getattr(args, flag) is None for flag in needs):
-        flags = " and ".join(f"--{flag}" for flag in needs)
-        raise UsageError(f"--family {args.family} needs {flags}")
-    g = build(args)
+    reads, build = FAMILIES[args.family]
+    flags = {flag for names, _ in FAMILIES.values() for flag in names}
+    given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    if not set(reads) - {"t"} <= set(given) <= set(reads):
+        usage = " ".join(f"[--{f}]" if f == "t" else f"--{f}" for f in reads)
+        raise UsageError(f"--family {args.family} takes {usage or 'no flags'}")
+    g = build(**given)
     _emit(g.to_json_dict(), args.out)
     if args.dot is not None:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -158,6 +161,8 @@ def cmd_book(args: argparse.Namespace) -> int:
         # Only a search proves a lower bound, so only it names the reason.
         found = {"lower_reason": res.lower_reason}
     else:
+        if args.budget_ms is not None:
+            raise UsageError(f"--optimize {mode} searches nothing; drop --budget-ms")
         draw = one_page_drawing if mode == "none" else one_to_two
         drawing = draw(g, _parse_order(args.order, g.n))
         crossings, status = count_crossings(drawing), "exact"
@@ -202,6 +207,8 @@ def cmd_convert12(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.sweep is not None:
+        if args.multigraph:
+            raise UsageError("--sweep compares simple-graph bounds; drop --multigraph")
         if args.sweep < 0:
             raise ValueError("--sweep must be non-negative")
         rows = []
@@ -221,8 +228,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             )
         _emit({"rows": rows, "dominance_violations": violations}, args.out)
         return 0
-    if args.k is None:
-        raise UsageError("bounds needs --k or --sweep")
     rows = bound_report(args.k)
     if args.multigraph:
         # The simple-graph lower bound does not apply to multigraphs.
@@ -231,36 +236,31 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-# Experiment name -> (its runner from the parsed args, its pass rule, or
-# None for a runner that raises on a miss).
+# Experiment name -> (its runner's name here, looked up when called, the
+# keywords it reads, its pass rule, or None for a runner that raises on a
+# miss).  A runner gets only the options given: its defaults are its own.
 EXPERIMENTS = {
-    "fs-small": (
-        lambda a: fs_small(budget_ms=a.budget_ms),
-        lambda rows: all(r["ok"] for r in rows),
-    ),
+    "fs-small": ("fs_small", ("budget_ms",), lambda rows: all(r["ok"] for r in rows)),
     "family-points": (
-        lambda a: family_points(budget_ms=a.budget_ms),
+        "family_points",
+        ("budget_ms",),
         lambda rows: all(r["verified"] and r["matches_formula"] for r in rows),
     ),
-    "cor22-suite": (lambda a: cor22_suite(count=a.count, seed=a.seed), None),
+    "cor22-suite": ("cor22_suite", ("count", "seed"), None),
     "hh-table": (
-        lambda a: hh_table(verify_upto=a.verify_upto),
+        "hh_table",
+        ("verify_upto",),
         lambda rows: all(r.get("verified", True) for r in rows),
     ),
-    "f5-lower": (
-        lambda a: longrun_f5_lower(budget_ms=a.budget_ms),
-        lambda result: result["status"] == "exact",
-    ),
-    "z7": (
-        lambda a: longrun_z7(budget_ms=a.budget_ms),
-        lambda result: result["value"] == result["expected"],
-    ),
+    "f5-lower": ("longrun_f5_lower", ("budget_ms",), lambda r: r["status"] == "exact"),
+    "z7": ("longrun_z7", ("budget_ms",), lambda r: r["value"] == r["expected"]),
 }
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    run, passes = EXPERIMENTS[args.name]
-    result = run(args)
+    runner, reads, passes = EXPERIMENTS[args.name]
+    given = {kw: v for kw, v in vars(args).items() if kw in reads}
+    result = globals()[runner](**given)
     _emit(result, args.out)
     return 0 if passes is None or passes(result) else 1
 
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--base", help="graph file path, or fig1/fig3")
     p_gen.add_argument("--other", help="second operand for union")
     p_gen.add_argument("--edge", type=int, help="edge id for subdivide")
-    p_gen.add_argument("--t", type=int, default=1, help="subdivision points")
+    p_gen.add_argument("--t", type=int, help="subdivision points")
     p_gen.add_argument("--out")
     p_gen.add_argument("--dot", help="also write DOT here")
     p_gen.set_defaults(func=cmd_gen)
@@ -313,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=cmd_convert12)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound report")
-    p_bounds.add_argument("--k", type=int)
-    p_bounds.add_argument("--sweep", type=int, help="emit rows for 0..K")
+    mode = p_bounds.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=int)
+    mode.add_argument("--sweep", type=int, help="emit rows for 0..K")
     p_bounds.add_argument(
         "--multigraph",
         action="store_true",
@@ -324,12 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_exp = sub.add_parser("experiment", help="run a canned experiment")
-    p_exp.add_argument("name", choices=list(EXPERIMENTS))
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--count", type=int, default=1000)
-    p_exp.add_argument("--verify-upto", type=int, default=0, dest="verify_upto")
-    p_exp.add_argument("--budget-ms", type=int, dest="budget_ms")
-    p_exp.add_argument("--out")
+    runs = p_exp.add_subparsers(dest="name", required=True)
+    for name, (_, reads, _) in EXPERIMENTS.items():
+        p_run = runs.add_parser(name)
+        for kw in reads:
+            flag = "--" + kw.replace("_", "-")
+            p_run.add_argument(flag, type=int, dest=kw, default=argparse.SUPPRESS)
+        p_run.add_argument("--out")
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser
@@ -339,8 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Every --budget-ms is refused here when bad, also where it goes unspent.
-        Deadline(getattr(args, "budget_ms", None))
         return args.func(args)
     except BrokenPipeError:
         # Python docs recipe: stdout to devnull, so the flush at exit is quiet.

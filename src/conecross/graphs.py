@@ -112,10 +112,6 @@ class Multigraph:
         """Instance id of every (u, v, copy), for lookups in a loop."""
         return {inst: eid for eid, inst in enumerate(self.instances())}
 
-    def instance_endpoints(self, eid: int) -> tuple[int, int]:
-        u, v, _ = self.instances()[eid]
-        return u, v
-
     def instance_id(self, u: int, v: int, copy: int = 0) -> int:
         """Id of copy ``copy`` of pair (u, v); raises KeyError if absent."""
         return self.instance_index()[(min(u, v), max(u, v), copy)]

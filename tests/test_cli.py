@@ -81,6 +81,19 @@ def test_gen_subdivide(capsys, tmp_path):
     assert g.n == 7 and g.m == 12
 
 
+def exit_code(argv):
+    """main's exit code, also where argparse exits on its own."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def keyword(flag):
+    """The runner or builder keyword an option sets."""
+    return flag[2:].replace("-", "_")
+
+
 def test_gen_missing_flag_is_a_usage_error(capsys):
     code, _, err = run(capsys, "gen", "--family", "kn")
     assert code == 2
@@ -118,27 +131,29 @@ def test_every_family_builds_its_graph_and_names_the_flags_it_needs(
     assert Multigraph.from_json_dict(data) == expected
     needs = flags[::2]
     if needs:
+        # --t alone may be left out, so the message brackets it.
+        usage = " ".join(needs + ["[--t]"] if family == "subdivide" else needs)
         code, out, err = run(capsys, "gen", "--family", family)
         assert (code, out) == (2, "")
-        assert err == f"error: --family {family} needs {' and '.join(needs)}\n"
+        assert err == f"error: --family {family} takes {usage}\n"
 
 
-# name -> (runner looked up in cli, the arguments it gets by default,
+# name -> (runner looked up in cli, a value for each option it reads,
 #          a result that passes, one that fails or, for a runner with no
 #          pass rule, the error it raises on a miss)
 EXPERIMENT_CASES = {
-    "fs-small": ("fs_small", {"budget_ms": None},
+    "fs-small": ("fs_small", {"--budget-ms": 5},
                  [{"ok": True}], [{"ok": True}, {"ok": False}]),
-    "family-points": ("family_points", {"budget_ms": None},
+    "family-points": ("family_points", {"--budget-ms": 5},
                       [{"verified": True, "matches_formula": True}],
                       [{"verified": True, "matches_formula": False}]),
-    "cor22-suite": ("cor22_suite", {"count": 1000, "seed": 0},
+    "cor22-suite": ("cor22_suite", {"--count": 40, "--seed": 3},
                     {"count": 1000, "seed": 0}, RuntimeError("split misses the bound")),
-    "hh-table": ("hh_table", {"verify_upto": 0},
+    "hh-table": ("hh_table", {"--verify-upto": 6},
                  [{"n": 5}, {"n": 6, "verified": True}], [{"n": 6, "verified": False}]),
-    "f5-lower": ("longrun_f5_lower", {"budget_ms": None},
+    "f5-lower": ("longrun_f5_lower", {"--budget-ms": 5},
                  {"status": "exact"}, {"status": "bounds-only"}),
-    "z7": ("longrun_z7", {"budget_ms": None},
+    "z7": ("longrun_z7", {"--budget-ms": 5},
            {"value": 9, "expected": 9}, {"value": 8, "expected": 9}),
 }
 
@@ -152,7 +167,7 @@ def test_every_experiment_is_tested():
 def test_every_experiment_prints_its_result_and_exits_by_its_pass_rule(
     monkeypatch, capsys, name, passes
 ):
-    runner, kwargs, good, bad = EXPERIMENT_CASES[name]
+    runner, _, good, bad = EXPERIMENT_CASES[name]
     result = good if passes else bad
     calls = []
 
@@ -171,7 +186,82 @@ def test_every_experiment_prints_its_result_and_exits_by_its_pass_rule(
     else:
         code, out, err = run(capsys, "experiment", name)
         assert (code, json.loads(out), err) == (0 if passes else 1, result, "")
-    assert calls == [kwargs]
+    # No option given, so the runner's own defaults apply.
+    assert calls == [{}]
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENT_CASES))
+def test_an_experiment_gets_the_options_given_as_keywords(monkeypatch, capsys, name):
+    runner, options, good, _ = EXPERIMENT_CASES[name]
+    calls = []
+    monkeypatch.setattr(cli, runner, lambda **got: calls.append(got) or good)
+    argv = [str(arg) for item in options.items() for arg in item]
+    assert run(capsys, "experiment", name, *argv)[0] == 0
+    assert calls == [{keyword(flag): v for flag, v in options.items()}]
+
+
+# A value for each option that gen and experiment accept in some mode.
+GEN_VALUES = {"--n": "5", "--k": "3", "--r": "2", "--base": "fig1",
+              "--other": "fig1", "--edge": "0", "--t": "2"}
+EXPERIMENT_VALUES = {"--budget-ms": "5", "--count": "10", "--seed": "1",
+                     "--verify-upto": "5"}
+
+
+def unread_option_uses():
+    """(id, argv) for each mode of a command given one option it does not
+    read: a gen family or an experiment also gets the options it reads,
+    and book and bounds each have modes that take one option fewer."""
+    modes = [(["gen", "--family", family], reads, GEN_VALUES)
+             for family, (reads, _) in cli.FAMILIES.items()]
+    modes += [(["experiment", name], reads, EXPERIMENT_VALUES)
+              for name, (_, reads, _) in cli.EXPERIMENTS.items()]
+    uses = []
+    for prefix, reads, values in modes:
+        read = [arg for flag, value in values.items() if keyword(flag) in reads
+                for arg in (flag, value)]
+        uses += [(f"{prefix[0]}-{prefix[-1]}-{flag[2:]}", [*prefix, *read, flag, value])
+                 for flag, value in values.items() if keyword(flag) not in reads]
+    uses += [(f"book-{mode}-budget-ms",
+              ["book", "fig1", "--optimize", mode, "--budget-ms", "5"])
+             for mode in ("none", "partition")]
+    uses += [("bounds-sweep-k", ["bounds", "--sweep", "2", "--k", "3"]),
+             ("bounds-sweep-multigraph", ["bounds", "--sweep", "2", "--multigraph"])]
+    return uses
+
+
+UNREAD_OPTION_USES = unread_option_uses()
+
+
+def test_the_unread_option_uses_cover_every_option():
+    assert {keyword(flag) for flag in GEN_VALUES} == {
+        flag for reads, _ in cli.FAMILIES.values() for flag in reads
+    }
+    assert {keyword(flag) for flag in EXPERIMENT_VALUES} == {
+        kw for _, reads, _ in cli.EXPERIMENTS.values() for kw in reads
+    }
+    # gen 63 accepted - 11 read, experiment 24 - 7, book 2, bounds 2.
+    assert len(UNREAD_OPTION_USES) == 52 + 17 + 2 + 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for _, argv in UNREAD_OPTION_USES],
+    ids=[use_id for use_id, _ in UNREAD_OPTION_USES],
+)
+def test_an_option_its_mode_does_not_read_is_a_usage_error(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unread option must stop the command first")
+
+    for runner, _, _ in cli.EXPERIMENTS.values():
+        monkeypatch.setattr(cli, runner, refuse)
+    for family, (reads, _) in cli.FAMILIES.items():
+        monkeypatch.setitem(cli.FAMILIES, family, (reads, refuse))
+    for solver in ["one_page_drawing", "one_to_two", "count_crossings",
+                   "bound_report", "thm41_lower", "thm12_min_c"]:
+        monkeypatch.setattr(cli, solver, refuse)
+    assert exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err
 
 
 def test_cone_exhaustion_is_no_longer_an_experiment(capsys):
@@ -232,18 +322,17 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cr", "fig1"],
-        ["book", "fig1"],
-        ["book", "--optimize", "partition", "fig1"],
-        ["book", "--optimize", "order", "fig1"],
-        ["experiment", "hh-table"],
-        ["experiment", "cor22-suite"],
+        pytest.param(["cr", "fig1"], id="cr"),
+        pytest.param(["cr", "--cone", "fig1"], id="cr-cone"),
+        pytest.param(["book", "--optimize", "order", "fig1"], id="book-order"),
+        pytest.param(["book", "--optimize", "both", "fig1"], id="book-both"),
+        *[pytest.param(["experiment", name], id=name)
+          for name, (_, reads, _) in cli.EXPERIMENTS.items() if "budget_ms" in reads],
     ],
-    ids=["cr", "book-none", "book-partition", "book-order", "hh-table", "cor22-suite"],
 )
 def test_negative_budget_is_a_usage_error(capsys, argv):
-    code, _, err = run(capsys, *argv, "--budget-ms", "-1")
-    assert code == 2
+    code, out, err = run(capsys, *argv, "--budget-ms", "-1")
+    assert (code, out) == (2, "")
     assert "budget_ms=-1" in err
 
 
@@ -406,8 +495,8 @@ def test_bounds_negative_sweep_is_a_usage_error(capsys):
 
 
 def test_bounds_requires_a_mode(capsys):
-    code, _, err = run(capsys, "bounds")
-    assert code == 2 and "--k" in err
+    assert exit_code(["bounds"]) == 2
+    assert "--k" in capsys.readouterr().err
 
 
 def test_experiment_hh_table(capsys):

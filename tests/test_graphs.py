@@ -55,7 +55,6 @@ def test_instance_ids_follow_edge_order():
     assert g.instance_id(0, 1) == 0
     assert g.instance_id(1, 0, copy=1) == 1
     assert g.instance_id(0, 2) == 2
-    assert g.instance_endpoints(1) == (0, 1)
     with pytest.raises(KeyError):
         g.instance_id(0, 1, copy=2)
     with pytest.raises(KeyError):
