@@ -6,6 +6,13 @@ chords on the same page cross exactly when their endpoints interleave
 around the circle.  Everything here is a pure function over immutable
 values.
 
+Crossings are read off one bitmask per chord, the later chords on its
+page that it interleaves (``BookDrawing.crossing_masks``): a drawing with
+m chords costs O(n + m) big-integer operations of m bits each, not a test
+of all O(m^2) chord pairs.  ``count_crossings`` sums the masks'
+``int.bit_count()``, which needs Python >= 3.10, as ``pyproject.toml``
+requires.
+
 Rotating or reflecting a spine order changes no crossing, so order
 searches take one canonical order per class.  That rule lives in
 ``canonical_orders``; ``pages._prefix_search`` applies it incrementally.
@@ -83,26 +90,50 @@ class BookDrawing:
         """Pages in use; a drawing without edges uses one."""
         return len(set(self.pages)) or 1
 
-    def crossing_pairs(self) -> list[tuple[int, int]]:
-        """Unordered instance-id pairs on a common page that interleave."""
-        insts = self.graph.instances()
+    def crossing_masks(self) -> list[int]:
+        """masks[i]: bit j set for every later instance j > i on i's page
+        whose chord interleaves i's.
+
+        Cut the circle at spine position 0 so that chord i runs from
+        position lo to hi > lo.  A chord interleaves it when exactly one
+        of its ends lies strictly between them, so the XOR of the
+        end masks at positions lo+1..hi-1 holds those chords, plus the
+        ones sharing an end with i, which are removed.  Two prefix XORs
+        give that range in one step.
+        """
         pos = self.order.position_map()
-        n = self.graph.n
+        ends = [0] * self.graph.n
+        on_page: dict[int, int] = {}
+        spans = []
+        bit = 1
+        for (a, b, _), page in zip(self.graph.instances(), self.pages):
+            lo, hi = (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
+            ends[lo] |= bit
+            ends[hi] |= bit
+            on_page[page] = on_page.get(page, 0) | bit
+            spans.append((lo, hi))
+            bit <<= 1
+        # upto[p]: XOR of the end masks at positions before p.
+        upto = [0]
+        for mask in ends:
+            upto.append(upto[-1] ^ mask)
+        masks = []
+        later = -2  # the bits above instance 0
+        for (lo, hi), page in zip(spans, self.pages):
+            inside = upto[hi] ^ upto[lo + 1]
+            masks.append(inside & ~(ends[lo] | ends[hi]) & on_page[page] & later)
+            later <<= 1
+        return masks
+
+    def crossing_pairs(self) -> list[tuple[int, int]]:
+        """Unordered instance-id pairs on a common page that interleave,
+        sorted."""
         out = []
-        for i in range(len(insts)):
-            a, b, _ = insts[i]
-            pi = self.pages[i]
-            span_a = (pos[b] - pos[a]) % n
-            for j in range(i + 1, len(insts)):
-                if self.pages[j] != pi:
-                    continue
-                c, d, _ = insts[j]
-                if a == c or a == d or b == c or b == d:
-                    continue
-                c_in = (pos[c] - pos[a]) % n < span_a
-                d_in = (pos[d] - pos[a]) % n < span_a
-                if c_in != d_in:
-                    out.append((i, j))
+        for i, mask in enumerate(self.crossing_masks()):
+            while mask:
+                low = mask & -mask
+                out.append((i, low.bit_length() - 1))
+                mask ^= low
         return out
 
     def to_json_dict(self) -> dict:
@@ -140,7 +171,7 @@ def one_page_drawing(g: Multigraph, order: CyclicOrder | None = None) -> BookDra
 
 
 def count_crossings(d: BookDrawing) -> int:
-    return len(d.crossing_pairs())
+    return sum(mask.bit_count() for mask in d.crossing_masks())
 
 
 @dataclass(frozen=True)

@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--t", type=int, help="subdivision points")
     p_gen.add_argument("--out")
     p_gen.add_argument("--dot", help="also write DOT here")
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(func=cmd_gen, parser=p_gen)
 
     p_cr = sub.add_parser("cr", help="crossing number of a graph file")
     p_cr.add_argument("graph")
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--budget-ms", type=int, dest="budget_ms")
     p_cr.add_argument("--cone", action="store_true", help="solve the cone instead")
     p_cr.add_argument("--out")
-    p_cr.set_defaults(func=cmd_cr)
+    p_cr.set_defaults(func=cmd_cr, parser=p_cr)
 
     p_book = sub.add_parser("book", help="build or optimize a book drawing")
     p_book.add_argument("graph")
@@ -304,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_book.add_argument("--budget-ms", type=int, dest="budget_ms")
     p_book.add_argument("--out", help="write the book drawing here")
     p_book.add_argument("--dot", help="write annotated DOT here")
-    p_book.set_defaults(func=cmd_book)
+    p_book.set_defaults(func=cmd_book, parser=p_book)
 
     p_conv = sub.add_parser("convert12", help="move one page onto two via a max cut")
     p_conv.add_argument("graph")
     p_conv.add_argument("--order", help="comma-separated spine order")
     p_conv.add_argument("--out", help="write the 2-page drawing here")
-    p_conv.set_defaults(func=cmd_convert12)
+    p_conv.set_defaults(func=cmd_convert12, parser=p_conv)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound report")
     mode = p_bounds.add_mutually_exclusive_group(required=True)
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop bounds that require a simple graph",
     )
     p_bounds.add_argument("--out")
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.set_defaults(func=cmd_bounds, parser=p_bounds)
 
     p_exp = sub.add_parser("experiment", help="run a canned experiment")
     runs = p_exp.add_subparsers(dest="name", required=True)
@@ -332,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
             flag = "--" + kw.replace("_", "-")
             p_run.add_argument(flag, type=int, dest=kw, default=argparse.SUPPRESS)
         p_run.add_argument("--out")
+        p_run.set_defaults(parser=p_run)
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser
@@ -339,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        # Refused by the command's own parser, so the usage line shown is
+        # the command's, not the root's.
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except BrokenPipeError:

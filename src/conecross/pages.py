@@ -62,6 +62,14 @@ class PageSplit:
 
 
 def split_report(g: Multigraph, order: CyclicOrder) -> PageSplit:
+    """Move the 1-page drawing of g on ``order`` onto two pages.
+
+    The circle graph's cut is exact up to EXACT_LIMIT chords and meets the
+    Edwards bound past it; the chords on its side 1 go to page 1.  The 2-page
+    drawing's crossings are recounted: unless they equal k - cut, with k
+    the 1-page crossings, and meet the guarantee of ``cor22_bound_ok``,
+    the split raises ``RuntimeError``.
+    """
     cg = circle_graph(g, order)
     k = cg.m
     if k == 0:

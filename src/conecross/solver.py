@@ -147,6 +147,15 @@ def _partners(ends: list[tuple[int, int]]) -> list[list[int]]:
     ]
 
 
+def _partners_without(partners: list[list[int]], x: int) -> list[list[int]]:
+    """``_partners`` of G - x from G's lists: x's list goes, x leaves the
+    others, and the hosts after x move down by one."""
+    return [
+        [f - (f > x) for f in later if f != x]
+        for e, later in enumerate(partners) if e != x
+    ]
+
+
 class _PairTable:
     """Pairs (a, b), a < b, of a graph's edge instances known to leave it
     non-planar when both are deleted, closed under ``moves`` (automorphisms
@@ -230,7 +239,9 @@ class _LevelSearch:
 
     @cached_property
     def partners(self) -> list[list[int]]:
-        """partners[e]: the hosts f > e that share no end with e."""
+        """partners[e]: the hosts f > e that share no end with e.  The
+        count's sub-search of a connected G - x is handed them, read off
+        G's lists, before its first use."""
         return _partners(self.ends)
 
     @cached_property
@@ -575,6 +586,8 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
             for i, sub in enumerate(comps):
                 stop = cap - sum(levels) + levels[i]
                 part = _LevelSearch(sub, search.deadline, deleted)
+                if deleted is not None:
+                    part.partners = _partners_without(search.partners, x)
                 levels[i], _ = _deepen(part, levels[i], stop)
                 search.nodes += part.nodes
                 search.planarity += part.planarity

@@ -172,6 +172,43 @@ def test_parallel_copies_on_one_page_do_not_cross_each_other():
     assert count_crossings(d) == 2
 
 
+def interleaving_pairs(d):
+    """Brute-force oracle for ``crossing_pairs``: every pair of instances
+    on one page, tested for interleaving around the circle."""
+    insts = d.graph.instances()
+    pos = d.order.position_map()
+    n = d.graph.n
+    out = []
+    for i, (a, b, _) in enumerate(insts):
+        span = (pos[b] - pos[a]) % n
+        for j in range(i + 1, len(insts)):
+            c, e, _ = insts[j]
+            if d.pages[j] != d.pages[i] or {a, b} & {c, e}:
+                continue
+            if ((pos[c] - pos[a]) % n < span) != ((pos[e] - pos[a]) % n < span):
+                out.append((i, j))
+    return out
+
+
+def test_crossing_pairs_match_the_brute_force_oracle():
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(0, 9)
+        # Some vertices stay isolated; repeats of a pair become parallel copies.
+        pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 3 * n))] if n >= 2 else []
+        pairs += [pairs[i % len(pairs)] for i in range(rng.randint(0, 4))] if pairs else []
+        g = Multigraph.build(n, pairs)
+        seq = list(range(n))
+        rng.shuffle(seq)
+        n_pages = rng.randint(1, 3)
+        d = BookDrawing(g, CyclicOrder(tuple(seq)), tuple(rng.randrange(n_pages) for _ in range(g.m)))
+        want = interleaving_pairs(d)
+        assert d.crossing_pairs() == want, trial
+        assert count_crossings(d) == len(want), trial
+        if n_pages == 1:
+            assert circle_graph(g, d.order).edges == tuple(want), trial
+
+
 def test_book_json_round_trip():
     g = complete_graph(4)
     d = BookDrawing(g, CyclicOrder((1, 3, 0, 2)), (0, 1, 0, 1, 0, 1))

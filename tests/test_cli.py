@@ -264,6 +264,24 @@ def test_an_option_its_mode_does_not_read_is_a_usage_error(monkeypatch, capsys, 
     assert out.out == "" and out.err
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["experiment", "hh-table", "--budget-ms", "-1"], "conecross experiment hh-table"),
+        (["cr", "fig1", "--verify-upto", "5"], "conecross cr"),
+        (["convert12", "fig1", "--budget-ms", "5"], "conecross convert12"),
+    ],
+)
+def test_an_unrecognized_option_shows_its_commands_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"usage: {usage} [-h]")
+    assert out.err.endswith(f"{usage}: error: unrecognized arguments: {' '.join(argv[2:])}\n")
+
+
 def test_cone_exhaustion_is_no_longer_an_experiment(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "cone-exhaustion"])

@@ -173,3 +173,59 @@ def test_heuristic_cuts_each_component_on_its_own():
         assert EdwardsBound(len(edges)).met_by(cut_value(edges, cut.side))
     assert cut.size == cut_value(edges_a, cut.side) + cut_value(edges_b, cut.side)
     assert cut.size == cut_value(edges_a + edges_b, cut.side)
+
+
+def grid_edges(rows, cols):
+    """Cell (r, c) is vertex r * cols + c."""
+    right = [(v, v + 1) for v in range(rows * cols) if v % cols < cols - 1]
+    down = [(v, v + cols) for v in range(rows * cols - cols)]
+    return right + down
+
+
+BIPARTITE = {
+    "path": (5, [(3, 1), (1, 4), (4, 0), (0, 2)]),
+    "star": (6, [(5, v) for v in range(5)]),
+    "tree": (7, [(0, 3), (3, 6), (3, 1), (6, 2), (2, 5), (4, 2)]),
+    "even-cycle": (8, cycle_graph(8).simple_pairs()),
+    "Q3": (8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]),
+    "grid": (12, grid_edges(3, 4)),
+    "K3,3": (6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIPARTITE))
+@pytest.mark.parametrize("solve", [maxcut_exact, maxcut_edwards])
+def test_bipartite_components_are_cut_whole(solve, name):
+    n, edges = BIPARTITE[name]
+    cut = solve(n, edges)
+    assert cut == first_maximum_cut(n, edges) and cut.size == len(edges)
+    # Next to a triangle and an isolated vertex, relabelled so that the
+    # components interleave: the bipartite part keeps its first maximum cut.
+    perm = list(range(n + 4))
+    random.Random(name).shuffle(perm)
+    mixed = [(perm[u], perm[v]) for u, v in edges + [(n, n + 1), (n + 1, n + 2), (n + 2, n)]]
+    cut, first = solve(n + 4, mixed), first_maximum_cut(n + 4, mixed)
+    assert [cut.side[perm[v]] for v in range(n)] == [first.side[perm[v]] for v in range(n)]
+    assert cut.size == cut_value(mixed, cut.side)
+    if solve is maxcut_exact:
+        assert cut == first
+
+
+# Side vectors and sizes of the Edwards heuristic on random_graph(n, m,
+# seed), recorded before its greedy and 1-flip counts became incremental.
+EDWARDS_PINS = {
+    (8, 14, 1): ("01101001", 10),
+    (12, 30, 2): ("011010110110", 23),
+    (16, 24, 3): ("0011000010111000", 20),
+    (20, 60, 4): ("00001001110110111100", 45),
+    (24, 40, 5): ("000011010011000111010000", 30),
+    (33, 70, 6): ("001100100111100001011110100011101", 55),
+    (40, 120, 7): ("0001110011011000111110111001101000100100", 83),
+    (48, 90, 8): ("001110100110101011000011000110111100111000000011", 70),
+}
+
+
+@pytest.mark.parametrize("n, m, seed", sorted(EDWARDS_PINS))
+def test_heuristic_cuts_are_pinned(n, m, seed):
+    cut = maxcut_edwards(n, random_graph(n, m, seed).simple_pairs())
+    assert ("".join(map(str, cut.side)), cut.size) == EDWARDS_PINS[(n, m, seed)]

@@ -907,3 +907,33 @@ def test_pair_table_keeps_the_seeded_answers(name):
     assert (res.lower, res.upper, res.lower_reason, res.stats.nodes) == (lower, lower, reason, nodes)
     assert res.certificate == CrossingCertificate.build(crossings, orders)
     assert res.stats.planarity_calls == tests <= before
+
+
+def test_a_sub_search_of_g_minus_x_reads_its_partners_off_gs(monkeypatch):
+    # G - x lists G's other instances in G's order, so its partner lists
+    # are G's with x dropped and the later ids shifted down by one.
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        g = Multigraph.build(n, [rng.sample(range(n), 2) for _ in range(rng.randint(1, 12))])
+        partners = solver._partners([(u, v) for u, v, _ in g.instances()])
+        for _, x, h in solver._deletions(g, [], vertices=False):
+            want = solver._partners([(u, v) for u, v, _ in h.instances()])
+            assert solver._partners_without(partners, x) == want
+            checked += 1
+    assert checked > 100
+    # In a solve, every edge sub-search holds the lists of its own graph.
+    seen = []
+    real_hits = solver._LevelSearch.hits
+
+    def checked_root(self, r):
+        if self.deleted is not None:
+            seen.append(self.g)
+            assert self.partners == solver._partners(self.ends)
+        return real_hits(self, r)
+
+    monkeypatch.setattr(solver._LevelSearch, "hits", checked_root)
+    g, value, seed = edge_count_cases()["F3-relabelled"]
+    cr_exact(g, upper_seed=(value, seed))
+    assert seen
