@@ -35,11 +35,11 @@ import networkx as nx
 from .certificates import (
     CrossingCertificate,
     SolveResult,
+    SolveStats,
     certificate_error,
     combine_brackets,
     lift_certificate,
     planar_segments,
-    rolled_up,
     verify_certificate,
 )
 from .graphs import Multigraph, cone
@@ -356,7 +356,6 @@ def _cone_cr_connected(
 ) -> SolveResult:
     """``cone_cr`` of a connected (or empty) base graph ``g``, whose cone is
     ``cg``."""
-    started = time.monotonic()
     floor = cr_lower(cg)
     ocr = outerplanar_cr(g, budget_ms=deadline.remaining_ms())
     one_page = best = lift_to_cone(g, ocr.certificate)
@@ -372,15 +371,17 @@ def _cone_cr_connected(
             best = coned
         return best.count <= floor
 
-    # The solve of G that fed the seeds is part of this answer's work.
-    solves = []
+    # The solve of G that fed the seeds is part of this answer's work.  A
+    # part's counters are summed here; ``cone_cr`` times the whole answer.
+    nodes = calls = 0
     if best.count > floor:
         inner = cr_exact(g, max_k=max_k, budget_ms=deadline.remaining_ms(), until=seed_from)
-        solves.append(inner.stats)
+        nodes, calls = inner.stats.nodes, inner.stats.planarity_calls
     # Apex insertion verified its seeds; the 1-page seed is checked only if kept.
     if best is one_page and not verify_certificate(cg, best)[1]:
         raise RuntimeError("the lifted 1-page seed does not verify on cone(G)")
     if best.count <= floor:
-        return SolveResult(floor, best, rolled_up(solves, started), "euler")
+        return SolveResult(floor, best, SolveStats(nodes, calls), "euler")
     res = solve_component(cg, max_k, deadline, best)
-    return replace(res, stats=rolled_up(solves + [res.stats], started))
+    stats = SolveStats(nodes + res.stats.nodes, calls + res.stats.planarity_calls)
+    return replace(res, stats=stats)

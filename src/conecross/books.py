@@ -1,4 +1,4 @@
-"""Book drawings: spine orders, page assignments, circle graphs, cloning.
+"""Book drawings: spine orders, page assignments and circle graphs.
 
 A k-page book drawing places the vertices on a circle (the circular model
 of the spine) and draws every edge as a chord inside one of k disks.  Two
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .graphs import Multigraph, clone_vertex
+from .graphs import Multigraph
 
 BOOK_FORMAT = "conecross-book-v1"
 
@@ -190,34 +190,3 @@ def circle_graph(g: Multigraph, order: CyclicOrder) -> CircleGraph:
     """Chord interleaving graph; depends on the order only, not on pages."""
     one_page = one_page_drawing(g, order)
     return CircleGraph(g.m, tuple(one_page.crossing_pairs()))
-
-
-def clone_vertex_book(d: BookDrawing, v: int, with_edge: bool = False) -> BookDrawing:
-    """Clone v in the drawing: twin inserted on the spine right after v.
-
-    Every edge vu is duplicated as (twin)u on the same page, so each new
-    edge reproduces the interleaving pattern of its template.  With
-    ``with_edge`` the spine-adjacent edge v-twin is added on page 0, where
-    it interleaves nothing.
-    """
-    g = d.graph
-    if not (0 <= v < g.n):
-        raise ValueError(f"no vertex {v}")
-    new_graph = clone_vertex(g, v, with_edge)
-    twin = g.n
-
-    vpos = d.order.seq.index(v)
-    new_seq = d.order.seq[: vpos + 1] + (twin,) + d.order.seq[vpos + 1 :]
-
-    page_of: dict[tuple[int, int, int], int] = {}
-    for i, (a, b, copy) in enumerate(g.instances()):
-        page_of[(a, b, copy)] = d.pages[i]
-        if a == v or b == v:
-            u = b if a == v else a
-            lo, hi = (u, twin) if u < twin else (twin, u)
-            page_of[(lo, hi, copy)] = d.pages[i]
-    if with_edge:
-        page_of[(v, twin, 0)] = 0
-
-    pages = tuple(page_of[inst] for inst in new_graph.instances())
-    return BookDrawing(new_graph, CyclicOrder(new_seq), pages)

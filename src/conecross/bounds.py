@@ -36,8 +36,8 @@ def thm41_lower(k: int) -> int:
     """Lower bound on cone crossing numbers over simple graphs with cr >= k.
 
     Piecewise: 0, 3, k+3, k+3, k+4, then k+5 from k = 5 on.  Only valid
-    for simple graphs; multigraph cones get as low as k + sqrt(3k),
-    which drops below k + 5 once k is large.
+    for simple graphs; multigraph cones get as low as k + sqrt(3k), which
+    is below k + 5 only for k <= 8 (sqrt(3k) < 5 exactly when 3k < 25).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -105,9 +105,6 @@ class PhiUpper:
     cr_cone: int
     phi_upper: int
     conditional: bool = True
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.n, self.n1, self.cr_g, self.cr_cone, self.phi_upper)
 
 
 def _minimal_n(k: int) -> int:

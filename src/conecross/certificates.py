@@ -70,9 +70,6 @@ class CrossingCertificate:
     def count(self) -> int:
         return len(self.crossings)
 
-    def orders(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.edge_orders)
-
     def sequences(self) -> dict[int, list[int]]:
         """Each crossed edge's crossing indices in traversal order."""
         seqs: dict[int, list[int]] = {}

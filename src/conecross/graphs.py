@@ -116,30 +116,6 @@ class Multigraph:
         """Id of copy ``copy`` of pair (u, v); raises KeyError if absent."""
         return self.instance_index()[(min(u, v), max(u, v), copy)]
 
-    def multiplicity(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        for a, b, mult in self.edges:
-            if (a, b) == (u, v):
-                return mult
-        return 0
-
-    def degree(self, v: int) -> int:
-        d = 0
-        for a, b, mult in self.edges:
-            if a == v or b == v:
-                d += mult
-        return d
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b, _ in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(set(out))
-
     def simple_pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v, _ in self.edges]
 
@@ -229,10 +205,6 @@ def cycle_graph(n: int) -> Multigraph:
     return Multigraph.build(n, pairs)
 
 
-def empty_graph(n: int) -> Multigraph:
-    return Multigraph(n, ())
-
-
 def cone(g: Multigraph) -> Multigraph:
     """Add an apex vertex (id = g.n) joined by a simple edge to every vertex."""
     apex = g.n
@@ -269,25 +241,6 @@ def subdivide_edge(g: Multigraph, eid: int, t: int = 1) -> Multigraph:
     chain = [u] + [g.n + i for i in range(t)] + [v]
     pairs += list(zip(chain, chain[1:]))
     return Multigraph.build(g.n + t, pairs)
-
-
-def clone_vertex(g: Multigraph, v: int, with_edge: bool = False) -> Multigraph:
-    """Add a twin of v (id = g.n): one copy of (new, u) per instance (v, u).
-
-    With ``with_edge`` the twin is also joined to v itself by a single edge.
-    """
-    if not (0 <= v < g.n):
-        raise ValueError(f"no vertex {v}")
-    twin = g.n
-    pairs = [(u, w, mult) for u, w, mult in g.edges]
-    for u, w, mult in g.edges:
-        if u == v:
-            pairs.append((twin, w, mult))
-        elif w == v:
-            pairs.append((twin, u, mult))
-    if with_edge:
-        pairs.append((v, twin, 1))
-    return Multigraph.build(g.n + 1, pairs)
 
 
 def f_graph(k: int) -> Multigraph:

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import Collection, Iterable
 
-from .graphs import Multigraph
-
 
 def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """Planarity of the simple graph underlying ``edges`` on vertices 0..n-1."""
@@ -381,12 +379,3 @@ def _embed(
                 h = nxt[h]
         rotation.append(nbrs)
     return rotation
-
-
-def is_planar(g: Multigraph) -> bool:
-    """True iff the underlying simple graph of ``g`` is planar.
-
-    Parallel edges never affect planarity of a loopless multigraph, so the
-    input is deduplicated first.  Disconnected graphs are handled.
-    """
-    return lr_planar(g.n, g.simple_pairs())

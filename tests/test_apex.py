@@ -18,7 +18,6 @@ from conecross import (
     cr_exact,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     f_graph,
     fig1_graph,
     fig3_graph,
@@ -70,8 +69,8 @@ def test_insert_apex_on_a_planar_base():
 
 def test_insert_apex_on_a_single_vertex():
     # No edges, so one face holds the lone vertex; the cone is K2.
-    cert = insert_apex(empty_graph(1), CrossingCertificate.build([]))
-    assert_drawing(cone(empty_graph(1)), cert, 0)
+    cert = insert_apex(Multigraph(1, ()), CrossingCertificate.build([]))
+    assert_drawing(cone(Multigraph(1, ())), cert, 0)
 
 
 def test_insert_apex_demands_connectivity():
@@ -98,7 +97,7 @@ def test_insert_apex_rejects_a_malformed_certificate_before_embedding(monkeypatc
 
 def test_cone_of_planar_graphs():
     assert cone_cr(cycle_graph(4)).value == 0
-    assert cone_cr(empty_graph(4)).value == 0
+    assert cone_cr(Multigraph(4, ())).value == 0
     # K4 has a planar drawing but no outerplanar one, so its cone crosses
     assert cone_cr(complete_graph(4)).value == 1
 

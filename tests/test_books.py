@@ -18,7 +18,6 @@ from conecross import (
     one_page_drawing,
     random_graph,
 )
-from conecross.books import clone_vertex_book
 from conecross.maxcut import cut_value
 
 
@@ -153,16 +152,6 @@ def test_cut_size_counts_separated_pairs():
     # any balanced assignment leaves at most the uncut pairs in place
     side = tuple(i % 2 for i in range(cg.n_vertices))
     assert 0 < cut_value(cg.edges, side) <= len(cg.edges)
-
-
-def test_clone_vertex_book_places_the_twin_next_to_the_original():
-    d = one_page_drawing(complete_graph(4))
-    for with_edge in (False, True):
-        dd = clone_vertex_book(d, 0, with_edge=with_edge)
-        assert dd.graph.n == 5
-        twin_pos = dd.order.position_map()[4]
-        assert twin_pos == (dd.order.position_map()[0] + 1) % 5
-        assert count_crossings(dd) == 5
 
 
 def test_parallel_copies_on_one_page_do_not_cross_each_other():

@@ -110,7 +110,7 @@ def test_harary_hill_values():
 
 def test_phi_upper_fixture_for_k_ten():
     row = hh_phi_upper(10)
-    assert row.as_tuple() == (8, 5, 10, 21, 11)
+    assert (row.n, row.n1, row.cr_g, row.cr_cone, row.phi_upper) == (8, 5, 10, 21, 11)
     assert row.conditional
     assert row.k == 10
 
@@ -124,7 +124,8 @@ def test_phi_upper_fixture_for_k_ten():
     ],
 )
 def test_phi_upper_small_values(k, expected):
-    assert hh_phi_upper(k).as_tuple() == expected
+    row = hh_phi_upper(k)
+    assert (row.n, row.n1, row.cr_g, row.cr_cone, row.phi_upper) == expected
 
 
 def test_phi_upper_internal_consistency():

@@ -18,10 +18,8 @@ from conecross import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     fig1_graph,
     fig3_graph,
-    is_planar,
     multiply_edges,
     subdivide_edge,
 )
@@ -149,27 +147,31 @@ def test_subdivided_kuratowski_graphs_stay_nonplanar():
         g = base
         for _ in range(8):
             g = subdivide_edge(g, rng.randrange(g.m))
-            assert not is_planar(g)
+            assert not lr_planar(g.n, g.simple_pairs())
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert not is_planar(g.relabel(perm))
+        h = g.relabel(perm)
+        assert not lr_planar(h.n, h.simple_pairs())
 
 
 def test_disconnected_graphs():
     g = disjoint_union(cycle_graph(6), complete_graph(4))
-    assert is_planar(g)
-    assert not is_planar(disjoint_union(g, complete_graph(5)))
-    assert is_planar(empty_graph(40))
+    assert lr_planar(g.n, g.simple_pairs())
+    h = disjoint_union(g, complete_graph(5))
+    assert not lr_planar(h.n, h.simple_pairs())
+    assert lr_planar(40, [])
 
 
 def test_multiplicities_do_not_affect_planarity():
-    assert is_planar(multiply_edges(complete_graph(4), 3))
-    assert not is_planar(multiply_edges(complete_graph(5), 2))
+    # Each parallel copy is handed to the test as its own pair.
+    for g, planar in ((multiply_edges(complete_graph(4), 3), True),
+                      (multiply_edges(complete_graph(5), 2), False)):
+        assert lr_planar(g.n, [(u, v) for u, v, _ in g.instances()]) == planar
 
 
 def test_named_graphs_are_nonplanar():
-    assert not is_planar(fig1_graph())
-    assert not is_planar(fig3_graph())
+    for g in (fig1_graph(), fig3_graph()):
+        assert not lr_planar(g.n, g.simple_pairs())
 
 
 def test_sparse_graphs_near_the_edge_bound():

@@ -22,7 +22,6 @@ from conecross import (
     cr_lower,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     certificate_from_book,
     f_graph,
     f_graph_certificate,
@@ -78,13 +77,13 @@ def test_euler_bound_adds_over_components():
 
 
 def test_planar_graphs_have_crossing_number_zero():
-    for g in (cycle_graph(8), complete_graph(4), empty_graph(5)):
+    for g in (cycle_graph(8), complete_graph(4), Multigraph(5, ())):
         res = cr_exact(g)
         assert res.status == "exact" and res.value == 0
 
 
 def test_zero_vertex_graph():
-    assert cr_exact(empty_graph(0)).value == 0
+    assert cr_exact(Multigraph(0, ())).value == 0
 
 
 def test_complete_graph_values():
@@ -165,12 +164,12 @@ def test_tiny_budget_returns_a_bracket_not_a_lie():
 
 
 def test_a_closed_bracket_is_exact_at_every_entry_point():
-    for g in (cycle_graph(5), empty_graph(3)):
+    for g in (cycle_graph(5), Multigraph(3, ())):
         res = cr_exact(g, budget_ms=0)
         assert (res.lower, res.upper, res.status, res.value) == (0, 0, "exact", 0)
     named = [fig1_graph(), fig3_graph(), f_graph(3), complete_graph(5),
              complete_graph(6), subdivide_edge(complete_graph(5), 0),
-             multiply_edges(complete_graph(4), 2), K33, cycle_graph(5), empty_graph(3)]
+             multiply_edges(complete_graph(4), 2), K33, cycle_graph(5), Multigraph(3, ())]
     solves = {
         "cr_exact": cr_exact,
         "cone_cr": cone_cr,
@@ -688,9 +687,9 @@ def test_lower_bounds_name_their_reason():
 def shared_split_graphs():
     k5 = complete_graph(5)
     return {
-        "empty-0": empty_graph(0),
-        "empty-3": empty_graph(3),
-        "K5+K1": disjoint_union(k5, empty_graph(1)),
+        "empty-0": Multigraph(0, ()),
+        "empty-3": Multigraph(3, ()),
+        "K5+K1": disjoint_union(k5, Multigraph(1, ())),
         "2xK5": disjoint_union(k5, k5),
     }
 
