@@ -114,7 +114,15 @@ class Multigraph:
 
     def instance_id(self, u: int, v: int, copy: int = 0) -> int:
         """Id of copy ``copy`` of pair (u, v); raises KeyError if absent."""
-        return self.instance_index()[(min(u, v), max(u, v), copy)]
+        u, v = min(u, v), max(u, v)
+        eid = 0
+        for a, b, mult in self.edges:
+            if a == u and b == v:
+                if 0 <= copy < mult:
+                    return eid + copy
+                break
+            eid += mult
+        raise KeyError((u, v, copy))
 
     def simple_pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v, _ in self.edges]
@@ -337,7 +345,13 @@ def automorphism_generators(
     is asked before each refinement.
 
     Colour refinement splits the vertices into ordered cells that no
-    automorphism mixes.  Individualising the first vertex of the first
+    automorphism mixes.  A round keys each vertex v by one integer, the
+    sum of mult(v, w) << (colour(w) * shift) over its neighbours w, and
+    splits each cell of two or more vertices by key.  The key is exact:
+    the weighted count of v's neighbours of one colour is at most v's
+    weighted degree, which is below 2**shift, so the counts fill disjoint
+    bit fields and two vertices share a key only if they agree on every
+    colour's count.  Individualising the first vertex of the first
     cell with two or more vertices and refining again, down to single
     vertices, fixes a base b_0, b_1, ...  Deepest level first, every
     vertex v in b_i's cell that the permutations found so far do not map
@@ -349,18 +363,23 @@ def automorphism_generators(
     adj: list[dict[int, int]] = [{} for _ in range(g.n)]
     for u, v, mult in g.edges:
         adj[u][v] = adj[v][u] = mult
+    neighbours = [list(a.items()) for a in adj]
+    shift = max((sum(a.values()) for a in adj), default=0).bit_length()
 
     def refine(cells: list[list[int]]) -> list[list[int]]:
         while True:
-            colour = [0] * g.n
+            offset = [0] * g.n
             for c, cell in enumerate(cells):
                 for v in cell:
-                    colour[v] = c
+                    offset[v] = c * shift
             split: list[list[int]] = []
             for cell in cells:
-                by_key: dict[tuple, list[int]] = {}
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                by_key: dict[int, list[int]] = {}
                 for v in cell:
-                    key = tuple(sorted((colour[w], mult) for w, mult in adj[v].items()))
+                    key = sum(mult << offset[w] for w, mult in neighbours[v])
                     by_key.setdefault(key, []).append(v)
                 split += [by_key[key] for key in sorted(by_key)]
             if len(split) == len(cells):

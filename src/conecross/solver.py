@@ -54,17 +54,21 @@ Prunes, all sound:
     all.  The count aims at U: when U > cr(G) it cannot close, and the
     level search takes over from whatever it proved.  The edge count's
     sub-searches share one table of edge pairs {a, b} known to leave G
-    non-planar when deleted.  A group test at the root of a connected
-    G - x that finds G - x - B non-planar enters every pair inside
-    {x} u B, since G minus any two of them contains G - x - B, and each
-    pair enters with its orbit under the automorphisms found, since an
-    automorphism maps G - {a, b} onto G minus the image pair.  At the
-    root of G - x the planarization is G - x itself, so a known pair
-    {x, b} puts b outside the one-crossing-left set U(G - x): a host
-    block whose every host is known is settled without a test.  It also
-    shows G - x non-planar (it contains G - x - b), so the sub-search
-    skips its first root test.  Only tests go: U, the branch order, the
-    nodes and the certificates stay as they were.
+    non-planar, or planar, when both are deleted.  A group test at the
+    root of a connected G - x that finds G - x - B non-planar enters every
+    pair inside {x} u B as non-planar, since G minus any two of them
+    contains G - x - B; a single-host test there that finds G - x - h
+    planar enters {x, h} as planar.  Each pair enters with its orbit under
+    the automorphisms found, since an automorphism maps G - {a, b} onto G
+    minus the image pair.  At the root of G - x the planarization is
+    G - x itself, so a known non-planar pair {x, b} puts b outside the
+    one-crossing-left set U(G - x): a host block whose every host is
+    known so is settled without a test.  It also shows G - x non-planar
+    (it contains G - x - b), so the sub-search skips its first root test.
+    A known planar pair {x, b} puts b inside U(G - x), and any block B
+    holding b is planar untested, since G - x - B is a subgraph of the
+    planar G - x - b.  Only tests go: U, the branch order, the nodes and
+    the certificates stay as they were.
 
 The search at a level is one generator, ``_LevelSearch.hits``, that
 yields realizable certificates with distinct crossing sets in a fixed
@@ -157,47 +161,49 @@ def _partners_without(partners: list[list[int]], x: int) -> list[list[int]]:
 
 
 class _PairTable:
-    """Pairs (a, b), a < b, of a graph's edge instances known to leave it
-    non-planar when both are deleted, closed under ``moves`` (automorphisms
-    acting on instance ids).  ``paired`` holds every instance in a known
-    pair.
+    """Pairs {a, b} of a graph's edge instances whose joint deletion is
+    known to leave it non-planar (``nonplanar``) or planar (``planar``),
+    closed under ``moves`` (automorphisms acting on instance ids).  Each
+    half holds one bitmask per instance: bit b of ``half[a]`` is set with
+    bit a of ``half[b]`` when {a, b} is known.  Read at the root of a
+    search of G - x, a non-planar pair {x, b} shows H - b non-planar for
+    H = G - x, and a planar pair {x, b} shows H - b planar, and with it
+    H - B for every host set B holding b, since H - B is a subgraph of
+    H - b.
 
     A pair enters with its whole orbit, found by following the moves from
     it; a pair already known is skipped, its orbit being known too, so the
-    closure costs at most one image per move per pair of instances.  The
-    moves are followed inline: ``graphs.orbit`` with a sorting image
-    callback made seeded F3 solves 5-12% slower.
+    closure costs at most one image per move per pair of instances.
     """
 
-    def __init__(self, moves: list[list[int]]):
+    def __init__(self, moves: list[list[int]], m: int):
         self.moves = moves
-        self.known: set[tuple[int, int]] = set()
-        self.paired: set[int] = set()
+        self.nonplanar = [0] * m
+        self.planar = [0] * m
 
-    def rules_out(self, ids: list[int]) -> bool:
-        """Whether every pair {ids[0], b}, b a later id, is known."""
-        x, known = ids[0], self.known
-        return all((x, b) in known if x < b else (b, x) in known for b in ids[1:])
+    def rules_out(self, x: int, block: int) -> bool:
+        """Whether {x, b} is known non-planarizing for every bit b of
+        ``block``."""
+        return self.nonplanar[x] & block == block
 
-    def learn(self, ids: list[int]) -> None:
-        """Deleting ``ids`` together leaves the graph non-planar, so
-        deleting any two of them does too."""
+    def learn(self, half: list[int], ids: list[int]) -> None:
+        """Enter every pair inside ``ids``, with its orbit, in ``half``."""
+        moves = self.moves
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                pair = (a, b) if a < b else (b, a)
-                if pair in self.known:
+                if half[a] >> b & 1:
                     continue
-                self.known.add(pair)
-                stack = [pair]
+                half[a] |= 1 << b
+                half[b] |= 1 << a
+                stack = [(a, b)]
                 while stack:
                     e, f = stack.pop()
-                    self.paired.update((e, f))
-                    for move in self.moves:
+                    for move in moves:
                         c, d = move[e], move[f]
-                        image = (c, d) if c < d else (d, c)
-                        if image not in self.known:
-                            self.known.add(image)
-                            stack.append(image)
+                        if not half[c] >> d & 1:
+                            half[c] |= 1 << d
+                            half[d] |= 1 << c
+                            stack.append((c, d))
 
 
 class _LevelSearch:
@@ -228,7 +234,7 @@ class _LevelSearch:
         self.deleted = deleted
         self.r = 0
         # G - x - b non-planar for a known pair {x, b} makes G - x non-planar.
-        self.root_nonplanar = deleted is not None and deleted[1] in deleted[0].paired
+        self.root_nonplanar = deleted is not None and deleted[0].nonplanar[deleted[1]] != 0
         self.nodes = 0
         self.planarity = 0
         self.out_of_time = False
@@ -435,31 +441,46 @@ class _LevelSearch:
         halved towards h on a planar result: a non-planar H - S rules out
         every host in S, since H - h contains it.  ``inside`` holds the
         node's settled hosts and ``planar_blocks`` its planar blocks, so
-        no block is tested twice at one node.  At the root of a search of
-        G - x (``deleted``), a block whose every host b makes a known pair
-        {x, b} is ruled out untested, and a non-planar block teaches the
-        table that {x} and the block leave G non-planar."""
+        no block is tested twice at one node.
+
+        At the root of a search of G - x (``deleted``) the table stands in
+        for tests.  A block whose every host b makes a known non-planarizing
+        pair {x, b} is ruled out, and one holding a host b of a known
+        planarizing pair is planar, since G - x - B lies inside G - x - b.
+        A non-planar block teaches the table that any two of {x} and the
+        block leave G non-planar, and a planar single host h that {x, h}
+        leaves G planar."""
         m = len(self.ends)
         lo = h - h % HOST_BLOCK
         hi = min(lo + HOST_BLOCK, m)
         # At the root the planarization is this search's graph itself.
         root_of = self.deleted if not n_extra else None
+        if root_of is not None:
+            table, x = root_of
+            low = (1 << x) - 1
         while inside[h] is None:
             if (lo, hi) not in planar_blocks:
+                known_planar = False
                 if root_of is not None:
-                    table, x = root_of
-                    ids = [x] + [b + (b >= x) for b in range(lo, hi)]
-                    if table.rules_out(ids):
+                    # The block's hosts as G's instance ids: b + (b >= x).
+                    block = (1 << hi) - (1 << lo)
+                    block = block & low | (block & ~low) << 1
+                    if table.rules_out(x, block):
                         inside[lo:hi] = [False] * (hi - lo)
                         break
-                if not self._planar(n_extra, self._pairs(chains, frozenset(range(lo, hi)))):
+                    known_planar = table.planar[x] & block != 0
+                if not known_planar and not self._planar(
+                    n_extra, self._pairs(chains, frozenset(range(lo, hi)))
+                ):
                     if root_of is not None:
-                        table.learn(ids)
+                        table.learn(table.nonplanar, [x] + [b + (b >= x) for b in range(lo, hi)])
                     inside[lo:hi] = [False] * (hi - lo)
                     break
                 planar_blocks.add((lo, hi))
             if hi - lo == 1:
                 inside[h] = True
+                if root_of is not None:
+                    table.learn(table.planar, [x, h + (h >= x)])
                 break
             mid = lo + (hi - lo) // 2
             lo, hi = (lo, mid) if h < mid else (mid, hi)
@@ -574,7 +595,7 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
     reason = ""
     for cap, vertices, size, div, need in kinds:
         total, rest = 0, size
-        table = None if vertices else _PairTable(search.moves)
+        table = None if vertices else _PairTable(search.moves, g.m)
         for weight, x, h in _deletions(g, search.generators, vertices):
             if total >= need or search.deadline.expired():
                 break

@@ -55,6 +55,9 @@ def test_instance_ids_follow_edge_order():
         g.instance_id(0, 1, copy=2)
     with pytest.raises(KeyError):
         g.instance_id(1, 2)
+    # A negative copy is absent too, not an id counted back from the pair.
+    with pytest.raises(KeyError):
+        g.instance_id(0, 2, copy=-1)
     rng = random.Random(23)
     for _ in range(30):
         n = rng.randint(2, 7)
@@ -261,21 +264,64 @@ def test_automorphisms_of_a_multigraph_fix_its_doubled_pair():
     assert all({p[0], p[1]} == {0, 1} for p in group)
 
 
-def test_automorphism_generators_agree_with_networkx_on_random_graphs():
+def networkx_automorphism_count(g):
+    """|Aut(g)| as networkx counts it: VF2++ on a simple graph and, since
+    VF2++ reads no edge attributes, VF2 with each pair's multiplicity as
+    an edge attribute on a multigraph.  VF2 lists 2xK5's 28,800
+    automorphisms about three times slower than VF2++."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_weighted_edges_from(g.edges, weight="mult")
+    if all(mult == 1 for _, _, mult in g.edges):
+        return sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
+    same = lambda a, b: a["mult"] == b["mult"]  # noqa: E731
+    return sum(1 for _ in GraphMatcher(h, h, edge_match=same).isomorphisms_iter())
+
+
+def test_automorphism_generators_agree_with_networkx_on_random_graphs():
     for seed in range(40):
         n = 3 + seed % 6
         g = random_graph(n, seed % 11 + 2, seed)
         if seed % 3 == 0:
             g = Multigraph.build(n, [(u, v, 1 + (u + v) % 2) for u, v, _ in g.edges])
-        h = nx.Graph()
-        h.add_nodes_from(range(n))
-        h.add_weighted_edges_from(g.edges)
-        same = lambda a, b: a["weight"] == b["weight"]  # noqa: E731
-        expected = sum(1 for _ in GraphMatcher(h, h, edge_match=same).isomorphisms_iter())
+        expected = networkx_automorphism_count(g)
         assert len(group_closure(list(automorphism_generators(g)), n)) == expected
+
+
+def test_automorphism_generators_agree_with_networkx_on_the_atlas():
+    # Every graph on 1 to 6 vertices (VF2++ finds no automorphism of the
+    # null graph; its one is pinned above).
+    nx = pytest.importorskip("networkx")
+    atlas = [a for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 6]
+    assert len(atlas) == 208
+    for a in atlas:
+        g = Multigraph.build(a.number_of_nodes(), a.edges())
+        expected = networkx_automorphism_count(g)
+        assert len(group_closure(list(automorphism_generators(g)), g.n)) == expected
+
+
+NAMED_GRAPHS = {
+    "K6": complete_graph(6),
+    "wheel-with-chords": fig3_graph(),
+    "triangle-hexagon": fig1_graph(),
+    "F3": f_graph(3),
+    "F4": f_graph(4),
+    "2xK5": disjoint_union(complete_graph(5), complete_graph(5)),
+    "cone-F3": cone(f_graph(3)),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_GRAPHS)
+def test_automorphism_generators_agree_with_networkx_on_named_graphs(name):
+    g = NAMED_GRAPHS[name]
+    perm = list(range(g.n))
+    random.Random(name).shuffle(perm)
+    g = g.relabel(perm)
+    expected = networkx_automorphism_count(g)
+    assert len(group_closure(list(automorphism_generators(g)), g.n)) == expected
 
 
 def test_automorphism_search_stops_when_asked():

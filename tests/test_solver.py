@@ -844,18 +844,19 @@ def edge_count_cases():
     return cases
 
 
-def test_pair_table_holds_only_non_planarizing_pairs(monkeypatch):
-    # Every pair the edge count's table holds leaves G non-planar when
-    # both instances are deleted (networkx's opinion), the table is closed
-    # under the moves, and ``paired`` holds the instances of its pairs.
-    # A sub-search root that a known pair marks non-planar is non-planar.
+def test_pair_table_halves_hold_only_what_they_claim(monkeypatch):
+    # Every pair in the edge count's non-planar half leaves G non-planar
+    # when both instances are deleted, and every pair in its planar half
+    # leaves G planar (networkx's opinion).  Both halves are symmetric,
+    # closed under the moves and disjoint.  A sub-search root that a known
+    # pair marks non-planar is non-planar.
     tables = []
     marked = []
     real_hits = solver._LevelSearch.hits
 
     class Recorded(solver._PairTable):
-        def __init__(self, moves):
-            super().__init__(moves)
+        def __init__(self, moves, m):
+            super().__init__(moves, m)
             tables.append(self)
 
     def checked_root(self, r):
@@ -866,19 +867,23 @@ def test_pair_table_holds_only_non_planarizing_pairs(monkeypatch):
 
     monkeypatch.setattr(solver, "_PairTable", Recorded)
     monkeypatch.setattr(solver._LevelSearch, "hits", checked_root)
-    checked = 0
+    checked = {False: 0, True: 0}
     for g, value, seed in edge_count_cases().values():
         tables.clear()
         cr_exact(g, upper_seed=(value, seed))
         for table in tables:
-            for a, b in table.known:
-                assert a < b
-                assert not nx_planar(g, (a, b))
-                for move in table.moves:
-                    assert tuple(sorted((move[a], move[b]))) in table.known
-            assert table.paired == {x for pair in table.known for x in pair}
-            checked += len(table.known)
-    assert checked > 300 and marked
+            assert not any(a & b for a, b in zip(table.nonplanar, table.planar))
+            for planar, half in ((False, table.nonplanar), (True, table.planar)):
+                assert len(half) == g.m and all(row >> g.m == 0 for row in half)
+                pairs = {(a, b) for a, row in enumerate(half) for b in range(g.m) if row >> b & 1}
+                for a, b in pairs:
+                    assert a != b and (b, a) in pairs
+                    for move in table.moves:
+                        assert (move[a], move[b]) in pairs
+                    if a < b:
+                        assert nx_planar(g, (a, b)) == planar
+                        checked[planar] += 1
+    assert checked[False] > 1000 and checked[True] > 150 and marked, checked
 
 
 # The cases' answers as they were before the pair table: (lower, reason,
@@ -887,14 +892,14 @@ def test_pair_table_holds_only_non_planarizing_pairs(monkeypatch):
 # node count, and only removes tests.
 EDGE_COUNT_PINS = {
     "F3": ((3, "edge-count", 11, [[3, 7], [4, 14], [10, 11]], {}, 57), 28),
-    "F3-relabelled": ((3, "edge-count", 11, [[1, 13], [2, 4], [5, 18]], {}, 63), 35),
+    "F3-relabelled": ((3, "edge-count", 11, [[1, 13], [2, 4], [5, 18]], {}, 63), 31),
     "F4": ((4, "edge-count", 232, [[3, 7], [4, 19], [10, 12], [15, 16]], {}, 2484), 2452),
     "K6": ((3, "euler", 11, [[1, 14], [2, 8], [5, 12]], {}, 91), 91),
-    "K5-bridge-K5": ((2, "vertex-count", 15, [[0, 7], [11, 18]], {}, 72), 68),
-    "sweep-0": ((2, "vertex-count", 148, [[2, 15], [7, 16]], {}, 1119), 1080),
-    "sweep-2": ((1, "euler", 29, [[1, 14]], {}, 112), 106),
-    "sweep-3": ((2, "edge-count", 126, [[0, 15], [2, 14]], {}, 1107), 1058),
-    "sweep-34": ((1, "vertex-count", 63, [[3, 12]], {}, 292), 253),
+    "K5-bridge-K5": ((2, "vertex-count", 15, [[0, 7], [11, 18]], {}, 72), 65),
+    "sweep-0": ((2, "vertex-count", 148, [[2, 15], [7, 16]], {}, 1119), 1065),
+    "sweep-2": ((1, "euler", 29, [[1, 14]], {}, 112), 98),
+    "sweep-3": ((2, "edge-count", 126, [[0, 15], [2, 14]], {}, 1107), 1040),
+    "sweep-34": ((1, "vertex-count", 63, [[3, 12]], {}, 292), 250),
 }
 
 
