@@ -363,7 +363,6 @@ def automorphism_generators(
     adj: list[dict[int, int]] = [{} for _ in range(g.n)]
     for u, v, mult in g.edges:
         adj[u][v] = adj[v][u] = mult
-    neighbours = [list(a.items()) for a in adj]
     shift = max((sum(a.values()) for a in adj), default=0).bit_length()
 
     def refine(cells: list[list[int]]) -> list[list[int]]:
@@ -379,7 +378,7 @@ def automorphism_generators(
                     continue
                 by_key: dict[int, list[int]] = {}
                 for v in cell:
-                    key = sum(mult << offset[w] for w, mult in neighbours[v])
+                    key = sum(mult << offset[w] for w, mult in adj[v].items())
                     by_key.setdefault(key, []).append(v)
                 split += [by_key[key] for key in sorted(by_key)]
             if len(split) == len(cells):

@@ -454,17 +454,13 @@ class _LevelSearch:
         lo = h - h % HOST_BLOCK
         hi = min(lo + HOST_BLOCK, m)
         # At the root the planarization is this search's graph itself.
-        root_of = self.deleted if not n_extra else None
-        if root_of is not None:
-            table, x = root_of
-            low = (1 << x) - 1
+        table, x = self.deleted if self.deleted and not n_extra else (None, 0)
         while inside[h] is None:
             if (lo, hi) not in planar_blocks:
                 known_planar = False
-                if root_of is not None:
-                    # The block's hosts as G's instance ids: b + (b >= x).
-                    block = (1 << hi) - (1 << lo)
-                    block = block & low | (block & ~low) << 1
+                if table is not None:
+                    ids = [b + (b >= x) for b in range(lo, hi)]
+                    block = sum(1 << b for b in ids)
                     if table.rules_out(x, block):
                         inside[lo:hi] = [False] * (hi - lo)
                         break
@@ -472,14 +468,14 @@ class _LevelSearch:
                 if not known_planar and not self._planar(
                     n_extra, self._pairs(chains, frozenset(range(lo, hi)))
                 ):
-                    if root_of is not None:
-                        table.learn(table.nonplanar, [x] + [b + (b >= x) for b in range(lo, hi)])
+                    if table is not None:
+                        table.learn(table.nonplanar, [x] + ids)
                     inside[lo:hi] = [False] * (hi - lo)
                     break
                 planar_blocks.add((lo, hi))
             if hi - lo == 1:
                 inside[h] = True
-                if root_of is not None:
+                if table is not None:
                     table.learn(table.planar, [x, h + (h >= x)])
                 break
             mid = lo + (hi - lo) // 2
