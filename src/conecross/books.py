@@ -174,19 +174,8 @@ def count_crossings(d: BookDrawing) -> int:
     return sum(mask.bit_count() for mask in d.crossing_masks())
 
 
-@dataclass(frozen=True)
-class CircleGraph:
-    """Interleaving graph of a 1-page drawing: one vertex per edge instance."""
-
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-
-def circle_graph(g: Multigraph, order: CyclicOrder) -> CircleGraph:
-    """Chord interleaving graph; depends on the order only, not on pages."""
-    one_page = one_page_drawing(g, order)
-    return CircleGraph(g.m, tuple(one_page.crossing_pairs()))
+def circle_graph(g: Multigraph, order: CyclicOrder) -> list[tuple[int, int]]:
+    """Edges of the chord interleaving graph, whose vertices are g's
+    ``g.m`` edge instances: the 1-page drawing's crossing pairs, sorted.
+    It depends on the order only, not on pages."""
+    return one_page_drawing(g, order).crossing_pairs()

@@ -184,9 +184,9 @@ class Multigraph:
     def from_json(text: str) -> "Multigraph":
         return Multigraph.from_json_dict(json.loads(text))
 
-    def to_dot(self, name: str = "g") -> str:
-        """DOT export; parallel edges appear once per instance."""
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        """DOT export as ``graph g``; parallel edges appear once per instance."""
+        lines = ["graph g {"]
         for v in range(self.n):
             lines.append(f"  {v};")
         for u, v, mult in self.edges:

@@ -3,7 +3,7 @@
 Functions here work on a plain ``(n, edges)`` view: n vertices labelled
 0..n-1 and an iterable of endpoint pairs, no parallel edges (a pair given
 twice, in either orientation, is a ValueError).  Callers pass
-``g.n, g.simple_pairs()`` for a Multigraph or ``cg.n_vertices, cg.edges``
+``g.n, g.simple_pairs()`` for a Multigraph or ``g.m, circle_graph(g, order)``
 for a circle graph.
 
 Both solvers cut each connected component on its own, with the
@@ -37,9 +37,7 @@ exact integer arithmetic, never through floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, sqrt
 from typing import Callable, Iterable, Sequence
-
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,6 @@ class EdwardsBound:
         if self.m < 0:
             raise ValueError("edge count must be non-negative")
 
-    def approx(self) -> float:
-        return self.m / 2 + (sqrt(8 * self.m + 1) - 1) / 8
-
     def met_by(self, size: int) -> bool:
         """Is size >= m/2 + (sqrt(8m+1)-1)/8, decided exactly?
 
@@ -75,13 +70,6 @@ class EdwardsBound:
         """
         s = 8 * size + 1 - 4 * self.m
         return s >= 0 and s * s >= 8 * self.m + 1
-
-    def minimum_met(self) -> int:
-        """Smallest integer cut size meeting the bound."""
-        c = max(0, (4 * self.m - 1 + isqrt(8 * self.m + 1)) // 8 - 1)
-        while not self.met_by(c):
-            c += 1
-        return c
 
 
 EXACT_LIMIT = 32

@@ -70,14 +70,15 @@ def split_report(g: Multigraph, order: CyclicOrder) -> PageSplit:
     the 1-page crossings, and meet the guarantee of ``cor22_bound_ok``,
     the split raises ``RuntimeError``.
     """
-    cg = circle_graph(g, order)
-    k = cg.m
+    n = g.m  # the circle graph's vertices: one per edge instance
+    edges = circle_graph(g, order)
+    k = len(edges)
     if k == 0:
-        return PageSplit(one_page_drawing(g, order), 0, Cut((0,) * g.m, 0), 0)
-    if cg.n_vertices <= EXACT_LIMIT:
-        cut = maxcut_exact(cg.n_vertices, cg.edges)
+        return PageSplit(one_page_drawing(g, order), 0, Cut((0,) * n, 0), 0)
+    if n <= EXACT_LIMIT:
+        cut = maxcut_exact(n, edges)
     else:
-        cut = maxcut_edwards(cg.n_vertices, cg.edges)
+        cut = maxcut_edwards(n, edges)
     drawing = BookDrawing(g, order, tuple(cut.side))
     after = k - cut.size
     if count_crossings(drawing) != after:
@@ -216,7 +217,8 @@ def _two_page_scan(g: Multigraph, deadline: Deadline) -> OrderScan:
     than EXACT_LIMIT edge instances runs no order: its circle graphs have
     that many vertices, too many for an exact cut.
     """
-    if g.m > EXACT_LIMIT:
+    n = g.m  # the circle graphs' vertices: one per edge instance
+    if n > EXACT_LIMIT:
         return None, None, False, 0
     best: int | None = None
     best_seq: tuple[int, ...] | None = None
@@ -226,8 +228,8 @@ def _two_page_scan(g: Multigraph, deadline: Deadline) -> OrderScan:
             return best, best_seq, False, orders_run
         orders_run += 1
         # k - maxcut(C) crossings: the best split of this spine order.
-        cg = circle_graph(g, order)
-        value = cg.m - maxcut_exact(cg.n_vertices, cg.edges).size if cg.m else 0
+        edges = circle_graph(g, order)
+        value = len(edges) - maxcut_exact(n, edges).size if edges else 0
         if best is None or value < best:
             best = value
             best_seq = order.seq

@@ -108,7 +108,6 @@ them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from functools import cached_property
@@ -180,11 +179,6 @@ class _PairTable:
         self.moves = moves
         self.nonplanar = [0] * m
         self.planar = [0] * m
-
-    def rules_out(self, x: int, block: int) -> bool:
-        """Whether {x, b} is known non-planarizing for every bit b of
-        ``block``."""
-        return self.nonplanar[x] & block == block
 
     def learn(self, half: list[int], ids: list[int]) -> None:
         """Enter every pair inside ``ids``, with its orbit, in ``half``."""
@@ -461,7 +455,7 @@ class _LevelSearch:
                 if table is not None:
                     ids = [b + (b >= x) for b in range(lo, hi)]
                     block = sum(1 << b for b in ids)
-                    if table.rules_out(x, block):
+                    if table.nonplanar[x] & block == block:
                         inside[lo:hi] = [False] * (hi - lo)
                         break
                     known_planar = table.planar[x] & block != 0
@@ -538,8 +532,9 @@ def _deletions(
     one graph, and x is the last copy, so G - x lists G's other instances
     in G's order."""
     mult = {(u, v): k for u, v, k in g.edges}
-    # last[(u, v)]: the instance id of the pair's last copy.
-    last = {pair: end - 1 for pair, end in zip(mult, itertools.accumulate(mult.values()))}
+    # last[(u, v)]: the instance id of the pair's last copy, which
+    # overwrites the ids of its earlier copies here.
+    last = {(u, v): eid for eid, (u, v, _) in enumerate(g.instances())}
     # An item is a vertex (v,) or a pair (u, v); images keep the ends sorted.
     items = [(v,) for v in range(g.n)] if vertices else list(mult)
     seen: set[tuple[int, ...]] = set()

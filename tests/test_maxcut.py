@@ -6,6 +6,7 @@ pruning logic under test.
 """
 
 import itertools
+import math
 import random
 
 import networkx as nx
@@ -70,11 +71,9 @@ def test_exact_returns_the_first_maximum_cut():
         g = random_graph(n, rng.randint(6, 14), seed=1900 + trial)
         seq = list(range(n))
         rng.shuffle(seq)
-        cg = circle_graph(g, CyclicOrder(tuple(seq)))
-        assert cg.n_vertices <= 14
-        assert maxcut_exact(cg.n_vertices, cg.edges) == first_maximum_cut(
-            cg.n_vertices, cg.edges
-        ), trial
+        edges = circle_graph(g, CyclicOrder(tuple(seq)))
+        assert g.m <= 14
+        assert maxcut_exact(g.m, edges) == first_maximum_cut(g.m, edges), trial
 
 
 @pytest.mark.parametrize("solve", [maxcut_exact, maxcut_edwards])
@@ -116,9 +115,7 @@ def test_edwards_bound_values():
     b = EdwardsBound(3)
     assert b.met_by(2)
     assert not b.met_by(1)
-    assert b.minimum_met() == 2
-    assert b.approx() == pytest.approx(2.0)
-    assert EdwardsBound(0).approx() == pytest.approx(0.0)
+    assert EdwardsBound(0).met_by(0)
     with pytest.raises(ValueError):
         EdwardsBound(-1)
 
@@ -127,15 +124,16 @@ def test_edwards_integer_form_brackets_the_float_form():
     # met_by must agree with the real-number inequality away from ties
     for m in range(0, 60):
         b = EdwardsBound(m)
-        low = b.minimum_met()
-        assert b.met_by(low)
-        assert not b.met_by(low - 1)
-        assert low - 1 < b.approx() <= low + 1e-9
+        low = next(c for c in range(m + 1) if b.met_by(c))
+        assert all(b.met_by(c) for c in range(low, m + 1))
+        assert low - 1 < m / 2 + (math.sqrt(8 * m + 1) - 1) / 8 <= low + 1e-9
 
 
 def test_k3_meets_edwards_with_equality():
     g = complete_graph(3)
-    assert maxcut_exact(3, g.simple_pairs()).size == EdwardsBound(3).minimum_met()
+    size = maxcut_exact(3, g.simple_pairs()).size
+    assert size == 3 / 2 + (math.sqrt(8 * 3 + 1) - 1) / 8
+    assert EdwardsBound(3).met_by(size) and not EdwardsBound(3).met_by(size - 1)
 
 
 def test_heuristic_cut_always_meets_the_guarantee():

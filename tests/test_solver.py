@@ -9,6 +9,7 @@ import itertools
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from conecross import (
@@ -38,8 +39,9 @@ from conecross import (
 )
 from conecross import solver
 from conecross.deadline import Deadline
+from conecross.graphs import automorphism_generators
 from conecross.pages import outerplanar_search, two_page_search
-from oracle import assert_drawing, nx_planar
+from oracle import assert_drawing, brute_force_cr, nx_planar
 
 
 def petersen():
@@ -941,3 +943,37 @@ def test_a_sub_search_of_g_minus_x_reads_its_partners_off_gs(monkeypatch):
     g, value, seed = edge_count_cases()["F3-relabelled"]
     cr_exact(g, upper_seed=(value, seed))
     assert seen
+
+
+def test_an_edge_deletion_drops_its_pairs_last_copy():
+    # The count maps host h of G - x to instance h + (h >= x) of G, which
+    # holds when G - x lists G's instances with entry x left out.
+    rng = random.Random(41)
+    orbits = 0
+    for trial in range(60):
+        n = rng.randint(2, 7)
+        simple = random_graph(n, rng.randint(1, 12), seed=4100 + trial)
+        r = rng.randint(1, 3)
+        # Uniform multiplicities keep the simple graph's symmetry.
+        mults = [r if trial % 2 else rng.randint(1, 3) for _ in simple.edges]
+        g = Multigraph.build(n, [(u, v, k) for (u, v, _), k in zip(simple.edges, mults)])
+        insts = g.instances()
+        mult = {(a, b): k for a, b, k in g.edges}
+        weights = 0
+        for weight, x, h in solver._deletions(g, list(automorphism_generators(g)), vertices=False):
+            u, v, copy = insts[x]
+            assert copy == mult[(u, v)] - 1
+            assert h.instances() == insts[:x] + insts[x + 1:]
+            weights += weight
+            orbits += 1
+        assert weights == g.m
+    assert orbits > 100
+
+
+def test_cr_exact_matches_the_brute_force_oracle_on_the_atlas():
+    # Every graph on 1-6 vertices except K6: atlas indices 1-207.
+    for index, a in enumerate(nx.graph_atlas_g()[1:208], start=1):
+        g = Multigraph.build(a.number_of_nodes(), list(a.edges()))
+        res = cr_exact(g)
+        assert res.status == "exact", index
+        assert brute_force_cr(g, res.upper) == res.upper, index
