@@ -1,10 +1,12 @@
 """Planarity test and planar embedding via the left-right (LR) criterion.
 
 The test runs on a plain ``(n, edge list)`` description so the solver can
-call it on throwaway planarizations without building graph objects.  Two
-cheap screens run first: a graph with at most 8 distinct edges is always
-planar (the smallest non-planar subdivisions need 9), and a simple graph
-with m > 3n - 6 never is.
+call it on throwaway planarizations without building graph objects.  The
+list is read in one pass straight into adjacency lists: a loop is
+dropped, and a pair seen before in either orientation (keyed by one
+integer) is skipped.  Two cheap screens run next: a graph with at most 8
+distinct edges is always planar (the smallest non-planar subdivisions
+need 9), and a simple graph with m > 3n - 6 never is.
 
 The LR test itself is the two-pass DFS of Brandes, "The left-right
 planarity test" (2009): an orientation pass computing lowpoints and
@@ -31,19 +33,17 @@ overflow the interpreter's recursion limit.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
+from typing import Iterable
 
 
 def lr_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """Planarity of the simple graph underlying ``edges`` on vertices 0..n-1."""
-    # The answer does not depend on adjacency order, so a set will do.
-    pairs = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
-    m = len(pairs)
+    m, adj = _adjacency(n, edges)
     if m <= 8:
         return True
     if n >= 3 and m > 3 * n - 6:
         return False
-    return _lr_test(n, pairs) is not None
+    return _lr_test(n, m, adj) is not None
 
 
 def lr_embedding(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]] | None:
@@ -52,24 +52,33 @@ def lr_embedding(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]] | 
     Returns, for each vertex 0..n-1, its neighbours in clockwise order
     (empty for an isolated vertex), or None when the graph is not planar.
     """
-    # First-seen order, which the DFS and so the embedding follow.
-    pairs = {((u, v) if u < v else (v, u)): None for u, v in edges if u != v}
-    if n >= 3 and len(pairs) > 3 * n - 6:
+    m, adj = _adjacency(n, edges)
+    if n >= 3 and m > 3 * n - 6:
         return None
-    tested = _lr_test(n, pairs)
+    tested = _lr_test(n, m, adj)
     return None if tested is None else _embed(n, *tested)
 
 
-def _lr_test(n: int, pairs: Collection[tuple[int, int]]) -> tuple | None:
-    """The orientation and testing passes: None if not planar, else what
-    the embedding pass reads (roots, edge ends, outgoing edges, nesting
-    depths, parent edges, ``ref`` and relative ``side`` of every edge)."""
-    m = len(pairs)
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, list[list[int]]]:
+    """(distinct edge count, adjacency lists) of the simple graph under
+    ``edges``, read in one pass: loops go, and a pair seen before in
+    either orientation is skipped, so each list keeps first-seen order."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
+    seen = set()
+    for u, v in edges:
+        key = u * n + v if u < v else v * n + u
+        if u != v and key not in seen:
+            seen.add(key)
+            adj[u].append(v)
+            adj[v].append(u)
+    return len(seen), adj
 
+
+def _lr_test(n: int, m: int, adj: list[list[int]]) -> tuple | None:
+    """The orientation and testing passes over ``m`` edges: None if not
+    planar, else what the embedding pass reads (roots, edge ends,
+    outgoing edges, nesting depths, parent edges, ``ref`` and relative
+    ``side`` of every edge)."""
     # --- orientation pass ---------------------------------------------
     # At v, neighbour w is a new tree edge if unvisited, a back edge if it
     # is a proper ancestor other than v's parent, and already oriented

@@ -68,7 +68,14 @@ Prunes, all sound:
     A known planar pair {x, b} puts b inside U(G - x), and any block B
     holding b is planar untested, since G - x - B is a subgraph of the
     planar G - x - b.  Only tests go: U, the branch order, the nodes and
-    the certificates stay as they were.
+    the certificates stay as they were.  A sub-search reads its graph
+    off G's host list, with no graph built: an edge deletion leaves out
+    entry x, a vertex deletion the hosts at x, with the ends above x
+    moved down by one, and a disconnected G - x gives each component its
+    hosts relabelled in order.  Each keeps G's instance order, so a
+    connected edge deletion's partner lists are G's with x left out.  A
+    sub-search builds its ``Multigraph`` only if it asks for its
+    automorphisms, when its root reaches a second branch.
 
 The search at a level is one generator, ``_LevelSearch.hits``, that
 yields realizable certificates with distinct crossing sets in a fixed
@@ -110,6 +117,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -122,7 +130,7 @@ from .certificates import (
     verify_certificate,
 )
 from .books import one_page_drawing
-from .graphs import Multigraph, automorphism_generators, orbit
+from .graphs import Multigraph, automorphism_generators, components, orbit
 from .deadline import Deadline, require_one_thread
 from .planarity import lr_planar
 
@@ -130,14 +138,15 @@ from .planarity import lr_planar
 HOST_BLOCK = 4
 
 
-def _euler(sub: Multigraph) -> int:
-    """Euler bound max(0, m' - 3n + 6) of a connected graph, simplified."""
-    return max(0, len(sub.edges) - 3 * sub.n + 6) if sub.n >= 3 else 0
+def _euler(n: int, simple_m: int) -> int:
+    """Euler bound max(0, m' - 3n + 6) of a connected graph on ``n``
+    vertices with ``simple_m`` distinct pairs."""
+    return max(0, simple_m - 3 * n + 6) if n >= 3 else 0
 
 
 def cr_lower(g: Multigraph) -> int:
     """Sum of per-component Euler bounds."""
-    return sum(_euler(sub) for sub, _ in g.component_subgraphs())
+    return sum(_euler(sub.n, len(sub.edges)) for sub, _ in g.component_subgraphs())
 
 
 def _partners(ends: list[tuple[int, int]]) -> list[list[int]]:
@@ -211,6 +220,12 @@ class _LevelSearch:
     this search.  ``generators`` is found once, on first use, for the
     root skip of every level and for the count.
 
+    The graph is given as ``n`` vertices and ``ends``, the (u, v) ends of
+    its edge instances in instance order; host h is instance h.  ``of``
+    starts the search of a ``Multigraph``.  The count's sub-searches are
+    given their lists only, and build their ``g`` if the automorphisms are
+    asked for.
+
     ``deleted`` = (table, x) makes this the search of a connected G - x,
     x an edge instance of G: host h here is instance h + (h >= x) of G,
     and ``table`` is G's ``_PairTable``, read and filled by the group
@@ -219,11 +234,13 @@ class _LevelSearch:
 
     def __init__(
         self,
-        g: Multigraph,
+        n: int,
+        ends: list[tuple[int, int]],
         deadline: Deadline,
         deleted: tuple[_PairTable, int] | None = None,
     ):
-        self.g = g
+        self.n = n
+        self.ends = ends
         self.deadline = deadline
         self.deleted = deleted
         self.r = 0
@@ -233,9 +250,17 @@ class _LevelSearch:
         self.planarity = 0
         self.out_of_time = False
 
+    @classmethod
+    def of(cls, g: Multigraph, deadline: Deadline) -> _LevelSearch:
+        """The search of ``g``, which finds its automorphisms on ``g``."""
+        search = cls(g.n, [(u, v) for u, v, _ in g.instances()], deadline)
+        search.g = g
+        return search
+
     @cached_property
-    def ends(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v, _ in self.g.instances()]
+    def g(self) -> Multigraph:
+        """The searched graph, built from the host list on first use."""
+        return Multigraph.build(self.n, self.ends)
 
     @cached_property
     def partners(self) -> list[list[int]]:
@@ -252,11 +277,14 @@ class _LevelSearch:
 
     @cached_property
     def moves(self) -> list[list[int]]:
-        """The generators' action on instance ids."""
-        index = self.g.instance_index()
-        insts = self.g.instances()
+        """The generators' action on instance ids: copy j of pair (u, v)
+        goes to copy j of the image pair."""
+        first: dict[tuple[int, int], int] = {}
+        for eid, pair in enumerate(self.ends):
+            first.setdefault(pair, eid)
         return [
-            [index[(min(p[u], p[v]), max(p[u], p[v]), copy)] for u, v, copy in insts]
+            [first[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] + eid - first[(u, v)]
+             for eid, (u, v) in enumerate(self.ends)]
             for p in self.generators
         ]
 
@@ -267,7 +295,14 @@ class _LevelSearch:
         chains: dict[int, list[int]],
         skip: frozenset[int] = frozenset(),
     ) -> list[tuple[int, int]]:
-        n = self.g.n
+        """The planarization's edges: each host's chain through its
+        crossings, hosts in ``skip`` left out.  With no crossings that is
+        the host list itself."""
+        if not chains:
+            if not skip:
+                return self.ends
+            return [pair for eid, pair in enumerate(self.ends) if eid not in skip]
+        n = self.n
         pairs: list[tuple[int, int]] = []
         for eid, (u, v) in enumerate(self.ends):
             if eid in skip:
@@ -285,7 +320,7 @@ class _LevelSearch:
 
     def _planar(self, n_extra: int, pairs: list[tuple[int, int]]) -> bool:
         self.planarity += 1
-        return lr_planar(self.g.n + n_extra, pairs)
+        return lr_planar(self.n + n_extra, pairs)
 
     # -- search -----------------------------------------------------------
 
@@ -341,7 +376,7 @@ class _LevelSearch:
             return None, []
         remaining = self.r - s
         simple_m = len({(min(a, b), max(a, b)) for a, b in pairs})
-        if simple_m - 3 * (self.g.n + s) + 6 > remaining:
+        if simple_m - 3 * (self.n + s) + 6 > remaining:
             return None, []
 
         used = set(crossings)
@@ -524,34 +559,56 @@ def _sorted_image(p: Sequence[int], items: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _deletions(
-    g: Multigraph, gens: list[tuple[int, ...]], vertices: bool
-) -> Iterator[tuple[int, int, Multigraph]]:
-    """(orbit size, x, G - x) for one x per orbit of ``gens`` on the
-    vertices or, with ``vertices`` False, on the edge instances.  The
-    copies of a parallel pair lie in one orbit: deleting any of them gives
-    one graph, and x is the last copy, so G - x lists G's other instances
-    in G's order."""
-    mult = {(u, v): k for u, v, k in g.edges}
+    n: int, ends: list[tuple[int, int]], gens: list[tuple[int, ...]], vertices: bool
+) -> Iterator[tuple[int, int, int, list[tuple[int, int]]]]:
+    """(orbit size, x, n', ends') for one x per orbit of ``gens`` on the
+    vertices or, with ``vertices`` False, on the edge instances of G, the
+    graph on ``n`` vertices with host list ``ends``; ``ends'`` is the host
+    list of G - x, on n' vertices.  The copies of a parallel pair lie in
+    one orbit: deleting any of them gives one graph, and x is the last
+    copy, so ``ends'`` is ``ends`` with entry x left out.  Deleting vertex
+    x drops the hosts at x and moves the ends above x down by one, which
+    keeps the list in instance order."""
+    mult = Counter(ends)
     # last[(u, v)]: the instance id of the pair's last copy, which
     # overwrites the ids of its earlier copies here.
-    last = {(u, v): eid for eid, (u, v, _) in enumerate(g.instances())}
+    last = {pair: eid for eid, pair in enumerate(ends)}
     # An item is a vertex (v,) or a pair (u, v); images keep the ends sorted.
-    items = [(v,) for v in range(g.n)] if vertices else list(mult)
+    items = [(v,) for v in range(n)] if vertices else list(mult)
     seen: set[tuple[int, ...]] = set()
-    for x in items:
-        if x in seen:
+    for item in items:
+        if item in seen:
             continue
-        found = orbit(x, gens, _sorted_image)
+        found = orbit(item, gens, _sorted_image)
         seen |= found
         if vertices:
-            (w,) = x
-            kept = [(a - (a > w), b - (b > w), k) for a, b, k in g.edges if w not in (a, b)]
-            yield len(found), w, Multigraph.build(g.n - 1, kept)
+            (w,) = item
+            kept = [(a - (a > w), b - (b > w)) for a, b in ends if a != w and b != w]
+            yield len(found), w, n - 1, kept
         else:
-            kept = [(a, b, k - ((a, b) == x)) for a, b, k in g.edges]
-            yield sum(mult[e] for e in found), last[x], Multigraph.build(
-                g.n, [edge for edge in kept if edge[2]]
-            )
+            x = last[item]
+            yield sum(mult[e] for e in found), x, n, ends[:x] + ends[x + 1:]
+
+
+def _split(n: int, ends: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The components of the graph on ``n`` vertices with host list
+    ``ends``, each as (vertex count, host list), isolated vertices
+    included.  A connected graph keeps its list; otherwise labels keep
+    their relative order, as in ``Multigraph.component_subgraphs``, so
+    each part's list is in its own instance order."""
+    comps = components(n, ends)
+    if len(comps) == 1:
+        return [(n, ends)]
+    # where[v]: v's component and its label there.
+    where = [(0, 0)] * n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            where[v] = (c, i)
+    hosts: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in ends:
+        c, a = where[u]
+        hosts[c].append((a, where[v][1]))
+    return [(len(comp), part) for comp, part in zip(comps, hosts)]
 
 
 def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int, str]:
@@ -567,15 +624,16 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
     G - v lies inside G - e for an edge e at v).  A kind stops once the
     sum meets ``need`` or its untried orbits, all at ``cap``, could not
     beat the current level.  A sub-search deepens each component of
-    G - x while the components' sum is below ``cap``, and adds its work
-    to ``search``; the orbits are those of ``search.generators``.  The
-    edge kind's sub-searches of a connected G - x share one
-    ``_PairTable`` of G; a disconnected G - x gets none, since G - x - b
-    may owe its non-planarity to a component other than the searched one.
+    G - x, read off G's host list, while the components' sum is below
+    ``cap``, and adds its work to ``search``; the orbits are those of
+    ``search.generators``.  The edge kind's sub-searches of a connected
+    G - x share one ``_PairTable`` of G and read their partner lists off
+    G's; a disconnected G - x gets no table, since G - x - b may owe its
+    non-planarity to a component other than the searched one.
     """
-    g = search.g
+    n, m = search.n, len(search.ends)
     kinds = []
-    for vertices, size, div in ((False, g.m, g.m - 2), (True, g.n, g.n - 4)):
+    for vertices, size, div in ((False, m, m - 2), (True, n, n - 4)):
         if div < 1:
             continue
         need = div * (target - 1) + 1
@@ -586,18 +644,18 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
     reason = ""
     for cap, vertices, size, div, need in kinds:
         total, rest = 0, size
-        table = None if vertices else _PairTable(search.moves, g.m)
-        for weight, x, h in _deletions(g, search.generators, vertices):
+        table = None if vertices else _PairTable(search.moves, m)
+        for weight, x, n_x, ends_x in _deletions(n, search.ends, search.generators, vertices):
             if total >= need or search.deadline.expired():
                 break
             if -(-(total + rest * cap) // div) <= level:
                 break
-            comps = [sub for sub, _ in h.component_subgraphs()]
-            levels = [_euler(sub) for sub in comps]
-            deleted = (table, x) if table is not None and len(comps) == 1 else None
-            for i, sub in enumerate(comps):
+            parts = _split(n_x, ends_x)
+            levels = [_euler(part_n, len(set(hosts))) for part_n, hosts in parts]
+            deleted = (table, x) if table is not None and len(parts) == 1 else None
+            for i, (part_n, hosts) in enumerate(parts):
                 stop = cap - sum(levels) + levels[i]
-                part = _LevelSearch(sub, search.deadline, deleted)
+                part = _LevelSearch(part_n, hosts, search.deadline, deleted)
                 if deleted is not None:
                     part.partners = _partners_without(search.partners, x)
                 levels[i], _ = _deepen(part, levels[i], stop)
@@ -629,8 +687,8 @@ def solve_component(
     ``upper_seed``, ``cone_cr`` its cone seeds), so a seed that closes the
     bracket is returned unchecked; a search hit and the natural drawing
     are verified here."""
-    search = _LevelSearch(g, deadline)
-    level, reason = _euler(g), "euler"
+    search = _LevelSearch.of(g, deadline)
+    level, reason = _euler(g.n, len(g.edges)), "euler"
     stop = math.inf if max_k is None else max_k + 1
     if seed is not None:
         stop = min(stop, seed.count)
@@ -706,7 +764,7 @@ def cr_certificates(
     if k < 0:
         raise ValueError(f"k={k}: the crossing count must be >= 0")
     found: list[CrossingCertificate] = []
-    for cert in _LevelSearch(g, Deadline(budget_ms)).hits(k):
+    for cert in _LevelSearch.of(g, Deadline(budget_ms)).hits(k):
         if cert.count != k:
             raise ValueError(
                 f"k={k} is above cr(g): the search found a {cert.count}-crossing drawing"

@@ -9,6 +9,7 @@ every component.
 
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -97,8 +98,34 @@ def test_embedding_is_networkx_embedding_on_sorted_edges():
         ok, emb = nx.check_planarity(nx_graph(n, edges))
         expected = [list(emb.neighbors_cw_order(v)) for v in range(n)] if ok else None
         assert lr_embedding(n, edges) == expected
+        # Each pair followed by its reverse: first-seen order stays sorted.
+        assert lr_embedding(n, [e for u, v in edges for e in ((u, v), (v, u))]) == expected
         planar += ok
     assert 100 < planar < 400
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_repeats_loops_and_unused_labels_match_networkx(seed):
+    # The input is read in one pass: a pair repeated in either
+    # orientation counts once, a loop not at all, and a label no edge
+    # uses is an isolated vertex.
+    rng = random.Random(300 + seed)
+    kinds = Counter()
+    for _ in range(150):
+        used = rng.randint(1, 11)
+        n = used + rng.randint(0, 4)
+        pool = list(itertools.combinations(range(used), 2))
+        rng.shuffle(pool)
+        edges = pool[: rng.randint(0, len(pool))]
+        edges += [(v, u) for u, v in edges if rng.random() < 0.3]
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 3))] if edges else []
+        edges += [(v, v) for v in range(n) if rng.random() < 0.1]
+        rng.shuffle(edges)
+        expected = nx_planar(n, edges)
+        assert lr_planar(n, edges) == expected, (n, edges)
+        check_embedding(n, edges, expected)
+        kinds[expected] += 1
+    assert kinds[True] > 20 and kinds[False] > 20, kinds
 
 
 def test_small_known_cases():

@@ -361,7 +361,7 @@ def test_levels_below_the_euler_bound_close_at_the_root():
     levels = 0
     for g in graphs:
         for r in range(cr_lower(g)):
-            search = solver._LevelSearch(g, Deadline(None))
+            search = solver._LevelSearch.of(g, Deadline(None))
             assert list(search.hits(r)) == []
             assert (search.nodes, search.planarity, search.out_of_time) == (1, 1, False)
             levels += 1
@@ -498,7 +498,7 @@ def test_root_orbit_repeats_follow_the_symmetry():
     # 6 automorphisms, and its search starts one branch per orbit; the
     # path on 4 vertices has no repeats.
     g = f_graph(3)
-    search = solver._LevelSearch(g, Deadline(None))
+    search = solver._LevelSearch.of(g, Deadline(None))
     search.r = 2
     _, cands = search.expand({}, [], frozenset())
     started = []
@@ -572,7 +572,7 @@ def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
 
     def planar_without(search, chains, n_extra, h):
         pairs = search._pairs(chains, frozenset((h,)))
-        return lr_planar(search.g.n + n_extra, pairs)
+        return lr_planar(search.n + n_extra, pairs)
 
     def checked_host(self, chains, n_extra, inside, planar_blocks, h):
         found = group_tested(self, chains, n_extra, inside, planar_blocks, h)
@@ -915,59 +915,154 @@ def test_pair_table_keeps_the_seeded_answers(name):
     assert res.stats.planarity_calls == tests <= before
 
 
-def test_a_sub_search_of_g_minus_x_reads_its_partners_off_gs(monkeypatch):
-    # G - x lists G's other instances in G's order, so its partner lists
-    # are G's with x dropped and the later ids shifted down by one.
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(40):
+def ends_of(g):
+    return [(u, v) for u, v, _ in g.instances()]
+
+
+def minus(g, x, vertices):
+    """G - x built from scratch: vertex x and its pairs gone, the other
+    vertices labelled 0.. in order; or edge instance x gone."""
+    if not vertices:
+        kept = [(u, v) for eid, (u, v, _) in enumerate(g.instances()) if eid != x]
+        return Multigraph.build(g.n, kept)
+    label = {v: i for i, v in enumerate(w for w in range(g.n) if w != x)}
+    kept = [(label[u], label[v], k) for u, v, k in g.edges if x not in (u, v)]
+    return Multigraph.build(g.n - 1, kept)
+
+
+def deletion_graphs(seed):
+    """Random multigraphs on 2-7 vertices, connected or not, with up to 12
+    pairs, half of them with every pair's multiplicity the same (which
+    keeps the simple graph's symmetry)."""
+    rng = random.Random(seed)
+    graphs = []
+    for trial in range(60):
         n = rng.randint(2, 7)
-        g = Multigraph.build(n, [rng.sample(range(n), 2) for _ in range(rng.randint(1, 12))])
-        partners = solver._partners([(u, v) for u, v, _ in g.instances()])
-        for _, x, h in solver._deletions(g, [], vertices=False):
-            want = solver._partners([(u, v) for u, v, _ in h.instances()])
-            assert solver._partners_without(partners, x) == want
-            checked += 1
-    assert checked > 100
-    # In a solve, every edge sub-search holds the lists of its own graph.
-    seen = []
-    real_hits = solver._LevelSearch.hits
+        simple = random_graph(n, rng.randint(1, 12), seed=100 * seed + trial)
+        r = rng.randint(1, 3)
+        mults = [r if trial % 2 else rng.randint(1, 3) for _ in simple.edges]
+        pairs = [(u, v, k) for (u, v, _), k in zip(simple.edges, mults)]
+        graphs.append(Multigraph.build(n, pairs))
+    return graphs
 
-    def checked_root(self, r):
-        if self.deleted is not None:
-            seen.append(self.g)
-            assert self.partners == solver._partners(self.ends)
-        return real_hits(self, r)
 
-    monkeypatch.setattr(solver._LevelSearch, "hits", checked_root)
-    g, value, seed = edge_count_cases()["F3-relabelled"]
-    cr_exact(g, upper_seed=(value, seed))
-    assert seen
+@pytest.mark.parametrize("vertices", [False, True], ids=["edge", "vertex"])
+def test_a_deletion_lists_the_hosts_of_g_minus_x(vertices):
+    # The count reads G - x off G's host list: the list is that of G - x
+    # built with Multigraph, and its split is G - x's components, each
+    # with its own instance order.  The weights cover every vertex or
+    # every edge instance once.
+    split = Counter()
+    for g in deletion_graphs(41):
+        weights = 0
+        ends = ends_of(g)
+        for weight, x, n, hosts in solver._deletions(
+                g.n, ends, list(automorphism_generators(g)), vertices):
+            h = minus(g, x, vertices)
+            assert (n, hosts) == (h.n, ends_of(h))
+            parts = solver._split(n, hosts)
+            assert parts == [(sub.n, ends_of(sub)) for sub, _ in h.component_subgraphs()]
+            if len(parts) == 1:
+                assert parts[0][1] is hosts
+            split[len(parts) > 1] += 1
+            weights += weight
+        assert weights == (g.n if vertices else g.m)
+    assert split[False] > 50 and split[True] > 50, split
 
 
 def test_an_edge_deletion_drops_its_pairs_last_copy():
     # The count maps host h of G - x to instance h + (h >= x) of G, which
     # holds when G - x lists G's instances with entry x left out.
-    rng = random.Random(41)
     orbits = 0
-    for trial in range(60):
-        n = rng.randint(2, 7)
-        simple = random_graph(n, rng.randint(1, 12), seed=4100 + trial)
-        r = rng.randint(1, 3)
-        # Uniform multiplicities keep the simple graph's symmetry.
-        mults = [r if trial % 2 else rng.randint(1, 3) for _ in simple.edges]
-        g = Multigraph.build(n, [(u, v, k) for (u, v, _), k in zip(simple.edges, mults)])
+    for g in deletion_graphs(29):
         insts = g.instances()
+        ends = ends_of(g)
         mult = {(a, b): k for a, b, k in g.edges}
-        weights = 0
-        for weight, x, h in solver._deletions(g, list(automorphism_generators(g)), vertices=False):
+        for _, x, _, hosts in solver._deletions(
+                g.n, ends, list(automorphism_generators(g)), vertices=False):
             u, v, copy = insts[x]
             assert copy == mult[(u, v)] - 1
-            assert h.instances() == insts[:x] + insts[x + 1:]
-            weights += weight
+            assert hosts == ends[:x] + ends[x + 1:]
             orbits += 1
-        assert weights == g.m
     assert orbits > 100
+
+
+def test_a_sub_search_of_g_minus_x_reads_its_partners_off_gs(monkeypatch):
+    # G - x lists G's other instances in G's order, so its partner lists
+    # are G's with x dropped and the later ids shifted down by one.
+    checked = 0
+    for g in deletion_graphs(29):
+        partners = solver._partners(ends_of(g))
+        for _, x, _, hosts in solver._deletions(g.n, ends_of(g), [], vertices=False):
+            assert solver._partners_without(partners, x) == solver._partners(hosts)
+            checked += 1
+    assert checked > 100
+    # In a solve, every search of the count, edge or vertex, connected
+    # part or not, holds the host list of a Multigraph and that list's
+    # partner lists; the graph it builds for automorphisms is that one.
+    seen = Counter()
+    searches = []
+    real_hits = solver._LevelSearch.hits
+
+    def checked_root(self, r):
+        h = Multigraph.build(self.n, self.ends)
+        assert ends_of(h) == self.ends and len(h.components()) == 1
+        assert self.partners == solver._partners(self.ends)
+        seen[self.deleted is not None] += 1
+        searches.append(self)
+        return real_hits(self, r)
+
+    monkeypatch.setattr(solver._LevelSearch, "hits", checked_root)
+    for g, value, seed in edge_count_cases().values():
+        cr_exact(g, upper_seed=(value, seed))
+    assert seen[True] > 20 and seen[False] > 20, seen
+    # Besides each solve's own search, some sub-searches reach a second
+    # root branch and build their graph.
+    built = {id(search): search for search in searches if "g" in vars(search)}
+    assert all(search.g == Multigraph.build(search.n, search.ends) for search in built.values())
+    assert len(built) > len(edge_count_cases())
+
+
+def count_oracle_graphs():
+    """Connected non-planar multigraphs on 6-7 vertices with at most 12
+    edge instances, about a quarter of the pairs doubled."""
+    rng = random.Random(34)
+    graphs = []
+    while len(graphs) < 30:
+        n = rng.randint(6, 7)
+        simple = random_graph(n, rng.randint(n + 2, 11), rng.randrange(10**6))
+        g = Multigraph.build(n, [(u, v, k + (rng.random() < 0.25)) for u, v, k in simple.edges])
+        if g.m <= 12 and len(g.components()) == 1 and not nx_planar(g):
+            graphs.append(g)
+    return graphs
+
+
+def test_seeded_solves_match_the_brute_force_oracle(monkeypatch):
+    # Seeded with the natural 1-page drawing, the count aims above cr;
+    # seeded with the solver's own optimum, it aims at cr.  Either way
+    # the bracket is the oracle's crossing number, so no sub-search of
+    # the count, edge or vertex, may report more than it proved.
+    kinds = Counter()
+    reasons = Counter()
+    real = solver._deletions
+
+    def recorded(n, ends, gens, vertices):
+        for deletion in real(n, ends, gens, vertices):
+            kinds[vertices] += 1
+            yield deletion
+
+    monkeypatch.setattr(solver, "_deletions", recorded)
+    for g in count_oracle_graphs():
+        plain = cr_exact(g)
+        want = brute_force_cr(g, plain.upper)
+        natural = certificate_from_book(one_page_drawing(g))
+        for value, seed in ((natural.count, natural), (plain.upper, plain.certificate)):
+            res = cr_exact(g, upper_seed=(value, seed))
+            assert (res.lower, res.upper, res.status) == (want, want, "exact")
+            assert_drawing(g, res.certificate, want)
+            reasons[res.lower_reason] += 1
+    assert kinds[False] > 200 and kinds[True] > 100, kinds
+    assert reasons["edge-count"] > 10 and reasons["vertex-count"], reasons
 
 
 def test_cr_exact_matches_the_brute_force_oracle_on_the_atlas():
