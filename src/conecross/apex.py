@@ -9,12 +9,17 @@ Two certificate routes feed the upper bound for cr(cone(G)):
     the apex inside one of its faces and routing each apex edge through a
     shortest sequence of faces adds one crossing per face boundary
     stepped over.  Minimizing over apex faces gives a cone certificate
-    whose apex edges cross G where the geometry says they must.
+    whose apex edges cross G where the geometry says they must.  One
+    dual search per vertex prices every face at once (the method of
+    Gutwenger, Mutzel and Weiskircher, "Inserting an edge into a planar
+    graph", 2005), so only the faces tried in price order are routed.
 
 ``cone_cr`` splits G into components and combines their cones' brackets
 as ``cr_exact`` does.  It puts the apex into each optimal drawing of a
 component as ``cr_exact``'s own search finds it: the level of the
-component's crossing number is searched once per cone solve.  A best
+component's crossing number is searched once per cone solve.  A drawing
+whose cheapest face cannot beat the best seed so far is given up before
+anything is assembled (``insert_apex``'s ``below``).  A best
 seed above the cone's Euler floor caps ``solver.solve_component`` on the
 cone, the component solve ``cr_exact`` runs, which closes the bracket
 from below.  Each cone seed is verified once, where it enters: an apex
@@ -130,19 +135,34 @@ def _embedding_faces(
     return walks, seg_faces
 
 
-def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate:
+def insert_apex(
+    g: Multigraph, cert: CrossingCertificate, *, below: int | None = None
+) -> CrossingCertificate | None:
     """Certificate for cone(G) built on top of a certificate for G.
 
     G must be connected.  The apex face is chosen to minimize the total
     crossings of the apex edges, ties going to the lowest face id; along
     the way each apex edge avoids edges at its own endpoint and never
-    crosses one host twice.  Only the routes through that one face are
-    assembled, and the returned certificate has been verified against
-    cone(G).  Raises ``ValueError`` when ``cert`` is malformed (before any
-    embedding is built) or its planarization is not planar (the
-    embedding's own test), and ``ApexRoutingError`` when no apex face
-    admits such routes or the cheapest face's routes do not assemble into
-    a realizable certificate.
+    crosses one host twice.  Faces are ranked before any route is built:
+    one breadth-first search per vertex v over the dual, from the faces
+    that hold v and over no segment of a host at v, gives every face's
+    distance to v, which is the length of the route from that face to v.
+    A face's cost is the sum over the vertices, and a face some vertex
+    cannot reach is out.  Faces are tried in (cost, face id) order, each
+    routed by a forward search, until one routes no apex edge across a
+    host twice; that is the face a full scan of all faces would pick.
+
+    With ``below`` set, the insertion returns ``None`` as soon as the
+    next face to try would give a cone drawing of at least ``below``
+    crossings (``cert.count`` plus its cost): every face left costs as
+    much or more, so no drawing under ``below`` is lost, and nothing is
+    routed, assembled or verified.  Only the routes through the one face
+    picked are assembled, and the returned certificate has been verified
+    against cone(G).  Raises ``ValueError`` when ``cert`` is malformed
+    (before any embedding is built) or its planarization is not planar
+    (the embedding's own test), and ``ApexRoutingError`` when no apex
+    face admits such routes or the cheapest face's routes do not
+    assemble into a realizable certificate.
     """
     if len(g.components()) != 1:
         raise ValueError("apex insertion needs a connected base graph")
@@ -165,21 +185,41 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
         incident[a].add(eid)
         incident[b].add(eid)
 
+    # dist[v][f]: the fewest segments crossed from face f to a face holding
+    # v, over no segment of a host at v (-1: none reachable).
+    dist: list[list[int]] = []
+    for v in range(g.n):
+        to_v = [0 if v in walk else -1 for walk in walks]
+        queue = deque(fid for fid, d in enumerate(to_v) if not d)
+        while queue:
+            fid = queue.popleft()
+            for i in face_segments[fid]:
+                if segments[i][2] in incident[v]:
+                    continue
+                fa, fb = seg_faces[i]
+                nxt = fb if fa == fid else fa
+                if to_v[nxt] < 0:
+                    to_v[nxt] = to_v[fid] + 1
+                    queue.append(nxt)
+        dist.append(to_v)
+    ranked = sorted(
+        (sum(col), fid) for fid, col in enumerate(zip(*dist)) if min(col) >= 0
+    )
+
     def paths_from(apex_face: int) -> list[list[tuple[int, int]]] | None:
-        """Per-vertex shortest routes as (segment crossed, face entered) steps."""
+        """Per-vertex shortest routes as (segment crossed, face entered)
+        steps, or None when a route crosses one host twice.
+
+        Each route ends at the first face holding v that a breadth-first
+        search from the apex face takes off its queue; a ranked face
+        reaches every vertex, so the search always gets there.
+        """
         out: list[list[tuple[int, int]]] = []
-        for v in range(g.n):
-            if v in walks[apex_face]:
-                out.append([])
-                continue
+        for v, to_v in enumerate(dist):
             prev: dict[int, tuple[int, int]] = {}
-            queue = deque([apex_face])
-            goal = None
-            while queue:
-                fid = queue.popleft()
-                if v in walks[fid]:
-                    goal = fid
-                    break
+            queue: deque[int] = deque()
+            fid = apex_face
+            while to_v[fid]:
                 for i in face_segments[fid]:
                     if segments[i][2] in incident[v]:
                         continue
@@ -188,28 +228,26 @@ def insert_apex(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificate
                     if nxt != apex_face and nxt not in prev:
                         prev[nxt] = (fid, i)
                         queue.append(nxt)
-            if goal is None:
-                return None
+                fid = queue.popleft()
             path: list[tuple[int, int]] = []
-            cur = goal
-            while cur != apex_face:
-                back, seg = prev[cur]
-                path.append((seg, cur))
-                cur = back
+            while fid != apex_face:
+                back, seg = prev[fid]
+                path.append((seg, fid))
+                fid = back
             path.reverse()
             if len({segments[i][2] for i, _ in path}) != len(path):
                 return None
             out.append(path)
         return out
 
-    ranked = []
-    for fid in range(len(walks)):
-        found = paths_from(fid)
-        if found is not None:
-            ranked.append((sum(len(p) for p in found), fid, found))
-    if not ranked:
+    for cost, fid in ranked:
+        if below is not None and cert.count + cost >= below:
+            return None
+        routes = paths_from(fid)
+        if routes is not None:
+            break
+    else:
         raise ApexRoutingError("no admissible apex face")
-    _, _, routes = min(ranked, key=lambda t: t[:2])
 
     cg = cone(g)
     index = cg.instance_index()
@@ -321,7 +359,8 @@ def cone_cr(
          ``cr_exact``'s own search finds them, the returned one first,
          until a seed meets the floor, the level is exhausted, or the
          budget runs out.  Different optimal drawings expose very
-         different face structures to the apex.
+         different face structures to the apex; one whose cheapest face
+         cannot beat the best seed so far is not assembled.
 
     A best seed at the floor is returned as it stands, exact by the Euler
     bound, with no solve of the cone.  Above the floor it caps the
@@ -361,13 +400,16 @@ def _cone_cr_connected(
     one_page = best = lift_to_cone(g, ocr.certificate)
 
     def seed_from(drawing: CrossingCertificate) -> bool:
-        """Insert the apex into one optimal drawing of G; True stops the stream."""
+        """Insert the apex into one optimal drawing of G; True stops the stream.
+
+        A drawing that cannot beat the best seed is given up unassembled.
+        """
         nonlocal best
         try:
-            coned = insert_apex(g, drawing)
+            coned = insert_apex(g, drawing, below=best.count)
         except ApexRoutingError:
             return False
-        if coned.count < best.count:
+        if coned is not None:
             best = coned
         return best.count <= floor
 

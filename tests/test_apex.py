@@ -1,6 +1,6 @@
 """Apex insertion and cone crossing numbers."""
 
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -26,6 +26,7 @@ from conecross import (
     one_page_drawing,
     verify_certificate,
 )
+from conecross.apex import _embedding_faces
 from conecross.certificates import planar_segments
 from conecross.planarity import lr_embedding
 from oracle import assert_drawing
@@ -140,9 +141,9 @@ def test_cone_stops_the_stream_at_the_floor(monkeypatch):
     real_insert = conecross.apex.insert_apex
     real_solve = conecross.apex.cr_exact
 
-    def counted_insert(g, cert):
+    def counted_insert(g, cert, *, below=None):
         calls.append(cert)
-        return real_insert(g, cert)
+        return real_insert(g, cert, below=below)
 
     def counted_solve(*args, **kwargs):
         res = real_solve(*args, **kwargs)
@@ -167,9 +168,9 @@ def test_cone_tries_each_drawing_once(monkeypatch):
     calls = []
     real_insert = conecross.apex.insert_apex
 
-    def counted_insert(g, cert):
+    def counted_insert(g, cert, *, below=None):
         calls.append(cert)
-        return real_insert(g, cert)
+        return real_insert(g, cert, below=below)
 
     monkeypatch.setattr(conecross.apex, "insert_apex", counted_insert)
     res = cone_cr(fig3_graph())
@@ -188,9 +189,9 @@ def test_cone_streams_a_prefix_of_the_optimal_drawings(monkeypatch):
     calls = []
     real_insert = conecross.apex.insert_apex
 
-    def counted_insert(h, cert):
+    def counted_insert(h, cert, *, below=None):
         calls.append(cert)
-        return real_insert(h, cert)
+        return real_insert(h, cert, below=below)
 
     monkeypatch.setattr(conecross.apex, "insert_apex", counted_insert)
     cone_cr(g)
@@ -251,7 +252,7 @@ def test_cone_budget_gives_a_bracket():
 def test_cone_skips_a_drawing_the_apex_cannot_enter(monkeypatch):
     # cone(K5) = K6: the 1-page seed (5) is above the cone's floor (3), so
     # cone_cr tries apex insertion into optimal drawings of K5.
-    def no_route(g, cert):
+    def no_route(g, cert, *, below=None):
         raise ApexRoutingError("no admissible apex face")
 
     monkeypatch.setattr(conecross.apex, "insert_apex", no_route)
@@ -260,7 +261,7 @@ def test_cone_skips_a_drawing_the_apex_cannot_enter(monkeypatch):
 
 
 def test_cone_does_not_hide_internal_faults_of_apex_insertion(monkeypatch):
-    def broken(g, cert):
+    def broken(g, cert, *, below=None):
         raise RuntimeError("inconsistent embedding")
 
     monkeypatch.setattr(conecross.apex, "insert_apex", broken)
@@ -281,7 +282,7 @@ def test_cone_does_not_hide_internal_faults_of_apex_insertion(monkeypatch):
 def test_cone_raises_on_a_one_page_seed_that_does_not_verify(monkeypatch, bad):
     # cone_cr checks the lifted seed once, before the floor test; a seed
     # that fails is an internal fault on either side of the floor.
-    def no_route(g, cert):
+    def no_route(g, cert, *, below=None):
         raise ApexRoutingError("no admissible apex face")
 
     monkeypatch.setattr(conecross.apex, "lift_to_cone", lambda g, cert: bad)
@@ -319,11 +320,14 @@ def test_insert_apex_into_every_optimal_drawing(monkeypatch, g, k, histogram):
     assert counts == histogram
 
 
+_K5_DOUBLED = Multigraph.build(5, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(0, 1)])
+
+
 def test_insert_apex_into_drawings_with_parallel_segments():
     # K5 with edge (0, 1) doubled has cr 1, and in each of its 12 optimal
     # drawings the two copies run side by side between the same ends: the
     # midpoints give those parallel segments the face between them.
-    g = Multigraph.build(5, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(0, 1)])
+    g = _K5_DOUBLED
     drawings = cr_certificates(g, 1)
     assert len(drawings) == 12
     for drawing in drawings:
@@ -331,6 +335,100 @@ def test_insert_apex_into_drawings_with_parallel_segments():
         assert max(ends.values()) == 2
         coned = insert_apex(g, drawing)
         assert_drawing(cone(g), coned, 3)
+
+
+def _full_scan_insertion(g, cert):
+    """Apex insertion by a full scan: a forward breadth-first search from
+    every face to every vertex, the cheapest face whose routes cross no
+    host twice kept (ties to the lowest face id), its routes assembled."""
+    segments = planar_segments(g, cert)
+    walks, seg_faces = _embedding_faces(segments, g.n + cert.count)
+    face_segments = [[] for _ in walks]
+    for i, (f1, f2) in enumerate(seg_faces):
+        face_segments[f1].append(i)
+        if f2 != f1:
+            face_segments[f2].append(i)
+    insts = g.instances()
+
+    def route(apex_face, v):
+        prev = {apex_face: None}
+        queue = deque([apex_face])
+        while queue:
+            fid = queue.popleft()
+            if v in walks[fid]:
+                path = []
+                while prev[fid] is not None:
+                    back, seg = prev[fid]
+                    path.append((seg, fid))
+                    fid = back
+                return path[::-1]
+            for i in face_segments[fid]:
+                if v not in insts[segments[i][2]][:2]:
+                    fa, fb = seg_faces[i]
+                    nxt = fb if fa == fid else fa
+                    if nxt not in prev:
+                        prev[nxt] = (fid, i)
+                        queue.append(nxt)
+        return None
+
+    admissible = []
+    for fid in range(len(walks)):
+        routes = [route(fid, v) for v in range(g.n)]
+        if all(r is not None and len({segments[i][2] for i, _ in r}) == len(r)
+               for r in routes):
+            admissible.append((sum(map(len, routes)), fid, routes))
+    _, _, routes = min(admissible, key=lambda t: t[:2])
+    cg = cone(g)
+    index = cg.instance_index()
+    return conecross.apex._assemble_cone_cert(
+        cg, cert, segments, walks, seg_faces, routes,
+        [index[inst] for inst in insts], [index[(v, g.n, 0)] for v in range(g.n)],
+    )
+
+
+_OPTIMAL_DRAWINGS = pytest.mark.parametrize(
+    "g, k, drawings",
+    [(fig1_graph(), 3, 108), (fig3_graph(), 2, 18), (_K5_DOUBLED, 1, 12)],
+    ids=["triangle-hexagon", "wheel-with-chords", "doubled-edge-K5"],
+)
+
+
+@_OPTIMAL_DRAWINGS
+def test_ranked_faces_pick_what_a_full_scan_picks(g, k, drawings):
+    # Ranking faces by one dual search per vertex and routing only the face
+    # tried gives the face, routes and certificate of scanning every face.
+    level = cr_certificates(g, k)
+    assert len(level) == drawings
+    for drawing in level:
+        scanned = _full_scan_insertion(g, drawing)
+        assert scanned is not None
+        assert insert_apex(g, drawing) == scanned
+
+
+@_OPTIMAL_DRAWINGS
+def test_below_skips_exactly_the_drawings_that_cannot_beat_it(monkeypatch, g, k, drawings):
+    # A drawing whose cheapest insertion has at least `below` crossings
+    # comes back as None, unassembled; any other comes back as without
+    # `below`.
+    plain = [(d, insert_apex(g, d)) for d in cr_certificates(g, k)]
+    assembled = []
+    real_assemble = conecross.apex._assemble_cone_cert
+
+    def counted_assemble(*args):
+        assembled.append(args)
+        return real_assemble(*args)
+
+    monkeypatch.setattr(conecross.apex, "_assemble_cone_cert", counted_assemble)
+    kept = 0
+    for drawing, coned in plain:
+        for below in range(coned.count - 1, coned.count + 2):
+            got = insert_apex(g, drawing, below=below)
+            if coned.count >= below:
+                assert got is None
+            else:
+                assert got == coned
+                kept += 1
+    assert len(assembled) == kept == drawings
 
 
 class _NoNetworkx:

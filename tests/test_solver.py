@@ -747,15 +747,16 @@ def seeded_f3(g):
         # The seed is checked on entry; the count proves it optimal and the
         # component solve returns it unchecked.
         (seeded_f3, f_graph(3), 0, 1),
-        # Cones at their floor, with no closing solve.
-        (cone_cr, fig3_graph(), 1, 10),
-        (cone_cr, fig1_graph(), 1, 66),
+        # Cones at their floor, with no closing solve.  Apex insertion
+        # assembles, and so checks, only drawings that beat the best seed.
+        (cone_cr, fig3_graph(), 1, 5),
+        (cone_cr, fig1_graph(), 1, 7),
         (cone_cr, disjoint_union(complete_graph(5), complete_graph(5)), 3, 7),
         # Cones above their floor close through the component solve, which
         # takes the seed as checked where it was made.
-        (cone_cr, subdivide_edge(complete_graph(5), 0), 1, 20),
+        (cone_cr, subdivide_edge(complete_graph(5), 0), 1, 3),
         (cone_cr, multiply_edges(complete_graph(4), 2), 1, 3),
-        (cone_cr, K33, 1, 21),
+        (cone_cr, K33, 1, 3),
     ],
     ids=["cr-connected", "proof-F3", "cone-wheel-with-chords", "cone-triangle-hexagon",
          "cone-2xK5", "cone-K5-subdivided", "cone-doubled-K4", "cone-K33"],
