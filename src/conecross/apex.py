@@ -41,7 +41,6 @@ from .certificates import (
     CrossingCertificate,
     SolveResult,
     SolveStats,
-    certificate_error,
     combine_brackets,
     lift_certificate,
     planar_segments,
@@ -68,7 +67,7 @@ def lift_to_cone(g: Multigraph, cert: CrossingCertificate) -> CrossingCertificat
 
 
 def _embedding_faces(
-    segments: list[tuple[int, int, int, int]], n_nodes: int
+    segments: list[tuple[int, int, int]], n_nodes: int
 ) -> tuple[list[dict[int, int]], list[list[int]]]:
     """Faces of the planarized drawing, via one midpoint per segment.
 
@@ -86,7 +85,7 @@ def _embedding_faces(
     a fault of the embedding.
     """
     edges = []
-    for i, (a, b, _, _) in enumerate(segments):
+    for i, (a, b, _) in enumerate(segments):
         mid = n_nodes + i
         edges.append((a, mid))
         edges.append((mid, b))
@@ -166,10 +165,10 @@ def insert_apex(
     """
     if len(g.components()) != 1:
         raise ValueError("apex insertion needs a connected base graph")
-    reason = certificate_error(g, cert)
-    if reason is not None:
-        raise ValueError(f"base certificate does not verify: {reason}")
-    segments = planar_segments(g, cert)
+    try:
+        segments = planar_segments(g, cert)
+    except ValueError as err:
+        raise ValueError(f"base certificate does not verify: {err}") from err
     walks, seg_faces = _embedding_faces(segments, g.n + cert.count)
 
     # Dual steps: crossing segment i moves between the two faces beside it.
@@ -265,7 +264,7 @@ def insert_apex(
 def _assemble_cone_cert(
     cg: Multigraph,
     cert: CrossingCertificate,
-    segments: list[tuple[int, int, int, int]],
+    segments: list[tuple[int, int, int]],
     walks: list[dict[int, int]],
     seg_faces: list[list[int]],
     routes: list[list[tuple[int, int]]],
@@ -291,7 +290,8 @@ def _assemble_cone_cert(
     outside the rule, so the face is given up.  Returns the verified
     certificate, or None.
     """
-    first_mid = cg.n - 1 + cert.count
+    n = cg.n - 1
+    first_mid = n + cert.count
     cg_pairs: list[tuple[int, int]] = [
         (lift[e], lift[f]) for e, f in cert.crossings
     ]
@@ -318,17 +318,17 @@ def _assemble_cone_cert(
         # apex -> v, so reverse it.
         orders[apex_edge[v]] = steps[::-1]
 
-    base_seqs = cert.sequences()
     host_seqs: dict[int, list[int]] = {}
-    # Segments run along each host in slot order.
-    for seg, (_, _, host, slot) in enumerate(segments):
+    # Segments run along each host in order; one that ends at vertex n + i
+    # is followed by base crossing i.
+    for seg, (_, b, host) in enumerate(segments):
         seq = host_seqs.setdefault(host, [])
         if seg in slots:
             face, group = slots[seg]
             ranked = [idx for _, idx in sorted(group)]
             seq.extend(ranked if face == seg_faces[seg][0] else ranked[::-1])
-        if slot < len(base_seqs.get(host, ())):
-            seq.append(base_seqs[host][slot])
+        if b >= n:
+            seq.append(b - n)
     orders.update((lift[h], seq) for h, seq in host_seqs.items())
     cand = CrossingCertificate.build(cg_pairs, orders)
     _, ok = verify_certificate(cg, cand)

@@ -105,56 +105,48 @@ class CrossingCertificate:
         return CrossingCertificate.from_json_dict(json.loads(text))
 
 
-def certificate_error(g: Multigraph, cert: CrossingCertificate) -> str | None:
-    """Why cert is structurally invalid for g, or None if it is fine."""
-    m = g.m
+def planar_segments(g: Multigraph, cert: CrossingCertificate) -> list[tuple[int, int, int]]:
+    """Check ``cert`` against g and give its planarization's segments.
+
+    Each edge instance is split along its crossing order, crossing i being
+    vertex n + i, into segments (endpoint a, endpoint b, host id), listed
+    host by host in traversal order.  Raises ValueError naming the first
+    defect of a malformed certificate.
+    """
     insts = g.instances()
-    seen: set[tuple[int, int]] = set()
-    prev: tuple[int, int] | None = None
-    for e, f in cert.crossings:
+    m = len(insts)
+    hits: list[list[int]] = [[] for _ in insts]
+    prev = (-1, -1)
+    for idx, (e, f) in enumerate(cert.crossings):
         if not (0 <= e < m and 0 <= f < m):
-            return f"edge instance out of range in crossing ({e}, {f})"
+            raise ValueError(f"edge instance out of range in crossing ({e}, {f})")
         if e >= f:
-            return f"crossing pair ({e}, {f}) not in sorted form"
-        if prev is not None and (e, f) < prev:
-            return "crossings not sorted"
+            raise ValueError(f"crossing pair ({e}, {f}) not in sorted form")
+        if (e, f) < prev:
+            raise ValueError("crossings not sorted")
+        # Sorted so far, a repeat is the crossing just before.
+        if (e, f) == prev:
+            raise ValueError(f"repeated crossing ({e}, {f})")
         prev = (e, f)
-        if (e, f) in seen:
-            return f"repeated crossing ({e}, {f})"
-        seen.add((e, f))
         ue, ve, _ = insts[e]
         uf, vf, _ = insts[f]
         if ue in (uf, vf) or ve in (uf, vf):
-            return f"adjacent edge instances cross in ({e}, {f})"
-    hits: dict[int, list[int]] = {}
-    for idx, (e, f) in enumerate(cert.crossings):
-        hits.setdefault(e, []).append(idx)
-        hits.setdefault(f, []).append(idx)
+            raise ValueError(f"adjacent edge instances cross in ({e}, {f})")
+        hits[e].append(idx)
+        hits[f].append(idx)
     declared = dict(cert.edge_orders)
     for eid, order in declared.items():
         if not (0 <= eid < m):
-            return f"edge order for unknown instance {eid}"
-        if sorted(order) != sorted(hits.get(eid, [])):
-            return f"edge order for instance {eid} does not list its crossings"
-    for eid, indices in hits.items():
-        if len(indices) >= 2 and eid not in declared:
-            return f"instance {eid} crossed {len(indices)} times but has no order"
-    return None
-
-
-def planar_segments(
-    g: Multigraph, cert: CrossingCertificate
-) -> list[tuple[int, int, int, int]]:
-    """Planarization segments as (endpoint a, endpoint b, host id, slot):
-    each edge is split along its crossing order, crossing i being vertex
-    n + i.  Slot j of a host is the gap between its j-th and (j+1)-th
-    crossings in traversal order; a host crossed c times has slots 0..c.
-    """
-    seqs = cert.sequences()
-    out: list[tuple[int, int, int, int]] = []
-    for eid, (u, v, _) in enumerate(g.instances()):
-        chain = [u] + [g.n + idx for idx in seqs.get(eid, [])] + [v]
-        out.extend((a, b, eid, j) for j, (a, b) in enumerate(zip(chain, chain[1:])))
+            raise ValueError(f"edge order for unknown instance {eid}")
+        if sorted(order) != hits[eid]:
+            raise ValueError(f"edge order for instance {eid} does not list its crossings")
+    out: list[tuple[int, int, int]] = []
+    for eid, (u, v, _) in enumerate(insts):
+        along = declared.get(eid, hits[eid])
+        if len(along) >= 2 and eid not in declared:
+            raise ValueError(f"instance {eid} crossed {len(along)} times but has no order")
+        chain = [u, *(g.n + idx for idx in along), v]
+        out.extend((a, b, eid) for a, b in zip(chain, chain[1:]))
     return out
 
 
@@ -162,19 +154,16 @@ def planarize(g: Multigraph, cert: CrossingCertificate) -> Multigraph:
     """Replace each crossing by a degree-4 dummy vertex (ids n, n+1, ...),
     as in :func:`planar_segments`.  Raises ValueError on a malformed certificate.
     """
-    reason = certificate_error(g, cert)
-    if reason is not None:
-        raise ValueError(reason)
-    pairs = [(a, b) for a, b, _, _ in planar_segments(g, cert)]
-    return Multigraph.build(g.n + cert.count, pairs)
+    return Multigraph.build(g.n + cert.count, [(a, b) for a, b, _ in planar_segments(g, cert)])
 
 
 def verify_certificate(g: Multigraph, cert: CrossingCertificate) -> tuple[int, bool]:
     """(crossing count, realizable?).  Malformed certificates are just invalid."""
-    if certificate_error(g, cert) is not None:
+    try:
+        segments = planar_segments(g, cert)
+    except ValueError:
         return cert.count, False
-    pairs = [(a, b) for a, b, _, _ in planar_segments(g, cert)]
-    return cert.count, lr_planar(g.n + cert.count, pairs)
+    return cert.count, lr_planar(g.n + cert.count, [(a, b) for a, b, _ in segments])
 
 
 def lift_certificate(

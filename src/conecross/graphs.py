@@ -309,6 +309,8 @@ def fig3_graph() -> Multigraph:
 
 def random_graph(n: int, m: int, seed: int) -> Multigraph:
     """Deterministic simple random graph with exactly min(m, C(n,2)) edges."""
+    if m < 0:
+        raise ValueError("random_graph needs m >= 0")
     import random as _random
 
     rng = _random.Random(seed)

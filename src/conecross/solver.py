@@ -181,7 +181,10 @@ class _PairTable:
 
     A pair enters with its whole orbit, found by following the moves from
     it; a pair already known is skipped, its orbit being known too, so the
-    closure costs at most one image per move per pair of instances.
+    closure costs at most one image per move per pair of instances.  The
+    closure is written out, not taken from ``graphs.orbit``: its bit tests
+    are its seen set, and ``orbit`` made the ``exact`` bench about 3%
+    slower end to end.
     """
 
     def __init__(self, moves: list[list[int]], m: int):

@@ -2,6 +2,7 @@
 
 from collections import Counter, deque
 
+import networkx as nx
 import pytest
 
 import conecross.apex
@@ -29,7 +30,7 @@ from conecross import (
 from conecross.apex import _embedding_faces
 from conecross.certificates import planar_segments
 from conecross.planarity import lr_embedding
-from oracle import assert_drawing
+from oracle import assert_drawing, brute_force_cr
 
 
 def test_lift_of_a_book_certificate_verifies_in_the_cone():
@@ -107,6 +108,20 @@ def test_cone_of_k5_is_k6():
     res = cone_cr(complete_graph(5))
     assert res.value == 3
     assert res.value == cr_exact(complete_graph(6)).value
+
+
+def test_cone_cr_matches_the_brute_force_oracle_on_the_atlas():
+    # Cones of every graph on 1-5 vertices, atlas indices 1-52: cone(K5) is
+    # K6.  Each closes exact, by the Euler floor, a component sum or a
+    # search, at the oracle's crossing number.
+    reasons = Counter()
+    for index, a in enumerate(nx.graph_atlas_g()[1:53], start=1):
+        g = Multigraph.build(a.number_of_nodes(), list(a.edges()))
+        res = cone_cr(g)
+        assert res.status == "exact", index
+        assert brute_force_cr(cone(g), res.upper) == res.upper, index
+        reasons[res.lower_reason] += 1
+    assert set(reasons) == {"euler", "component sum", "search"}, reasons
 
 
 def test_cone_of_the_wheel_with_chords():

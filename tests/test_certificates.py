@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -32,7 +34,7 @@ from conecross import (
     verify_certificate,
 )
 from conecross import certificates
-from conecross.certificates import certificate_error
+from conecross.certificates import planar_segments
 from conecross.pages import outerplanar_search, two_page_search
 from oracle import assert_drawing
 
@@ -118,29 +120,82 @@ def test_planarize_adds_one_dummy_per_crossing():
     ]
 
 
-def test_certificate_error_messages():
+def assert_rejected(g, cert, message):
+    """``cert`` is malformed for ``g`` with exactly ``message``: the check
+    raises it, verification reports the drawing invalid, and planarizing
+    or inserting the apex raises."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        planar_segments(g, cert)
+    assert verify_certificate(g, cert) == (cert.count, False)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        planarize(g, cert)
+    prefixed = f"^base certificate does not verify: {re.escape(message)}$"
+    with pytest.raises(ValueError, match=prefixed):
+        insert_apex(g, cert)
+
+
+def test_planar_segments_messages():
     g = complete_graph(5)
-    assert certificate_error(g, k5_cert()) is None
-    bad_range = CrossingCertificate(((1, 99),))
-    assert "out of range" in certificate_error(g, bad_range)
-    unsorted_pair = CrossingCertificate(((5, 1),))
-    assert "sorted" in certificate_error(g, unsorted_pair)
-    repeated = CrossingCertificate(((1, 5), (1, 5)))
-    assert certificate_error(g, repeated) is not None
-    adjacent = CrossingCertificate(((0, 1),))  # (0,1) and (0,2) share vertex 0
-    assert "adjacent" in certificate_error(g, adjacent)
+    assert verify_certificate(g, k5_cert()) == (1, True)
+    for cert, message in [
+        (CrossingCertificate(((1, 99),)), "edge instance out of range in crossing (1, 99)"),
+        (CrossingCertificate(((5, 1),)), "crossing pair (5, 1) not in sorted form"),
+        # (0,2)=1 crosses (3,4)=9 and (1,3)=5, listed out of order.
+        (CrossingCertificate(((1, 9), (1, 5))), "crossings not sorted"),
+        (CrossingCertificate(((1, 5), (1, 5))), "repeated crossing (1, 5)"),
+        # (0,1) and (0,2) share vertex 0.
+        (CrossingCertificate(((0, 1),)), "adjacent edge instances cross in (0, 1)"),
+        (CrossingCertificate(((1, 5),), ((99, (0,)),)), "edge order for unknown instance 99"),
+    ]:
+        assert_rejected(g, cert, message)
 
 
 def test_missing_edge_order_is_an_error():
     g = complete_graph(6)
     # instance 2 = (0,3); cross it with (1,2)=5 and (4,5)=14, both disjoint
     twice = CrossingCertificate.build([(2, 5), (2, 14)])
-    message = certificate_error(g, twice)
-    assert message is not None and "no order" in message
+    assert_rejected(g, twice, "instance 2 crossed 2 times but has no order")
     ordered = CrossingCertificate.build([(2, 5), (2, 14)], edge_orders={2: [0, 1]})
-    assert certificate_error(g, ordered) is None
+    # Well formed, though K6 needs three crossings: each crossing splits
+    # two hosts.
+    assert len(planar_segments(g, ordered)) == g.m + 2 * ordered.count
+    assert verify_certificate(g, ordered) == (2, False)
     wrong_list = CrossingCertificate.build([(2, 5), (2, 14)], edge_orders={2: [0, 0]})
-    assert certificate_error(g, wrong_list) is not None
+    assert_rejected(g, wrong_list, "edge order for instance 2 does not list its crossings")
+
+
+def test_segments_run_along_each_host_in_its_crossing_order():
+    # Apex insertion reads each host's base crossing order off its
+    # segments: one that ends at vertex n + i is followed by crossing i.
+    rng = random.Random(36)
+    doubled = Multigraph.build(5, [(0, 2, 2), (0, 3), (1, 3, 3), (1, 4), (2, 4, 2)])
+    graphs = [complete_graph(7), doubled]
+    graphs += [random_multigraph(rng, rng.randint(4, 8)) for _ in range(20)]
+    crossed = Counter()
+    for g in graphs:
+        insts = g.instances()
+        seq = list(range(g.n))
+        rng.shuffle(seq)
+        order = CyclicOrder(tuple(seq))
+        for d in (
+            one_page_drawing(g, order),
+            BookDrawing(g, order, tuple(rng.randint(0, 1) for _ in range(g.m))),
+        ):
+            cert = certificate_from_book(d)
+            chains = {}
+            for a, b, host in planar_segments(g, cert):
+                chain = chains.setdefault(host, [a])
+                assert chain[-1] == a
+                chain.append(b)
+            assert [chains[h][::len(chains[h]) - 1] for h in range(g.m)] == [
+                list(inst[:2]) for inst in insts
+            ]
+            along = {
+                h: [x - g.n for x in chain[1:-1]] for h, chain in chains.items() if len(chain) > 2
+            }
+            assert along == cert.sequences()
+            crossed.update(min(len(xs), 3) for xs in along.values())
+    assert crossed[3] > 50, crossed
 
 
 def test_verify_flags_malformed_as_invalid_not_raising():

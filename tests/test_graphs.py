@@ -213,6 +213,14 @@ def test_random_graph_is_deterministic_per_seed():
     assert random_graph(10, 15, seed=8) != a
 
 
+def test_random_graph_refuses_a_negative_edge_count():
+    # A negative count would slice the shuffled pairs from the end.
+    for m in (-1, -3):
+        with pytest.raises(ValueError, match="m >= 0"):
+            random_graph(5, m, seed=0)
+    assert random_graph(5, 0, seed=0).m == 0
+
+
 def group_closure(gens, n):
     """Every product of the generators, the identity included."""
     group = {tuple(range(n))}
