@@ -177,6 +177,7 @@ def longrun_f5_lower(budget_ms: int | None = None) -> dict:
         "lower": res.lower,
         "status": res.status,
         "nodes": res.stats.nodes,
+        "planarity_calls": res.stats.planarity_calls,
     }
 
 

@@ -54,21 +54,24 @@ Prunes, all sound:
     all.  The count aims at U: when U > cr(G) it cannot close, and the
     level search takes over from whatever it proved.  The edge count's
     sub-searches share one table of edge pairs {a, b} known to leave G
-    non-planar, or planar, when both are deleted.  A group test at the
-    root of a connected G - x that finds G - x - B non-planar enters every
-    pair inside {x} u B as non-planar, since G minus any two of them
-    contains G - x - B; a single-host test there that finds G - x - h
-    planar enters {x, h} as planar.  Each pair enters with its orbit under
-    the automorphisms found, since an automorphism maps G - {a, b} onto G
-    minus the image pair.  At the root of G - x the planarization is
-    G - x itself, so a known non-planar pair {x, b} puts b outside the
-    one-crossing-left set U(G - x): a host block whose every host is
-    known so is settled without a test.  It also shows G - x non-planar
-    (it contains G - x - b), so the sub-search skips its first root test.
-    A known planar pair {x, b} puts b inside U(G - x), and any block B
-    holding b is planar untested, since G - x - B is a subgraph of the
-    planar G - x - b.  Only tests go: U, the branch order, the nodes and
-    the certificates stay as they were.  A sub-search reads its graph
+    non-planar, or planar, when both are deleted.  At the root of a
+    connected G - x the planarization is G - x itself, so a known
+    non-planar pair {x, b} puts b outside the one-crossing-left set
+    U(G - x).  It also shows G - x non-planar (it contains G - x - b), so
+    the sub-search skips its first root test.  A group test there deletes
+    its block trimmed to B', without the hosts known outside U, by the
+    table or by an earlier test at the root, and is halved towards its
+    host over B'; a block trimmed to nothing is settled without a test.
+    A test that finds G - x - B' non-planar enters every pair inside
+    {x} u B' as non-planar, and only those: G - a - b contains
+    G - x - B' exactly when {a, b} lies in {x} u B'.  A single-host test
+    that finds G - x - h planar enters {x, h} as planar.  Each pair
+    enters with its orbit under the automorphisms found, since an
+    automorphism maps G - {a, b} onto G minus the image pair.  A known
+    planar pair {x, b} puts b inside U(G - x), and any block B' holding b
+    is planar untested, since G - x - B' is a subgraph of the planar
+    G - x - b.  Only tests go: U, the branch order, the nodes and the
+    certificates stay as they were.  A sub-search reads its graph
     off G's host list, with no graph built: an edge deletion leaves out
     entry x, a vertex deletion the hosts at x, with the ends above x
     moved down by one, and a disconnected G - x gives each component its
@@ -446,7 +449,7 @@ class _LevelSearch:
         A host none of whose partners can still be in U starts no pair and
         is not tested."""
         inside: list[bool | None] = [None] * len(self.ends)
-        planar_blocks: set[tuple[int, int]] = set()
+        planar_blocks: set[tuple[int, ...]] = set()
         for e, later in enumerate(self.partners):
             if all(inside[f] is False for f in later):
                 continue
@@ -464,7 +467,7 @@ class _LevelSearch:
         chains: dict[int, list[int]],
         n_extra: int,
         inside: list[bool | None],
-        planar_blocks: set[tuple[int, int]],
+        planar_blocks: set[tuple[int, ...]],
         h: int,
     ) -> bool:
         """Whether deleting host h alone makes the planarization planar.
@@ -473,46 +476,70 @@ class _LevelSearch:
         halved towards h on a planar result: a non-planar H - S rules out
         every host in S, since H - h contains it.  ``inside`` holds the
         node's settled hosts and ``planar_blocks`` its planar blocks, so
-        no block is tested twice at one node.
-
-        At the root of a search of G - x (``deleted``) the table stands in
-        for tests.  A block whose every host b makes a known non-planarizing
-        pair {x, b} is ruled out, and one holding a host b of a known
-        planarizing pair is planar, since G - x - B lies inside G - x - b.
-        A non-planar block teaches the table that any two of {x} and the
-        block leave G non-planar, and a planar single host h that {x, h}
-        leaves G planar."""
-        m = len(self.ends)
+        no block is tested twice at one node.  The root of a search of
+        G - x (``deleted``) has its own path, ``_deletable_at_root``."""
         lo = h - h % HOST_BLOCK
-        hi = min(lo + HOST_BLOCK, m)
-        # At the root the planarization is this search's graph itself.
-        table, x = self.deleted if self.deleted and not n_extra else (None, 0)
+        hi = min(lo + HOST_BLOCK, len(self.ends))
+        if self.deleted and not n_extra and inside[h] is None:
+            return self._deletable_at_root(inside, planar_blocks, h, lo, hi)
         while inside[h] is None:
             if (lo, hi) not in planar_blocks:
-                known_planar = False
-                if table is not None:
-                    ids = [b + (b >= x) for b in range(lo, hi)]
-                    block = sum(1 << b for b in ids)
-                    if table.nonplanar[x] & block == block:
-                        inside[lo:hi] = [False] * (hi - lo)
-                        break
-                    known_planar = table.planar[x] & block != 0
-                if not known_planar and not self._planar(
-                    n_extra, self._pairs(chains, frozenset(range(lo, hi)))
-                ):
-                    if table is not None:
-                        table.learn(table.nonplanar, [x] + ids)
+                if not self._planar(n_extra, self._pairs(chains, frozenset(range(lo, hi)))):
                     inside[lo:hi] = [False] * (hi - lo)
                     break
                 planar_blocks.add((lo, hi))
             if hi - lo == 1:
                 inside[h] = True
-                if table is not None:
-                    table.learn(table.planar, [x, h + (h >= x)])
                 break
             mid = lo + (hi - lo) // 2
             lo, hi = (lo, mid) if h < mid else (mid, hi)
         return bool(inside[h])
+
+    def _deletable_at_root(
+        self,
+        inside: list[bool | None],
+        planar_blocks: set[tuple[int, ...]],
+        h: int,
+        lo: int,
+        hi: int,
+    ) -> bool:
+        """``_deletable`` of an unsettled h at the root of a search of
+        G - x, where the planarization is G - x itself and G's pair table
+        stands in for tests.
+
+        A host b of a known non-planar pair {x, b} lies outside U, and so
+        does one an earlier test at this node ruled out: the block
+        [lo, hi) is tested, and halved towards h, with those hosts left
+        out.  A trimmed block B' holding a host b of a known planar pair
+        is planar untested, since G - x - B' lies inside G - x - b.  A
+        non-planar B' teaches the table every pair inside {x} u B', and
+        only those: G minus two of them contains G - x - B'.  A planar
+        single host h teaches it {x, h}."""
+        table, x = self.deleted
+        known_out = table.nonplanar[x]
+        for b in range(lo, hi):
+            if known_out >> (b + (b >= x)) & 1:
+                inside[b] = False
+        if inside[h] is False:
+            return False
+        block = [b for b in range(lo, hi) if inside[b] is not False]
+        while True:
+            if tuple(block) not in planar_blocks:
+                ids = [b + (b >= x) for b in block]
+                if not table.planar[x] & sum(1 << b for b in ids) and not self._planar(
+                    0, self._pairs({}, frozenset(block))
+                ):
+                    table.learn(table.nonplanar, [x] + ids)
+                    for b in block:
+                        inside[b] = False
+                    return False
+                planar_blocks.add(tuple(block))
+            if len(block) == 1:
+                inside[h] = True
+                table.learn(table.planar, [x, h + (h >= x)])
+                return True
+            mid = len(block) // 2
+            block = block[:mid] if h in block[:mid] else block[mid:]
 
     def _minimal_hosts(self, chains: dict[int, list[int]], n_extra: int) -> list[int]:
         """Hosts of an inclusion-minimal non-planar set of edge chains.
@@ -744,8 +771,10 @@ def cr_exact(
     if upper_seed is not None:
         value, seed = upper_seed
         count, ok = verify_certificate(g, seed)
-        if not ok or count != value:
+        if not ok:
             raise ValueError("upper seed certificate does not verify")
+        if count != value:
+            raise ValueError(f"upper seed value {value} differs from its certificate's count {count}")
     parts = [
         (sub, vertices, solve_component(sub, max_k, deadline, seed, until))
         for sub, vertices in comps

@@ -160,6 +160,7 @@ def test_criterion_04_longrun_f5_lower_bound():
     # bracket in well under a second.
     result = longrun_f5_lower(budget_ms=30 * 1000)
     assert result["status"] == "exact" and result["value"] == 5
+    assert (result["nodes"], result["planarity_calls"]) == (169, 1864)
 
 
 def test_criterion_05_fs_small_table(fs_rows):

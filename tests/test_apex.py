@@ -124,6 +124,28 @@ def test_cone_cr_matches_the_brute_force_oracle_on_the_atlas():
     assert set(reasons) == {"euler", "component sum", "search"}, reasons
 
 
+def test_cone_closes_below_a_best_seed_one_above_the_floor(monkeypatch):
+    # The cone of this multigraph has Euler floor 1, but its best seed
+    # has 2 crossings and is not optimal: the component solve, started
+    # from that seed, finds a 1-crossing drawing.  A cone_cr that took a
+    # seed one above the floor as exact would return 2.
+    g = Multigraph.build(5, [(0, 2, 2), (0, 3, 2), (0, 4, 1), (1, 2, 2),
+                             (1, 3, 2), (2, 3, 1), (2, 4, 2), (3, 4, 1)])
+    seeds = []
+    real = conecross.apex.solve_component
+
+    def recorded(cg, max_k, deadline, seed=None, until=None):
+        seeds.append(seed.count)
+        return real(cg, max_k, deadline, seed, until)
+
+    monkeypatch.setattr(conecross.apex, "solve_component", recorded)
+    res = cone_cr(g)
+    assert seeds == [2]
+    assert (res.lower, res.upper, res.status, res.lower_reason) == (1, 1, "exact", "euler")
+    assert res.certificate == CrossingCertificate.build([(5, 15)])
+    assert_drawing(cone(g), res.certificate, 1)
+
+
 def test_cone_of_the_wheel_with_chords():
     res = cone_cr(fig3_graph())
     assert res.status == "exact" and res.value == 5

@@ -211,8 +211,17 @@ def test_negative_budget_and_max_k_are_rejected():
 
 
 def test_upper_seed_is_verified_before_use():
-    with pytest.raises(ValueError):
-        cr_exact(complete_graph(5), upper_seed=(0, CrossingCertificate.build([])))
+    # A drawing that does not verify and a value that is not the
+    # drawing's count are two faults, each with its own message.
+    k5 = complete_graph(5)
+    with pytest.raises(ValueError, match="^upper seed certificate does not verify$"):
+        cr_exact(k5, upper_seed=(0, CrossingCertificate.build([])))
+    natural = certificate_from_book(one_page_drawing(k5))
+    assert verify_certificate(k5, natural) == (5, True)
+    with pytest.raises(
+        ValueError, match="^upper seed value 2 differs from its certificate's count 5$"
+    ):
+        cr_exact(k5, upper_seed=(2, natural))
 
 
 def test_upper_seed_short_circuits_exhausted_levels():
@@ -664,9 +673,11 @@ def test_counting_bound_closes_a_relabelled_seeded_f3():
 def test_seeded_solve_work_is_pinned():
     # The count's sub-searches and the level search add to one tally, so
     # a sub-search whose work goes uncounted moves these pairs.  The edge
-    # count's shared pair table saves F3 and F4 planarity tests (from 57
-    # and 2,484); F5 closes by the vertex count, which has no table.
-    pins = {3: (11, 28), 4: (232, 2452), 5: (169, 1864)}
+    # count's shared pair table saves F3 and F4 planarity tests (57 and
+    # 2,484 without it): it settles root hosts untested, and a root block
+    # is tested without the hosts it already places outside U.  F5 closes
+    # by the vertex count, which has no table.
+    pins = {3: (11, 24), 4: (232, 2450), 5: (169, 1864)}
     for k, pin in pins.items():
         stats = cr_exact(f_graph(k), upper_seed=(k, f_graph_certificate(k))).stats
         assert (stats.nodes, stats.planarity_calls) == pin
@@ -889,20 +900,53 @@ def test_pair_table_halves_hold_only_what_they_claim(monkeypatch):
     assert checked[False] > 1000 and checked[True] > 150 and marked, checked
 
 
+def test_root_group_tests_leave_out_hosts_the_table_rules_out(monkeypatch):
+    # At the root of a count sub-search of G - x, a group test deletes no
+    # host b whose pair {x, b} the table held as non-planar when the test
+    # ran: such a b is already known to lie outside U(G - x).
+    real_deletable = solver._LevelSearch._deletable
+    real_pairs = solver._LevelSearch._pairs
+    testing = []
+    deleted = Counter()
+
+    def deletable(self, *args):
+        testing.append(self)
+        try:
+            return real_deletable(self, *args)
+        finally:
+            testing.pop()
+
+    def pairs(self, chains, skip=frozenset()):
+        if testing and testing[-1] is self and self.deleted is not None and not chains:
+            table, x = self.deleted
+            known = [b for b in skip if table.nonplanar[x] >> (b + (b >= x)) & 1]
+            assert known == [], (x, sorted(skip), known)
+            deleted[len(skip)] += 1
+        return real_pairs(self, chains, skip)
+
+    monkeypatch.setattr(solver._LevelSearch, "_deletable", deletable)
+    monkeypatch.setattr(solver._LevelSearch, "_pairs", pairs)
+    for k in (3, 4):
+        res = cr_exact(f_graph(k), upper_seed=(k, f_graph_certificate(k)))
+        assert (res.value, res.lower_reason) == (k, "edge-count")
+    # Whole blocks and single hosts were tested.
+    assert deleted[1] and deleted[solver.HOST_BLOCK], deleted
+
+
 # The cases' answers as they were before the pair table: (lower, reason,
 # nodes, crossings, edge orders, planarity tests), with the tests the
 # solve makes now.  The table changes no bracket, certificate, reason or
 # node count, and only removes tests.
 EDGE_COUNT_PINS = {
-    "F3": ((3, "edge-count", 11, [[3, 7], [4, 14], [10, 11]], {}, 57), 28),
-    "F3-relabelled": ((3, "edge-count", 11, [[1, 13], [2, 4], [5, 18]], {}, 63), 31),
-    "F4": ((4, "edge-count", 232, [[3, 7], [4, 19], [10, 12], [15, 16]], {}, 2484), 2452),
+    "F3": ((3, "edge-count", 11, [[3, 7], [4, 14], [10, 11]], {}, 57), 24),
+    "F3-relabelled": ((3, "edge-count", 11, [[1, 13], [2, 4], [5, 18]], {}, 63), 28),
+    "F4": ((4, "edge-count", 232, [[3, 7], [4, 19], [10, 12], [15, 16]], {}, 2484), 2450),
     "K6": ((3, "euler", 11, [[1, 14], [2, 8], [5, 12]], {}, 91), 91),
-    "K5-bridge-K5": ((2, "vertex-count", 15, [[0, 7], [11, 18]], {}, 72), 65),
-    "sweep-0": ((2, "vertex-count", 148, [[2, 15], [7, 16]], {}, 1119), 1065),
-    "sweep-2": ((1, "euler", 29, [[1, 14]], {}, 112), 98),
-    "sweep-3": ((2, "edge-count", 126, [[0, 15], [2, 14]], {}, 1107), 1040),
-    "sweep-34": ((1, "vertex-count", 63, [[3, 12]], {}, 292), 250),
+    "K5-bridge-K5": ((2, "vertex-count", 15, [[0, 7], [11, 18]], {}, 72), 66),
+    "sweep-0": ((2, "vertex-count", 148, [[2, 15], [7, 16]], {}, 1119), 1058),
+    "sweep-2": ((1, "euler", 29, [[1, 14]], {}, 112), 97),
+    "sweep-3": ((2, "edge-count", 126, [[0, 15], [2, 14]], {}, 1107), 1030),
+    "sweep-34": ((1, "vertex-count", 63, [[3, 12]], {}, 292), 236),
 }
 
 
