@@ -12,7 +12,8 @@ Two certificate routes feed the upper bound for cr(cone(G)):
     whose apex edges cross G where the geometry says they must.  One
     dual search per vertex prices every face at once (the method of
     Gutwenger, Mutzel and Weiskircher, "Inserting an edge into a planar
-    graph", 2005), so only the faces tried in price order are routed.
+    graph", 2005), so only the faces tried in price order are routed, and
+    each route steps down its vertex's prices from the apex face.
 
 ``cone_cr`` splits G into components and combines their cones' brackets
 as ``cr_exact`` does.  It puts the apex into each optimal drawing of a
@@ -148,8 +149,9 @@ def insert_apex(
     distance to v, which is the length of the route from that face to v.
     A face's cost is the sum over the vertices, and a face some vertex
     cannot reach is out.  Faces are tried in (cost, face id) order, each
-    routed by a forward search, until one routes no apex edge across a
-    host twice; that is the face a full scan of all faces would pick.
+    routed by stepping down the distances to each vertex, until one routes
+    no apex edge across a host twice; that is the face a full scan of all
+    faces would pick.
 
     With ``below`` set, the insertion returns ``None`` as soon as the
     next face to try would give a cone drawing of at least ``below``
@@ -171,12 +173,13 @@ def insert_apex(
         raise ValueError(f"base certificate does not verify: {err}") from err
     walks, seg_faces = _embedding_faces(segments, g.n + cert.count)
 
-    # Dual steps: crossing segment i moves between the two faces beside it.
-    face_segments: list[list[int]] = [[] for _ in walks]
+    # Dual steps: (i, h) in face_steps[f] crosses segment i from face f
+    # into h, the other face beside it (f itself beside a bridge).
+    face_steps: list[list[tuple[int, int]]] = [[] for _ in walks]
     for i, (f1, f2) in enumerate(seg_faces):
-        face_segments[f1].append(i)
+        face_steps[f1].append((i, f2))
         if f2 != f1:
-            face_segments[f2].append(i)
+            face_steps[f2].append((i, f1))
 
     insts = g.instances()
     incident: list[set[int]] = [set() for _ in range(g.n)]
@@ -192,12 +195,8 @@ def insert_apex(
         queue = deque(fid for fid, d in enumerate(to_v) if not d)
         while queue:
             fid = queue.popleft()
-            for i in face_segments[fid]:
-                if segments[i][2] in incident[v]:
-                    continue
-                fa, fb = seg_faces[i]
-                nxt = fb if fa == fid else fa
-                if to_v[nxt] < 0:
+            for i, nxt in face_steps[fid]:
+                if to_v[nxt] < 0 and segments[i][2] not in incident[v]:
                     to_v[nxt] = to_v[fid] + 1
                     queue.append(nxt)
         dist.append(to_v)
@@ -209,31 +208,26 @@ def insert_apex(
         """Per-vertex shortest routes as (segment crossed, face entered)
         steps, or None when a route crosses one host twice.
 
-        Each route ends at the first face holding v that a breadth-first
-        search from the apex face takes off its queue; a ranked face
-        reaches every vertex, so the search always gets there.
+        Each route steps down v's prices: from each face it crosses the
+        first segment in ``face_steps`` order that is on no host at v
+        and whose far face is one step nearer v, until it is in a face
+        holding v.  This is the route a forward breadth-first search from
+        the apex face returns: that search first reaches each face on a
+        shortest route to v from a face on such a route, in segment order,
+        so the first face holding v that it takes off its queue is where
+        this walk ends.  A ranked face reaches every vertex, so every step
+        finds a segment.
         """
         out: list[list[tuple[int, int]]] = []
         for v, to_v in enumerate(dist):
-            prev: dict[int, tuple[int, int]] = {}
-            queue: deque[int] = deque()
+            path: list[tuple[int, int]] = []
             fid = apex_face
             while to_v[fid]:
-                for i in face_segments[fid]:
-                    if segments[i][2] in incident[v]:
-                        continue
-                    fa, fb = seg_faces[i]
-                    nxt = fb if fa == fid else fa
-                    if nxt != apex_face and nxt not in prev:
-                        prev[nxt] = (fid, i)
-                        queue.append(nxt)
-                fid = queue.popleft()
-            path: list[tuple[int, int]] = []
-            while fid != apex_face:
-                back, seg = prev[fid]
-                path.append((seg, fid))
-                fid = back
-            path.reverse()
+                for i, nxt in face_steps[fid]:
+                    if to_v[nxt] == to_v[fid] - 1 and segments[i][2] not in incident[v]:
+                        break
+                path.append((i, nxt))
+                fid = nxt
             if len({segments[i][2] for i, _ in path}) != len(path):
                 return None
             out.append(path)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .graphs import Multigraph
+from .graphs import Multigraph, json_int, json_object
 
 BOOK_FORMAT = "conecross-book-v1"
 
@@ -149,11 +149,10 @@ class BookDrawing:
 
     @staticmethod
     def from_json_dict(data: dict) -> "BookDrawing":
-        if data.get("format") != BOOK_FORMAT:
-            raise ValueError(f"not a {BOOK_FORMAT} object")
+        data = json_object(data, BOOK_FORMAT)
         graph = Multigraph.from_json_dict(data["graph"])
-        order = CyclicOrder(tuple(int(v) for v in data["order"]))
-        pages_map = {int(k): int(v) for k, v in data["pages"].items()}
+        order = CyclicOrder(tuple(json_int(v, "order") for v in data["order"]))
+        pages_map = {int(k): json_int(v, "pages") for k, v in data["pages"].items()}
         if sorted(pages_map) != list(range(graph.m)):
             raise ValueError("pages must cover edge ids 0..M-1")
         pages = tuple(pages_map[i] for i in range(graph.m))

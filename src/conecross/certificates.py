@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .books import BookDrawing
-from .graphs import Multigraph
+from .graphs import Multigraph, json_int, json_object
 from .planarity import lr_planar
 
 CERT_FORMAT = "conecross-cert-v1"
@@ -91,11 +91,12 @@ class CrossingCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CrossingCertificate":
-        if data.get("format") != CERT_FORMAT:
-            raise ValueError(f"not a {CERT_FORMAT} object")
-        crossings = tuple((int(e), int(f)) for e, f in data["crossings"])
+        data = json_object(data, CERT_FORMAT)
+        crossings = tuple(
+            (json_int(e, "crossings"), json_int(f, "crossings")) for e, f in data["crossings"]
+        )
         orders = {
-            int(eid): tuple(int(i) for i in seq)
+            int(eid): tuple(json_int(i, "edge_orders") for i in seq)
             for eid, seq in data.get("edge_orders", {}).items()
         }
         return CrossingCertificate(crossings, tuple(sorted(orders.items())))

@@ -17,6 +17,23 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 GRAPH_FORMAT = "conecross-graph-v1"
 
 
+def json_object(data: object, fmt: str) -> dict:
+    """``data`` if it is a JSON object of format ``fmt``; ValueError if not."""
+    if not isinstance(data, dict):
+        raise ValueError(f"not a {fmt} object: the top level is a {type(data).__name__}")
+    if data.get("format") != fmt:
+        raise ValueError(f"not a {fmt} object")
+    return data
+
+
+def json_int(value: object, field: str) -> int:
+    """``value`` if it is a JSON integer (a bool is not one); ValueError
+    naming ``field`` if not."""
+    if type(value) is not int:
+        raise ValueError(f"{field}: {value!r} is not an integer")
+    return value
+
+
 def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Components of vertices 0..n-1 joined by ``pairs``: sorted vertex
     lists, isolated ones included, in order of their smallest vertex."""
@@ -173,11 +190,13 @@ class Multigraph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Multigraph":
-        if data.get("format") != GRAPH_FORMAT:
-            raise ValueError(f"not a {GRAPH_FORMAT} object")
+        data = json_object(data, GRAPH_FORMAT)
         return Multigraph(
-            int(data["n"]),
-            tuple((int(u), int(v), int(m)) for u, v, m in data["edges"]),
+            json_int(data["n"], "n"),
+            tuple(
+                (json_int(u, "edges"), json_int(v, "edges"), json_int(m, "edges"))
+                for u, v, m in data["edges"]
+            ),
         )
 
     @staticmethod

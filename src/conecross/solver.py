@@ -162,15 +162,6 @@ def _partners(ends: list[tuple[int, int]]) -> list[list[int]]:
     ]
 
 
-def _partners_without(partners: list[list[int]], x: int) -> list[list[int]]:
-    """``_partners`` of G - x from G's lists: x's list goes, x leaves the
-    others, and the hosts after x move down by one."""
-    return [
-        [f - (f > x) for f in later if f != x]
-        for e, later in enumerate(partners) if e != x
-    ]
-
-
 class _PairTable:
     """Pairs {a, b} of a graph's edge instances whose joint deletion is
     known to leave it non-planar (``nonplanar``) or planar (``planar``),
@@ -270,9 +261,7 @@ class _LevelSearch:
 
     @cached_property
     def partners(self) -> list[list[int]]:
-        """partners[e]: the hosts f > e that share no end with e.  The
-        count's sub-search of a connected G - x is handed them, read off
-        G's lists, before its first use."""
+        """partners[e]: the hosts f > e that share no end with e."""
         return _partners(self.ends)
 
     @cached_property
@@ -657,9 +646,9 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
     G - x, read off G's host list, while the components' sum is below
     ``cap``, and adds its work to ``search``; the orbits are those of
     ``search.generators``.  The edge kind's sub-searches of a connected
-    G - x share one ``_PairTable`` of G and read their partner lists off
-    G's; a disconnected G - x gets no table, since G - x - b may owe its
-    non-planarity to a component other than the searched one.
+    G - x share one ``_PairTable`` of G; a disconnected G - x gets no
+    table, since G - x - b may owe its non-planarity to a component
+    other than the searched one.
     """
     n, m = search.n, len(search.ends)
     kinds = []
@@ -686,8 +675,6 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
             for i, (part_n, hosts) in enumerate(parts):
                 stop = cap - sum(levels) + levels[i]
                 part = _LevelSearch(part_n, hosts, search.deadline, deleted)
-                if deleted is not None:
-                    part.partners = _partners_without(search.partners, x)
                 levels[i], _ = _deepen(part, levels[i], stop)
                 search.nodes += part.nodes
                 search.planarity += part.planarity

@@ -203,3 +203,20 @@ def test_book_json_round_trip():
     again = BookDrawing.from_json(d.to_json())
     assert again == d
     assert again.page_count == 2
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda data: [data], "top level"),
+        (lambda data: {**data, "graph": None}, "top level"),
+        (lambda data: {**data, "order": [0, 1.9, 2, 3]}, "order"),
+        (lambda data: {**data, "pages": {**data["pages"], "0": 0.5}}, "pages"),
+        (lambda data: {**data, "pages": {**data["pages"], "1": True}}, "pages"),
+    ],
+    ids=["list", "graph-null", "float-order", "float-page", "bool-page"],
+)
+def test_json_reader_refuses_what_is_not_a_book_of_integers(change, field):
+    d = BookDrawing(complete_graph(4), CyclicOrder((1, 3, 0, 2)), (0, 1, 0, 1, 0, 1))
+    with pytest.raises(ValueError, match=field):
+        BookDrawing.from_json_dict(change(d.to_json_dict()))

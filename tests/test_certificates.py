@@ -214,6 +214,22 @@ def test_certificate_json_round_trip():
         CrossingCertificate.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ("crossings", "top level"),
+        ({"format": "conecross-cert-v1", "crossings": [[0.7, 5.2]]}, "crossings"),
+        ({"format": "conecross-cert-v1", "crossings": [[0, True]]}, "crossings"),
+        ({"format": "conecross-cert-v1", "crossings": [], "edge_orders": {"2": [True, 0]}},
+         "edge_orders"),
+    ],
+    ids=["string", "float-pair", "bool-pair", "bool-order"],
+)
+def test_json_reader_refuses_what_is_not_a_certificate_of_integers(data, field):
+    with pytest.raises(ValueError, match=field):
+        CrossingCertificate.from_json_dict(data)
+
+
 def random_multigraph(rng, n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picked = rng.sample(pairs, rng.randint(0, len(pairs)))

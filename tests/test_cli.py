@@ -378,6 +378,22 @@ def test_cr_rejects_missing_files(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '{"format": "conecross-graph-v1", "n": 5.9, "edges": [[0, 1, 2.5], [1, 2, true]]}',
+    ],
+    ids=["list", "non-integers"],
+)
+def test_cr_rejects_a_graph_file_that_is_not_a_graph_object_of_integers(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "cr", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed graph file")
+
+
 def test_book_default_is_one_page_natural(capsys, tmp_path):
     k4 = write_graph(tmp_path, complete_graph(4))
     data = run_json(capsys, "book", k4)

@@ -106,6 +106,23 @@ def test_json_round_trip():
         Multigraph.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ([1, 2], "top level"),
+        ({"format": "conecross-graph-v1", "n": 5.9, "edges": []}, "n"),
+        ({"format": "conecross-graph-v1", "n": 5, "edges": [[0, 1, 2.5]]}, "edges"),
+        ({"format": "conecross-graph-v1", "n": 5, "edges": [[1, 2, True]]}, "edges"),
+    ],
+    ids=["list", "float-n", "float-multiplicity", "bool-multiplicity"],
+)
+def test_json_reader_refuses_what_is_not_a_graph_object_of_integers(data, field):
+    # A non-object, a fractional number and a bool are refused by name,
+    # not read as an AttributeError or truncated to an integer.
+    with pytest.raises(ValueError, match=field):
+        Multigraph.from_json_dict(data)
+
+
 def test_dot_export_repeats_parallel_edges():
     text = Multigraph.build(2, [(0, 1, 2)]).to_dot()
     assert text.count("0 -- 1") == 2
