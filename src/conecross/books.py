@@ -15,7 +15,8 @@ requires.
 
 Rotating or reflecting a spine order changes no crossing, so order
 searches take one canonical order per class.  That rule lives in
-``canonical_orders``; ``pages._prefix_search`` applies it incrementally.
+``canonical_orders``.  ``pages._prefix_search`` pins vertex 0 first and
+needs no reflection check: its prefix bound cuts every mirror image.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .graphs import Multigraph, json_int, json_object
+from .graphs import Multigraph, json_int, json_int_map, json_object
 
 BOOK_FORMAT = "conecross-book-v1"
 
@@ -152,10 +153,10 @@ class BookDrawing:
         data = json_object(data, BOOK_FORMAT)
         graph = Multigraph.from_json_dict(data["graph"])
         order = CyclicOrder(tuple(json_int(v, "order") for v in data["order"]))
-        pages_map = {int(k): json_int(v, "pages") for k, v in data["pages"].items()}
+        pages_map = json_int_map(data["pages"], "pages")
         if sorted(pages_map) != list(range(graph.m)):
             raise ValueError("pages must cover edge ids 0..M-1")
-        pages = tuple(pages_map[i] for i in range(graph.m))
+        pages = tuple(json_int(pages_map[i], "pages") for i in range(graph.m))
         return BookDrawing(graph, order, pages)
 
     @staticmethod

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .books import BookDrawing
-from .graphs import Multigraph, json_int, json_object
+from .graphs import Multigraph, json_int, json_int_map, json_object
 from .planarity import lr_planar
 
 CERT_FORMAT = "conecross-cert-v1"
@@ -96,8 +96,8 @@ class CrossingCertificate:
             (json_int(e, "crossings"), json_int(f, "crossings")) for e, f in data["crossings"]
         )
         orders = {
-            int(eid): tuple(json_int(i, "edge_orders") for i in seq)
-            for eid, seq in data.get("edge_orders", {}).items()
+            eid: tuple(json_int(i, "edge_orders") for i in seq)
+            for eid, seq in json_int_map(data.get("edge_orders", {}), "edge_orders").items()
         }
         return CrossingCertificate(crossings, tuple(sorted(orders.items())))
 

@@ -34,11 +34,30 @@ def json_int(value: object, field: str) -> int:
     return value
 
 
-def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Components of vertices 0..n-1 joined by ``pairs``: sorted vertex
-    lists, isolated ones included, in order of their smallest vertex."""
+def json_int_map(value: object, field: str) -> dict[int, object]:
+    """``value``, a JSON object keyed by integers in canonical decimal
+    (ASCII digits, no sign, space or leading zero), with its keys read as
+    ints; ValueError naming ``field`` if not."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field}: a {type(value).__name__} is not a JSON object")
+    out = {}
+    for key, item in value.items():
+        if not (type(key) is str and key.isascii() and key.isdigit() and str(int(key)) == key):
+            raise ValueError(f"{field}: key {key!r} is not a canonical integer")
+        out[int(key)] = item
+    return out
+
+
+def split(n: int, items: Sequence[Sequence[int]]) -> list[tuple[list[int], Sequence]]:
+    """The components of vertices 0..n-1 joined by ``items`` (each item's
+    first two entries are its ends), isolated ones included, in order of
+    their smallest vertex: (sorted vertices, items with each end renamed
+    to its position there).  Renaming keeps the order of ends, so sorted
+    items stay sorted and copy j of a pair stays copy j.  A connected
+    graph gets back ``items`` itself."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
+    for item in items:
+        u, v = item[0], item[1]
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * n
@@ -57,7 +76,18 @@ def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
                     comp.append(y)
                     stack.append(y)
         comps.append(sorted(comp))
-    return comps
+    if len(comps) == 1:
+        return [(comps[0], items)]
+    # where[v]: v's component and its label there.
+    where = [(0, 0)] * n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            where[v] = (c, i)
+    parts: list[list[tuple]] = [[] for _ in comps]
+    for item in items:
+        c, a = where[item[0]]
+        parts[c].append((a, where[item[1]][1], *item[2:]))
+    return list(zip(comps, parts))
 
 
 @dataclass(frozen=True)
@@ -146,26 +176,15 @@ class Multigraph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists (isolated included)."""
-        return components(self.n, self.simple_pairs())
+        return [vertices for vertices, _ in split(self.n, self.edges)]
 
     def component_subgraphs(self) -> list[tuple["Multigraph", list[int]]]:
         """Each component as (subgraph, vertices); vertex i of the subgraph
-        is ``vertices[i]`` here.  Labels keep their relative order, so
-        copy j of a pair stays copy j."""
-        comps = self.components()
-        if len(comps) == 1:
-            return [(self, comps[0])]
-        # where[v]: v's component and its label there.  An order-keeping
-        # relabelling keeps each component's edges normalized and sorted.
-        where = [(0, 0)] * self.n
-        for c, comp in enumerate(comps):
-            for i, v in enumerate(comp):
-                where[v] = (c, i)
-        edges: list[list[tuple[int, int, int]]] = [[] for _ in comps]
-        for u, v, mult in self.edges:
-            c, a = where[u]
-            edges[c].append((a, where[v][1], mult))
-        return [(Multigraph(len(comp), tuple(es)), comp) for comp, es in zip(comps, edges)]
+        is ``vertices[i]`` here.  A connected graph is its own part."""
+        parts = split(self.n, self.edges)
+        if len(parts) == 1:
+            return [(self, parts[0][0])]
+        return [(Multigraph(len(vertices), tuple(es)), vertices) for vertices, es in parts]
 
     def relabel(self, perm: Sequence[int]) -> "Multigraph":
         """Apply the bijection v -> perm[v] to the vertex set."""

@@ -96,10 +96,9 @@ def _exact_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
     neighbours are exactly its ``back[i]`` neighbours below it, so
     on0[i] + on1[i] = back[i] gives both counts back.  Placing i on side 0
     cuts ``on1[i]`` edges and on side 1 cuts ``on0[i]``.  The assignment
-    so far is one ``ones`` bitmask of the vertices on side 1.
+    so far is one ``ones`` bitmask of the vertices on side 1.  Only
+    components with an odd cycle reach it, so n >= 3.
     """
-    if n == 0:
-        return Cut((), 0)
     above: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         above[min(u, v)].append(max(u, v))

@@ -11,12 +11,11 @@ Order search (outerplanar and free 2-page) enumerates canonical spine
 orders, one vertex at a time for the 1-page case so that partial crossing
 counts prune the (n-1)!/2 space.  The canonical rule is the one of
 ``books.canonical_orders``: the 2-page scan iterates it, and
-``_prefix_search`` pins vertex 0 first and places a last vertex only if
-it exceeds the one at position 1.  Both searches run through one driver,
-``_order_search``: it runs a scan (``_prefix_search`` or
-``_two_page_scan``), draws the best order (or the natural order when no
-order finished), and certifies and verifies that drawing before it
-answers.
+``_prefix_search`` pins vertex 0 first and lets its bound cut mirror
+images.  Both searches run through one driver, ``_order_search``: it
+runs a scan (``_prefix_search`` or ``_two_page_scan``), draws the best
+order (or the natural order when no order finished), and certifies and
+verifies that drawing before it answers.
 """
 
 from __future__ import annotations
@@ -122,6 +121,9 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
     One pass over the positions from w's first placed neighbour raises
     ``cover`` by a running sum of w's chords, so a dense graph pays the
     order's length per vertex placed, not its square.
+    Vertex 0 goes first, and an order ending below its second vertex
+    mirrors one tried earlier; with one vertex left the bound is exact, so
+    it cuts that order.
     Returns (best, best order, completed, nodes).
     """
     n = g.n
@@ -163,8 +165,6 @@ def _prefix_search(g: Multigraph, deadline: Deadline) -> OrderScan:
             return
         for w in range(1, n):
             if pos[w] != -1:
-                continue
-            if t == n - 1 and w < seq[1]:
                 continue
             gained = 0
             placed = 0

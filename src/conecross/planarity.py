@@ -118,23 +118,21 @@ def _lr_test(n: int, m: int, adj: list[list[int]]) -> tuple | None:
                     break
                 if hw >= hv or w == parent:
                     continue
-                # Back edge v -> w: lowpt = hw, lowpt2 = hv; fold into e.
+                # Back edge v -> w (its lowpt2 is never read): lowpt = hw;
+                # fold into e, whose lowpt and lowpt2 start at hv - 1 and fall.
                 src[k] = v
                 dst[k] = w
                 lowpt[k] = hw
-                lowpt2[k] = hv
                 nesting[k] = 2 * hw
                 out[v].append(k)
                 k += 1
                 le = lowpt[e]
                 if hw < le:
-                    lowpt2[e] = le if le < hv else hv
+                    lowpt2[e] = le
                     lowpt[e] = hw
                 elif hw > le:
                     if hw < lowpt2[e]:
                         lowpt2[e] = hw
-                elif hv < lowpt2[e]:
-                    lowpt2[e] = hv
             else:
                 # v is finished: settle its tree edge e = parent -> v at the
                 # parent, whose height is hv - 1.

@@ -74,11 +74,11 @@ Prunes, all sound:
     certificates stay as they were.  A sub-search reads its graph
     off G's host list, with no graph built: an edge deletion leaves out
     entry x, a vertex deletion the hosts at x, with the ends above x
-    moved down by one, and a disconnected G - x gives each component its
-    hosts relabelled in order.  Each keeps G's instance order, so a
-    connected edge deletion's partner lists are G's with x left out.  A
-    sub-search builds its ``Multigraph`` only if it asks for its
-    automorphisms, when its root reaches a second branch.
+    moved down by one, and ``graphs.split`` gives each component of a
+    disconnected G - x its hosts relabelled in order.  Each keeps G's
+    instance order, so a connected edge deletion's partner lists are
+    G's with x left out.  A sub-search builds its ``Multigraph`` only if
+    it asks for its automorphisms, when its root reaches a second branch.
 
 The search at a level is one generator, ``_LevelSearch.hits``, that
 yields realizable certificates with distinct crossing sets in a fixed
@@ -133,7 +133,7 @@ from .certificates import (
     verify_certificate,
 )
 from .books import one_page_drawing
-from .graphs import Multigraph, automorphism_generators, components, orbit
+from .graphs import Multigraph, automorphism_generators, orbit, split
 from .deadline import Deadline, require_one_thread
 from .planarity import lr_planar
 
@@ -149,17 +149,7 @@ def _euler(n: int, simple_m: int) -> int:
 
 def cr_lower(g: Multigraph) -> int:
     """Sum of per-component Euler bounds."""
-    return sum(_euler(sub.n, len(sub.edges)) for sub, _ in g.component_subgraphs())
-
-
-def _partners(ends: list[tuple[int, int]]) -> list[list[int]]:
-    """For each host e, the later hosts f > e that share no end with e:
-    the hosts e can be crossed with in a good drawing."""
-    return [
-        [f for f in range(e + 1, len(ends))
-         if ends[f][0] != u and ends[f][0] != v and ends[f][1] != u and ends[f][1] != v]
-        for e, (u, v) in enumerate(ends)
-    ]
+    return sum(_euler(len(vertices), len(edges)) for vertices, edges in split(g.n, g.edges))
 
 
 class _PairTable:
@@ -261,8 +251,14 @@ class _LevelSearch:
 
     @cached_property
     def partners(self) -> list[list[int]]:
-        """partners[e]: the hosts f > e that share no end with e."""
-        return _partners(self.ends)
+        """partners[e]: the hosts f > e that share no end with e, the
+        hosts e can be crossed with in a good drawing."""
+        ends = self.ends
+        return [
+            [f for f in range(e + 1, len(ends))
+             if ends[f][0] != u and ends[f][0] != v and ends[f][1] != u and ends[f][1] != v]
+            for e, (u, v) in enumerate(ends)
+        ]
 
     @cached_property
     def generators(self) -> list[tuple[int, ...]]:
@@ -371,7 +367,7 @@ class _LevelSearch:
             return None, []
         remaining = self.r - s
         simple_m = len({(min(a, b), max(a, b)) for a, b in pairs})
-        if simple_m - 3 * (self.n + s) + 6 > remaining:
+        if _euler(self.n + s, simple_m) > remaining:
             return None, []
 
         used = set(crossings)
@@ -609,27 +605,6 @@ def _deletions(
             yield sum(mult[e] for e in found), x, n, ends[:x] + ends[x + 1:]
 
 
-def _split(n: int, ends: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The components of the graph on ``n`` vertices with host list
-    ``ends``, each as (vertex count, host list), isolated vertices
-    included.  A connected graph keeps its list; otherwise labels keep
-    their relative order, as in ``Multigraph.component_subgraphs``, so
-    each part's list is in its own instance order."""
-    comps = components(n, ends)
-    if len(comps) == 1:
-        return [(n, ends)]
-    # where[v]: v's component and its label there.
-    where = [(0, 0)] * n
-    for c, comp in enumerate(comps):
-        for i, v in enumerate(comp):
-            where[v] = (c, i)
-    hosts: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for u, v in ends:
-        c, a = where[u]
-        hosts[c].append((a, where[v][1]))
-    return [(len(comp), part) for comp, part in zip(comps, hosts)]
-
-
 def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int, str]:
     """(bound, reason): ``level`` raised by the vertex and edge counts,
     which aim to prove cr(g) >= ``target``, and the count that raised it
@@ -669,12 +644,12 @@ def _counting_lower(search: _LevelSearch, level: int, target: int) -> tuple[int,
                 break
             if -(-(total + rest * cap) // div) <= level:
                 break
-            parts = _split(n_x, ends_x)
-            levels = [_euler(part_n, len(set(hosts))) for part_n, hosts in parts]
+            parts = split(n_x, ends_x)
+            levels = [_euler(len(comp), len(set(hosts))) for comp, hosts in parts]
             deleted = (table, x) if table is not None and len(parts) == 1 else None
-            for i, (part_n, hosts) in enumerate(parts):
+            for i, (comp, hosts) in enumerate(parts):
                 stop = cap - sum(levels) + levels[i]
-                part = _LevelSearch(part_n, hosts, search.deadline, deleted)
+                part = _LevelSearch(len(comp), hosts, search.deadline, deleted)
                 levels[i], _ = _deepen(part, levels[i], stop)
                 search.nodes += part.nodes
                 search.planarity += part.planarity

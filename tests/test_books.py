@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -220,3 +221,23 @@ def test_json_reader_refuses_what_is_not_a_book_of_integers(change, field):
     d = BookDrawing(complete_graph(4), CyclicOrder((1, 3, 0, 2)), (0, 1, 0, 1, 0, 1))
     with pytest.raises(ValueError, match=field):
         BookDrawing.from_json_dict(change(d.to_json_dict()))
+
+
+@pytest.mark.parametrize("key", ["1_0", " 1 ", "+1", "-1", "01", "", "1.0", "\u0661"])
+def test_book_reader_takes_only_canonical_edge_ids(key):
+    data = BookDrawing(complete_graph(4), CyclicOrder((1, 3, 0, 2)), (0,) * 6).to_json_dict()
+    data["pages"] = {**{str(i): 0 for i in (0, 2, 3, 4, 5)}, key: 1}
+    with pytest.raises(ValueError, match=f"^pages: key {re.escape(repr(key))}"):
+        BookDrawing.from_json_dict(data)
+
+
+def test_book_reader_refuses_a_list_map_and_a_page_map_with_a_gap():
+    data = BookDrawing(complete_graph(4), CyclicOrder((1, 3, 0, 2)), (0,) * 6).to_json_dict()
+    with pytest.raises(ValueError, match="^pages: a list is not a JSON object$"):
+        BookDrawing.from_json_dict({**data, "pages": [0] * 6})
+    del data["pages"]["5"]
+    with pytest.raises(ValueError, match="^pages must cover edge ids 0..M-1$"):
+        BookDrawing.from_json_dict(data)
+    data["pages"]["6"] = 0
+    with pytest.raises(ValueError, match="^pages must cover edge ids 0..M-1$"):
+        BookDrawing.from_json_dict(data)

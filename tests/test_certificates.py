@@ -230,6 +230,26 @@ def test_json_reader_refuses_what_is_not_a_certificate_of_integers(data, field):
         CrossingCertificate.from_json_dict(data)
 
 
+NON_CANONICAL_KEYS = ["1_0", " 10 ", "+5", "-1", "01", "00", "", "1.0", "\u0663"]
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_KEYS)
+def test_certificate_reader_takes_only_canonical_edge_ids(key):
+    data = {"format": "conecross-cert-v1", "crossings": [], "edge_orders": {key: [0, 1]}}
+    with pytest.raises(ValueError, match=f"^edge_orders: key {re.escape(repr(key))}"):
+        CrossingCertificate.from_json_dict(data)
+
+
+def test_certificate_reader_reads_canonical_edge_ids_and_refuses_a_list_map():
+    data = {"format": "conecross-cert-v1", "crossings": [],
+            "edge_orders": {"0": [1, 0], "10": [0, 1]}}
+    cert = CrossingCertificate.from_json_dict(data)
+    assert cert.edge_orders == ((0, (1, 0)), (10, (0, 1)))
+    data["edge_orders"] = [[1, 0]]
+    with pytest.raises(ValueError, match="^edge_orders: a list is not a JSON object$"):
+        CrossingCertificate.from_json_dict(data)
+
+
 def random_multigraph(rng, n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picked = rng.sample(pairs, rng.randint(0, len(pairs)))

@@ -1,8 +1,10 @@
 """Multigraph container and generator tests."""
 
+import inspect
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -20,7 +22,7 @@ from conecross import (
     random_graph,
     subdivide_edge,
 )
-from conecross.graphs import automorphism_generators
+from conecross.graphs import automorphism_generators, split
 
 
 def test_build_merges_parallel_and_reversed_pairs():
@@ -87,6 +89,31 @@ def test_components_include_isolated_vertices():
     g = Multigraph.build(5, [(0, 1), (3, 4)])
     assert g.components() == [[0, 1], [2], [3, 4]]
     assert Multigraph(3, ()).components() == [[0], [1], [2]]
+
+
+def test_split_renames_each_component_in_order_and_keeps_a_connected_list():
+    # Items are edge triples or host pairs; a component's items keep their
+    # order and their multiplicities, with each end renamed to its place
+    # in the component.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(39)
+    for trial in range(200):
+        n = rng.randint(0, 9)
+        g = multiply_edges(random_graph(n, rng.randint(0, 2 * n), seed=trial), 1 + trial % 2)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.simple_pairs())
+        parts = split(n, g.edges)
+        assert [vertices for vertices, _ in parts] == sorted(
+            (sorted(c) for c in nx.connected_components(h)), key=min)
+        for vertices, items in parts:
+            label = {v: i for i, v in enumerate(vertices)}
+            assert list(items) == [(label[u], label[v], k) for u, v, k in g.edges if u in label]
+        hosts = [(u, v) for u, v, _ in g.instances()]
+        assert [part for _, part in split(n, hosts)] == [
+            [(a, b) for a, b, k in items for _ in range(k)] for _, items in parts]
+        if len(parts) == 1:
+            assert parts[0][1] is g.edges and split(n, hosts)[0][1] is hosts
 
 
 def test_relabel_requires_a_bijection():
@@ -304,6 +331,59 @@ def networkx_automorphism_count(g):
         return sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
     same = lambda a, b: a["mult"] == b["mult"]  # noqa: E731
     return sum(1 for _ in GraphMatcher(h, h, edge_match=same).isomorphisms_iter())
+
+
+def rejected_candidates(g):
+    """The generators of Aut(g), and how often the search rejected a
+    candidate map by its cells' sizes ("size") and by a pair whose
+    multiplicity it does not keep ("pair"), counted by tracing the lines
+    that reject one."""
+    source, first = inspect.getsourcelines(automorphism_generators)
+
+    def line_after(text):
+        return first + 1 + next(i for i, line in enumerate(source) if text in line)
+
+    kinds = {
+        line_after("!= [len(cell) for cell in path[d + 1]]"): "size",
+        line_after("adj[found[u]].get(found[v]) != mult"): "pair",
+    }
+    rejected = Counter()
+
+    def in_extend(frame, event, arg):
+        if event == "line" and frame.f_lineno in kinds:
+            rejected[kinds[frame.f_lineno]] += 1
+        return in_extend
+
+    sys.settrace(lambda frame, event, arg: in_extend if frame.f_code.co_name == "extend" else None)
+    try:
+        gens = list(automorphism_generators(g))
+    finally:
+        sys.settrace(None)
+    return gens, rejected
+
+
+def frucht_graph():
+    """The Frucht graph, labelled as networkx's ``frucht_graph``."""
+    return Multigraph.build(12, [
+        (0, 1), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 8), (3, 4), (3, 9),
+        (4, 5), (4, 9), (5, 6), (5, 10), (6, 10), (7, 11), (8, 9), (8, 11), (10, 11),
+    ])
+
+
+@pytest.mark.parametrize("g, rejected, order", [
+    (disjoint_union(cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3))),
+     {"size": 6}, 864),
+    (frucht_graph(), {"pair": 11}, 1),
+], ids=["C6+2C3", "Frucht"])
+def test_automorphism_search_rejects_candidates_refinement_lets_through(g, rejected, order):
+    # Colour refinement cannot tell C6 from 2C3 (all three are 2-regular)
+    # nor the Frucht graph's vertices apart (it is 3-regular), so the
+    # search meets candidate maps that it must reject.
+    gens, seen = rejected_candidates(g)
+    assert seen == rejected
+    for perm in gens:
+        assert g.relabel(perm) == g
+    assert len(group_closure(gens, g.n)) == networkx_automorphism_count(g) == order
 
 
 def test_automorphism_generators_agree_with_networkx_on_random_graphs():

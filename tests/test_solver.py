@@ -37,7 +37,7 @@ from conecross import (
     subdivide_edge,
     verify_certificate,
 )
-from conecross import solver
+from conecross import graphs, solver
 from conecross.deadline import Deadline
 from conecross.graphs import automorphism_generators
 from conecross.pages import outerplanar_search, two_page_search
@@ -238,6 +238,24 @@ def test_certificate_enumeration_yields_distinct_optima():
     assert len({c.crossings for c in certs}) == 8
     for cert in certs:
         assert verify_certificate(complete_graph(5), cert) == (1, True)
+    # The level search of cone(K3,3) at 3 finds some crossing sets more
+    # than once (156 hits, 150 sets); each set is yielded once.
+    g = cone(Multigraph.build(6, [(u, v) for u in range(3) for v in range(3, 6)]))
+    certs = cr_certificates(g, 3)
+    assert len(certs) == len({c.crossings for c in certs}) == 150
+
+
+def test_cr_exact_matches_brute_force_on_random_cubic_graphs():
+    # Colour refinement cannot split a cubic graph's vertices, so the root
+    # skip rests on the automorphism search rejecting candidate maps.
+    nx = pytest.importorskip("networkx")
+    solved = 0
+    for seed in range(40):
+        g = Multigraph.build(10, nx.random_regular_graph(3, 10, seed).edges())
+        if len(g.components()) == 1 and not nx_planar(g):
+            assert cr_exact(g).value == brute_force_cr(g, 2), seed
+            solved += 1
+    assert solved == 19
 
 
 def streamed(g, stop_after=None, **kwargs):
@@ -1005,8 +1023,8 @@ def test_a_deletion_lists_the_hosts_of_g_minus_x(vertices):
                 g.n, ends, list(automorphism_generators(g)), vertices):
             h = minus(g, x, vertices)
             assert (n, hosts) == (h.n, ends_of(h))
-            parts = solver._split(n, hosts)
-            assert parts == [(sub.n, ends_of(sub)) for sub, _ in h.component_subgraphs()]
+            parts = graphs.split(n, hosts)
+            assert parts == [(vertices, ends_of(sub)) for sub, vertices in h.component_subgraphs()]
             if len(parts) == 1:
                 assert parts[0][1] is hosts
             split[len(parts) > 1] += 1
