@@ -73,20 +73,17 @@ def multigraph_upper_check(k: int, c: int) -> bool:
 def harary_hill(n: int) -> int:
     """Z(n), the conjectured crossing number of K_n.
 
-    n(n-2)^2(n-4)/64 for even n, (n-1)^2(n-3)^2/64 for odd n; both divisions
-    are exact.
+    n(n-2)^2(n-4)/64 for even n, (n-1)^2(n-3)^2/64 for odd n, both 0 for
+    n <= 4.  Both divisions are exact: for odd n, (n-1)(n-3) is a product
+    of consecutive even numbers, so 8 divides it; for n = 2a the numerator
+    is 16 a(a-2)(a-1)^2, and 4 divides a(a-2) for even a and (a-1)^2 for
+    odd a.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n % 2 == 0:
-        num = n * (n - 2) ** 2 * (n - 4)
-    else:
-        num = (n - 1) ** 2 * (n - 3) ** 2
-    if n <= 4:
-        return 0
-    if num % 64:
-        raise RuntimeError(f"Z({n}) numerator {num} is not divisible by 64")
-    return num // 64
+        return n * (n - 2) ** 2 * (n - 4) // 64
+    return (n - 1) ** 2 * (n - 3) ** 2 // 64
 
 
 @dataclass(frozen=True)

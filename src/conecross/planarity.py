@@ -4,9 +4,9 @@ The test runs on a plain ``(n, edge list)`` description so the solver can
 call it on throwaway planarizations without building graph objects.  The
 list is read in one pass straight into adjacency lists: a loop is
 dropped, and a pair seen before in either orientation (keyed by one
-integer) is skipped.  Two cheap screens run next: a graph with at most 8
-distinct edges is always planar (the smallest non-planar subdivisions
-need 9), and a simple graph with m > 3n - 6 never is.
+integer) is skipped.  ``lr_planar`` runs two cheap screens next: a graph
+with at most 8 distinct edges is always planar (the smallest non-planar
+subdivisions need 9), and a simple graph with m > 3n - 6 never is.
 
 The LR test itself is the two-pass DFS of Brandes, "The left-right
 planarity test" (2009): an orientation pass computing lowpoints and
@@ -53,8 +53,6 @@ def lr_embedding(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]] | 
     (empty for an isolated vertex), or None when the graph is not planar.
     """
     m, adj = _adjacency(n, edges)
-    if n >= 3 and m > 3 * n - 6:
-        return None
     tested = _lr_test(n, m, adj)
     return None if tested is None else _embed(n, *tested)
 

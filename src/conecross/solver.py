@@ -6,9 +6,10 @@ search over partial certificates.  At each node the partial planarization
 H is tested; if H is planar the partial certificate is already a drawing,
 and otherwise H contains a subdivision of K5 or K33 whose edges must be
 crossed by any completion, so it suffices to branch on crossing pairs
-drawn from the hosts of one such subdivision.  Branch i keeps pair i and
-forbids pairs 1..i-1 in its subtree, which makes the enumeration
-duplicate-free without losing completions.
+drawn from the hosts of one such subdivision.  Branch i crosses pair i
+and forbids pairs 1..i in its subtree: pairs 1..i-1 make the enumeration
+duplicate-free without losing completions, and pair i, now crossed, is
+not crossed again (a good drawing crosses a pair at most once).
 
 Prunes, all sound:
   - Euler bound of the partial planarization exceeding the remaining
@@ -58,20 +59,17 @@ Prunes, all sound:
     connected G - x the planarization is G - x itself, so a known
     non-planar pair {x, b} puts b outside the one-crossing-left set
     U(G - x).  It also shows G - x non-planar (it contains G - x - b), so
-    the sub-search skips its first root test.  A group test there deletes
-    its block trimmed to B', without the hosts known outside U, by the
-    table or by an earlier test at the root, and is halved towards its
-    host over B'; a block trimmed to nothing is settled without a test.
-    A test that finds G - x - B' non-planar enters every pair inside
-    {x} u B' as non-planar, and only those: G - a - b contains
-    G - x - B' exactly when {a, b} lies in {x} u B'.  A single-host test
-    that finds G - x - h planar enters {x, h} as planar.  Each pair
-    enters with its orbit under the automorphisms found, since an
-    automorphism maps G - {a, b} onto G minus the image pair.  A known
-    planar pair {x, b} puts b inside U(G - x), and any block B' holding b
-    is planar untested, since G - x - B' is a subgraph of the planar
-    G - x - b.  Only tests go: U, the branch order, the nodes and the
-    certificates stay as they were.  A sub-search reads its graph
+    the sub-search skips its first root test.  A known planar pair
+    {x, b} puts b inside U(G - x) and shows G - x - B planar for every
+    host set B holding b, a subgraph of G - x - b.  A root test that
+    finds G - x - B non-planar shows every pair inside {x} u B
+    non-planar, and only those: G - a - b contains G - x - B exactly when
+    {a, b} lies in {x} u B.  One that finds G - x - h planar shows
+    {x, h} planar.  Each pair enters with its orbit under the
+    automorphisms found, since an automorphism maps G - {a, b} onto G
+    minus the image pair.  The root's group tests read and fill the
+    table (``_deletable``); only tests go: U, the branch order, the nodes
+    and the certificates stay as they were.  A sub-search reads its graph
     off G's host list, with no graph built: an edge deletion leaves out
     entry x, a vertex deletion the hosts at x, with the ends above x
     moved down by one, and ``graphs.split`` gives each component of a
@@ -157,11 +155,8 @@ class _PairTable:
     known to leave it non-planar (``nonplanar``) or planar (``planar``),
     closed under ``moves`` (automorphisms acting on instance ids).  Each
     half holds one bitmask per instance: bit b of ``half[a]`` is set with
-    bit a of ``half[b]`` when {a, b} is known.  Read at the root of a
-    search of G - x, a non-planar pair {x, b} shows H - b non-planar for
-    H = G - x, and a planar pair {x, b} shows H - b planar, and with it
-    H - B for every host set B holding b, since H - B is a subgraph of
-    H - b.
+    bit a of ``half[b]`` when {a, b} is known.  The group tests at the
+    root of a search of G - x read and fill it (``_deletable``).
 
     A pair enters with its whole orbit, found by following the moves from
     it; a pair already known is skipped, its orbit being known too, so the
@@ -216,7 +211,7 @@ class _LevelSearch:
     ``deleted`` = (table, x) makes this the search of a connected G - x,
     x an edge instance of G: host h here is instance h + (h >= x) of G,
     and ``table`` is G's ``_PairTable``, read and filled by the group
-    tests at the root (see ``_counting_lower``).
+    tests at the root (``_deletable``).
     """
 
     def __init__(
@@ -340,13 +335,13 @@ class _LevelSearch:
                     tried.append(pair)
                     continue
                 reached |= orbit(pair, self.moves, _sorted_image)
+            tried.append(pair)
             for cert in self.branch({}, [], frozenset(tried), pair):
                 if cert.crossings not in seen:
                     seen.add(cert.crossings)
                     yield cert
             if self.out_of_time:
                 return
-            tried.append(pair)
 
     def expand(
         self,
@@ -370,14 +365,13 @@ class _LevelSearch:
         if _euler(self.n + s, simple_m) > remaining:
             return None, []
 
-        used = set(crossings)
         if remaining == 1:
-            return None, self._one_left_pairs(chains, s, used, forbidden)
+            return None, self._one_left_pairs(chains, s, forbidden)
         usable = self._minimal_hosts(chains, s)
         keep = set(usable)
         return None, [
             (e, f) for e in usable for f in self.partners[e]
-            if f in keep and (e, f) not in used and (e, f) not in forbidden
+            if f in keep and (e, f) not in forbidden
         ]
 
     def _node(
@@ -396,10 +390,10 @@ class _LevelSearch:
             return
         banned = set(forbidden)
         for pair in cands:
+            banned.add(pair)
             yield from self.branch(chains, crossings, frozenset(banned), pair)
             if self.out_of_time:
                 return
-            banned.add(pair)
 
     def branch(
         self,
@@ -427,14 +421,13 @@ class _LevelSearch:
         self,
         chains: dict[int, list[int]],
         n_extra: int,
-        used: set[tuple[int, int]],
         forbidden: frozenset[tuple[int, int]],
     ) -> Iterator[tuple[int, int]]:
         """The pairs of hosts in U, sorted, with U resolved in that order.
         A host none of whose partners can still be in U starts no pair and
         is not tested."""
         inside: list[bool | None] = [None] * len(self.ends)
-        planar_blocks: set[tuple[int, ...]] = set()
+        planar_blocks: set[Sequence[int]] = set()
         for e, later in enumerate(self.partners):
             if all(inside[f] is False for f in later):
                 continue
@@ -442,7 +435,7 @@ class _LevelSearch:
                 continue
             for f in later:
                 pair = (e, f)
-                if pair in used or pair in forbidden:
+                if pair in forbidden:
                     continue
                 if self._deletable(chains, n_extra, inside, planar_blocks, f):
                     yield pair
@@ -452,79 +445,57 @@ class _LevelSearch:
         chains: dict[int, list[int]],
         n_extra: int,
         inside: list[bool | None],
-        planar_blocks: set[tuple[int, ...]],
+        planar_blocks: set[Sequence[int]],
         h: int,
     ) -> bool:
-        """Whether deleting host h alone makes the planarization planar.
+        """Whether deleting host h alone makes the planarization H planar.
 
         Settled by group tests over h's block of ``HOST_BLOCK`` hosts,
         halved towards h on a planar result: a non-planar H - S rules out
         every host in S, since H - h contains it.  ``inside`` holds the
         node's settled hosts and ``planar_blocks`` its planar blocks, so
-        no block is tested twice at one node.  The root of a search of
-        G - x (``deleted``) has its own path, ``_deletable_at_root``."""
+        no block is tested twice at one node.
+
+        At the root of a search of G - x (``deleted``), G's pair table
+        only adds knowledge.  The block leaves out the hosts b of known
+        non-planar pairs {x, b}, which lie outside U; these include every
+        host an earlier test at this root ruled out, since a non-planar
+        block B teaches the table every pair inside {x} u B.  A block
+        holding a host of a known planar pair is planar untested, and a
+        planar single host h teaches the table {x, h}.  Search nodes keep
+        the aligned blocks: trimming there costs more tests than it saves
+        on wheel-with-chords cones."""
+        if inside[h] is not None:
+            return inside[h]
         lo = h - h % HOST_BLOCK
-        hi = min(lo + HOST_BLOCK, len(self.ends))
-        if self.deleted and not n_extra and inside[h] is None:
-            return self._deletable_at_root(inside, planar_blocks, h, lo, hi)
-        while inside[h] is None:
-            if (lo, hi) not in planar_blocks:
-                if not self._planar(n_extra, self._pairs(chains, frozenset(range(lo, hi)))):
-                    inside[lo:hi] = [False] * (hi - lo)
-                    break
-                planar_blocks.add((lo, hi))
-            if hi - lo == 1:
-                inside[h] = True
-                break
-            mid = lo + (hi - lo) // 2
-            lo, hi = (lo, mid) if h < mid else (mid, hi)
-        return bool(inside[h])
-
-    def _deletable_at_root(
-        self,
-        inside: list[bool | None],
-        planar_blocks: set[tuple[int, ...]],
-        h: int,
-        lo: int,
-        hi: int,
-    ) -> bool:
-        """``_deletable`` of an unsettled h at the root of a search of
-        G - x, where the planarization is G - x itself and G's pair table
-        stands in for tests.
-
-        A host b of a known non-planar pair {x, b} lies outside U, and so
-        does one an earlier test at this node ruled out: the block
-        [lo, hi) is tested, and halved towards h, with those hosts left
-        out.  A trimmed block B' holding a host b of a known planar pair
-        is planar untested, since G - x - B' lies inside G - x - b.  A
-        non-planar B' teaches the table every pair inside {x} u B', and
-        only those: G minus two of them contains G - x - B'.  A planar
-        single host h teaches it {x, h}."""
-        table, x = self.deleted
-        known_out = table.nonplanar[x]
-        for b in range(lo, hi):
-            if known_out >> (b + (b >= x)) & 1:
-                inside[b] = False
-        if inside[h] is False:
-            return False
-        block = [b for b in range(lo, hi) if inside[b] is not False]
+        block: Sequence[int] = range(lo, min(lo + HOST_BLOCK, len(self.ends)))
+        table, x = self.deleted if self.deleted and not n_extra else (None, 0)
+        if table:
+            for b in block:
+                if table.nonplanar[x] >> (b + (b >= x)) & 1:
+                    inside[b] = False
+            if inside[h] is False:
+                return False
+            block = tuple(b for b in block if inside[b] is not False)
         while True:
-            if tuple(block) not in planar_blocks:
-                ids = [b + (b >= x) for b in block]
-                if not table.planar[x] & sum(1 << b for b in ids) and not self._planar(
-                    0, self._pairs({}, frozenset(block))
+            if block not in planar_blocks:
+                ids = [b + (b >= x) for b in block] if table else []
+                if not (table and table.planar[x] & sum(1 << b for b in ids)) and not self._planar(
+                    n_extra, self._pairs(chains, frozenset(block))
                 ):
-                    table.learn(table.nonplanar, [x] + ids)
+                    if table:
+                        table.learn(table.nonplanar, [x] + ids)
                     for b in block:
                         inside[b] = False
                     return False
-                planar_blocks.add(tuple(block))
+                planar_blocks.add(block)
             if len(block) == 1:
                 inside[h] = True
-                table.learn(table.planar, [x, h + (h >= x)])
+                if table:
+                    table.learn(table.planar, [x, h + (h >= x)])
                 return True
             mid = len(block) // 2
-            block = block[:mid] if h in block[:mid] else block[mid:]
+            block = block[:mid] if h < block[mid] else block[mid:]
 
     def _minimal_hosts(self, chains: dict[int, list[int]], n_extra: int) -> list[int]:
         """Hosts of an inclusion-minimal non-planar set of edge chains.

@@ -574,6 +574,46 @@ def test_cheapest_face_that_does_not_assemble_gives_up_the_drawing(monkeypatch):
     assert_drawing(cone(complete_graph(5)), res.certificate, 3)
 
 
+def _one_page(g, order):
+    return certificate_from_book(BookDrawing(g, CyclicOrder(order), (0,) * g.m))
+
+
+def test_a_drawing_with_no_admissible_apex_face_is_given_up():
+    # A tree on one page in this spine order: each of the five faces that
+    # reach every vertex routes some apex edge across one host twice.
+    g = Multigraph(7, ((0, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1), (3, 6, 1), (5, 6, 1)))
+    drawing = _one_page(g, (3, 2, 0, 6, 4, 5, 1))
+    assert drawing.count == 4
+    with pytest.raises(ApexRoutingError, match="no admissible apex face"):
+        insert_apex(g, drawing)
+
+
+def test_a_segment_entered_from_both_sides_gives_up_the_drawing(monkeypatch):
+    # The cheapest face's routes enter one segment from both of its faces,
+    # which the crossing order along a segment does not cover: the face is
+    # given up before anything is verified.
+    g = Multigraph(10, ((0, 3, 3), (0, 8, 1), (1, 3, 1), (1, 8, 3), (2, 5, 1), (2, 7, 2),
+                        (2, 9, 1), (3, 6, 1), (3, 8, 2), (4, 5, 1), (4, 9, 1), (5, 6, 1),
+                        (5, 8, 1)))
+    drawing = _one_page(g, (7, 4, 5, 3, 9, 1, 0, 6, 8, 2))
+    assert verify_certificate(g, drawing) == (38, True)
+    verified = []
+    real_verify = conecross.apex.verify_certificate
+
+    def counted(*args):
+        verified.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(conecross.apex, "verify_certificate", counted)
+    with pytest.raises(ApexRoutingError, match="cheapest apex face"):
+        insert_apex(g, drawing)
+    assert verified == []
+    monkeypatch.undo()
+    res = cone_cr(g)
+    assert (res.status, res.value) == ("exact", 1)
+    assert_drawing(cone(g), res.certificate, 1)
+
+
 def test_cone_past_the_order_search_limit_lifts_the_natural_drawing():
     # K12 has 12 vertices, past the order search's 11: the natural 1-page
     # drawing has C(12, 4) = 495 crossings and lifts to the cone for free,

@@ -447,6 +447,39 @@ def test_a_one_left_root_tests_no_host_ahead_of_its_branches():
     assert (res.stats.nodes, res.stats.planarity_calls) == (4, 11)
 
 
+def complete_bipartite(a, b):
+    return Multigraph.build(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def test_no_node_proposes_a_pair_its_path_crosses(monkeypatch):
+    # A branch's pair joins the forbidden set of its subtree, so no node
+    # offers a pair that its own path has placed: a good drawing crosses a
+    # pair once.  The one-left stream is re-yielded lazily, since drawing a
+    # pair from it tests hosts.
+    real_expand = solver._LevelSearch.expand
+    offered = Counter()
+
+    def expand(self, chains, crossings, forbidden):
+        cert, cands = real_expand(self, chains, crossings, forbidden)
+        placed = set(crossings)
+
+        def watched():
+            for pair in cands:
+                assert pair not in placed, (pair, crossings)
+                offered[len(crossings) > 0] += 1
+                yield pair
+
+        return cert, watched()
+
+    monkeypatch.setattr(solver._LevelSearch, "expand", expand)
+    cases = [(complete_bipartite(3, 5), 4), (complete_bipartite(4, 4), 4),
+             (complete_graph(5), 1), (complete_graph(6), 3), (fig3_graph(), 2),
+             (petersen(), 2)]
+    for g, value in cases:
+        assert solved(g) == value
+    assert offered[True] > 50 and offered[False] > 50, offered
+
+
 def relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -606,16 +639,16 @@ def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
         assert found == planar_without(self, chains, n_extra, h)
         return found
 
-    def checked_pairs(self, chains, n_extra, used, forbidden):
+    def checked_pairs(self, chains, n_extra, forbidden):
         hosts = [h for h in range(len(self.ends)) if planar_without(self, chains, n_extra, h)]
         greedy = self._minimal_hosts(chains, n_extra)
         assert hosts == [h for h in greedy if planar_without(self, chains, n_extra, h)]
+        # The node's forbidden set holds its placed pairs too.
         expected = [
             (e, f) for e, f in itertools.combinations(hosts, 2)
-            if not set(self.ends[e]) & set(self.ends[f])
-            and (e, f) not in used and (e, f) not in forbidden
+            if not set(self.ends[e]) & set(self.ends[f]) and (e, f) not in forbidden
         ]
-        got = list(lazy_pairs(self, chains, n_extra, used, forbidden))
+        got = list(lazy_pairs(self, chains, n_extra, forbidden))
         assert got == expected
         seen.append(hosts)
         yield from got
@@ -949,6 +982,31 @@ def test_root_group_tests_leave_out_hosts_the_table_rules_out(monkeypatch):
         assert (res.value, res.lower_reason) == (k, "edge-count")
     # Whole blocks and single hosts were tested.
     assert deleted[1] and deleted[solver.HOST_BLOCK], deleted
+
+
+def test_root_hosts_ruled_out_are_in_the_pair_table(monkeypatch):
+    # At the root of a table-backed count sub-search of G - x, every host b
+    # settled outside U(G - x) has {x, b} in the table's non-planar half
+    # after each host settles: the root's group tests can then trim their
+    # blocks by the table alone.
+    real_deletable = solver._LevelSearch._deletable
+    settled = Counter()
+
+    def deletable(self, chains, n_extra, inside, planar_blocks, h):
+        found = real_deletable(self, chains, n_extra, inside, planar_blocks, h)
+        if self.deleted is not None and not n_extra:
+            table, x = self.deleted
+            out = [b for b, known in enumerate(inside) if known is False]
+            missing = [b for b in out if not table.nonplanar[x] >> (b + (b >= x)) & 1]
+            assert missing == [], (x, missing)
+            settled[found] += 1
+            settled["out"] += len(out)
+        return found
+
+    monkeypatch.setattr(solver._LevelSearch, "_deletable", deletable)
+    for g, value, seed in edge_count_cases().values():
+        cr_exact(g, upper_seed=(value, seed))
+    assert settled[True] and settled[False] and settled["out"] > 100, settled
 
 
 # The cases' answers as they were before the pair table: (lower, reason,
