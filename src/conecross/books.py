@@ -6,12 +6,14 @@ chords on the same page cross exactly when their endpoints interleave
 around the circle.  Everything here is a pure function over immutable
 values.
 
-Crossings are read off one bitmask per chord, the later chords on its
-page that it interleaves (``BookDrawing.crossing_masks``): a drawing with
-m chords costs O(n + m) big-integer operations of m bits each, not a test
-of all O(m^2) chord pairs.  ``count_crossings`` sums the masks'
-``int.bit_count()``, which needs Python >= 3.10, as ``pyproject.toml``
-requires.
+The interleave rule has one home, the chord kernel ``chord_masks``: on a
+spine order, one bitmask per chord of the later chords it interleaves,
+pages aside.  It costs O(n + m) big-integer operations of m bits each for
+m chords, not a test of all O(m^2) chord pairs.  ``circle_graph`` reads
+its pairs straight off the kernel, with no drawing built, and
+``BookDrawing.crossing_masks`` cuts the kernel down to pages.
+``count_crossings`` sums the masks' ``int.bit_count()``, which needs
+Python >= 3.10, as ``pyproject.toml`` requires.
 
 Rotating or reflecting a spine order changes no crossing, so order
 searches take one canonical order per class.  That rule lives in
@@ -95,47 +97,23 @@ class BookDrawing:
         """masks[i]: bit j set for every later instance j > i on i's page
         whose chord interleaves i's.
 
-        Cut the circle at spine position 0 so that chord i runs from
-        position lo to hi > lo.  A chord interleaves it when exactly one
-        of its ends lies strictly between them, so the XOR of the
-        end masks at positions lo+1..hi-1 holds those chords, plus the
-        ones sharing an end with i, which are removed.  Two prefix XORs
-        give that range in one step.
+        These are the chord masks of ``chord_masks`` cut down to pages; a
+        drawing on one page, whatever its label, keeps them whole.
         """
-        pos = self.order.position_map()
-        ends = [0] * self.graph.n
+        masks = chord_masks(self.graph, self.order)
+        if self.page_count == 1:
+            return masks
         on_page: dict[int, int] = {}
-        spans = []
         bit = 1
-        for (a, b, _), page in zip(self.graph.instances(), self.pages):
-            lo, hi = (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
-            ends[lo] |= bit
-            ends[hi] |= bit
+        for page in self.pages:
             on_page[page] = on_page.get(page, 0) | bit
-            spans.append((lo, hi))
             bit <<= 1
-        # upto[p]: XOR of the end masks at positions before p.
-        upto = [0]
-        for mask in ends:
-            upto.append(upto[-1] ^ mask)
-        masks = []
-        later = -2  # the bits above instance 0
-        for (lo, hi), page in zip(spans, self.pages):
-            inside = upto[hi] ^ upto[lo + 1]
-            masks.append(inside & ~(ends[lo] | ends[hi]) & on_page[page] & later)
-            later <<= 1
-        return masks
+        return [mask & on_page[page] for mask, page in zip(masks, self.pages)]
 
     def crossing_pairs(self) -> list[tuple[int, int]]:
         """Unordered instance-id pairs on a common page that interleave,
         sorted."""
-        out = []
-        for i, mask in enumerate(self.crossing_masks()):
-            while mask:
-                low = mask & -mask
-                out.append((i, low.bit_length() - 1))
-                mask ^= low
-        return out
+        return _mask_pairs(self.crossing_masks())
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,12 +148,61 @@ def one_page_drawing(g: Multigraph, order: CyclicOrder | None = None) -> BookDra
     return BookDrawing(g, order, (0,) * g.m)
 
 
+def chord_masks(g: Multigraph, order: CyclicOrder) -> list[int]:
+    """masks[i]: bit j set for every later instance j > i whose chord
+    interleaves i's on ``order``, pages aside.
+
+    Cut the circle at spine position 0 so that chord i runs from position
+    lo to hi > lo.  A chord interleaves it when exactly one of its ends
+    lies strictly between them, so the XOR of the end masks at positions
+    lo+1..hi-1 holds those chords, plus the ones sharing an end with i,
+    which are removed.  Two prefix XORs give that range in one step.  The
+    parallel copies of a pair are one run of bits with one span.
+    """
+    if order.n != g.n:
+        raise ValueError("order size does not match vertex count")
+    pos = order.position_map()
+    ends = [0] * g.n
+    spans = []
+    bit = 0
+    for a, b, mult in g.edges:
+        lo, hi = (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
+        run = ((1 << mult) - 1) << bit
+        ends[lo] |= run
+        ends[hi] |= run
+        spans.append((lo, hi, mult))
+        bit += mult
+    # upto[p]: XOR of the end masks at positions before p.
+    upto = [0]
+    for mask in ends:
+        upto.append(upto[-1] ^ mask)
+    masks = []
+    later = -2  # the bits above instance 0
+    for lo, hi, mult in spans:
+        inside = (upto[hi] ^ upto[lo + 1]) & ~(ends[lo] | ends[hi])
+        for _ in range(mult):
+            masks.append(inside & later)
+            later <<= 1
+    return masks
+
+
+def _mask_pairs(masks: list[int]) -> list[tuple[int, int]]:
+    """(i, j) for every bit j of masks[i], sorted."""
+    out = []
+    for i, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            out.append((i, low.bit_length() - 1))
+            mask ^= low
+    return out
+
+
 def count_crossings(d: BookDrawing) -> int:
     return sum(mask.bit_count() for mask in d.crossing_masks())
 
 
 def circle_graph(g: Multigraph, order: CyclicOrder) -> list[tuple[int, int]]:
     """Edges of the chord interleaving graph, whose vertices are g's
-    ``g.m`` edge instances: the 1-page drawing's crossing pairs, sorted.
-    It depends on the order only, not on pages."""
-    return one_page_drawing(g, order).crossing_pairs()
+    ``g.m`` edge instances: the 1-page drawing's crossing pairs, sorted,
+    read off ``chord_masks``.  It depends on the order only, not on pages."""
+    return _mask_pairs(chord_masks(g, order))

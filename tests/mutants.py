@@ -15,7 +15,7 @@ Run it from the repository root; it applies every row in turn::
 
     python tests/mutants.py
 
-The whole table takes about 10 s on a 2-core host.  pytest does
+The whole table takes about 10-15 s on a 2-core host.  pytest does
 not collect this file: its name does not start with ``test_``.  A change
 that adds a prune, a cut or a skip adds a row for it.
 """
@@ -101,6 +101,26 @@ MUTANTS = [
             banned.add(pair)
 """,
         ("tests/test_solver.py::test_no_node_proposes_a_pair_its_path_crosses",),
+    ),
+    Mutant(
+        # The chord kernel keeps the chords that share an end with chord i.
+        "shared-end-chords",
+        "conecross/books.py",
+        "inside = (upto[hi] ^ upto[lo + 1]) & ~(ends[lo] | ends[hi])",
+        "inside = upto[hi] ^ upto[lo + 1]",
+        ("tests/test_books.py::test_crossing_pairs_match_the_brute_force_oracle",
+         "tests/test_pages.py::test_split_report_matches_the_brute_force_oracle"),
+    ),
+    Mutant(
+        # A cone whose best seed is one above the Euler floor takes that
+        # seed as exact, with no solve of the cone.
+        "seed-above-floor",
+        "conecross/apex.py",
+        "    res = solve_component(cg, max_k, deadline, best)\n",
+        "    if best.count == floor + 1:\n"
+        "        return SolveResult(best.count, best, SolveStats(nodes, calls), \"search\")\n"
+        "    res = solve_component(cg, max_k, deadline, best)\n",
+        ("tests/test_apex.py::test_cone_closes_below_a_best_seed_one_above_the_floor",),
     ),
 ]
 

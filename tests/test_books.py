@@ -198,6 +198,29 @@ def test_crossing_pairs_match_the_brute_force_oracle():
             assert circle_graph(g, d.order) == want, trial
 
 
+@pytest.mark.parametrize("labels", [(2,), (0, 2), (1, 3, 5)])
+def test_crossings_match_the_oracle_on_page_labels_not_from_0(labels):
+    # The oracle test above draws page labels from range(n_pages); these
+    # skip 0 or leave gaps, so a one-page shortcut that assumes labels
+    # 0..k-1 shows.
+    rng = random.Random(sum(labels))
+    for trial in range(100):
+        n = rng.randint(2, 9)
+        g = Multigraph.build(n, [rng.sample(range(n), 2) for _ in range(rng.randint(0, 3 * n))])
+        seq = list(range(n))
+        rng.shuffle(seq)
+        d = BookDrawing(g, CyclicOrder(tuple(seq)), tuple(rng.choice(labels) for _ in range(g.m)))
+        want = interleaving_pairs(d)
+        masks = [0] * g.m
+        for i, j in want:
+            masks[i] |= 1 << j
+        assert d.crossing_masks() == masks, trial
+        assert d.crossing_pairs() == want, trial
+        assert count_crossings(d) == len(want), trial
+        if len(labels) == 1:
+            assert circle_graph(g, d.order) == want, trial
+
+
 def test_book_json_round_trip():
     g = complete_graph(4)
     d = BookDrawing(g, CyclicOrder((1, 3, 0, 2)), (0, 1, 0, 1, 0, 1))

@@ -7,6 +7,7 @@ import pytest
 
 from conecross import (
     CyclicOrder,
+    EdwardsBound,
     Multigraph,
     complete_graph,
     cone,
@@ -16,6 +17,7 @@ from conecross import (
     fig1_graph,
     fig3_graph,
     multiply_edges,
+    one_page_drawing,
     one_to_two,
     outerplanar_cr,
     random_graph,
@@ -32,6 +34,7 @@ from conecross.pages import (
     outerplanar_search,
     two_page_search,
 )
+from test_books import interleaving_pairs
 
 
 def three_interleaved_chords():
@@ -67,6 +70,46 @@ def test_split_report_accounting():
     assert report.crossings == report.one_page_crossings - report.cut.size
     assert count_crossings(report.drawing) == report.crossings
     assert cor22_bound_ok(report.one_page_crossings, report.crossings)
+
+
+def brute_force_max_cut(n, edges):
+    """The largest cut over every split of n vertices, the last pinned to
+    side 0 (a split and its mirror cut the same edges)."""
+    return max(
+        sum((split >> i ^ split >> j) & 1 for i, j in edges)
+        for split in range(1 << max(n - 1, 0))
+    )
+
+
+def test_split_report_matches_the_brute_force_oracle():
+    rng = random.Random(41)
+    seen = set()
+    for trial in range(150):
+        n = rng.randint(2, 12)
+        # g.m == m: repeats of a pair become parallel copies, and on many
+        # vertices few pairs leave some isolated.
+        m = rng.choice([rng.randint(0, 14), rng.randint(15, EXACT_LIMIT),
+                        rng.randint(EXACT_LIMIT + 1, 48)])
+        g = Multigraph.build(n, [rng.sample(range(n), 2) for _ in range(m)])
+        seq = list(range(n))
+        rng.shuffle(seq)
+        order = CyclicOrder(tuple(seq))
+        split = split_report(g, order)
+        circle = interleaving_pairs(one_page_drawing(g, order))
+        side = split.cut.side
+        assert split.one_page_crossings == len(circle), trial
+        assert split.cut.size == sum(side[i] != side[j] for i, j in circle), trial
+        assert (split.drawing.graph, split.drawing.order) == (g, order), trial
+        assert split.drawing.pages == side, trial
+        assert split.crossings == len(interleaving_pairs(split.drawing)), trial
+        assert split.crossings <= split.one_page_crossings, trial
+        assert EdwardsBound(len(circle)).met_by(split.cut.size), trial
+        if g.m <= 14:
+            assert split.cut.size == brute_force_max_cut(g.m, circle), trial
+        seen.add(g.m > EXACT_LIMIT)
+        seen.add("parallel" if len(g.edges) < g.m else "simple")
+        seen.add("isolated" if len({v for e in g.edges for v in e[:2]}) < n else "spanning")
+    assert seen == {False, True, "parallel", "simple", "isolated", "spanning"}
 
 
 def test_one_page_k4_after_split_is_planar():
