@@ -74,9 +74,11 @@ Prunes, all sound:
     entry x, a vertex deletion the hosts at x, with the ends above x
     moved down by one, and ``graphs.split`` gives each component of a
     disconnected G - x its hosts relabelled in order.  Each keeps G's
-    instance order, so a connected edge deletion's partner lists are
-    G's with x left out.  A sub-search builds its ``Multigraph`` only if
-    it asks for its automorphisms, when its root reaches a second branch.
+    instance order and builds its own partner masks off its host list in
+    O(m): one incidence mask per vertex, and host e's partners are the
+    later hosts outside the masks of its two ends.  A sub-search builds
+    its ``Multigraph`` only if it asks for its automorphisms, when its
+    root reaches a second branch.
 
 The search at a level is one generator, ``_LevelSearch.hits``, that
 yields realizable certificates with distinct crossing sets in a fixed
@@ -93,7 +95,7 @@ its hosts).
 Every level search of ``cr_exact`` runs in one deepening loop,
 ``_deepen``, which ends at the first level with a hit, the first level
 cut short, or a stop.  One ``_LevelSearch`` serves all levels of a
-graph: they share one set of partner lists and one set of automorphism
+graph: they share one set of partner masks and one set of automorphism
 generators, found on first use and read by the count too, and a level
 with no hit proves G non-planar, so no later level tests the root again.
 Its counters are the component solve's work, the count's sub-searches
@@ -171,14 +173,22 @@ class _PairTable:
         self.nonplanar = [0] * m
         self.planar = [0] * m
 
-    def learn(self, half: list[int], ids: list[int]) -> None:
-        """Enter every pair inside ``ids``, with its orbit, in ``half``."""
+    def learn(self, half: list[int], ids: int) -> None:
+        """Enter every pair inside the instance mask ``ids``, with its
+        orbit, in ``half``."""
         moves = self.moves
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if half[a] >> b & 1:
+        while ids:
+            a = (ids & -ids).bit_length() - 1
+            ids &= ids - 1
+            new = ids & ~half[a]
+            while new:
+                low = new & -new
+                new ^= low
+                # An orbit entered since may hold {a, b} by now.
+                if half[a] & low:
                     continue
-                half[a] |= 1 << b
+                b = low.bit_length() - 1
+                half[a] |= low
                 half[b] |= 1 << a
                 stack = [(a, b)]
                 while stack:
@@ -245,14 +255,17 @@ class _LevelSearch:
         return Multigraph.build(self.n, self.ends)
 
     @cached_property
-    def partners(self) -> list[list[int]]:
-        """partners[e]: the hosts f > e that share no end with e, the
-        hosts e can be crossed with in a good drawing."""
-        ends = self.ends
+    def partners(self) -> list[int]:
+        """partners[e]: the mask of hosts f > e that share no end with e,
+        the hosts e can be crossed with in a good drawing.  Built in O(m)
+        from one incidence mask per vertex."""
+        at = [0] * self.n
+        for eid, (u, v) in enumerate(self.ends):
+            at[u] |= 1 << eid
+            at[v] |= 1 << eid
+        every = (1 << len(self.ends)) - 1
         return [
-            [f for f in range(e + 1, len(ends))
-             if ends[f][0] != u and ends[f][0] != v and ends[f][1] != u and ends[f][1] != v]
-            for e, (u, v) in enumerate(ends)
+            (every ^ (at[u] | at[v])) >> (e + 1) << (e + 1) for e, (u, v) in enumerate(self.ends)
         ]
 
     @cached_property
@@ -276,22 +289,24 @@ class _LevelSearch:
 
     # -- planarization plumbing ------------------------------------------
 
-    def _pairs(
-        self,
-        chains: dict[int, list[int]],
-        skip: frozenset[int] = frozenset(),
-    ) -> list[tuple[int, int]]:
+    def _pairs(self, chains: dict[int, list[int]], skip: int = 0) -> list[tuple[int, int]]:
         """The planarization's edges: each host's chain through its
-        crossings, hosts in ``skip`` left out.  With no crossings that is
-        the host list itself."""
+        crossings, the hosts of the mask ``skip`` left out.  With no
+        crossings that is the host list itself."""
         if not chains:
             if not skip:
                 return self.ends
-            return [pair for eid, pair in enumerate(self.ends) if eid not in skip]
+            # Highest first, so each deletion leaves the lower ids in place.
+            kept = self.ends.copy()
+            while skip:
+                top = skip.bit_length() - 1
+                del kept[top]
+                skip ^= 1 << top
+            return kept
         n = self.n
         pairs: list[tuple[int, int]] = []
         for eid, (u, v) in enumerate(self.ends):
-            if eid in skip:
+            if skip >> eid & 1:
                 continue
             chain = chains.get(eid)
             if not chain:
@@ -368,10 +383,9 @@ class _LevelSearch:
         if remaining == 1:
             return None, self._one_left_pairs(chains, s, forbidden)
         usable = self._minimal_hosts(chains, s)
-        keep = set(usable)
         return None, [
-            (e, f) for e in usable for f in self.partners[e]
-            if f in keep and (e, f) not in forbidden
+            (e, f) for e in _bits(usable) for f in _bits(self.partners[e] & usable)
+            if (e, f) not in forbidden
         ]
 
     def _node(
@@ -424,81 +438,98 @@ class _LevelSearch:
         forbidden: frozenset[tuple[int, int]],
     ) -> Iterator[tuple[int, int]]:
         """The pairs of hosts in U, sorted, with U resolved in that order.
-        A host none of whose partners can still be in U starts no pair and
-        is not tested."""
-        inside: list[bool | None] = [None] * len(self.ends)
-        planar_blocks: set[Sequence[int]] = set()
+        ``outside`` and ``inside`` mask the hosts settled so far on either
+        side of U.  A host e with ``partners[e] & ~outside`` empty, no
+        partner left that can be in U, starts no pair and is not tested;
+        the partners of a host in U are walked bit by bit, upwards."""
+        outside = inside = 0
+        planar_blocks: set[int] = set()
         for e, later in enumerate(self.partners):
-            if all(inside[f] is False for f in later):
+            if not later & ~outside:
                 continue
-            if not self._deletable(chains, n_extra, inside, planar_blocks, e):
-                continue
-            for f in later:
-                pair = (e, f)
-                if pair in forbidden:
+            bit = 1 << e
+            if not inside & bit:
+                if outside & bit:
                     continue
-                if self._deletable(chains, n_extra, inside, planar_blocks, f):
-                    yield pair
+                outside = self._deletable(chains, n_extra, outside, planar_blocks, e)
+                if outside & bit:
+                    continue
+                inside |= bit
+            while later := later & ~outside:
+                low = later & -later
+                later ^= low
+                f = low.bit_length() - 1
+                if (e, f) in forbidden:
+                    continue
+                if not inside & low:
+                    outside = self._deletable(chains, n_extra, outside, planar_blocks, f)
+                    if outside & low:
+                        continue
+                    inside |= low
+                yield e, f
 
     def _deletable(
         self,
         chains: dict[int, list[int]],
         n_extra: int,
-        inside: list[bool | None],
-        planar_blocks: set[Sequence[int]],
+        outside: int,
+        planar_blocks: set[int],
         h: int,
-    ) -> bool:
-        """Whether deleting host h alone makes the planarization H planar.
+    ) -> int:
+        """Settle host h, which is not yet settled, as deletable (H - h
+        planar, h in U) or not: returns the mask ``outside`` of the hosts
+        known outside U, with h's bit set if h is not deletable and the
+        bits of every host the tests rule out on the way.
 
-        Settled by group tests over h's block of ``HOST_BLOCK`` hosts,
-        halved towards h on a planar result: a non-planar H - S rules out
-        every host in S, since H - h contains it.  ``inside`` holds the
-        node's settled hosts and ``planar_blocks`` its planar blocks, so
-        no block is tested twice at one node.
+        Settled by group tests over h's block of ``HOST_BLOCK`` hosts, a
+        mask, halved towards h on a planar result: a non-planar H - S rules
+        out every host in S, since H - h contains it.  ``planar_blocks``
+        holds the node's planar blocks, so no block is tested twice at one
+        node.
 
         At the root of a search of G - x (``deleted``), G's pair table
-        only adds knowledge.  The block leaves out the hosts b of known
-        non-planar pairs {x, b}, which lie outside U; these include every
-        host an earlier test at this root ruled out, since a non-planar
-        block B teaches the table every pair inside {x} u B.  A block
-        holding a host of a known planar pair is planar untested, and a
-        planar single host h teaches the table {x, h}.  Search nodes keep
-        the aligned blocks: trimming there costs more tests than it saves
-        on wheel-with-chords cones."""
-        if inside[h] is not None:
-            return inside[h]
+        only adds knowledge.  Its row ``nonplanar[x]`` moves into G - x's
+        ids with one shift, and a block moves back to G's ids the same way.
+        The block leaves out the hosts b of known non-planar pairs {x, b},
+        which lie outside U; these include every host an earlier test at
+        this root ruled out, since a non-planar block B teaches the table
+        every pair inside {x} u B.  A block holding a host of a known
+        planar pair is planar untested, and a planar single host h teaches
+        the table {x, h}.  Search nodes keep the aligned blocks: trimming
+        there costs more tests than it saves on wheel-with-chords cones."""
         lo = h - h % HOST_BLOCK
-        block: Sequence[int] = range(lo, min(lo + HOST_BLOCK, len(self.ends)))
+        block = (1 << min(lo + HOST_BLOCK, len(self.ends))) - (1 << lo)
+        bit = 1 << h
         table, x = self.deleted if self.deleted and not n_extra else (None, 0)
+        below = (1 << x) - 1
         if table:
-            for b in block:
-                if table.nonplanar[x] >> (b + (b >= x)) & 1:
-                    inside[b] = False
-            if inside[h] is False:
-                return False
-            block = tuple(b for b in block if inside[b] is not False)
+            row = table.nonplanar[x]
+            outside |= block & ((row & below) | (row >> (x + 1) << x))
+            if outside & bit:
+                return outside
+            block &= ~outside
         while True:
             if block not in planar_blocks:
-                ids = [b + (b >= x) for b in block] if table else []
-                if not (table and table.planar[x] & sum(1 << b for b in ids)) and not self._planar(
-                    n_extra, self._pairs(chains, frozenset(block))
+                ids = (block & below) | (block >> x << (x + 1)) if table else 0
+                if not (table and table.planar[x] & ids) and not self._planar(
+                    n_extra, self._pairs(chains, block)
                 ):
                     if table:
-                        table.learn(table.nonplanar, [x] + ids)
-                    for b in block:
-                        inside[b] = False
-                    return False
+                        table.learn(table.nonplanar, ids | 1 << x)
+                    return outside | block
                 planar_blocks.add(block)
-            if len(block) == 1:
-                inside[h] = True
+            if block == bit:
                 if table:
-                    table.learn(table.planar, [x, h + (h >= x)])
-                return True
-            mid = len(block) // 2
-            block = block[:mid] if h < block[mid] else block[mid:]
+                    table.learn(table.planar, 1 << x | 1 << (h + (h >= x)))
+                return outside
+            upper = block
+            for _ in range(block.bit_count() // 2):
+                upper &= upper - 1
+            block = upper if upper & bit else block ^ upper
 
-    def _minimal_hosts(self, chains: dict[int, list[int]], n_extra: int) -> list[int]:
-        """Hosts of an inclusion-minimal non-planar set of edge chains.
+    def _minimal_hosts(self, chains: dict[int, list[int]], n_extra: int) -> int:
+        """The mask of hosts of an inclusion-minimal non-planar set of edge
+        chains.
 
         Greedy single pass: drop each host whose removal keeps the rest
         non-planar.  What remains hosts a Kuratowski subdivision, and any
@@ -506,12 +537,19 @@ class _LevelSearch:
         only with two or more crossings left; with one left,
         ``_one_left_pairs`` tests the usable hosts directly.
         """
-        removed: set[int] = set()
+        removed = 0
         for h in range(len(self.ends)):
-            trial = frozenset(removed | {h})
-            if not self._planar(n_extra, self._pairs(chains, trial)):
-                removed.add(h)
-        return [h for h in range(len(self.ends)) if h not in removed]
+            if not self._planar(n_extra, self._pairs(chains, removed | 1 << h)):
+                removed |= 1 << h
+        return ((1 << len(self.ends)) - 1) ^ removed
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _deepen(

@@ -51,6 +51,11 @@ def petersen():
     return Multigraph.build(10, outer + inner + spokes)
 
 
+def bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
 def solved(g, **kw):
     res = cr_exact(g, **kw)
     assert res.status == "exact"
@@ -631,18 +636,23 @@ def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
     group_tested = solver._LevelSearch._deletable
 
     def planar_without(search, chains, n_extra, h):
-        pairs = search._pairs(chains, frozenset((h,)))
+        pairs = search._pairs(chains, 1 << h)
         return lr_planar(search.n + n_extra, pairs)
 
-    def checked_host(self, chains, n_extra, inside, planar_blocks, h):
-        found = group_tested(self, chains, n_extra, inside, planar_blocks, h)
-        assert found == planar_without(self, chains, n_extra, h)
-        return found
+    def checked_host(self, chains, n_extra, outside, planar_blocks, h):
+        assert not outside >> h & 1
+        after = group_tested(self, chains, n_extra, outside, planar_blocks, h)
+        # Hosts already settled outside stay there.
+        assert after & outside == outside
+        assert (not after >> h & 1) == planar_without(self, chains, n_extra, h)
+        for b in bits(after & ~outside):
+            assert not planar_without(self, chains, n_extra, b)
+        return after
 
     def checked_pairs(self, chains, n_extra, forbidden):
         hosts = [h for h in range(len(self.ends)) if planar_without(self, chains, n_extra, h)]
         greedy = self._minimal_hosts(chains, n_extra)
-        assert hosts == [h for h in greedy if planar_without(self, chains, n_extra, h)]
+        assert hosts == [h for h in bits(greedy) if planar_without(self, chains, n_extra, h)]
         # The node's forbidden set holds its placed pairs too.
         expected = [
             (e, f) for e, f in itertools.combinations(hosts, 2)
@@ -666,6 +676,33 @@ def test_one_crossing_left_hosts_are_the_single_deletions(monkeypatch):
         cr_exact(g, upper_seed=(value, seed))
     assert len(seen) > 100
     assert any(seen) and not all(seen)
+
+
+def test_partner_masks_are_the_later_instances_sharing_no_end():
+    # partners[e] holds exactly the instances f > e with no end in common
+    # with e, the ones e can cross in a good drawing.  Seeded multigraphs
+    # with parallel copies and isolated vertices, each whole and, as an
+    # edge count's sub-search reads it, with one instance left out.
+    rng = random.Random(42)
+    checked = 0
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng.randrange(10**6))
+        copies = [(u, v, k + rng.randrange(3)) for u, v, k in g.edges]
+        g = Multigraph.build(n + rng.randint(0, 2), copies)
+        ends = [(u, v) for u, v, _ in g.instances()]
+        left_out = rng.sample(range(len(ends)), min(2, len(ends)))
+        lists = [ends] + [ends[:x] + ends[x + 1:] for x in left_out]
+        for hosts in lists:
+            search = solver._LevelSearch(g.n, hosts, Deadline(None))
+            want = [
+                [f for f in range(e + 1, len(hosts)) if not set(hosts[e]) & set(hosts[f])]
+                for e in range(len(hosts))
+            ]
+            assert [bits(mask) for mask in search.partners] == want
+            assert all(mask >> len(hosts) == 0 for mask in search.partners)
+            checked += sum(map(len, want))
+    assert checked > 1000
 
 
 def seeded_sweep_graphs():
@@ -967,12 +1004,12 @@ def test_root_group_tests_leave_out_hosts_the_table_rules_out(monkeypatch):
         finally:
             testing.pop()
 
-    def pairs(self, chains, skip=frozenset()):
+    def pairs(self, chains, skip=0):
         if testing and testing[-1] is self and self.deleted is not None and not chains:
             table, x = self.deleted
-            known = [b for b in skip if table.nonplanar[x] >> (b + (b >= x)) & 1]
-            assert known == [], (x, sorted(skip), known)
-            deleted[len(skip)] += 1
+            known = [b for b in bits(skip) if table.nonplanar[x] >> (b + (b >= x)) & 1]
+            assert known == [], (x, bits(skip), known)
+            deleted[skip.bit_count()] += 1
         return real_pairs(self, chains, skip)
 
     monkeypatch.setattr(solver._LevelSearch, "_deletable", deletable)
@@ -992,16 +1029,16 @@ def test_root_hosts_ruled_out_are_in_the_pair_table(monkeypatch):
     real_deletable = solver._LevelSearch._deletable
     settled = Counter()
 
-    def deletable(self, chains, n_extra, inside, planar_blocks, h):
-        found = real_deletable(self, chains, n_extra, inside, planar_blocks, h)
+    def deletable(self, chains, n_extra, outside, planar_blocks, h):
+        after = real_deletable(self, chains, n_extra, outside, planar_blocks, h)
         if self.deleted is not None and not n_extra:
             table, x = self.deleted
-            out = [b for b, known in enumerate(inside) if known is False]
+            out = bits(after)
             missing = [b for b in out if not table.nonplanar[x] >> (b + (b >= x)) & 1]
             assert missing == [], (x, missing)
-            settled[found] += 1
+            settled[not after >> h & 1] += 1
             settled["out"] += len(out)
-        return found
+        return after
 
     monkeypatch.setattr(solver._LevelSearch, "_deletable", deletable)
     for g, value, seed in edge_count_cases().values():
