@@ -13,7 +13,15 @@ not crossed again (a good drawing crosses a pair at most once).
 
 Prunes, all sound:
   - Euler bound of the partial planarization exceeding the remaining
-    crossing budget (a completion would draw H with that few crossings);
+    crossing budget (a completion would draw H with that few crossings).
+    On a simple graph every crossing adds one vertex and two distinct
+    edges, so a node's bound is at most the root's less the crossings
+    placed, and the cut can fire only at levels below the root's Euler
+    bound, which no solve starts at.  It stays for multigraphs: crossing
+    one copy of a parallel pair whose other copies remain adds a third
+    distinct edge, so the bound holds while the budget shrinks (doubled
+    K5 takes 206 planarity tests with the cut, 315 with it at the root
+    only);
   - with one crossing left, both of its hosts must individually restore
     planarity when deleted, so candidates shrink to the set U of hosts h
     with H - h planar (h's whole chain deleted).  U is resolved in branch
@@ -30,13 +38,15 @@ Prunes, all sound:
     deletions, found here with about a third of the tests;
   - certificates inherit the good-drawing restrictions (no adjacent or
     repeated pairs), which some optimal drawing always satisfies;
-  - ``cr_exact`` skips root branch j when an automorphism sigma of G maps
-    an earlier root pair c_i (i < j) onto c_j; branch j still forbids
-    every earlier pair, skipped ones included.  A certificate C whose
-    first root pair is c_j has the realizable image sigma^-1(C), which
-    crosses c_i and so belongs to a branch of lower index.  Indices only
-    go down, so this ends at a searched branch, and the lowest-index hit
-    is never skipped: the bracket and the certificate stay the same.
+  - the root, a ``_node`` like any other, skips its branch j when an
+    automorphism sigma of G maps an earlier root pair c_i (i < j) onto
+    c_j; this skip is the one root-only step of the candidate loop, and
+    branch j still forbids every earlier pair, skipped ones included.
+    A certificate C whose first root pair is c_j has the realizable
+    image sigma^-1(C), which crosses c_i and so belongs to a branch of
+    lower index.  Indices only go down, so this ends at a searched
+    branch, and the lowest-index hit is never skipped: the bracket and
+    the certificate stay the same.
     The argument holds for any set of automorphisms, so the generators
     found before the deadline suffice.  A drawing stream (``cr_exact``'s
     ``until``, ``cr_certificates``) wants every drawing of the level,
@@ -85,12 +95,16 @@ yields realizable certificates with distinct crossing sets in a fixed
 order.  ``cr_exact`` takes its first hit and, given an ``until`` test,
 drains the same generator to the test's first True or the level's end,
 so a caller acts on each optimal drawing as the level's one search finds
-it; ``cr_certificates`` lists a whole level.  The generator closes the
-root orbits as branches start, from the second branch on: a pair inside
-the orbits closed so far is skipped, and any other adds its orbit.  So a
-level whose first branch hits pays nothing for them, and no root pair is
-drawn ahead of its branch (with one crossing left, drawing a pair tests
-its hosts).
+it; ``cr_certificates`` lists a whole level.  ``hits`` runs the root as
+an ordinary search node, ``_node``, and drops any crossing set it has
+already yielded at the level.  ``_node`` is the one node routine: the
+planarity test, the cuts, the candidate pairs and the loop over each
+pair's placements along both hosts.  At the root, its candidate loop
+closes the orbits as branches start, from the second branch on: a pair
+inside the orbits closed so far is skipped, and any other adds its
+orbit.  So a level whose first branch hits pays nothing for them, and
+no root pair is drawn ahead of its branch (with one crossing left,
+drawing a pair tests its hosts).
 
 Every level search of ``cr_exact`` runs in one deepening loop,
 ``_deepen``, which ends at the first level with a hit, the first level
@@ -122,7 +136,7 @@ import math
 import time
 from collections import Counter
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .certificates import (
     CrossingCertificate,
@@ -205,7 +219,8 @@ class _LevelSearch:
     """Depth-first search of one graph's levels: ``hits(r)`` yields the
     certificates with exactly ``r`` crossings.
 
-    The exclusion discipline makes the certificates it yields free of
+    Every node, the root included, is one call of ``_node``.  The
+    exclusion discipline makes the certificates it yields free of
     rediscoveries across sibling branches.  ``nodes`` and ``planarity``
     count the nodes entered and the planarity tests made over all levels,
     and the work of the counting bound's sub-searches when it runs on
@@ -241,6 +256,8 @@ class _LevelSearch:
         self.nodes = 0
         self.planarity = 0
         self.out_of_time = False
+        # The crossing sets ``hits`` has yielded at the current level.
+        self.seen: set[tuple[tuple[int, int], ...]] = set()
 
     @classmethod
     def of(cls, g: Multigraph, deadline: Deadline) -> _LevelSearch:
@@ -328,65 +345,16 @@ class _LevelSearch:
     def hits(self, r: int) -> Iterator[CrossingCertificate]:
         """The realizable certificates with ``r`` crossings, in search order,
         with pairwise distinct crossing sets, until they are exhausted or the
-        deadline passes (then ``out_of_time`` is set).  The root counts as
-        one node.  Until the first hit, root branches that an automorphism
-        maps from an earlier one are skipped.  One level at a time: a new
-        call resets the level of any earlier generator."""
+        deadline passes (then ``out_of_time`` is set).  The root is a
+        ``_node``; ``seen`` holds the crossing sets yielded at this level.
+        One level at a time: a new call resets the level of any earlier
+        generator."""
         self.r = r
-        self.nodes += 1
-        cert, cands = self.expand({}, [], frozenset())
-        if cert is not None:
-            yield cert
-            return
-        seen: set[tuple[tuple[int, int], ...]] = set()
-        reached: set[tuple[int, int]] = set()
-        tried: list[tuple[int, int]] = []
-        for pair in cands:
-            if tried and not seen:
-                # Close the orbits of the branches started so far; the
-                # first branch's orbit waits until a second one is due.
-                reached = reached or orbit(tried[0], self.moves, _sorted_image)
-                if pair in reached:
-                    tried.append(pair)
-                    continue
-                reached |= orbit(pair, self.moves, _sorted_image)
-            tried.append(pair)
-            for cert in self.branch({}, [], frozenset(tried), pair):
-                if cert.crossings not in seen:
-                    seen.add(cert.crossings)
-                    yield cert
-            if self.out_of_time:
-                return
-
-    def expand(
-        self,
-        chains: dict[int, list[int]],
-        crossings: list[tuple[int, int]],
-        forbidden: frozenset[tuple[int, int]],
-    ) -> tuple[CrossingCertificate | None, Iterable[tuple[int, int]]]:
-        """A node's own drawing if its planarization is planar, else the
-        crossing pairs to branch on, sorted (none: the node is a dead end).
-        With one crossing left the pairs come from a generator that tests
-        hosts only as the order reaches them."""
-        s = len(crossings)
-        pairs = self._pairs(chains)
-        if (crossings or not self.root_nonplanar) and self._planar(s, pairs):
-            return CrossingCertificate.build(list(crossings), chains), []
-        self.root_nonplanar |= not crossings
-        if s == self.r:
-            return None, []
-        remaining = self.r - s
-        simple_m = len({(min(a, b), max(a, b)) for a, b in pairs})
-        if _euler(self.n + s, simple_m) > remaining:
-            return None, []
-
-        if remaining == 1:
-            return None, self._one_left_pairs(chains, s, forbidden)
-        usable = self._minimal_hosts(chains, s)
-        return None, [
-            (e, f) for e in _bits(usable) for f in _bits(self.partners[e] & usable)
-            if (e, f) not in forbidden
-        ]
+        self.seen = set()
+        for cert in self._node({}, [], frozenset()):
+            if cert.crossings not in self.seen:
+                self.seen.add(cert.crossings)
+                yield cert
 
     def _node(
         self,
@@ -394,42 +362,65 @@ class _LevelSearch:
         crossings: list[tuple[int, int]],
         forbidden: frozenset[tuple[int, int]],
     ) -> Iterator[CrossingCertificate]:
+        """The certificates below one node: its own drawing if its
+        planarization is planar, else those of its branches, one per
+        candidate pair (sorted) and placement of the new crossing along
+        both hosts.  With one crossing left the pairs come from a generator
+        that tests hosts only as the order reaches them.
+
+        Each branch's pair joins the forbidden set of its subtree and of the
+        later branches.  The root (no crossings) makes no deadline check,
+        skips its planarity test once a level has shown G non-planar, and,
+        until the level's first hit, skips a pair inside the orbits of the
+        pairs started so far; the first pair's orbit waits until a second
+        branch is due."""
         self.nodes += 1
-        if self.deadline.expired():
+        s = len(crossings)
+        if s and self.deadline.expired():
             self.out_of_time = True
             return
-        cert, cands = self.expand(chains, crossings, forbidden)
-        if cert is not None:
-            yield cert
+        pairs = self._pairs(chains)
+        if (s or not self.root_nonplanar) and self._planar(s, pairs):
+            yield CrossingCertificate.build(list(crossings), chains)
             return
+        self.root_nonplanar |= not s
+        remaining = self.r - s
+        if not remaining:
+            return
+        simple_m = len({(min(a, b), max(a, b)) for a, b in pairs})
+        if _euler(self.n + s, simple_m) > remaining:
+            return
+        if remaining == 1:
+            cands = self._one_left_pairs(chains, s, forbidden)
+        else:
+            usable = self._minimal_hosts(chains, s)
+            cands = (
+                (e, f) for e in _bits(usable) for f in _bits(self.partners[e] & usable)
+                if (e, f) not in forbidden
+            )
+        root = not s
         banned = set(forbidden)
+        reached = None
         for pair in cands:
             banned.add(pair)
-            yield from self.branch(chains, crossings, frozenset(banned), pair)
-            if self.out_of_time:
-                return
-
-    def branch(
-        self,
-        chains: dict[int, list[int]],
-        crossings: list[tuple[int, int]],
-        forbidden: frozenset[tuple[int, int]],
-        pair: tuple[int, int],
-    ) -> Iterator[CrossingCertificate]:
-        """Certificates below a node that cross ``pair`` next, over every
-        placement of the new crossing along both hosts."""
-        e, f = pair
-        idx = len(crossings)
-        chain_e = chains.get(e, [])
-        chain_f = chains.get(f, [])
-        for pe in range(len(chain_e) + 1):
-            for pf in range(len(chain_f) + 1):
-                next_chains = dict(chains)
-                next_chains[e] = chain_e[:pe] + [idx] + chain_e[pe:]
-                next_chains[f] = chain_f[:pf] + [idx] + chain_f[pf:]
-                yield from self._node(next_chains, crossings + [pair], forbidden)
-                if self.out_of_time:
-                    return
+            if root and len(banned) > 1 and not self.seen:
+                # banned holds the root's pairs so far, the first lowest.
+                if reached is None:
+                    reached = orbit(min(banned), self.moves, _sorted_image)
+                if pair in reached:
+                    continue
+                reached |= orbit(pair, self.moves, _sorted_image)
+            below = frozenset(banned)
+            e, f = pair
+            chain_e, chain_f = chains.get(e, []), chains.get(f, [])
+            for pe in range(len(chain_e) + 1):
+                for pf in range(len(chain_f) + 1):
+                    next_chains = dict(chains)
+                    next_chains[e] = chain_e[:pe] + [s] + chain_e[pe:]
+                    next_chains[f] = chain_f[:pf] + [s] + chain_f[pf:]
+                    yield from self._node(next_chains, crossings + [pair], below)
+                    if self.out_of_time:
+                        return
 
     def _one_left_pairs(
         self,

@@ -133,6 +133,12 @@ def test_circle_graph_vertices_are_instances():
     assert circle_graph(g, CyclicOrder.natural(4)) == [(1, 4)]
 
 
+def test_circle_graph_refuses_an_order_of_the_wrong_size():
+    for size in (3, 6):
+        with pytest.raises(ValueError, match="^order size does not match vertex count$"):
+            circle_graph(complete_graph(5), CyclicOrder.natural(size))
+
+
 def test_circle_graph_edge_count_equals_one_page_crossings():
     rng = random.Random(11)
     for trial in range(40):

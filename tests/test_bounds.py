@@ -44,6 +44,8 @@ def test_sqrt_bound_minimum():
         c = thm12_min_c(k)
         assert thm12_check(k, c)
         assert c == k or not thm12_check(k, c - 1)
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        thm12_min_c(-1)
 
 
 def test_simple_graph_lower_bound_table():
@@ -106,6 +108,9 @@ def test_multigraph_upper_check_edges():
 def test_harary_hill_values():
     assert [harary_hill(n) for n in range(1, 5)] == [0, 0, 0, 0]
     assert [harary_hill(n) for n in range(5, 13)] == [1, 3, 9, 18, 36, 60, 100, 150]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            harary_hill(n)
 
 
 def test_phi_upper_fixture_for_k_ten():

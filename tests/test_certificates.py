@@ -325,6 +325,15 @@ def test_scale_certificate_rejects_non_multiples():
         scale_certificate(multiply_edges(base, 2), k5_cert(), base)
 
 
+def test_scale_certificate_rejects_a_target_missing_a_base_pair():
+    # Every pair the target has scales from the base, but pair (0, 1) of
+    # K5 is gone.
+    base = complete_graph(5)
+    target = Multigraph.build(5, [(u, v) for u, v, _ in base.edges if (u, v) != (0, 1)])
+    with pytest.raises(ValueError, match="^target is missing pairs of the base graph$"):
+        scale_certificate(base, k5_cert(), target)
+
+
 def test_f_graph_certificates():
     for k in (3, 4, 5):
         g = f_graph(k)

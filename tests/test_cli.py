@@ -485,6 +485,13 @@ def test_convert12_on_k5(capsys, tmp_path):
     assert BookDrawing.from_json(out.read_text()).page_count == 2
 
 
+def test_convert12_refuses_an_order_of_the_wrong_size(capsys, tmp_path):
+    k5 = write_graph(tmp_path, complete_graph(5))
+    code, stdout, err = run(capsys, "convert12", k5, "--order", "0,1,2")
+    assert (code, stdout) == (2, "")
+    assert "order size does not match vertex count" in err
+
+
 def test_bounds_report_for_k_ten(capsys):
     rows = run_json(capsys, "bounds", "--k", "10")
     by_name = {r["bound"]: r for r in rows}

@@ -5,11 +5,15 @@ Crossing numbers do not depend on the labelling, so relabelling a graph
 keeps the bracket and the argument behind its lower bound, solved with no
 seed or with a seed carried across by the same bijection.  Deleting an edge
 instance never raises the crossing number: any drawing of G, less that
-edge, draws G - e.
+edge, draws G - e.  Subdividing an edge instance keeps it: a drawing of
+either graph draws the other with its crossings.  The cone sits between
+the two: cr(G) <= cr(cone G), since cone G contains G, and
+cr(cone G) <= the 1-page crossing number of G, since the apex joins a
+1-page drawing from the outer face with no crossing.
 
 The graphs are hypothesis-drawn multigraphs on up to 7 vertices with
-parallel copies.  The runs are derandomized, so every run of the suite
-draws the same examples.
+parallel copies, up to 5 for the cone.  The runs are derandomized, so
+every run of the suite draws the same examples.
 """
 
 from hypothesis import given, settings
@@ -19,8 +23,11 @@ from conecross import (
     CrossingCertificate,
     Multigraph,
     certificate_from_book,
+    cone_cr,
     cr_exact,
     one_page_drawing,
+    outerplanar_cr,
+    subdivide_edge,
 )
 
 # At most 15 distinct pairs and 3 extra copies keep every solve exact and
@@ -31,11 +38,11 @@ CHECKS = settings(derandomize=True, database=None, max_examples=200, deadline=No
 
 
 @st.composite
-def multigraphs(draw, min_instances=0):
-    """A multigraph on 1-7 vertices: a random set of pairs, some of them
-    with parallel copies."""
+def multigraphs(draw, min_instances=0, max_n=7):
+    """A multigraph on 1-``max_n`` vertices (2 or more with an instance
+    required): a random set of pairs, some of them with parallel copies."""
     # Drawn as the vertices and pairs left out, so the draws lean dense.
-    n = 7 - draw(st.integers(0, 5 if min_instances else 6))
+    n = max_n - draw(st.integers(0, max_n - (2 if min_instances else 1)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     draw(st.randoms(use_true_random=False)).shuffle(pairs)
     simple = pairs[:min(MAX_PAIRS, len(pairs) - draw(st.integers(0, len(pairs) - min_instances)))]
@@ -91,3 +98,20 @@ def test_deleting_an_edge_never_raises_the_crossing_number(data):
     smaller = Multigraph.build(g.n, [edge for edge in kept if edge[2]])
     assert smaller.m == g.m - 1
     assert cr_exact(smaller).value <= cr_exact(g).value
+
+
+@CHECKS
+@given(st.data())
+def test_subdividing_an_edge_keeps_the_crossing_number(data):
+    g = data.draw(multigraphs(min_instances=1))
+    eid = data.draw(st.integers(0, g.m - 1))
+    assert answer(cr_exact(subdivide_edge(g, eid)))[:2] == answer(cr_exact(g))[:2]
+
+
+# Cones of dense 7-vertex draws take seconds each: the cone check stops at 5.
+@CHECKS
+@given(multigraphs(max_n=5))
+def test_the_cone_lies_between_the_graph_and_its_one_page_drawings(g):
+    cone = cone_cr(g)
+    assert cone.status == "exact"
+    assert cr_exact(g).value <= cone.value <= outerplanar_cr(g).value

@@ -81,6 +81,11 @@ def brute_force_max_cut(n, edges):
     )
 
 
+def test_split_report_refuses_an_order_of_the_wrong_size():
+    with pytest.raises(ValueError, match="^order size does not match vertex count$"):
+        split_report(complete_graph(5), CyclicOrder((0, 1, 2)))
+
+
 def test_split_report_matches_the_brute_force_oracle():
     rng = random.Random(41)
     seen = set()

@@ -433,6 +433,18 @@ def test_search_tree_sizes_are_pinned():
     assert f3.planarity_calls < 2200
 
 
+def test_node_euler_cut_acts_below_the_root_of_a_multigraph():
+    # Crossing one copy of a doubled pair leaves the other copy in place,
+    # so the crossing adds three distinct pairs to the planarization, not
+    # two, and a vertex: the node's Euler bound stays while the crossings
+    # left go down, and can exceed them below the root.
+    # Doubled K5 closes at 4 after 26 nodes either way, but a cut kept at
+    # the root only takes 315 planarity tests, not 206.
+    res = cr_exact(multiply_edges(complete_graph(5), 2))
+    assert (res.status, res.value, res.lower_reason) == ("exact", 4, "search")
+    assert (res.stats.nodes, res.stats.planarity_calls) == (26, 206)
+
+
 def test_a_live_one_left_root_stops_testing_at_its_first_hit():
     # K5's level-1 root: one test of K5, three settle host 0 (its block,
     # the half, the host), three settle host 7, its first partner, and one
@@ -459,24 +471,22 @@ def complete_bipartite(a, b):
 def test_no_node_proposes_a_pair_its_path_crosses(monkeypatch):
     # A branch's pair joins the forbidden set of its subtree, so no node
     # offers a pair that its own path has placed: a good drawing crosses a
-    # pair once.  The one-left stream is re-yielded lazily, since drawing a
-    # pair from it tests hosts.
-    real_expand = solver._LevelSearch.expand
+    # pair once.  Every node is entered by ``_node``, so each branch shows
+    # as a call whose path ends in the pair it crosses; a pair's first
+    # placement puts its crossing first along both hosts.  With no
+    # automorphisms the root starts every pair it offers.
+    real_node = solver._LevelSearch._node
     offered = Counter()
 
-    def expand(self, chains, crossings, forbidden):
-        cert, cands = real_expand(self, chains, crossings, forbidden)
-        placed = set(crossings)
+    def node(self, chains, crossings, forbidden):
+        if crossings:
+            *path, (e, f) = crossings
+            assert (e, f) not in path, crossings
+            offered[len(path) > 0] += chains[e][0] == chains[f][0] == len(path)
+        return real_node(self, chains, crossings, forbidden)
 
-        def watched():
-            for pair in cands:
-                assert pair not in placed, (pair, crossings)
-                offered[len(crossings) > 0] += 1
-                yield pair
-
-        return cert, watched()
-
-    monkeypatch.setattr(solver._LevelSearch, "expand", expand)
+    monkeypatch.setattr(solver._LevelSearch, "_node", node)
+    monkeypatch.setattr(solver._LevelSearch, "generators", [])
     cases = [(complete_bipartite(3, 5), 4), (complete_bipartite(4, 4), 4),
              (complete_graph(5), 1), (complete_graph(6), 3), (fig3_graph(), 2),
              (petersen(), 2)]
@@ -558,25 +568,34 @@ def test_only_one_thread_is_accepted(entry, threads):
         entry(complete_graph(5), threads=threads)
 
 
+def root_branches(search, r):
+    """(pair, forbidden set) of each branch the level-r root starts, in
+    order; a root pair has one placement, so one call of ``_node``."""
+    branches, node = [], search._node
+
+    def recorded(chains, crossings, forbidden):
+        if len(crossings) == 1:
+            branches.append((crossings[0], forbidden))
+        return node(chains, crossings, forbidden)
+
+    search._node = recorded
+    assert list(search.hits(r)) == []
+    return branches
+
+
 def test_root_orbit_repeats_follow_the_symmetry():
     # The level-2 root of F3 has 35 candidate pairs in 19 orbits under its
-    # 6 automorphisms, and its search starts one branch per orbit; the
-    # path on 4 vertices has no repeats.
+    # 6 automorphisms, and its search starts one branch per orbit.  With no
+    # automorphisms the root starts every pair it offers, which lists the
+    # candidates; a skipped pair stays forbidden below every later branch.
     g = f_graph(3)
-    search = solver._LevelSearch.of(g, Deadline(None))
-    search.r = 2
-    _, cands = search.expand({}, [], frozenset())
-    started = []
-    branch = search.branch
-
-    def recorded(chains, crossings, forbidden, pair):
-        if not crossings:
-            started.append(pair)
-        return branch(chains, crossings, forbidden, pair)
-
-    search.branch = recorded
-    assert list(search.hits(2)) == []
-    repeats = {j for j, pair in enumerate(cands) if pair not in started}
+    plain = solver._LevelSearch.of(g, Deadline(None))
+    plain.generators = []
+    cands = [pair for pair, _ in root_branches(plain, 2)]
+    started = root_branches(solver._LevelSearch.of(g, Deadline(None)), 2)
+    for pair, forbidden in started:
+        assert forbidden == frozenset(cands[:cands.index(pair) + 1])
+    repeats = {j for j, pair in enumerate(cands) if pair not in dict(started)}
     assert (len(cands), len(cands) - len(repeats)) == (35, 19)
     # Branch j is skipped exactly when an automorphism (listed here by
     # networkx) maps an earlier root pair onto it.
