@@ -14,21 +14,24 @@ nesting depths, then a testing pass maintaining a stack of conflict pairs
 of return-edge intervals.  ``lr_planar`` stops there with the decision.
 ``lr_embedding`` shares both passes and then runs the paper's third one:
 it resolves each edge's side from the ``ref`` chains the testing pass
-left, re-sorts the outgoing edges by signed nesting depth, and inserts
-the back edges into the rotation system in a last DFS.
+left, re-sorts the outgoing edges by signed nesting depth, and builds
+each vertex's rotation as a list in a last DFS.  Brandes's insertion
+rule fixes that list: the parent, then each outgoing edge in signed
+nesting order, a tree edge to w flanked by the back edges that return
+from w's subtree, left ones before it and right ones after it, each side
+last first.
 
 Every pass runs on integer edge ids.  An edge gets its id when the
 orientation pass orients it away from an endpoint (the parent for a tree
 edge, the descendant for a back edge), and every per-edge quantity lives
 in a flat list indexed by that id.  A conflict pair is a 4-slot list
 ``[L.low, L.high, R.low, R.high]`` of edge ids, with -1 for an empty slot.
-The embedding pass works on half-edges: id e runs from the edge's source
-and id e + m back from its target.  Edges are deduplicated in the order
-given, so the DFS, and with it the embedding, follows the input order;
-fed its edges in sorted order, the embedding is the one networkx's LR
-implementation returns.  All passes are iterative, keeping one list
-iterator per open vertex, so deep graphs (long subdivided chains) cannot
-overflow the interpreter's recursion limit.
+Edges are deduplicated in the order given, so the DFS, and with it the
+embedding, follows the input order; fed its edges in sorted order, the
+embedding is the one networkx's LR implementation returns.  All passes
+are iterative, keeping one list iterator per open vertex, so deep graphs
+(long subdivided chains) cannot overflow the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, list[list
 
 def _lr_test(n: int, m: int, adj: list[list[int]]) -> tuple | None:
     """The orientation and testing passes over ``m`` edges: None if not
-    planar, else what the embedding pass reads (roots, edge ends,
+    planar, else what the embedding pass reads (roots, edge targets,
     outgoing edges, nesting depths, parent edges, ``ref`` and relative
     ``side`` of every edge)."""
     # --- orientation pass ---------------------------------------------
@@ -277,13 +280,12 @@ def _lr_test(n: int, m: int, adj: list[list[int]]) -> tuple | None:
                     hl, hr = q[1], q[3]
                     ref[e] = hl if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]) else hr
             ei = e
-    return roots, src, dst, out, nesting, parent_edge, ref, side
+    return roots, dst, out, nesting, parent_edge, ref, side
 
 
 def _embed(
     n: int,
     roots: list[int],
-    src: list[int],
     dst: list[int],
     out: list[list[int]],
     nesting: list[int],
@@ -292,7 +294,7 @@ def _embed(
     side: list[int],
 ) -> list[list[int]]:
     """Brandes's embedding pass: clockwise neighbour lists per vertex."""
-    m = len(src)
+    m = len(dst)
     # sign(e): an edge's side is relative to its ref edge's; resolve each
     # chain from its far end and cut it, so every edge is resolved once.
     for e in range(m):
@@ -312,75 +314,39 @@ def _embed(
         sorted(o, key=nesting.__getitem__) if len(o) > 1 else o for o in out
     ]
 
-    # Half-edge rotation as a circular doubly linked list: nxt is the next
-    # half-edge clockwise around the same vertex, prv counterclockwise.
-    # Outgoing edges start in signed nesting order; first[v] is v's
-    # leftmost half-edge, the one its parent edge goes in front of.
-    to = dst + src
-    nxt = [0] * (2 * m)
-    prv = [0] * (2 * m)
-    first = [-1] * n
-    for v, o in enumerate(ordered):
-        if o:
-            prev = o[-1]
-            for h in o:
-                nxt[prev] = h
-                prv[h] = prev
-                prev = h
-            first[v] = o[0]
-    left_ref = [-1] * n
-    right_ref = [-1] * n
+    # The rotations in DFS order.  While v explores a tree edge to w, the
+    # back edges returning to v gather in left[v] and right[v]; when w is
+    # finished they go into v's rotation around w.  A root gathers no left
+    # back edge, so its rotation starts at its first outgoing edge: a back
+    # edge b to it returns at height 0, which no lowpt is below, and the
+    # testing pass merges into an interval only edges returning above the
+    # parent edge's lowpt, and moves to a left side only pairs whose high
+    # end returns above an edge's lowpt.  So b stays alone on the right of
+    # its own pair until it is tied to its parent edge's lowpt edge,
+    # another such back edge, or the pair is popped at the root, where
+    # only a left low changes side.
+    rotation: list[list[int]] = [[] for _ in range(n)]
+    left: list[list[int]] = [[] for _ in range(n)]
+    right: list[list[int]] = [[] for _ in range(n)]
     for s in roots:
         stack = [(s, iter(ordered[s]))]
         while stack:
             v, it = stack[-1]
             for ei in it:
                 w = dst[ei]
-                t = ei + m
                 if ei == parent_edge[w]:
-                    # The tree edge goes in just counterclockwise of w's
-                    # leftmost half-edge and becomes the leftmost itself.
-                    f = first[w]
-                    if f < 0:
-                        nxt[t] = prv[t] = t
-                    else:
-                        p = prv[f]
-                        nxt[p] = prv[f] = t
-                        prv[t] = p
-                        nxt[t] = f
-                    first[w] = t
-                    left_ref[v] = right_ref[v] = ei
+                    rotation[w].append(v)
                     stack.append((w, iter(ordered[w])))
                     break
-                if side[ei] > 0:
-                    # Right back edge: just clockwise of right_ref[w].
-                    r = right_ref[w]
-                    q = nxt[r]
-                    nxt[r] = prv[q] = t
-                    prv[t] = r
-                    nxt[t] = q
-                else:
-                    # Left back edge: just counterclockwise of left_ref[w],
-                    # and the new left reference.
-                    lr = left_ref[w]
-                    p = prv[lr]
-                    nxt[p] = prv[lr] = t
-                    prv[t] = p
-                    nxt[t] = lr
-                    if first[w] == lr:
-                        first[w] = t
-                    left_ref[w] = t
+                rotation[v].append(w)
+                (right if side[ei] > 0 else left)[w].append(v)
             else:
                 stack.pop()
-
-    rotation: list[list[int]] = []
-    for f in first:
-        nbrs = []
-        if f >= 0:
-            nbrs.append(to[f])
-            h = nxt[f]
-            while h != f:
-                nbrs.append(to[h])
-                h = nxt[h]
-        rotation.append(nbrs)
+                if stack:
+                    u = stack[-1][0]
+                    rotation[u] += left[u][::-1]
+                    rotation[u].append(v)
+                    rotation[u] += right[u][::-1]
+                    left[u] = []
+                    right[u] = []
     return rotation

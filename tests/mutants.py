@@ -15,7 +15,7 @@ Run it from the repository root; it applies every row in turn::
 
     python tests/mutants.py
 
-The whole table takes about 20-30 s on a 2-core host.  pytest does
+The whole table takes about 20 s on a shared 2-core host.  pytest does
 not collect this file: its name does not start with ``test_``.  A change
 that adds a prune, a cut or a skip adds a row for it.
 """
@@ -123,12 +123,11 @@ MUTANTS = [
         "if _euler(self.n + s, simple_m) > remaining - (s > 0):",
         ("tests/test_solver.py::test_complete_graph_values",
          "tests/test_solver.py::test_cr_exact_matches_the_brute_force_oracle_on_the_atlas",
-         "tests/test_metamorphic.py::test_subdividing_an_edge_keeps_the_crossing_number"),
+         "tests/test_metamorphic.py::test_subdividing_an_edge_keeps_the_crossing_number",
+         "tests/test_metamorphic.py::test_two_page_drawings_lie_between_the_graph_and_its_one_page_drawings"),
     ),
     Mutant(
         # The root skips each new orbit's first pair as well as its repeats.
-        # The subdivision check kills it too, but shrinking its failure
-        # takes about 10 s, so it is left off this row.
         "root-skip-leaders",
         "conecross/solver.py",
         """                if pair in reached:
@@ -139,7 +138,8 @@ MUTANTS = [
                 continue
 """,
         ("tests/test_solver.py::test_root_orbit_skip_keeps_the_answer_and_shrinks_the_tree",
-         "tests/test_solver.py::test_cr_exact_matches_the_brute_force_oracle_on_the_atlas"),
+         "tests/test_solver.py::test_cr_exact_matches_the_brute_force_oracle_on_the_atlas",
+         "tests/test_metamorphic.py::test_subdividing_an_edge_keeps_the_crossing_number"),
     ),
     Mutant(
         # The chord kernel keeps the chords that share an end with chord i.
@@ -149,7 +149,18 @@ MUTANTS = [
         "inside = upto[hi] ^ upto[lo + 1]",
         ("tests/test_books.py::test_crossing_pairs_match_the_brute_force_oracle",
          "tests/test_pages.py::test_split_report_matches_the_brute_force_oracle",
-         "tests/test_metamorphic.py::test_the_cone_lies_between_the_graph_and_its_one_page_drawings"),
+         "tests/test_metamorphic.py::test_the_cone_lies_between_the_graph_and_its_one_page_drawings",
+         "tests/test_metamorphic.py::test_two_page_drawings_lie_between_the_graph_and_its_one_page_drawings",
+         "tests/test_metamorphic.py::test_crossing_numbers_add_over_a_disjoint_union"),
+    ),
+    Mutant(
+        # A split graph's lower bound is its largest part's, not the sum.
+        "component-max",
+        "conecross/certificates.py",
+        'return SolveResult(sum(res.lower for _, _, res in parts), cert, stats, "component sum")',
+        'return SolveResult(max(res.lower for _, _, res in parts), cert, stats, "component sum")',
+        ("tests/test_solver.py::test_crossings_add_over_disjoint_unions",
+         "tests/test_metamorphic.py::test_crossing_numbers_add_over_a_disjoint_union"),
     ),
     Mutant(
         # A cone whose best seed is one above the Euler floor takes that
@@ -161,6 +172,68 @@ MUTANTS = [
         "        return SolveResult(best.count, best, SolveStats(nodes, calls), \"search\")\n"
         "    res = solve_component(cg, max_k, deadline, best)\n",
         ("tests/test_apex.py::test_cone_closes_below_a_best_seed_one_above_the_floor",),
+    ),
+    Mutant(
+        # The embedding pass puts a tree edge's left back edges in
+        # insertion order, not last first.
+        "left-back-edge-order",
+        "conecross/planarity.py",
+        "rotation[u] += left[u][::-1]",
+        "rotation[u] += left[u]",
+        ("tests/test_planarity.py::test_embedding_is_networkx_embedding_on_sorted_edges",
+         "tests/test_apex.py::test_insert_apex_on_k5"),
+    ),
+    Mutant(
+        # The same for right back edges, which a DFS root gathers too.
+        "right-back-edge-order",
+        "conecross/planarity.py",
+        "rotation[u] += right[u][::-1]",
+        "rotation[u] += right[u]",
+        ("tests/test_planarity.py::test_back_edges_returning_to_a_dfs_root_match_networkx",
+         "tests/test_planarity.py::test_embedding_is_networkx_embedding_on_sorted_edges"),
+    ),
+    Mutant(
+        # An edge deletion of the count drops a parallel pair's first copy,
+        # so host h of G - x no longer maps to instance h + (h >= x) of G.
+        "first-copy-deleted",
+        "conecross/solver.py",
+        "last = {pair: eid for eid, pair in enumerate(ends)}",
+        "last = {pair: eid for eid, pair in reversed(list(enumerate(ends)))}",
+        ("tests/test_solver.py::test_an_edge_deletion_drops_its_pairs_last_copy",),
+    ),
+    Mutant(
+        # A count sub-search reports one level more than it exhausted.
+        "sub-search-level-plus-one",
+        "conecross/solver.py",
+        "levels[i], _ = _deepen(part, levels[i], stop)",
+        "levels[i] = _deepen(part, levels[i], stop)[0] + 1",
+        ("tests/test_solver.py::test_seeded_solves_match_the_brute_force_oracle",),
+    ),
+    Mutant(
+        # A count sub-search starts one level above its Euler bound.
+        "sub-search-above-euler",
+        "conecross/solver.py",
+        "levels = [_euler(len(comp), len(set(hosts))) for comp, hosts in parts]",
+        "levels = [_euler(len(comp), len(set(hosts))) + 1 for comp, hosts in parts]",
+        ("tests/test_solver.py::test_seeded_solves_match_the_brute_force_oracle",),
+    ),
+    Mutant(
+        # Apex insertion gives up a drawing only when its cheapest face
+        # would land above ``below``, not at it.
+        "below-strict",
+        "conecross/apex.py",
+        "if below is not None and cert.count + cost >= below:",
+        "if below is not None and cert.count + cost > below:",
+        ("tests/test_apex.py::test_below_skips_exactly_the_drawings_that_cannot_beat_it[triangle-hexagon]",),
+    ),
+    Mutant(
+        # Apex insertion tries the faces in id order, not cost order.
+        "faces-in-id-order",
+        "conecross/apex.py",
+        "(sum(col), fid) for fid, col in enumerate(zip(*dist)) if min(col) >= 0",
+        "((sum(col), fid) for fid, col in enumerate(zip(*dist)) if min(col) >= 0),"
+        " key=lambda ranked: ranked[1]",
+        ("tests/test_apex.py::test_ranked_faces_pick_what_a_full_scan_picks[triangle-hexagon]",),
     ),
 ]
 
@@ -184,7 +257,11 @@ def run(mutant: Mutant, scratch: Path) -> list[str]:
     if text.count(mutant.old) != 1:
         return [f"its text occurs {text.count(mutant.old)} times in src/{mutant.path}, not once"]
     target.write_text(text.replace(mutant.old, mutant.new))
-    args = ["-q", "-rfEp", "--tb=no", "-p", "no:cacheprovider", *mutant.tests]
+    # A row needs only pass or fail: plain asserts skip pytest's rewriting
+    # of every imported test and plugin module, which ``-B`` would redo
+    # each run, and the mutants profile skips hypothesis's shrinking.
+    args = ["-q", "-rfEp", "--tb=no", "-p", "no:cacheprovider", "--assert=plain",
+            "--hypothesis-profile=mutants", *mutant.tests]
     done = subprocess.run(
         [sys.executable, "-B", "-c", _PROBE, str(src), *args],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src)},

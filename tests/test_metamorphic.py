@@ -9,11 +9,16 @@ edge, draws G - e.  Subdividing an edge instance keeps it: a drawing of
 either graph draws the other with its crossings.  The cone sits between
 the two: cr(G) <= cr(cone G), since cone G contains G, and
 cr(cone G) <= the 1-page crossing number of G, since the apex joins a
-1-page drawing from the outer face with no crossing.
+1-page drawing from the outer face with no crossing.  So does the 2-page
+crossing number: a 2-page drawing is a drawing, and a 1-page drawing is
+a 2-page one with an empty page.  Crossing numbers add over a disjoint
+union, and so do those of its cone, which is the one-point union of the
+parts' cones at the apex (crossing numbers add over blocks).
 
 The graphs are hypothesis-drawn multigraphs on up to 7 vertices with
-parallel copies, up to 5 for the cone.  The runs are derandomized, so
-every run of the suite draws the same examples.
+parallel copies, up to 5 for the cone and 4 for each part of a union.
+The runs are derandomized, so every run of the suite draws the same
+examples.
 """
 
 from hypothesis import given, settings
@@ -25,9 +30,11 @@ from conecross import (
     certificate_from_book,
     cone_cr,
     cr_exact,
+    disjoint_union,
     one_page_drawing,
     outerplanar_cr,
     subdivide_edge,
+    two_page_cr,
 )
 
 # At most 15 distinct pairs and 3 extra copies keep every solve exact and
@@ -115,3 +122,25 @@ def test_the_cone_lies_between_the_graph_and_its_one_page_drawings(g):
     cone = cone_cr(g)
     assert cone.status == "exact"
     assert cr_exact(g).value <= cone.value <= outerplanar_cr(g).value
+
+
+@CHECKS
+@given(multigraphs())
+def test_two_page_drawings_lie_between_the_graph_and_its_one_page_drawings(g):
+    one, two = outerplanar_cr(g), two_page_cr(g)
+    assert one.status == two.status == "exact"
+    assert cr_exact(g).value <= two.value <= one.value
+
+
+@CHECKS
+@given(st.data())
+def test_crossing_numbers_add_over_a_disjoint_union(data):
+    g = data.draw(multigraphs(max_n=4))
+    h = data.draw(multigraphs(max_n=4))
+    # Relabelled, so the parts' vertices interleave.
+    union = disjoint_union(g, h)
+    union = union.relabel(data.draw(st.permutations(range(union.n))))
+    assert cr_exact(union).value == cr_exact(g).value + cr_exact(h).value
+    cones = [cone_cr(graph) for graph in (union, g, h)]
+    assert all(res.status == "exact" for res in cones)
+    assert cones[0].value == cones[1].value + cones[2].value

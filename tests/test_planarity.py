@@ -104,6 +104,25 @@ def test_embedding_is_networkx_embedding_on_sorted_edges():
     assert 100 < planar < 400
 
 
+def test_back_edges_returning_to_a_dfs_root_match_networkx():
+    # Fed sorted edges, the DFS starts at a wheel's hub and walks its rim as
+    # one path, so every spoke but the first returns to the root as a back
+    # edge.  Two wheels on one hub give the root two tree edges, each with
+    # its own back edges; two disjoint wheels give two roots.
+    def wheel(hub, rim):
+        return [(hub, v) for v in rim] + list(zip(rim, rim[1:])) + [(rim[0], rim[-1])]
+
+    for k in (3, 5, 8):
+        one = range(1, k + 1)
+        for n, edges in ((k + 1, wheel(0, one)),
+                         (2 * k + 1, wheel(0, one) + wheel(0, range(k + 1, 2 * k + 1))),
+                         (2 * k + 2, wheel(0, one) + wheel(k + 1, range(k + 2, 2 * k + 2)))):
+            edges = sorted(edges)
+            ok, emb = nx.check_planarity(nx_graph(n, edges))
+            assert ok
+            assert lr_embedding(n, edges) == [list(emb.neighbors_cw_order(v)) for v in range(n)]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_repeats_loops_and_unused_labels_match_networkx(seed):
     # The input is read in one pass: a pair repeated in either
