@@ -15,19 +15,45 @@ bipartite graph and leaves no vertex to flip.  So ``_per_component``
 two-colours each component by BFS and hands only the components with an
 odd cycle to a solver.
 
+Everything runs on one neighbour bitmask per vertex, ``nbr[v]``, built in
+one pass over the edges that also rejects bad and repeated pairs.  A
+solver gets a component as its ascending vertex list plus the shared
+masks, in the caller's labels, and returns its side-1 mask and size.
+
 The exact solver is a branch and bound in vertex order that holds the
-assignment as one bitmask and prunes with a per-vertex bound: each unplaced
-vertex can add at most the larger of its placed neighbours on either side,
-plus the edges among unplaced vertices.  The walk keeps one array,
-``lean[j]``, the placed neighbours of j on side 0 minus those on side 1,
-and reads both counts back from it and j's fixed number of earlier
-neighbours; the bound is the same number it would be with two counts.
+assignment as one bitmask and prunes with an upper bound on every cut
+below a node: the cut so far, plus for each unplaced vertex the larger of
+its placed neighbours on either side, plus what the edges among unplaced
+vertices can add.  Those three parts count disjoint sets of edges, and an
+unplaced vertex, once placed, cuts exactly one of its two placed groups.
 Cuts come out the same as from a plain enumeration that keeps the first
-maximum in lexicographic order: any valid bound keeps that one (see
-``_exact_connected``).  The heuristic's greedy placement and 1-flip scan
-keep per-vertex counts up to date as vertices are placed and flipped,
-rather than recounting neighbours, and flip the same vertices in the same
-order as a recount would.
+maximum in lexicographic order, for three reasons (see
+``_exact_connected``):
+
+- Any valid bound and any incumbent below the optimum keep the first
+  optimum.  Every leaf met before it is below the optimum, so until it is
+  met the incumbent stays below the optimum and no node on its path,
+  whose bound is at least the optimum, is pruned; afterwards nothing
+  beats it.  The walk starts at ``best = floor - 1``, with ``floor`` the
+  cut of the BFS two-colouring that ``_per_component`` already made: a
+  cut, so at most the optimum.
+- The edges among the unplaced vertices add at most their number less
+  one per triangle of an edge-disjoint triangle packing among them: a cut
+  leaves at least one edge of every triangle uncut, a different edge for
+  each triangle of the packing.  The packing of the vertices from i up
+  extends the packing of those from i + 1 up by triangles through vertex
+  i on edges the smaller packing leaves free, so one pass from the top
+  vertex down gives every suffix its own packing.
+- At the last vertex both children are leaves, whose bound is exactly
+  their cut, so the walk records side 0 and then side 1 inline, each
+  when it beats the incumbent: the same leaves, in the same order, under
+  the same test as two calls would make.
+
+The heuristic places vertices in BFS order (neighbours lowest first), each
+on the side holding fewer of its placed neighbours (side 0 on a tie), then
+flips, in vertex order and until nothing flips, any vertex with more
+neighbours on its own side than across.  Both counts are popcounts of the
+neighbour mask against a side's mask.
 
 The Edwards bound says every connected graph with m edges has a cut of
 size at least m/2 + (sqrt(8m+1)-1)/8.  Comparisons against it are done in
@@ -75,56 +101,86 @@ class EdwardsBound:
 EXACT_LIMIT = 32
 
 
-def _exact_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
+def _exact_connected(comp: list[int], nbr: list[int], floor: int) -> tuple[int, int]:
     """Branch and bound over side assignments in vertex order.
 
-    Vertex 0 is pinned to side 0 and branches try side 0 before side 1, so
-    the search meets complete assignments in lexicographic order of their
-    indicator vectors.  A subtree is pruned when an upper bound on every
-    cut inside it is <= best.  Any valid upper bound keeps the first
-    optimum: until it is reached the incumbent is below the optimum, so
-    no node on its path is pruned, and afterwards nothing beats it.  The
-    result is therefore the lexicographically smallest indicator vector
-    among all maximum cuts with 0 on side A, whatever bound is used.
+    ``comp`` lists a connected component's vertices in ascending order,
+    ``nbr[v]`` is v's neighbour bitmask and ``floor`` is the size of some
+    cut of the component.  Returns the side-1 mask and the size of the
+    first maximum cut in lexicographic order with ``comp[0]`` on side 0.
 
-    The bound at depth i (vertices 0..i-1 placed) is the cut so far, plus
-    for each unplaced vertex j the larger of its placed neighbours on side
-    0 and on side 1, plus every edge between unplaced vertices.  It is
-    kept up to date as vertices are placed.  With ``on0[j]`` and ``on1[j]``
-    the counts of j's placed neighbours per side, only their difference
-    ``lean[j] = on0[j] - on1[j]`` is stored: when i is placed its placed
-    neighbours are exactly its ``back[i]`` neighbours below it, so
-    on0[i] + on1[i] = back[i] gives both counts back.  Placing i on side 0
-    cuts ``on1[i]`` edges and on side 1 cuts ``on0[i]``.  The assignment
-    so far is one ``ones`` bitmask of the vertices on side 1.  Only
-    components with an odd cycle reach it, so n >= 3.
+    ``comp[0]`` is pinned to side 0 and branches try side 0 before side 1,
+    so the search meets complete assignments in lexicographic order of
+    their indicator vectors.  A subtree is pruned when its bound is
+    <= best, and ``best`` starts at ``floor - 1``; the module docstring
+    shows why neither changes which cut comes out.
+
+    The bound at depth i (``comp[:i]`` placed) is the cut so far, plus for
+    each unplaced vertex j the larger of its placed neighbours on side 0
+    and on side 1, plus ``inner[i + 1]`` for the edges among unplaced
+    vertices.  It is kept up to date as vertices are placed.  With
+    ``on0[j]`` and ``on1[j]`` the counts of j's placed neighbours per
+    side, only their difference ``lean[j] = on0[j] - on1[j]`` is stored:
+    when j is placed its placed neighbours are exactly its ``back``
+    neighbours below it, so on0[j] + on1[j] = back gives both counts back.
+    Placing j on side 0 cuts ``on1[j]`` edges and on side 1 cuts
+    ``on0[j]``.  The assignment so far is one ``ones`` bitmask of the
+    vertices on side 1.  Only components with an odd cycle reach it, so
+    the component has at least 3 vertices.
     """
-    above: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        above[min(u, v)].append(max(u, v))
-    # inner[i] = edges with both endpoints >= i: all still winnable once
-    # vertices 0..i-1 have been fixed.
-    inner = [0] * (n + 1)
-    # back[j]: j's neighbours below j, all placed by the time j is.
-    back = [0] * n
-    for i in range(n - 1, -1, -1):
-        inner[i] = inner[i + 1] + len(above[i])
-        for j in above[i]:
-            back[j] += 1
-    lean = [0] * n
-    best = -1
-    best_ones = 0
+    k = len(comp)
+    # For v = comp[i]: above[i] lists v's neighbours above it and back[i]
+    # counts those below it.  inner[i] is what the edges among comp[i:] can
+    # still add to the cut: their number less one per triangle of an
+    # edge-disjoint packing of comp[i:], grown from the top vertex down.
+    above: list[list[int]] = [[]] * k
+    back = [0] * k
+    inner = [0] * (k + 1)
+    used = [0] * (comp[-1] + 1)  # used[j]: j's edges in a packed triangle
+    for i in range(k - 1, -1, -1):
+        v = comp[i]
+        bit = 1 << v
+        up = nbr[v] >> v + 1 << v + 1
+        back[i] = (nbr[v] ^ up).bit_count()
+        row = above[i] = []
+        avail = rest = up  # avail: v's edges up that no triangle uses yet
+        packed = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            row.append(j)
+            if avail & low:
+                third = avail & nbr[j] & ~used[j]
+                if third:
+                    w = third & -third
+                    avail ^= low | w
+                    used[j] |= bit | w
+                    used[w.bit_length() - 1] |= bit | low
+                    packed += 1
+        used[v] = up ^ avail
+        inner[i] = inner[i + 1] + len(row) - packed
+    lean = [0] * (comp[-1] + 1)
+    last = k - 1
+    best = floor - 1
+    best_ones = -1
 
     def walk(i: int, cut: int, ones: int, reach: int) -> None:
-        # reach = sum of max(on0[j], on1[j]) over the unplaced j >= i.
+        # reach = sum of max(on0[j], on1[j]) over the unplaced comp[i:].
         nonlocal best, best_ones
-        if i == n:
-            best = cut
-            best_ones = ones
+        v = comp[i]
+        d = lean[v]
+        gain0 = (back[i] - d) >> 1  # on1[v]
+        gain1 = gain0 + d  # on0[v]
+        if i == last:
+            # Both leaves, side 0 first: nothing is left to bound.
+            if cut + gain0 > best:
+                best = cut + gain0
+                best_ones = ones
+            if cut + gain1 > best:
+                best = cut + gain1
+                best_ones = ones | 1 << v
             return
-        d = lean[i]
-        gain0 = (back[i] - d) >> 1  # on1[i]
-        gain1 = gain0 + d  # on0[i]
         rest = reach - (gain1 if d > 0 else gain0)
         later = inner[i + 1]
         up = above[i]
@@ -138,139 +194,143 @@ def _exact_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
             walk(i + 1, cut + gain0, ones, reach0)
         reach1 = rest
         for j in up:
-            # Undo side 0 and put i on side 1: on1[j] rises instead.
+            # Undo side 0 and put v on side 1: on1[j] rises instead.
             d = lean[j] - 1
             if d <= 0:
                 reach1 += 1
             lean[j] = d - 1
         if i and cut + gain1 + reach1 + later > best:
-            walk(i + 1, cut + gain1, ones | 1 << i, reach1)
+            walk(i + 1, cut + gain1, ones | 1 << v, reach1)
         for j in up:
             lean[j] += 1
 
     walk(0, 0, 0, 0)
-    if best < 0:
+    if best_ones < 0:
         raise RuntimeError("max-cut search recorded no cut")
-    return Cut(tuple(best_ones >> v & 1 for v in range(n)), best)
+    return best_ones, best
 
 
-def _edwards_connected(n: int, edges: Sequence[tuple[int, int]]) -> Cut:
-    """A cut of a connected graph meeting the Edwards bound, 0 on side 0.
+def _edwards_connected(comp: list[int], nbr: list[int], floor: int) -> tuple[int, int]:
+    """A cut of a connected component meeting the Edwards bound.
 
-    Greedy placement along a BFS order from vertex 0 plus single-flip
-    local search gets there on its own in practice; the bound is still
-    checked, with exact search as the fallback so the guarantee is
-    unconditional for graphs of at most 32 vertices.
+    Takes what ``_exact_connected`` takes and returns the side-1 mask and
+    the size, with ``comp[0]`` on side 0.  Greedy placement along a BFS
+    order from ``comp[0]`` plus single-flip local search gets there on its
+    own in practice; the bound is still checked, with exact search as the
+    fallback so the guarantee is unconditional for components of at most
+    32 vertices.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    order = [0]
-    seen = {0}
+    start = comp[0]
+    seen = 1 << start
+    order = [start]
+    zeros = ones = 0
     for v in order:
-        for u in sorted(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-    # lean[v]: v's placed neighbours on side 0 minus those on side 1.
-    lean = [0] * n
-    side = [-1] * n
-    for v in order:
-        side[v] = 1 if lean[v] > 0 else 0
-        step = -1 if side[v] else 1
-        for u in adj[v]:
-            lean[u] += step
-    # same[v]: v's neighbours on v's side, kept up to date as vertices flip.
-    same = [(len(adj[v]) + (-lean[v] if side[v] else lean[v])) >> 1 for v in range(n)]
+        # Each vertex joins the side holding fewer of its placed neighbours,
+        # side 0 on a tie; BFS visits neighbours lowest first.
+        nv = nbr[v]
+        if (nv & zeros).bit_count() > (nv & ones).bit_count():
+            ones |= 1 << v
+        else:
+            zeros |= 1 << v
+        new = nv & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            order.append(low.bit_length() - 1)
+            new ^= low
     improved = True
     while improved:
         improved = False
-        for v in range(n):
-            if 2 * same[v] > len(adj[v]):
-                s = side[v] = 1 - side[v]
-                same[v] = len(adj[v]) - same[v]
-                for u in adj[v]:
-                    same[u] += 1 if side[u] == s else -1
+        for v in comp:
+            # Flip v when more of its neighbours share its side than not.
+            nv = nbr[v]
+            lean = 2 * (nv & ones).bit_count() - nv.bit_count()
+            if (lean > 0) if ones >> v & 1 else (lean < 0):
+                ones ^= 1 << v
                 improved = True
-    size = cut_value(edges, side)
-    if not EdwardsBound(len(edges)).met_by(size):
-        if n > EXACT_LIMIT:
+    m2 = size = 0
+    for v in comp:
+        nv = nbr[v]
+        m2 += nv.bit_count()
+        if not ones >> v & 1:
+            size += (nv & ones).bit_count()
+    if not EdwardsBound(m2 >> 1).met_by(size):
+        if len(comp) > EXACT_LIMIT:
             raise RuntimeError(
                 "heuristic missed the Edwards bound on a component too large "
-                f"for exact fallback ({n} vertices)"
+                f"for exact fallback ({len(comp)} vertices)"
             )
-        return _exact_connected(n, edges)
-    if side[0] == 1:
-        side = [1 - s for s in side]
-    return Cut(tuple(side), size)
+        return _exact_connected(comp, nbr, floor)
+    if ones >> start & 1:
+        ones ^= seen
+    return ones, size
 
 
 def _per_component(
     n: int,
     edges: Iterable[tuple[int, int]],
-    solve: Callable[[int, list[tuple[int, int]]], Cut],
+    solve: Callable[[list[int], list[int], int], tuple[int, int]],
 ) -> Cut:
     """Cut each connected component and add the results.
 
-    A BFS from each component's smallest vertex two-colours it.  A
-    bipartite component keeps that colouring: cutting every edge with
-    the start vertex on side 0 is its only maximum cut of that kind, so
-    it is what ``solve`` would return.  Any other component goes to
-    ``solve(k, local_edges)``, relabelled 0..k-1 in vertex order, so its
-    vertex 0 is the component's smallest vertex.
+    One pass over the edges checks each pair and sets one bit per end in
+    the neighbour masks; a pair met twice finds its bit already set.  A
+    BFS from each component's smallest vertex two-colours it by layer
+    parity.  A bipartite component keeps that colouring: cutting every
+    edge with the start vertex on side 0 is its only maximum cut of that
+    kind, so it is what ``solve`` would return.  Any other component goes
+    to ``solve(comp, nbr, floor)`` with its vertices in ascending order
+    and ``floor`` the size of the two-colouring's cut.
     """
-    edge_list = [tuple(e) for e in edges]
-    seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_list:
+    nbr = [0] * n
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen:
+        if nbr[u] >> v & 1:
+            pair = (u, v) if u < v else (v, u)
             raise ValueError(f"repeated edge {pair}: max cut takes simple graphs")
-        seen.add(pair)
-        adj[u].append(v)
-        adj[v].append(u)
-    side = [-1] * n
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    ones = 0  # side 1 of every component
     total = 0
-    # The components with an odd cycle, as sorted vertex lists.
-    odd: list[list[int]] = []
-    for start in range(n):
-        if side[start] >= 0:
+    left = (1 << n) - 1  # vertices no BFS has reached yet
+    while left:
+        layer = left & -left
+        left ^= layer
+        sides = [0, 0]  # the even and the odd layers
+        s = 0
+        # m2: twice the component's edges.  same2: twice those inside one
+        # layer, the edges the colouring leaves uncut, as a BFS edge joins
+        # layers at most one apart.
+        m2 = same2 = 0
+        while layer:
+            sides[s] |= layer
+            s ^= 1
+            reach = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                nv = nbr[low.bit_length() - 1]
+                reach |= nv
+                m2 += nv.bit_count()
+                same2 += (nv & layer).bit_count()
+                rest ^= low
+            layer = reach & left
+            left ^= layer
+        if not same2:
+            ones |= sides[1]
+            total += m2 >> 1
             continue
-        side[start] = 0
-        comp = [start]
-        bipartite = True
-        for x in comp:
-            s = 1 - side[x]
-            for y in adj[x]:
-                if side[y] < 0:
-                    side[y] = s
-                    comp.append(y)
-                elif side[y] != s:
-                    bipartite = False
-        if bipartite:
-            total += sum(len(adj[x]) for x in comp) >> 1
-        else:
-            odd.append(sorted(comp))
-    if odd:
-        comp_of = [-1] * n
-        local_id = [0] * n
-        for c, comp in enumerate(odd):
-            for i, v in enumerate(comp):
-                comp_of[v] = c
-                local_id[v] = i
-        local_edges: list[list[tuple[int, int]]] = [[] for _ in odd]
-        for u, v in edge_list:
-            if comp_of[u] >= 0:
-                local_edges[comp_of[u]].append((local_id[u], local_id[v]))
-        for comp, comp_edges in zip(odd, local_edges):
-            cut = solve(len(comp), comp_edges)
-            for v, s in zip(comp, cut.side):
-                side[v] = s
-            total += cut.size
-    return Cut(tuple(side), total)
+        rest = sides[0] | sides[1]
+        comp = []
+        while rest:
+            low = rest & -rest
+            comp.append(low.bit_length() - 1)
+            rest ^= low
+        side1, size = solve(comp, nbr, (m2 - same2) >> 1)
+        ones |= side1
+        total += size
+    return Cut(tuple([ones >> v & 1 for v in range(n)]), total)
 
 
 def maxcut_exact(n: int, edges: Iterable[tuple[int, int]]) -> Cut:

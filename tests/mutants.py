@@ -15,7 +15,7 @@ Run it from the repository root; it applies every row in turn::
 
     python tests/mutants.py
 
-The whole table takes about 20 s on a shared 2-core host.  pytest does
+The whole table takes 25-30 s on a shared 2-core host.  pytest does
 not collect this file: its name does not start with ``test_``.  A change
 that adds a prune, a cut or a skip adds a row for it.
 """
@@ -234,6 +234,41 @@ MUTANTS = [
         "((sum(col), fid) for fid, col in enumerate(zip(*dist)) if min(col) >= 0),"
         " key=lambda ranked: ranked[1]",
         ("tests/test_apex.py::test_ranked_faces_pick_what_a_full_scan_picks[triangle-hexagon]",),
+    ),
+    Mutant(
+        # The exact max-cut walk starts with the two-colouring's cut as its
+        # incumbent, not one below it, so an optimum equal to it is lost.
+        "incumbent-at-floor",
+        "conecross/maxcut.py",
+        "    best = floor - 1\n",
+        "    best = floor\n",
+        ("tests/test_maxcut.py::test_known_small_values",
+         "tests/test_maxcut.py::test_exact_returns_the_first_maximum_cut",
+         "tests/test_maxcut.py::test_exact_matches_a_plain_walk_past_brute_force",
+         "tests/test_pages.py::test_split_report_matches_the_brute_force_oracle"),
+    ),
+    Mutant(
+        # The triangle packing leaves a used edge free, so two packed
+        # triangles may share it and the bound drops below the optimum.
+        "triangle-edge-reuse",
+        "conecross/maxcut.py",
+        "                    used[j] |= bit | w\n"
+        "                    used[w.bit_length() - 1] |= bit | low\n",
+        "                    used[j] |= bit\n"
+        "                    used[w.bit_length() - 1] |= bit\n",
+        ("tests/test_maxcut.py::test_exact_matches_a_plain_walk_past_brute_force",
+         "tests/test_maxcut.py::test_heuristic_falls_back_to_the_exact_cut",
+         "tests/test_pages.py::test_split_report_matches_the_brute_force_oracle"),
+    ),
+    Mutant(
+        # The walk's last vertex takes side 1 on a tie with the incumbent,
+        # so a later maximum cut replaces the first.
+        "leaf-tie-to-side-1",
+        "conecross/maxcut.py",
+        "            if cut + gain1 > best:\n",
+        "            if cut + gain1 >= best:\n",
+        ("tests/test_maxcut.py::test_exact_matches_a_plain_walk_past_brute_force",
+         "tests/test_maxcut.py::test_heuristic_falls_back_to_the_exact_cut"),
     ),
 ]
 

@@ -227,3 +227,133 @@ EDWARDS_PINS = {
 def test_heuristic_cuts_are_pinned(n, m, seed):
     cut = maxcut_edwards(n, random_graph(n, m, seed).simple_pairs())
     assert ("".join(map(str, cut.side)), cut.size) == EDWARDS_PINS[(n, m, seed)]
+
+
+def component_cut(n, edges, solve_connected):
+    """Cut each component with ``solve_connected(k, local_edges)``, relabelled
+    0..k-1 in vertex order, and put its side vector back."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    side = [0] * n
+    total = 0
+    for comp in nx.connected_components(g):
+        comp = sorted(comp)
+        local = {v: i for i, v in enumerate(comp)}
+        cut = solve_connected(len(comp), [(local[u], local[v]) for u, v in g.subgraph(comp).edges])
+        for v, s in zip(comp, cut.side):
+            side[v] = s
+        total += cut.size
+    return Cut(tuple(side), total)
+
+
+def list_walk(n, edges):
+    """The branch and bound on adjacency lists with no incumbent, every edge
+    among unplaced vertices counted in full: the first maximum cut with 0 on
+    side 0, bipartite or not."""
+    above = [[] for _ in range(n)]
+    for u, v in edges:
+        above[min(u, v)].append(max(u, v))
+    # inner[i]: the edges with both ends >= i.
+    inner = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        inner[i] = inner[i + 1] + len(above[i])
+    on = ([0] * n, [0] * n)  # on[s][j]: j's placed neighbours on side s
+    best = Cut((), -1)
+
+    def walk(i, cut, side, reach):
+        # reach: max(on[0][j], on[1][j]) summed over the unplaced j >= i.
+        nonlocal best
+        if i == n:
+            best = Cut(tuple(side), cut)
+            return
+        rest = reach - max(on[0][i], on[1][i])
+        for s in (0, 1) if i else (0,):
+            grown = rest
+            for j in above[i]:
+                grown += on[s][j] >= on[1 - s][j]
+                on[s][j] += 1
+            gain = on[1 - s][i]
+            if cut + gain + grown + inner[i + 1] > best.size:
+                walk(i + 1, cut + gain, side + [s], grown)
+            for j in above[i]:
+                on[s][j] -= 1
+
+    walk(0, 0, [], 0)
+    return best
+
+
+def greedy_flip(n, edges):
+    """Greedy placement along a BFS order from 0, neighbours lowest first,
+    each vertex on the side with fewer of its placed neighbours (0 on a
+    tie); then single flips in vertex order until none helps, recounting
+    neighbours each time; 0 on side 0 at the end."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    order, seen = [0], {0}
+    for v in order:
+        for u in sorted(adj[v]):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    side = [-1] * n
+    for v in order:
+        on = [side[u] for u in adj[v]]
+        side[v] = 1 if on.count(0) > on.count(1) else 0
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            if 2 * sum(side[u] == side[v] for u in adj[v]) > len(adj[v]):
+                side[v] = 1 - side[v]
+                improved = True
+    if side[0]:
+        side = [1 - s for s in side]
+    return Cut(tuple(side), cut_value(edges, side))
+
+
+def random_circle_graph(rng, chords):
+    """The circle graph of a random graph with ``chords`` edges on a random
+    spine order: ``chords`` vertices."""
+    low = next(n for n in itertools.count(2) if n * (n - 1) // 2 >= chords)
+    n = rng.randint(low, max(low, 14))
+    g = random_graph(n, chords, seed=rng.randrange(2**32))
+    seq = list(range(n))
+    rng.shuffle(seq)
+    return circle_graph(g, CyclicOrder(tuple(seq)))
+
+
+def test_exact_matches_a_plain_walk_past_brute_force():
+    """Circle graphs of 15-26 chords, where the incumbent and the triangle
+    packing prune the most: the whole cut matches a walk with neither."""
+    rng = random.Random(45)
+    for trial in range(150):
+        chords = rng.randint(15, 26)
+        edges = random_circle_graph(rng, chords)
+        assert maxcut_exact(chords, edges) == component_cut(chords, edges, list_walk), trial
+
+
+def test_heuristic_matches_a_recounting_greedy_past_the_exact_limit():
+    """Circle graphs of 33-48 chords: the whole cut matches greedy placement
+    and single flips that recount neighbours on adjacency lists."""
+    rng = random.Random(46)
+    for trial in range(100):
+        chords = rng.randint(33, 48)
+        edges = random_circle_graph(rng, chords)
+        assert maxcut_edwards(chords, edges) == component_cut(chords, edges, greedy_flip), trial
+
+
+def test_heuristic_falls_back_to_the_exact_cut(monkeypatch):
+    """A component whose heuristic cut misses the Edwards bound gets the
+    exact walk's cut, up to EXACT_LIMIT vertices, and raises past it."""
+    monkeypatch.setattr(EdwardsBound, "met_by", lambda self, size: False)
+    rng = random.Random(47)
+    for trial in range(20):
+        n = rng.randint(3, 12)
+        edges = random_graph(n, rng.randint(n, 3 * n), seed=700 + trial).simple_pairs()
+        assert maxcut_edwards(n, edges) == first_maximum_cut(n, edges), trial
+    odd = cycle_graph((EXACT_LIMIT + 1) | 1)  # an odd cycle, too long for the walk
+    with pytest.raises(RuntimeError, match="too large for exact fallback"):
+        maxcut_edwards(odd.n, odd.simple_pairs())
